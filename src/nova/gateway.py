@@ -4,6 +4,14 @@ All prompt traffic flows through :class:`Gateway`: on-disk response caching,
 bounded retries with jittered exponential backoff, a concurrency bound, and
 structured-output extraction with bounded syntactic repair. Backends are
 pluggable; the deterministic mock lives in :mod:`nova.mockllm`.
+
+Concurrency has one setting, ``GatewayOptions.parallelism``, and one place
+that starts threads, :meth:`Gateway.fan_out`, which every LLM-bound stage maps
+its per-item work through. It runs items on the calling thread until one of
+them makes a live backend call and only then hands the rest to a pool, so
+cached and offline work never pays for threads. Concurrent requests for one
+cache key make a single live call; the others wait for it and count as cache
+hits, exactly as if they had been issued one after another.
 """
 
 from __future__ import annotations
@@ -17,15 +25,19 @@ import re
 import tempfile
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Protocol
+from typing import Callable, Iterable, Protocol, TypeVar
 
 from . import schemas
 
 logger = logging.getLogger(__name__)
 
 LLM_API_KEY_ENV = "NOVA_LLM_API_KEY"
+
+T = TypeVar("T")
+R = TypeVar("R")
 
 
 class GatewayError(Exception):
@@ -145,6 +157,13 @@ class GatewayStats:
             }
 
 
+class _ThreadState(threading.local):
+    """Per-thread facts `Gateway.fan_out` decides on; class attributes are the defaults."""
+
+    live_sends = 0  # live backend calls this thread has started
+    in_worker = False  # this thread is a fan_out pool worker
+
+
 class Gateway:
     def __init__(
         self,
@@ -159,24 +178,81 @@ class Gateway:
         self._sleep = sleep
         self._semaphore = threading.Semaphore(max(1, options.parallelism))
         self._jitter = random.Random(0)
+        self._flights: dict[str, threading.Event] = {}
+        self._flights_lock = threading.Lock()
+        self._thread = _ThreadState()
         self.stats = GatewayStats()
 
     @property
     def options(self) -> GatewayOptions:
         return self._options
 
+    def fan_out(self, items: Iterable[T], fn: Callable[[T], R]) -> list[R]:
+        """`[fn(item) for item in items]`, run concurrently once calls go live.
+
+        Items run on the calling thread, in order, until one of them makes a
+        live backend call; the remaining items then go to a pool of at most
+        `parallelism` threads. Results are joined in input order, and an
+        exception from `fn` propagates from the first failing item in that
+        order. A fan_out called from a pool worker runs inline, so pools never
+        nest. `fn` should return only what the caller's join needs: results
+        are held until every item is done.
+        """
+        items = list(items)
+        results: list[R] = []
+        workers = 1 if self._thread.in_worker else max(1, self._options.parallelism)
+        for pos, item in enumerate(items):
+            live_before = self._thread.live_sends
+            results.append(fn(item))
+            remaining = len(items) - pos - 1
+            if remaining and workers > 1 and self._thread.live_sends > live_before:
+                pool = ThreadPoolExecutor(
+                    max_workers=min(workers, remaining), initializer=self._enter_worker
+                )
+                try:
+                    results.extend(pool.map(fn, items[pos + 1 :]))
+                finally:
+                    pool.shutdown(cancel_futures=True)
+                break
+        return results
+
+    def _enter_worker(self) -> None:
+        self._thread.in_worker = True
+
     def complete(self, request: ChatRequest) -> ChatResponse:
-        """Return the cached reply for this request, or issue it with retries."""
+        """Return the cached reply for this request, or issue it with retries.
+
+        Single-flight per cache key: while one thread sends a request, others
+        with the same key wait for it and then read its reply from the cache.
+        If it failed, the next waiter sends the request itself.
+        """
         self.stats._bump("requests")
         key = request.cache_key
-        cached = self._cache.get(key)
-        if cached is not None:
-            self.stats._bump("cache_hits")
-            return ChatResponse(text=cached, from_cache=True, attempts=1)
-        if self._backend is None:
-            raise BackendUnavailableError(
-                f"cache miss for {key[:12]} and no backend configured (cache-only mode)"
-            )
+        while True:
+            with self._flights_lock:
+                flight = self._flights.get(key)
+                if flight is None:
+                    flight = self._flights[key] = threading.Event()
+                    break
+            flight.wait()
+        try:
+            cached = self._cache.get(key)
+            if cached is not None:
+                self.stats._bump("cache_hits")
+                return ChatResponse(text=cached, from_cache=True, attempts=1)
+            if self._backend is None:
+                raise BackendUnavailableError(
+                    f"cache miss for {key[:12]} and no backend configured (cache-only mode)"
+                )
+            return self._send(request, key)
+        finally:
+            with self._flights_lock:
+                del self._flights[key]
+            flight.set()
+
+    def _send(self, request: ChatRequest, key: str) -> ChatResponse:
+        """Live call with retries; caches the reply."""
+        self._thread.live_sends += 1
         last_error: Exception | None = None
         for attempt in range(1, self._options.retry_budget + 1):
             try:

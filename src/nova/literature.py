@@ -147,6 +147,11 @@ class OfflineCorpus:
     Each doc file holds {"title", "abstract"} and optionally "embedding",
     "categories", and "date" (ISO-8601). Docs without a stored embedding are
     embedded from "<title>\\n<abstract>" at load time.
+
+    The normalized embeddings are stored once, as the rows of one matrix, and
+    each doc's "embedding" is a view of its row. A query scores every row in
+    one `np.einsum` pass, which calls no BLAS and so stays fast when many
+    threads search at once.
     """
 
     def __init__(self, corpus_dir: str | Path, embedder: Embedder):
@@ -159,6 +164,9 @@ class OfflineCorpus:
             raw = json.loads(path.read_text(encoding="utf-8"))
             if not raw.get("title"):
                 raise LiteratureError(f"corpus doc {path.name} has no title")
+            if "embedding" in raw:
+                # An array takes a quarter of the memory of a list of Python floats.
+                raw["embedding"] = np.asarray(raw["embedding"], dtype=np.float64)
             self._docs.append(raw)
         todo = [d for d in self._docs if "embedding" not in d]
         if todo:
@@ -167,8 +175,19 @@ class OfflineCorpus:
             )
             for doc, vec in zip(todo, vectors):
                 doc["embedding"] = vec
-        for doc in self._docs:
-            doc["embedding"] = normalize(doc["embedding"])
+        self._matrix = np.empty((0, 0))
+        for row, doc in enumerate(self._docs):
+            vec = normalize(doc["embedding"])
+            if row == 0:
+                self._matrix = np.empty((len(self._docs), vec.size))
+            if vec.shape != self._matrix.shape[1:]:
+                raise LiteratureError(
+                    f"corpus doc {doc['title']!r} has embedding shape {vec.shape}, "
+                    f"expected {self._matrix.shape[1:]}"
+                )
+            # Each doc's own array is freed as soon as its row is filled.
+            self._matrix[row] = vec
+            doc["embedding"] = self._matrix[row]
 
     def __len__(self) -> int:
         return len(self._docs)
@@ -187,9 +206,24 @@ class OfflineCorpus:
                 return False
         return True
 
-    def _ranked(self, qvec: np.ndarray, docs: list[dict], k: int, source_query: str
+    def _ranked(self, qvec: np.ndarray, rows: np.ndarray, k: int, source_query: str
                 ) -> list[RetrievedDoc]:
-        scored = [(cosine(qvec, d["embedding"]), d) for d in docs]
+        """The first k of `rows` sorted by (-cosine, title), with exact `cosine` scores.
+
+        The einsum pass may differ from `cosine` in the last bits, so it only
+        shortlists: every row within 1e-9 of the k-th approximate score,
+        which includes every doc tied with the k-th, is rescored with
+        `cosine` and sorted by the exact key.
+        """
+        if qvec.shape != self._matrix.shape[1:]:
+            raise LiteratureError(
+                f"dimension mismatch: {qvec.shape} vs {self._matrix.shape[1:]}"
+            )
+        approx = np.einsum("ij,j->i", self._matrix, qvec)[rows]
+        if k < rows.size:
+            kth = -np.partition(-approx, k - 1)[k - 1]
+            rows = rows[approx >= kth - 1e-9]
+        scored = [(cosine(qvec, self._docs[i]["embedding"]), self._docs[i]) for i in rows]
         scored.sort(key=lambda pair: (-pair[0], pair[1]["title"]))
         return [
             RetrievedDoc(
@@ -197,23 +231,30 @@ class OfflineCorpus:
                 abstract=d.get("abstract", ""),
                 source_query=source_query,
                 score=sim,
-                embedding=tuple(float(v) for v in d["embedding"]),
+                embedding=tuple(d["embedding"].tolist()),
             )
             for sim, d in scored[:k]
         ]
 
     def search(self, query: SearchQuery) -> list[RetrievedDoc]:
-        docs = [d for d in self._docs if self._matches(d, query)]
-        if not docs:
+        if query.categories or query.date_from or query.date_to:
+            rows = np.array(
+                [i for i, d in enumerate(self._docs) if self._matches(d, query)], dtype=np.intp
+            )
+        else:
+            rows = np.arange(len(self._docs))
+        if not rows.size:
             return []
-        qvec = self._embedder.embed([query.text])[0]
-        return self._ranked(qvec, docs, query.limit, query.text)
+        qvec = np.asarray(self._embedder.embed([query.text])[0], dtype=np.float64)
+        return self._ranked(qvec, rows, query.limit, query.text)
 
     def nearest(self, embedding, k: int) -> list[RetrievedDoc]:
         """Top-k docs by cosine to an existing embedding (no query text)."""
         if not self._docs:
             return []
-        return self._ranked(np.asarray(embedding, dtype=np.float64), self._docs, k, "")
+        return self._ranked(
+            np.asarray(embedding, dtype=np.float64), np.arange(len(self._docs)), k, ""
+        )
 
 
 class HttpSearchClient:

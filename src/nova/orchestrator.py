@@ -13,6 +13,11 @@ Stages commit atomically in order seeded -> iterated -> selected -> proposed
 -> evaluated -> done; a crash between stages leaves a resumable checkpoint.
 Nothing written under the run directory carries wall-clock time, so a resumed
 run reproduces the artifact tree of an uninterrupted one byte for byte.
+
+The LLM-bound stages (iterate, propose, evaluate) map their per-item work
+through `Gateway.fan_out`, bounded by `GatewayOptions.parallelism`; work runs
+inline until a call goes live. Results are written at the join, in input
+order, so the artifact tree does not depend on scheduling or parallelism.
 """
 
 from __future__ import annotations
@@ -432,13 +437,20 @@ class Runner:
         failed: list[str] = []
         proposals_dir = self.out_dir / "proposals"
         proposals_dir.mkdir(exist_ok=True)
-        for idea in representatives:
+
+        def build(idea: Idea):
             try:
-                initial, decomposition, final = self.builder.build_all(paper, idea)
+                return self.builder.build_all(paper, idea)
             except proposals_mod.ProposalFailure as exc:
-                logger.warning("proposal failed, skipping idea downstream: %s", exc)
+                return exc
+
+        outcomes = self.gateway.fan_out(representatives, build)
+        for idea, outcome in zip(representatives, outcomes):
+            if isinstance(outcome, proposals_mod.ProposalFailure):
+                logger.warning("proposal failed, skipping idea downstream: %s", outcome)
                 failed.append(idea.id)
                 continue
+            initial, decomposition, final = outcome
             proposal_refs[idea.id] = {
                 "initial": self.store.put("proposal", initial.to_dict()),
                 "decomposition": self.store.put("decomposition_plan", decomposition.to_dict()),
@@ -460,7 +472,8 @@ class Runner:
                 self.gateway, self.library, self.options.ranker_model_id
             )
             result = tournament.swiss_tournament(
-                finals, self.config.tournament_rounds, ranker, self.config.rng_seed
+                finals, self.config.tournament_rounds, ranker, self.config.rng_seed,
+                fan_out=self.gateway.fan_out,
             )
             tournament_ref = self.store.put("tournament_result", result.to_dict())
             histogram = {

@@ -3,15 +3,14 @@
 Each generation maps every pool idea through make_plan -> execute_plan ->
 expand_idea and replaces the pool with the union of the outputs. Expansion
 failures let the old idea survive the generation unchanged, keeping the
-pool-growth law near-exact and runs resumable. Idea-level work fans out on a
-thread pool bounded by the gateway's parallelism; IDs are assigned at the
-ordered join, so results are reproducible regardless of scheduling.
+pool-growth law near-exact and runs resumable. Idea-level work goes through
+`Gateway.fan_out`, which turns concurrent once calls go live; IDs are assigned
+at the ordered join, so results are reproducible regardless of scheduling.
 """
 
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .domain import Direction, Idea, PipelineConfig, RetrievedDoc, SearchPlan, SeedPaper
@@ -253,14 +252,7 @@ class PlannerLoop:
         """One plan/search/expand/replace pass over the whole pool."""
         if not pool:
             raise ValueError("run_generation requires a nonempty pool")
-        workers = max(1, self._gateway.options.parallelism)
-        if workers > 1 and len(pool) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool_exec:
-                outcomes = list(
-                    pool_exec.map(lambda idea: self._process_idea(paper, idea), pool)
-                )
-        else:
-            outcomes = [self._process_idea(paper, idea) for idea in pool]
+        outcomes = self._gateway.fan_out(pool, lambda idea: self._process_idea(paper, idea))
 
         next_pool: list[Idea] = []
         plans: list[SearchPlan] = []

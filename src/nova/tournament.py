@@ -5,6 +5,13 @@ by (score desc, id asc) and pair adjacent entries with a greedy scan-forward
 rematch avoidance, falling back to a rematch when forced. With an odd field,
 the lowest-sorted idea without a prior bye sits out for 1 point. Each match
 presents the pair to the judge in seed-randomized order.
+
+The matches of one round depend only on earlier rounds, so a round is paired
+first and its matches are judged through one fan-out. The presentation swap
+flags are drawn in match order before dispatch, and the coin flips for failed
+judgements in match order after the join, so the random stream, and with it
+the result, does not depend on how the matches were scheduled. With no failed
+match the stream is the swap flags alone, as when matches ran one by one.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ from __future__ import annotations
 import logging
 import random
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 from .domain import Bye, Idea, Match, PipelineConfig, Proposal, RetrievedDoc, TournamentResult
 from .gateway import ChatRequest, Gateway, GatewayError
@@ -29,6 +36,14 @@ class RankerError(Exception):
 
 # A ranker judges the pair as presented and returns "A" or "B".
 RankerFn = Callable[[Proposal, Proposal], str]
+
+# An ordered map, such as `Gateway.fan_out`: [fn(item) for item in items].
+FanOut = Callable[[Iterable, Callable], list]
+
+
+def in_order(items: Iterable, fn: Callable) -> list:
+    """The sequential `FanOut`."""
+    return [fn(item) for item in items]
 
 
 @dataclass(frozen=True)
@@ -82,6 +97,7 @@ def swiss_tournament(
     rounds: int,
     ranker: RankerFn,
     seed: int,
+    fan_out: FanOut = in_order,
 ) -> TournamentResult:
     """Run a Swiss tournament; 1 point per win, 1 point per bye.
 
@@ -90,6 +106,7 @@ def swiss_tournament(
         rounds: number of rounds; every idea plays (or sits out) each round.
         ranker: pairwise judge for the presented order.
         seed: drives round-1 pairing, presentation order, and failure coin-flips.
+        fan_out: ordered map the matches of one round are judged through.
 
     Returns:
         TournamentResult with scores for every participant, the match list,
@@ -109,6 +126,12 @@ def swiss_tournament(
     matches: list[Match] = []
     byes: list[Bye] = []
 
+    def judge(presented: tuple[str, str]) -> str | RankerError:
+        try:
+            return ranker(by_id[presented[0]], by_id[presented[1]])
+        except RankerError as exc:
+            return exc
+
     for rnd in range(1, rounds + 1):
         if rnd == 1:
             order = list(ids)
@@ -127,6 +150,7 @@ def swiss_tournament(
             scores[bye_id] += 1
             byes.append(Bye(round=rnd, idea_id=bye_id))
 
+        pairs: list[tuple[str, str]] = []
         used: set[str] = set()
         for pos, a in enumerate(order):
             if a in used:
@@ -141,16 +165,17 @@ def swiss_tournament(
                 break
             used.add(a)
             used.add(opp)
-            swapped = rng.random() < 0.5
-            first, second = (opp, a) if swapped else (a, opp)
-            try:
-                verdict = ranker(by_id[first], by_id[second])
-                if verdict not in ("A", "B"):
-                    raise RankerError(f"judge returned {verdict!r}")
-            except RankerError as exc:
+            pairs.append((a, opp))
+
+        presented = [(opp, a) if rng.random() < 0.5 else (a, opp) for a, opp in pairs]
+        verdicts = fan_out(presented, judge)
+        for (a, opp), (first, second), verdict in zip(pairs, presented, verdicts):
+            if not isinstance(verdict, RankerError) and verdict not in ("A", "B"):
+                verdict = RankerError(f"judge returned {verdict!r}")
+            if isinstance(verdict, RankerError):
                 logger.warning(
                     "round %d: ranker failed for (%s, %s), coin-flipping: %s",
-                    rnd, a, opp, exc,
+                    rnd, a, opp, verdict,
                 )
                 verdict = rng.choice(["A", "B"])
             winner = first if verdict == "A" else second
@@ -244,18 +269,22 @@ def unique_novel_count(
     model_id: str = "",
     threshold_only: bool = False,
 ) -> int:
-    """Deduplicate the pool, then count retained ideas judged novel."""
+    """Deduplicate the pool, then count retained ideas judged novel.
+
+    With a gateway, the retained ideas are judged through `gateway.fan_out`.
+    """
     if not pool:
         return 0
     _, retained_ids = non_duplicate_fraction(pool, config.dup_sim_threshold)
     retained = {i.id: i for i in pool}
-    count = 0
-    for idea_id in retained_ids:
-        result = novelty_judge(
+
+    def is_novel(idea_id: str) -> bool:
+        # Only the flag crosses the join; the evidence is dropped in the worker.
+        return novelty_judge(
             retained[idea_id], corpus, config,
             gateway=gateway, library=library, model_id=model_id,
             threshold_only=threshold_only,
-        )
-        if result.novel:
-            count += 1
-    return count
+        ).novel
+
+    fan_out = gateway.fan_out if gateway is not None else in_order
+    return sum(fan_out(retained_ids, is_novel))

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import sys
 import threading
+import time
 
 import pytest
 
@@ -117,6 +119,163 @@ def test_concurrent_completes_are_consistent(make_gateway, tmp_path):
         t.join()
     reference = {p: MockBackend(seed=2).send("m", p, 0.0, 4096) for p in set(prompts)}
     assert all(results[n] == reference[prompts[n]] for n in range(len(prompts)))
+
+
+class SlowBackend:
+    """Sleeps `delay` per send; records sends and the peak number in flight."""
+
+    def __init__(self, delay: float, fail: bool = False):
+        self.delay = delay
+        self.fail = fail
+        self.sends: list[str] = []
+        self.threads: set[int] = set()
+        self.inflight = 0
+        self.peak = 0
+        self._lock = threading.Lock()
+
+    def send(self, model_id, prompt, temperature, max_tokens):
+        with self._lock:
+            self.sends.append(prompt)
+            self.threads.add(threading.get_ident())
+            self.inflight += 1
+            self.peak = max(self.peak, self.inflight)
+        try:
+            time.sleep(self.delay)
+        finally:
+            with self._lock:
+                self.inflight -= 1
+        if self.fail:
+            raise TransientBackendError("slow and down")
+        return f"reply to {prompt}"
+
+
+def run_threads(target, count: int) -> None:
+    threads = [threading.Thread(target=target, args=(n,)) for n in range(count)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30)
+    assert not any(t.is_alive() for t in threads)
+
+
+def test_concurrent_identical_requests_make_one_live_call(make_gateway):
+    backend = SlowBackend(delay=0.2)
+    gateway = make_gateway(backend)
+    texts: dict[int, str] = {}
+    run_threads(lambda n: texts.__setitem__(n, gateway.complete(req("same")).text), 2)
+    assert backend.sends == ["same"]
+    assert texts == {0: "reply to same", 1: "reply to same"}
+    assert gateway.stats.snapshot() == {"requests": 2, "cache_hits": 1, "live_calls": 1}
+
+
+def test_waiter_sends_itself_when_the_leader_fails(make_gateway):
+    """As one after another: each request spends its own retry budget."""
+    backend = SlowBackend(delay=0.05, fail=True)
+    gateway = make_gateway(backend, options=GatewayOptions(retry_budget=2, backoff_base=0.0))
+    errors: dict[int, Exception] = {}
+
+    def worker(n: int):
+        try:
+            gateway.complete(req("down"))
+        except BackendUnavailableError as exc:
+            errors[n] = exc
+
+    run_threads(worker, 2)
+    assert len(errors) == 2
+    assert len(backend.sends) == 4
+    assert gateway.stats.snapshot() == {"requests": 2, "cache_hits": 0, "live_calls": 4}
+
+
+def test_single_flight_stress_counts_match_sequential(make_gateway):
+    """Many threads over few keys: one live call per key, every other request a hit."""
+    backend = SlowBackend(delay=0.001)
+    gateway = make_gateway(backend)
+    prompts = [f"prompt {n % 5}" for n in range(64)]
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        run_threads(lambda n: gateway.complete(req(prompts[n])), len(prompts))
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert sorted(backend.sends) == sorted(set(prompts))
+    assert gateway.stats.snapshot() == {"requests": 64, "cache_hits": 59, "live_calls": 5}
+
+
+# ---------------------------------------------------------------------------
+# fan_out()
+# ---------------------------------------------------------------------------
+
+
+def test_fan_out_cached_items_stay_on_the_calling_thread(make_gateway):
+    backend = SlowBackend(delay=0.0)
+    gateway = make_gateway(backend)
+    for n in range(6):
+        gateway.complete(req(f"p{n}"))
+    threads: list[int] = []
+
+    def fn(n: int) -> str:
+        threads.append(threading.get_ident())
+        return gateway.complete(req(f"p{n}")).text
+
+    assert gateway.fan_out(range(6), fn) == [f"reply to p{n}" for n in range(6)]
+    assert threads == [threading.get_ident()] * 6
+
+
+def test_fan_out_pools_the_rest_once_a_call_goes_live(make_gateway):
+    backend = SlowBackend(delay=0.05)
+    gateway = make_gateway(backend, options=GatewayOptions(parallelism=4, backoff_base=0.0))
+    threads: dict[int, int] = {}
+
+    def fn(n: int) -> str:
+        threads[n] = threading.get_ident()
+        return gateway.complete(req(f"p{n}")).text
+
+    results = gateway.fan_out(range(13), fn)
+    assert results == [f"reply to p{n}" for n in range(13)]
+    caller = threading.get_ident()
+    assert threads[0] == caller  # the first item went live inline
+    assert caller not in {threads[n] for n in range(1, 13)}
+    assert 1 < backend.peak <= 4
+
+
+def test_fan_out_parallelism_one_runs_inline(make_gateway):
+    backend = SlowBackend(delay=0.0)
+    gateway = make_gateway(backend, options=GatewayOptions(parallelism=1, backoff_base=0.0))
+    gateway.fan_out(range(5), lambda n: gateway.complete(req(f"p{n}")))
+    assert backend.threads == {threading.get_ident()}
+
+
+def test_fan_out_nested_in_a_worker_runs_inline(make_gateway):
+    backend = SlowBackend(delay=0.01)
+    gateway = make_gateway(backend, options=GatewayOptions(parallelism=4, backoff_base=0.0))
+
+    def outer(n: int):
+        gateway.complete(req(f"outer {n}"))
+        here = threading.get_ident()
+        inner_threads = gateway.fan_out(
+            range(3),
+            lambda m: (gateway.complete(req(f"inner {n}.{m}")), threading.get_ident())[1],
+        )
+        return here, inner_threads
+
+    results = gateway.fan_out(range(6), outer)
+    for here, inner_threads in results[1:]:  # items 1.. ran on pool workers
+        assert here != threading.get_ident()
+        assert inner_threads == [here] * 3
+
+
+def test_fan_out_raises_the_first_failure_in_input_order(make_gateway):
+    backend = SlowBackend(delay=0.01)
+    gateway = make_gateway(backend, options=GatewayOptions(parallelism=4, backoff_base=0.0))
+
+    def fn(n: int) -> int:
+        gateway.complete(req(f"p{n}"))
+        if n in (3, 5):
+            raise ValueError(f"item {n}")
+        return n
+
+    with pytest.raises(ValueError, match="item 3"):
+        gateway.fan_out(range(8), fn)
 
 
 # ---------------------------------------------------------------------------

@@ -217,6 +217,101 @@ def test_corpus_nearest_uses_existing_embedding(corpus_dir, hash_embedder):
     assert hits[0].score == pytest.approx(1.0, abs=1e-9)
 
 
+def ranking_corpus(tmp_path, embedder: HashEmbedder):
+    """Stored and embedded docs, duplicate embeddings, categories and dates.
+
+    Returns the corpus dir and, per title, (normalized embedding, categories, date).
+    """
+    rng = np.random.Generator(np.random.PCG64(77))
+    shared = rng.standard_normal(embedder.dim)  # eight docs repeat this vector
+    cdir = tmp_path / "ranking"
+    cdir.mkdir()
+    truth = {}
+    for n in range(40):
+        title = f"doc {(n * 7) % 40:02d}"  # file order differs from title order
+        raw = {"title": title, "abstract": f"abstract {n}",
+               "categories": [["NLP"], ["CV"], ["NLP", "ML"]][n % 3],
+               "date": f"202{n % 4}-0{1 + n % 9}-15"}
+        if n % 5 == 0:
+            raw["embedding"] = shared.tolist()
+            vector = normalize(shared)
+        elif n % 2:
+            raw["embedding"] = rng.standard_normal(embedder.dim).tolist()
+            vector = normalize(raw["embedding"])
+        else:
+            vector = normalize(embedder.embed([f"{title}\nabstract {n}"])[0])  # as at load
+        (cdir / f"{n:02d}.json").write_text(json.dumps(raw), encoding="utf-8")
+        truth[title] = (vector, raw["categories"], date.fromisoformat(raw["date"]))
+    return cdir, truth, normalize(shared)
+
+
+def reference_ranking(truth, qvec, k, query: SearchQuery | None = None):
+    """Brute force: filter, then sort every doc by (-cosine, title)."""
+    rows = []
+    for title, (vector, categories, day) in truth.items():
+        if query is not None:
+            if query.categories and not set(categories) & set(query.categories):
+                continue
+            if query.date_from and day < query.date_from:
+                continue
+            if query.date_to and day > query.date_to:
+                continue
+        rows.append((-cosine(qvec, vector), title))
+    return [(title, -neg) for neg, title in sorted(rows)[:k]]
+
+
+@pytest.mark.parametrize("k", [1, 3, 5, 8, 9, 39, 40, 100])
+def test_corpus_ranking_equals_brute_force(tmp_path, k):
+    embedder = HashEmbedder(dim=12, seed=4)
+    cdir, truth, shared = ranking_corpus(tmp_path, embedder)
+    corpus = OfflineCorpus(cdir, embedder)
+    probes = [shared, truth["doc 13"][0], embedder.embed(["free text"])[0]]
+    for qvec in probes:
+        hits = corpus.nearest(tuple(qvec.tolist()), k)
+        assert [(h.title, h.score) for h in hits] == reference_ranking(truth, qvec, k)
+        for h in hits:
+            assert h.embedding == tuple(truth[h.title][0].tolist())
+    queries = [
+        SearchQuery(text="agents", limit=k),
+        SearchQuery(text="agents", categories=("NLP",), limit=k),
+        SearchQuery(text="planning", date_from=date(2021, 3, 1), limit=k),
+        SearchQuery(text="planning", categories=("CV", "ML"), date_to=date(2022, 5, 1), limit=k),
+        SearchQuery(text="nothing", categories=("BIO",), limit=k),
+    ]
+    for query in queries:
+        qvec = embedder.embed([query.text])[0]
+        hits = corpus.search(query)
+        assert [(h.title, h.score) for h in hits] == reference_ranking(truth, qvec, k, query)
+        assert all(h.source_query == query.text for h in hits)
+
+
+def test_corpus_ties_at_kth_score_break_by_title(tmp_path):
+    """Eight docs share one vector: the cut at k keeps the first titles among them."""
+    embedder = HashEmbedder(dim=12, seed=4)
+    cdir, truth, shared = ranking_corpus(tmp_path, embedder)
+    corpus = OfflineCorpus(cdir, embedder)
+    tied = sorted(t for t, (vec, _, _) in truth.items() if np.array_equal(vec, shared))
+    assert len(tied) == 8
+    for k in (1, 4, 8):
+        assert [h.title for h in corpus.nearest(tuple(shared.tolist()), k)] == tied[:k]
+
+
+def test_corpus_rejects_zero_nonfinite_and_mismatched_embeddings(tmp_path, hash_embedder):
+    for n, embedding in enumerate(([0.0] * 16, [float("nan")] + [1.0] * 15, [1.0] * 5)):
+        cdir = tmp_path / f"bad{n}"
+        cdir.mkdir()
+        (cdir / "ok.json").write_text(json.dumps({"title": "ok", "abstract": ""}))
+        (cdir / "z.json").write_text(json.dumps({"title": "bad", "embedding": embedding}))
+        with pytest.raises(LiteratureError):
+            OfflineCorpus(cdir, hash_embedder)
+
+
+def test_corpus_query_dimension_mismatch(corpus_dir, hash_embedder):
+    corpus = OfflineCorpus(corpus_dir, hash_embedder)
+    with pytest.raises(LiteratureError, match="dimension mismatch"):
+        corpus.nearest([1.0, 0.0], 3)
+
+
 # ---------------------------------------------------------------------------
 # HTTP clients (transport injected)
 # ---------------------------------------------------------------------------

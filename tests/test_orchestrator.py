@@ -9,6 +9,8 @@ import pytest
 
 from nova import schemas
 from nova.domain import PipelineConfig
+from nova.gateway import GatewayOptions
+from nova.mockllm import MockBackend, prompt_digest
 from nova.orchestrator import (
     STAGES,
     OrchestratorError,
@@ -128,6 +130,50 @@ def test_second_run_with_shared_cache_makes_zero_live_calls(
     assert stats["live_calls"] == 0
     assert second._make_backend().calls == 0  # fresh instance; ledger agrees
     assert stats["cache_hits"] == stats["requests"]
+
+
+def test_parallel_run_reproducible(tmp_path, corpus_dir, paper_input_file, small_config,
+                                  monkeypatch):
+    """Every stage's fan-out leaves the tree and the call ledger as at parallelism 1.
+
+    The run makes novelty-judge calls, and one prompt in three of every template
+    fails twice before its reply, so retries overlap the fan-out.
+    """
+    sent: list[str] = []
+    send = MockBackend.send
+
+    def recording_send(self, model_id, prompt, *args):
+        sent.append(prompt)
+        return send(self, model_id, prompt, *args)
+
+    monkeypatch.setattr(MockBackend, "send", recording_send)
+    Runner(tmp_path / "discover", small_config, options_for(corpus_dir)).run(
+        paper_input=str(paper_input_file)
+    )
+    monkeypatch.undo()
+    assert any("already contains the core of a proposed research idea" in p for p in sent)
+    synth = MockBackend(seed=small_config.rng_seed)
+    script = {
+        prompt_digest(prompt): {"text": synth.send("m", prompt, 0.0, 0), "transient_failures": 2}
+        for prompt in sorted(set(sent))[::3]
+    }
+    script_path = tmp_path / "script.json"
+    script_path.write_text(json.dumps(script), encoding="utf-8")
+
+    def run(parallelism: int):
+        out = tmp_path / f"p{parallelism}"
+        options = options_for(
+            corpus_dir, mock_script=script_path,
+            gateway=GatewayOptions(parallelism=parallelism, backoff_base=0.0, backoff_cap=0.0),
+        )
+        runner = Runner(out, small_config, options)
+        assert runner.run(paper_input=str(paper_input_file)).stage_cursor == "done"
+        return tree_bytes(out), runner.gateway.stats.snapshot()
+
+    (tree_1, stats_1), (tree_8, stats_8) = run(1), run(8)
+    assert tree_1 == tree_8
+    assert stats_1 == stats_8
+    assert stats_1["live_calls"] == stats_1["requests"] - stats_1["cache_hits"] + 2 * len(script)
 
 
 def test_clamped_small_run_t0(tmp_path, corpus_dir, paper_input_file):

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -11,12 +14,13 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import spearmanr
 
 from nova.domain import FINAL_SECTIONS, PipelineConfig, Proposal, RetrievedDoc
-from nova.gateway import ChatRequest
+from nova.gateway import ChatRequest, GatewayOptions
 from nova.mockllm import MockBackend
 from nova.prompts import PromptLibrary
 from nova.tournament import (
     NoveltyResult,
     RankerError,
+    in_order,
     make_llm_ranker,
     novelty_judge,
     score_histogram,
@@ -177,6 +181,79 @@ def test_presentation_order_randomized():
     assert len(observed_first) > len(ids) / 2
 
 
+def pooled(items, fn):
+    """A pooled ordered map, as `Gateway.fan_out` becomes once calls go live."""
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        return list(pool.map(fn, items))
+
+
+def stable_hash(*parts: str) -> int:
+    return int(hashlib.sha256("|".join(parts).encode()).hexdigest()[:8], 16)
+
+
+def test_pooled_fidelity_seed_equals_sequential():
+    """The fidelity gate holds at the same seed when rounds are judged concurrently."""
+    ids = [f"i{n:02d}" for n in range(16)]
+    strength = {idea_id: 16 - n for n, idea_id in enumerate(ids)}
+    proposals = [proposal(i) for i in ids]
+    ranker = transitive_ranker(strength)
+    sequential = swiss_tournament(proposals, 5, ranker, seed=SWISS_FIDELITY_SEED)
+    concurrent = swiss_tournament(proposals, 5, ranker, seed=SWISS_FIDELITY_SEED,
+                                  fan_out=pooled)
+    assert concurrent.to_dict() == sequential.to_dict()
+    assert concurrent.scores["i00"] == 5 and concurrent.scores["i15"] == 0
+    rho = spearmanr([strength[i] for i in ids], [concurrent.scores[i] for i in ids]).statistic
+    assert rho >= 0.9
+
+
+@pytest.mark.parametrize("seed", [0, 3, 135])
+def test_failing_matches_equal_under_sequential_and_pooled_maps(seed):
+    """Coin flips are drawn after the join, so completion order cannot move them."""
+    ids = [f"p{n:02d}" for n in range(11)]  # odd: byes too
+    strength = {i: stable_hash("strength", i) for i in ids}
+    failures = []
+
+    def ranker(a: Proposal, b: Proposal) -> str:
+        h = stable_hash(a.idea_id, b.idea_id)
+        time.sleep((h % 5) / 1000)  # scramble completion order under the pool
+        if h % 4 == 0:
+            failures.append((a.idea_id, b.idea_id))
+            raise RankerError("chosen to fail")
+        if h % 4 == 1:
+            return "neither"  # invalid verdict: coin flip as well
+        return "A" if strength[a.idea_id] > strength[b.idea_id] else "B"
+
+    proposals = [proposal(i) for i in ids]
+    sequential = swiss_tournament(proposals, 5, ranker, seed=seed, fan_out=in_order)
+    assert failures
+    for _ in range(3):
+        concurrent = swiss_tournament(proposals, 5, ranker, seed=seed, fan_out=pooled)
+        assert concurrent.to_dict() == sequential.to_dict()
+
+
+def test_llm_ranker_rounds_through_gateway_fan_out(make_gateway, tmp_path):
+    """Same tournament with the gateway's pool as one match at a time, judge failures included."""
+
+    def reply(prompt: str) -> str:
+        h = stable_hash(prompt)
+        if h % 5 == 0:
+            return "no verdict here"
+        return json.dumps({"winner": "A" if h % 2 else "B"})
+
+    def run(parallelism: int, name: str):
+        gateway = make_gateway(
+            RuleBackend(rules=[("decide which one is better", reply)]),
+            options=GatewayOptions(parallelism=parallelism, backoff_base=0.0),
+            cache_dir=tmp_path / name,
+        )
+        ranker = make_llm_ranker(gateway, LIBRARY, "judge-model")
+        result = swiss_tournament([proposal(f"p{n}") for n in range(12)], 4, ranker,
+                                  seed=21, fan_out=gateway.fan_out)
+        return result.to_dict(), gateway.stats.snapshot()
+
+    assert run(1, "one") == run(8, "eight")
+
+
 def test_score_histogram_covers_range():
     ids = [f"p{n}" for n in range(6)]
     strength = {i: n for n, i in enumerate(ids)}
@@ -298,6 +375,40 @@ def test_unique_novel_count_dedup_precedes_novelty():
     count = unique_novel_count(ideas, corpus, config, threshold_only=True)
     # idea0 retained+novel; idea1 deduped away; idea2 retained but sim 1.0 -> not novel
     assert count == 1
+
+
+def test_unique_novel_count_same_under_gateway_pool(make_gateway, tmp_path):
+    rng = np.random.Generator(np.random.PCG64(8))
+    pool = [embedded_idea(n, rng.standard_normal(6)) for n in range(30)]
+    # Four docs repeat pool embeddings, so some ideas surely reach the judge.
+    vectors = [i.embedding for i in pool[:4]] + [
+        embedded_idea(n, rng.standard_normal(6)).embedding for n in range(6)
+    ]
+    docs = [
+        RetrievedDoc(title=f"doc {n}", abstract=f"abstract {n}", source_query="", score=0.0,
+                     embedding=vec)
+        for n, vec in enumerate(vectors)
+    ]
+    corpus = PlantedCorpus(docs)
+    config = PipelineConfig(novelty_topk=4)
+
+    def verdict(prompt: str) -> str:
+        return json.dumps({"verdict": "similar" if stable_hash(prompt) % 3 == 0 else "different"})
+
+    def run(parallelism: int, name: str):
+        gateway = make_gateway(
+            RuleBackend(rules=[("contains the core", verdict)]),
+            options=GatewayOptions(parallelism=parallelism, backoff_base=0.0),
+            cache_dir=tmp_path / name,
+        )
+        count = unique_novel_count(pool, corpus, config, gateway=gateway, library=LIBRARY,
+                                   model_id="m")
+        return count, gateway.stats.snapshot()
+
+    (count, stats), pooled_run = run(1, "one"), run(8, "eight")
+    assert (count, stats) == pooled_run
+    assert stats["live_calls"] > 0
+    assert 0 < count < len(pool)
 
 
 def test_unique_novel_count_empty_pool():
