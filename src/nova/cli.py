@@ -18,8 +18,8 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import fields
 from pathlib import Path
+from typing import get_type_hints
 
 from . import __version__
 from .domain import DomainParseError, PipelineConfig, SeedPaper
@@ -88,10 +88,10 @@ def _parse_override(item: str) -> tuple[str, object]:
     if "=" not in item:
         raise UsageError(f"--set expects KEY=VALUE, got {item!r}")
     key, raw = item.split("=", 1)
-    types = {f.name: f.type for f in fields(PipelineConfig)}
+    types = get_type_hints(PipelineConfig)
     if key not in types:
         raise UsageError(f"unknown config key {key!r}")
-    caster = float if key in PipelineConfig._FLOAT_FIELDS else int
+    caster = types[key]
     try:
         return key, caster(raw)
     except ValueError:
@@ -104,7 +104,10 @@ def load_config(args) -> PipelineConfig:
         path = Path(args.config)
         if not path.is_file():
             raise UsageError(f"config file {path} does not exist")
-        data.update(json.loads(path.read_text(encoding="utf-8")))
+        loaded = json.loads(path.read_text(encoding="utf-8"))
+        if not isinstance(loaded, dict):
+            raise UsageError(f"config file {path} must hold a JSON object")
+        data.update(loaded)
     for item in getattr(args, "set", []):
         key, value = _parse_override(item)
         data[key] = value
@@ -137,10 +140,10 @@ def build_options(args) -> RunnerOptions:
 def _run_command(args, target_stage: str) -> int:
     config = load_config(args)
     options = build_options(args)
-    runner = Runner(args.out, config, options)
     paper_input = getattr(args, "paper", None)
     if paper_input is not None and not Path(paper_input).is_file():
         raise UsageError(f"paper file {paper_input} does not exist")
+    runner = Runner(args.out, config, options)
     try:
         state = runner.advance_to(target_stage, paper_input=paper_input)
     except (PipelineAborted, GatewayError) as exc:
@@ -164,11 +167,12 @@ def _validate_command(args) -> int:
     if not path.is_file():
         raise UsageError(f"paper file {path} does not exist")
     raw = json.loads(path.read_text(encoding="utf-8"))
-    paper_raw = dict(raw.get("paper", raw))
-    paper_raw.setdefault("id", "paper-under-validation")
-    paper_raw.setdefault("references", [])
+    paper_raw = raw.get("paper", raw) if isinstance(raw, dict) else raw
+    if not isinstance(paper_raw, dict):
+        print(f"{ERROR_PREFIX} paper file {path} must hold a JSON object", file=sys.stderr)
+        return 2
     try:
-        paper = SeedPaper.from_dict(paper_raw)
+        paper = SeedPaper.from_dict({"id": "paper-under-validation", **paper_raw})
         violations = paper.validate()
     except DomainParseError as exc:
         violations = [str(exc)]

@@ -1,14 +1,30 @@
 """Shared domain types, their JSON (de)serialization, and invariant checks.
 
-Every pipeline artifact is one of these value types. Serialization is plain
-UTF-8 JSON with keys emitted in field-declaration order; optional fields that
-are unset are omitted. `from_dict` rejects unknown and missing fields so that
-artifacts written by other tools fail loudly instead of silently.
+Every pipeline artifact is one of these value types. Each inherits `Record`,
+whose `to_dict`/`from_dict` are derived from the dataclass fields and their
+annotations, so a type's shape is written down once, in its field list.
+
+Serialization is plain JSON with keys emitted in field-declaration order.
+Tuples become lists, nested records serialize through their own `to_dict`,
+and a field whose default is None is omitted while it is None.
+
+`from_dict` rejects non-objects, unknown fields and wrongly typed values with
+a `DomainParseError` naming the type and the field, so artifacts written by
+other tools fail loudly instead of silently. A field may be absent iff it has
+a default; an absent field takes that default. `str` fields are coerced with
+`str()`; `int` fields reject bools; `float` fields accept ints.
+
+The `validate()` methods hold the semantic invariants that the types alone
+cannot express.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
+import types
+import typing
 from dataclasses import dataclass, field
 
 IDEA_SOURCES = ("internal_knowledge", "trend", "discovery_theory", "iteration")
@@ -38,30 +54,141 @@ class DomainParseError(ValueError):
     """Raised when a dict cannot be parsed into a domain value at all."""
 
 
-def _check_keys(kind: str, data: dict, required: tuple, optional: tuple = ()) -> None:
-    if not isinstance(data, dict):
-        raise DomainParseError(f"{kind}: expected object, got {type(data).__name__}")
-    allowed = set(required) | set(optional)
-    unknown = sorted(set(data) - allowed)
-    if unknown:
-        raise DomainParseError(f"{kind}: unknown fields {unknown}")
-    missing = sorted(set(required) - set(data))
-    if missing:
-        raise DomainParseError(f"{kind}: missing fields {missing}")
+# ---------------------------------------------------------------------------
+# The codec
+# ---------------------------------------------------------------------------
 
 
-def _str_list(kind: str, name: str, value) -> tuple[str, ...]:
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise DomainParseError(f"{kind}: {name} must be a list of strings")
-    return tuple(value)
+def _is_str(v) -> bool:
+    return isinstance(v, str)
 
 
-def _float_list(kind: str, name: str, value) -> tuple[float, ...]:
-    if not isinstance(value, list) or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
-    ):
-        raise DomainParseError(f"{kind}: {name} must be a list of numbers")
-    return tuple(float(v) for v in value)
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+# Element annotation -> (accepts, converts, plural noun for error messages,
+# the exact types `accepts` takes). A list whose element types are all exact
+# skips the per-element `accepts` call: at 384-d that call dominates parsing.
+_ELEMENTS = {
+    str: (_is_str, str, "strings", {str}),
+    int: (_is_int, int, "integers", {int}),
+    float: (_is_number, float, "numbers", {int, float}),
+}
+
+
+def _is_record(hint) -> bool:
+    return isinstance(hint, type) and issubclass(hint, Record)
+
+
+def _converters(owner: str, name: str, hint):
+    """(encode, decode) for one field annotation; encode None means identity."""
+
+    def fail(problem: str):
+        raise DomainParseError(f"{owner}: {name} {problem}")
+
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (types.UnionType, typing.Union):
+        (inner,) = [a for a in args if a is not type(None)]
+        # Every optional field defaults to None, so to_dict never encodes a None.
+        encode, decode = _converters(owner, name, inner)
+        return encode, (lambda v: None if v is None else decode(v))
+    if origin is tuple:
+        item = args[0]
+        if _is_record(item):
+            def decode_records(v):
+                if not isinstance(v, list):
+                    fail("must be a list")
+                return tuple(item.from_dict(x) for x in v)
+
+            return (lambda v: [x.to_dict() for x in v]), decode_records
+        accepts, convert, noun, exact = _ELEMENTS[item]
+
+        def decode_items(v):
+            if not isinstance(v, list) or not (
+                set(map(type, v)) <= exact or all(map(accepts, v))
+            ):
+                fail(f"must be a list of {noun}")
+            return tuple(map(convert, v))
+
+        return list, decode_items
+    if origin is dict:
+        key_ok = _ELEMENTS[args[0]][0]
+        value_ok, _, noun, _ = _ELEMENTS[args[1]]
+
+        def decode_map(v):
+            if not isinstance(v, dict) or not all(
+                key_ok(k) and value_ok(x) for k, x in v.items()
+            ):
+                fail(f"must map strings to {noun}")
+            return dict(v)
+
+        return dict, decode_map
+    if _is_record(hint):
+        return (lambda v: v.to_dict()), hint.from_dict
+    if hint is str:
+        return None, str
+    accepts, convert, _, _ = _ELEMENTS[hint]
+    problem = "must be an integer" if hint is int else "must be a number"
+
+    def decode_scalar(v):
+        if not accepts(v):
+            fail(problem)
+        return convert(v)
+
+    return None, decode_scalar
+
+
+@dataclass(frozen=True)
+class _Codec:
+    encoders: tuple  # (name, encode or None, omit while None) in field order
+    decoders: dict  # name -> decode
+    required: frozenset  # fields without a default
+
+
+@functools.cache
+def _codec(cls) -> _Codec:
+    hints = typing.get_type_hints(cls)
+    encoders, decoders, required = [], {}, set()
+    for f in dataclasses.fields(cls):
+        encode, decode = _converters(cls.__name__, f.name, hints[f.name])
+        encoders.append((f.name, encode, f.default is None))
+        decoders[f.name] = decode
+        if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+            required.add(f.name)
+    return _Codec(tuple(encoders), decoders, frozenset(required))
+
+
+class Record:
+    """Base of the domain dataclasses: a JSON codec derived from their fields."""
+
+    def to_dict(self) -> dict:
+        out = {}
+        for name, encode, omit_none in _codec(type(self)).encoders:
+            value = getattr(self, name)
+            if value is None and omit_none:
+                continue
+            out[name] = value if encode is None else encode(value)
+        return out
+
+    @classmethod
+    def from_dict(cls, data: dict) -> typing.Self:
+        codec = _codec(cls)
+        kind = cls.__name__
+        if not isinstance(data, dict):
+            raise DomainParseError(f"{kind}: expected object, got {type(data).__name__}")
+        decoders = codec.decoders
+        unknown = data.keys() - decoders.keys()
+        if unknown:
+            raise DomainParseError(f"{kind}: unknown fields {sorted(unknown)}")
+        missing = codec.required - data.keys()
+        if missing:
+            raise DomainParseError(f"{kind}: missing fields {sorted(missing)}")
+        return cls(**{name: decoders[name](value) for name, value in data.items()})
 
 
 def embedding_norm(values) -> float:
@@ -83,21 +210,13 @@ def _check_embedding(kind: str, values, out: list[str]) -> None:
 
 
 @dataclass(frozen=True)
-class Reference:
+class Reference(Record):
     title: str
     abstract: str = ""
 
-    def to_dict(self) -> dict:
-        return {"title": self.title, "abstract": self.abstract}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Reference":
-        _check_keys("Reference", data, ("title",), ("abstract",))
-        return cls(title=str(data["title"]), abstract=str(data.get("abstract", "")))
-
 
 @dataclass(frozen=True)
-class SeedPaper:
+class SeedPaper(Record):
     """The input paper a run enhances; root of all generated ideas."""
 
     id: str
@@ -105,44 +224,6 @@ class SeedPaper:
     abstract: str
     references: tuple[Reference, ...] = ()
     source_meta: dict[str, int] | None = None
-
-    def to_dict(self) -> dict:
-        out = {
-            "id": self.id,
-            "title": self.title,
-            "abstract": self.abstract,
-            "references": [r.to_dict() for r in self.references],
-        }
-        if self.source_meta is not None:
-            out["source_meta"] = dict(self.source_meta)
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SeedPaper":
-        _check_keys(
-            "SeedPaper",
-            data,
-            ("id", "title", "abstract", "references"),
-            ("source_meta",),
-        )
-        refs = data["references"]
-        if not isinstance(refs, list):
-            raise DomainParseError("SeedPaper: references must be a list")
-        meta = data.get("source_meta")
-        if meta is not None:
-            if not isinstance(meta, dict) or not all(
-                isinstance(k, str) and isinstance(v, int) and not isinstance(v, bool)
-                for k, v in meta.items()
-            ):
-                raise DomainParseError("SeedPaper: source_meta must map strings to integers")
-            meta = dict(meta)
-        return cls(
-            id=str(data["id"]),
-            title=str(data["title"]),
-            abstract=str(data["abstract"]),
-            references=tuple(Reference.from_dict(r) for r in refs),
-            source_meta=meta,
-        )
 
     def validate(self) -> list[str]:
         out: list[str] = []
@@ -169,7 +250,7 @@ class SeedPaper:
 
 
 @dataclass(frozen=True)
-class Idea:
+class Idea(Record):
     """One seed idea in the evolving pool."""
 
     id: str
@@ -180,44 +261,6 @@ class Idea:
     generation: int = 0
     parent_id: str | None = None
     embedding: tuple[float, ...] | None = None
-
-    def to_dict(self) -> dict:
-        out = {
-            "id": self.id,
-            "thinking": self.thinking,
-            "idea": self.idea,
-            "keywords": list(self.keywords),
-            "source": self.source,
-            "generation": self.generation,
-        }
-        if self.parent_id is not None:
-            out["parent_id"] = self.parent_id
-        if self.embedding is not None:
-            out["embedding"] = list(self.embedding)
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Idea":
-        _check_keys(
-            "Idea",
-            data,
-            ("id", "thinking", "idea", "keywords", "source", "generation"),
-            ("parent_id", "embedding"),
-        )
-        generation = data["generation"]
-        if not isinstance(generation, int) or isinstance(generation, bool):
-            raise DomainParseError("Idea: generation must be an integer")
-        embedding = data.get("embedding")
-        return cls(
-            id=str(data["id"]),
-            thinking=str(data["thinking"]),
-            idea=str(data["idea"]),
-            keywords=_str_list("Idea", "keywords", data["keywords"]),
-            source=str(data["source"]),
-            generation=generation,
-            parent_id=None if data.get("parent_id") is None else str(data["parent_id"]),
-            embedding=None if embedding is None else _float_list("Idea", "embedding", embedding),
-        )
 
     def validate(self) -> list[str]:
         out: list[str] = []
@@ -258,51 +301,18 @@ def validate_lineage(pool: list[Idea]) -> list[str]:
 
 
 @dataclass(frozen=True)
-class Direction:
+class Direction(Record):
     thinking: str
     keywords: tuple[str, ...]
 
-    def to_dict(self) -> dict:
-        return {"thinking": self.thinking, "keywords": list(self.keywords)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Direction":
-        _check_keys("Direction", data, ("thinking", "keywords"))
-        return cls(
-            thinking=str(data["thinking"]),
-            keywords=_str_list("Direction", "keywords", data["keywords"]),
-        )
-
 
 @dataclass(frozen=True)
-class SearchPlan:
+class SearchPlan(Record):
     """Idea-specific list of query directions guiding literature retrieval."""
 
     idea_id: str
     directions: tuple[Direction, ...]
     created_at_generation: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "idea_id": self.idea_id,
-            "directions": [d.to_dict() for d in self.directions],
-            "created_at_generation": self.created_at_generation,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SearchPlan":
-        _check_keys("SearchPlan", data, ("idea_id", "directions", "created_at_generation"))
-        directions = data["directions"]
-        if not isinstance(directions, list):
-            raise DomainParseError("SearchPlan: directions must be a list")
-        gen = data["created_at_generation"]
-        if not isinstance(gen, int) or isinstance(gen, bool):
-            raise DomainParseError("SearchPlan: created_at_generation must be an integer")
-        return cls(
-            idea_id=str(data["idea_id"]),
-            directions=tuple(Direction.from_dict(d) for d in directions),
-            created_at_generation=gen,
-        )
 
     def validate(self) -> list[str]:
         out: list[str] = []
@@ -322,42 +332,12 @@ class SearchPlan:
 
 
 @dataclass(frozen=True)
-class RetrievedDoc:
+class RetrievedDoc(Record):
     title: str
     abstract: str = ""
     source_query: str = ""
     score: float = 0.0
     embedding: tuple[float, ...] | None = None
-
-    def to_dict(self) -> dict:
-        out = {
-            "title": self.title,
-            "abstract": self.abstract,
-            "source_query": self.source_query,
-            "score": self.score,
-        }
-        if self.embedding is not None:
-            out["embedding"] = list(self.embedding)
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RetrievedDoc":
-        _check_keys(
-            "RetrievedDoc", data, ("title", "abstract", "source_query", "score"), ("embedding",)
-        )
-        score = data["score"]
-        if not isinstance(score, (int, float)) or isinstance(score, bool):
-            raise DomainParseError("RetrievedDoc: score must be a number")
-        embedding = data.get("embedding")
-        return cls(
-            title=str(data["title"]),
-            abstract=str(data["abstract"]),
-            source_query=str(data["source_query"]),
-            score=float(score),
-            embedding=None
-            if embedding is None
-            else _float_list("RetrievedDoc", "embedding", embedding),
-        )
 
     def validate(self) -> list[str]:
         out: list[str] = []
@@ -374,77 +354,23 @@ class RetrievedDoc:
 
 
 @dataclass(frozen=True)
-class SubModule:
+class SubModule(Record):
     """One method submodule of a decomposed proposal."""
 
-    name: str
+    module_name: str
     purpose: str
     implementation: str
     keywords: tuple[str, ...]
 
 
-def _submodule_to_dict(m: SubModule, name_key: str, keywords_key: str) -> dict:
-    return {
-        name_key: m.name,
-        "purpose": m.purpose,
-        "implementation": m.implementation,
-        keywords_key: list(m.keywords),
-    }
-
-
-def _submodule_from_dict(kind: str, data: dict, name_key: str, keywords_key: str) -> SubModule:
-    _check_keys(kind, data, (name_key, "purpose", "implementation", keywords_key))
-    return SubModule(
-        name=str(data[name_key]),
-        purpose=str(data["purpose"]),
-        implementation=str(data["implementation"]),
-        keywords=_str_list(kind, keywords_key, data[keywords_key]),
-    )
-
-
 @dataclass(frozen=True)
-class Proposal:
+class Proposal(Record):
     """Structured expansion of an idea; section set depends on the stage."""
 
     idea_id: str
     stage: str
     sections: dict[str, str]
     decomposition: tuple[SubModule, ...] | None = None
-
-    def to_dict(self) -> dict:
-        out = {
-            "idea_id": self.idea_id,
-            "stage": self.stage,
-            "sections": dict(self.sections),
-        }
-        if self.decomposition is not None:
-            out["decomposition"] = [
-                _submodule_to_dict(m, "module_name", "keywords") for m in self.decomposition
-            ]
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Proposal":
-        _check_keys("Proposal", data, ("idea_id", "stage", "sections"), ("decomposition",))
-        sections = data["sections"]
-        if not isinstance(sections, dict) or not all(
-            isinstance(k, str) and isinstance(v, str) for k, v in sections.items()
-        ):
-            raise DomainParseError("Proposal: sections must map strings to strings")
-        decomposition = data.get("decomposition")
-        if decomposition is not None:
-            if not isinstance(decomposition, list):
-                raise DomainParseError("Proposal: decomposition must be a list")
-            decomposition = tuple(
-                _submodule_from_dict("Proposal.decomposition", m, "module_name", "keywords")
-                for m in decomposition
-            )
-        return cls(
-            idea_id=str(data["idea_id"]),
-            stage=str(data["stage"]),
-            sections=dict(sections),
-            decomposition=decomposition,
-        )
 
     def validate(self) -> list[str]:
         out: list[str] = []
@@ -475,7 +401,7 @@ class Proposal:
 
 
 @dataclass(frozen=True)
-class PipelineConfig:
+class PipelineConfig(Record):
     """Run-level knobs; defaults mirror the reference experiment setup."""
 
     iterations_T: int = 3
@@ -489,57 +415,6 @@ class PipelineConfig:
     novelty_sim_threshold: float = 0.3
     dup_sim_threshold: float = 0.8
     rng_seed: int = 0
-
-    _INT_FIELDS = (
-        "iterations_T",
-        "initial_seed_count",
-        "expand_count",
-        "keep_count",
-        "retrieve_K",
-        "cluster_count",
-        "tournament_rounds",
-        "novelty_topk",
-        "rng_seed",
-    )
-    _FLOAT_FIELDS = ("novelty_sim_threshold", "dup_sim_threshold")
-
-    def to_dict(self) -> dict:
-        return {
-            "iterations_T": self.iterations_T,
-            "initial_seed_count": self.initial_seed_count,
-            "expand_count": self.expand_count,
-            "keep_count": self.keep_count,
-            "retrieve_K": self.retrieve_K,
-            "cluster_count": self.cluster_count,
-            "tournament_rounds": self.tournament_rounds,
-            "novelty_topk": self.novelty_topk,
-            "novelty_sim_threshold": self.novelty_sim_threshold,
-            "dup_sim_threshold": self.dup_sim_threshold,
-            "rng_seed": self.rng_seed,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PipelineConfig":
-        _check_keys(
-            "PipelineConfig",
-            data,
-            (),
-            cls._INT_FIELDS + cls._FLOAT_FIELDS,
-        )
-        kwargs = {}
-        for name in cls._INT_FIELDS:
-            if name in data:
-                v = data[name]
-                if not isinstance(v, int) or isinstance(v, bool):
-                    raise DomainParseError(f"PipelineConfig: {name} must be an integer")
-                kwargs[name] = v
-        for name in cls._FLOAT_FIELDS:
-            if name in data:
-                v = data[name]
-                if not isinstance(v, (int, float)) or isinstance(v, bool):
-                    raise DomainParseError(f"PipelineConfig: {name} must be a number")
-                kwargs[name] = float(v)
-        return cls(**kwargs)
 
     def validate(self) -> list[str]:
         out: list[str] = []
@@ -560,7 +435,7 @@ class PipelineConfig:
             out.append("PipelineConfig.iterations_T: must be nonnegative")
         if self.keep_count > self.expand_count:
             out.append("PipelineConfig.keep_count: must be <= expand_count")
-        for name in self._FLOAT_FIELDS:
+        for name in ("novelty_sim_threshold", "dup_sim_threshold"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 out.append(f"PipelineConfig.{name}: must be in [0, 1]")
@@ -573,68 +448,24 @@ class PipelineConfig:
 
 
 @dataclass(frozen=True)
-class Match:
+class Match(Record):
     round: int
     a: str
     b: str
     winner: str
 
-    def to_dict(self) -> dict:
-        return {"round": self.round, "a": self.a, "b": self.b, "winner": self.winner}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Match":
-        _check_keys("Match", data, ("round", "a", "b", "winner"))
-        rnd = data["round"]
-        if not isinstance(rnd, int) or isinstance(rnd, bool):
-            raise DomainParseError("Match: round must be an integer")
-        return cls(round=rnd, a=str(data["a"]), b=str(data["b"]), winner=str(data["winner"]))
-
 
 @dataclass(frozen=True)
-class Bye:
+class Bye(Record):
     round: int
     idea_id: str
 
-    def to_dict(self) -> dict:
-        return {"round": self.round, "idea_id": self.idea_id}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Bye":
-        _check_keys("Bye", data, ("round", "idea_id"))
-        rnd = data["round"]
-        if not isinstance(rnd, int) or isinstance(rnd, bool):
-            raise DomainParseError("Bye: round must be an integer")
-        return cls(round=rnd, idea_id=str(data["idea_id"]))
-
 
 @dataclass(frozen=True)
-class TournamentResult:
+class TournamentResult(Record):
     scores: dict[str, int] = field(default_factory=dict)
     matches: tuple[Match, ...] = ()
     byes: tuple[Bye, ...] = ()
-
-    def to_dict(self) -> dict:
-        return {
-            "scores": dict(self.scores),
-            "matches": [m.to_dict() for m in self.matches],
-            "byes": [b.to_dict() for b in self.byes],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TournamentResult":
-        _check_keys("TournamentResult", data, ("scores", "matches", "byes"))
-        scores = data["scores"]
-        if not isinstance(scores, dict) or not all(
-            isinstance(k, str) and isinstance(v, int) and not isinstance(v, bool)
-            for k, v in scores.items()
-        ):
-            raise DomainParseError("TournamentResult: scores must map strings to integers")
-        return cls(
-            scores=dict(scores),
-            matches=tuple(Match.from_dict(m) for m in data["matches"]),
-            byes=tuple(Bye.from_dict(b) for b in data["byes"]),
-        )
 
     def rounds_played(self) -> int:
         rounds = {m.round for m in self.matches} | {b.round for b in self.byes}

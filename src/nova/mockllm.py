@@ -15,6 +15,7 @@ import re
 import threading
 from pathlib import Path
 
+from .domain import FINAL_SECTIONS, INITIAL_SECTIONS
 from .gateway import TransientBackendError
 
 # Distinctive template phrases, checked in order (most specific first).
@@ -36,21 +37,6 @@ _SIGNATURES = (
 _IDEA_COUNT_RE = re.compile(r"Output about (\d+) new ideas")
 _EXPAND_COUNT_RE = re.compile(r"Generate (\d+) most innovative")
 _NUMBERED_RE = re.compile(r"^(\d+)\.", re.MULTILINE)
-
-_INITIAL_SECTIONS = (
-    "Problem",
-    "Existing Methods",
-    "Motivation",
-    "Proposed Method",
-    "Experiment Plan",
-)
-_FINAL_SECTIONS = (
-    "Title",
-    "Problem Statement",
-    "Motivation",
-    "Proposed Method",
-    "Step-by-Step Experiment Plan",
-)
 
 
 def prompt_digest(prompt: str) -> str:
@@ -134,7 +120,7 @@ class MockBackend:
         if kind == "initial_proposal":
             body = {
                 f"Mock Proposal {h[:6]}": {
-                    name: f"Mock {name.lower()} content {h[:8]}." for name in _INITIAL_SECTIONS
+                    name: f"Mock {name.lower()} content {h[:8]}." for name in INITIAL_SECTIONS
                 }
             }
             return "Thinking: mock proposal draft.\n```json\n" + json.dumps(body) + "\n```"
@@ -153,7 +139,7 @@ class MockBackend:
             }
             return "MethodSubmodulesJsonList:\n" + json.dumps(body)
         if kind == "final_proposal":
-            body = {name: f"Mock final {name.lower()} {h[:8]}." for name in _FINAL_SECTIONS}
+            body = {name: f"Mock final {name.lower()} {h[:8]}." for name in FINAL_SECTIONS}
             return "Final proposal follows.\n```json\n" + json.dumps(body) + "\n```"
         if kind == "pairwise_rank":
             winner = "A" if int(h[:8], 16) % 2 == 0 else "B"

@@ -28,13 +28,13 @@ import json
 import logging
 import os
 import tempfile
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from . import planner as planner_mod
 from . import proposals as proposals_mod
 from . import selector, tournament
-from .domain import Idea, PipelineConfig, Proposal, SeedPaper, TournamentResult
+from .domain import DomainParseError, Idea, PipelineConfig, Proposal, SeedPaper
 from .gateway import Gateway, GatewayError, GatewayOptions, HttpChatBackend
 from .ids import IdFactory
 from .literature import (
@@ -103,43 +103,11 @@ class RunState:
     event_seq: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "run_id": self.run_id,
-            "config": self.config.to_dict(),
-            "stage_cursor": self.stage_cursor,
-            "backend": self.backend,
-            "seed_paper_ref": self.seed_paper_ref,
-            "trend_report_ref": self.trend_report_ref,
-            "pools": dict(self.pools),
-            "iteration_records_ref": self.iteration_records_ref,
-            "representatives_ref": self.representatives_ref,
-            "proposals": {k: dict(v) for k, v in self.proposals.items()},
-            "failed_proposals": list(self.failed_proposals),
-            "tournament_ref": self.tournament_ref,
-            "metrics_ref": self.metrics_ref,
-            "id_counter": self.id_counter,
-            "event_seq": self.event_seq,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunState":
-        return cls(
-            run_id=data["run_id"],
-            config=PipelineConfig.from_dict(data["config"]),
-            stage_cursor=data["stage_cursor"],
-            backend=data["backend"],
-            seed_paper_ref=data["seed_paper_ref"],
-            trend_report_ref=data["trend_report_ref"],
-            pools=dict(data["pools"]),
-            iteration_records_ref=data["iteration_records_ref"],
-            representatives_ref=data["representatives_ref"],
-            proposals={k: dict(v) for k, v in data["proposals"].items()},
-            failed_proposals=list(data["failed_proposals"]),
-            tournament_ref=data["tournament_ref"],
-            metrics_ref=data["metrics_ref"],
-            id_counter=data["id_counter"],
-            event_seq=data["event_seq"],
-        )
+        return cls(**{**data, "config": PipelineConfig.from_dict(data["config"])})
 
 
 def _dump_bytes(payload: dict) -> bytes:
@@ -218,25 +186,24 @@ def load_paper_input(source: dict | str | Path, id_factory: IdFactory) -> tuple[
     """
     if not isinstance(source, dict):
         source = json.loads(Path(source).read_text(encoding="utf-8"))
-    if "paper" in source:
-        paper_raw = dict(source["paper"])
-        trend_raw = source.get("trend_papers", [])
+    if isinstance(source, dict) and "paper" in source:
+        paper_raw, trend_raw = source["paper"], source.get("trend_papers", [])
     else:
-        paper_raw = dict(source)
-        trend_raw = []
-    paper_raw.setdefault("id", id_factory.new_id())
-    paper_raw.setdefault("references", [])
-    paper = SeedPaper.from_dict(paper_raw)
+        paper_raw, trend_raw = source, []
+    paper = _parse_paper(paper_raw, id_factory)
     problems = paper.validate()
     if problems:
         raise OrchestratorError(f"invalid input paper: {problems}")
-    trend_papers = []
-    for raw in trend_raw:
-        raw = dict(raw)
-        raw.setdefault("id", id_factory.new_id())
-        raw.setdefault("references", [])
-        trend_papers.append(SeedPaper.from_dict(raw))
-    return paper, trend_papers
+    return paper, [_parse_paper(raw, id_factory) for raw in trend_raw]
+
+
+def _parse_paper(raw, id_factory: IdFactory) -> SeedPaper:
+    if not isinstance(raw, dict):
+        raise OrchestratorError(f"input paper must be a JSON object, got {type(raw).__name__}")
+    try:
+        return SeedPaper.from_dict({"id": id_factory.new_id(), **raw})
+    except DomainParseError as exc:
+        raise OrchestratorError(f"invalid input paper: {exc}") from exc
 
 
 class Runner:

@@ -1,7 +1,8 @@
 """The core iteration: plan a search per idea, retrieve, expand, cut, replace.
 
-Each generation maps every pool idea through make_plan -> execute_plan ->
-expand_idea and replaces the pool with the union of the outputs. Expansion
+Each generation (`run_generation`) maps every pool idea through make_plan ->
+execute_plan -> expansion and replaces the pool with the union of the
+outputs. The orchestrator runs one generation per iteration step. Expansion
 failures let the old idea survive the generation unchanged, keeping the
 pool-growth law near-exact and runs resumable. Idea-level work goes through
 `Gateway.fan_out`, which turns concurrent once calls go live; IDs are assigned
@@ -11,9 +12,9 @@ at the ordered join, so results are reproducible regardless of scheduling.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .domain import Direction, Idea, PipelineConfig, RetrievedDoc, SearchPlan, SeedPaper
+from .domain import Direction, Idea, PipelineConfig, Record, RetrievedDoc, SearchPlan, SeedPaper
 from .gateway import ChatRequest, ExtractionFailedError, Gateway
 from .ids import IdFactory
 from .literature import Embedder, SearchQuery, cosine
@@ -24,21 +25,12 @@ logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
-class IterationRecord:
+class IterationRecord(Record):
     generation: int
     input_pool_size: int
     output_pool_size: int
     plans: tuple[SearchPlan, ...]
     retrieved_counts: dict[str, int]
-
-    def to_dict(self) -> dict:
-        return {
-            "generation": self.generation,
-            "input_pool_size": self.input_pool_size,
-            "output_pool_size": self.output_pool_size,
-            "plans": [p.to_dict() for p in self.plans],
-            "retrieved_counts": dict(self.retrieved_counts),
-        }
 
 
 @dataclass(frozen=True)
@@ -137,13 +129,7 @@ class PlannerLoop:
                 embedding = tuple(
                     float(v) for v in self._embedder.embed([f"{doc.title}\n{doc.abstract}"])[0]
                 )
-                doc = RetrievedDoc(
-                    title=doc.title,
-                    abstract=doc.abstract,
-                    source_query=doc.source_query,
-                    score=doc.score,
-                    embedding=embedding,
-                )
+                doc = replace(doc, embedding=embedding)
             sims[doc.title] = (cosine(idea_embedding, doc.embedding), doc)
         ranked = sorted(sims.values(), key=lambda pair: (-pair[0], pair[1].title))
         return [doc for _, doc in ranked[:K]]
@@ -153,7 +139,7 @@ class PlannerLoop:
     def _expand_candidates(
         self, paper: SeedPaper, old: Idea, docs: list[RetrievedDoc]
     ) -> tuple[dict, ...] | None:
-        """LLM half of expand_idea: candidate dicts cut to keep_count, or None."""
+        """Expand one idea into candidate dicts cut to keep_count; None on failure."""
         prompt = self._library.render(
             "expand_ideas",
             {
@@ -212,15 +198,6 @@ class PlannerLoop:
             for entry in candidates
         ]
 
-    def expand_idea(
-        self, paper: SeedPaper, old: Idea, docs: list[RetrievedDoc]
-    ) -> list[Idea]:
-        """Expand one idea into keep_count children; [old] on failure."""
-        candidates = self._expand_candidates(paper, old, docs)
-        if candidates is None:
-            return [old]
-        return self._materialize(old, candidates)
-
     # -- the loop ---------------------------------------------------------------
 
     def _process_idea(self, paper: SeedPaper, idea: Idea) -> _ExpandOutcome:
@@ -238,11 +215,7 @@ class PlannerLoop:
             i.id: tuple(float(v) for v in vec) for i, vec in zip(missing, vectors)
         }
         return [
-            i if i.embedding is not None else Idea(
-                id=i.id, thinking=i.thinking, idea=i.idea, keywords=i.keywords,
-                source=i.source, generation=i.generation, parent_id=i.parent_id,
-                embedding=replacements[i.id],
-            )
+            i if i.embedding is not None else replace(i, embedding=replacements[i.id])
             for i in ideas
         ]
 
@@ -276,25 +249,3 @@ class PlannerLoop:
         logger.info("generation %d: %d -> %d ideas", step, len(pool), len(next_pool))
         return next_pool, record
 
-    def iterate(
-        self, paper: SeedPaper, pool: list[Idea]
-    ) -> tuple[list[Idea], list[IterationRecord]]:
-        """Run iterations_T generations of plan/search/expand/replace."""
-        if not pool:
-            raise ValueError("iterate requires a nonempty pool")
-        pool = self._embed_new(list(pool))
-        records: list[IterationRecord] = []
-        for step in range(1, self._config.iterations_T + 1):
-            pool, record = self.run_generation(paper, pool, step)
-            records.append(record)
-        return pool, records
-
-
-def record_from_dict(data: dict) -> IterationRecord:
-    return IterationRecord(
-        generation=data["generation"],
-        input_pool_size=data["input_pool_size"],
-        output_pool_size=data["output_pool_size"],
-        plans=tuple(SearchPlan.from_dict(p) for p in data["plans"]),
-        retrieved_counts=dict(data["retrieved_counts"]),
-    )

@@ -31,7 +31,8 @@ REGISTRY_NAMES = (
     "self_reflect_cut",
 )
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# Doubled braces, a placeholder, or a stray brace; tried in that order.
+_TOKEN_RE = re.compile(r"\{\{|\}\}|\{([A-Za-z_][A-Za-z0-9_]*)\}|[{}]")
 
 
 class PromptError(Exception):
@@ -64,68 +65,31 @@ class DiscoveryTheory:
     method: str
 
 
-def _scan(body: str, bindings: dict[str, str], template: str) -> str:
-    """One-pass template scan: substitute placeholders, honor doubled braces.
+def _scan(body: str, template: str, value_of) -> str:
+    """One regex pass: substitute placeholders, honor doubled braces.
 
-    Binding values are inserted verbatim and never re-scanned, so braces in
-    values cannot collide with placeholders.
+    `value_of(name)` supplies each placeholder's text. Values are inserted
+    verbatim and never re-scanned, so braces in values cannot collide with
+    placeholders.
     """
-    out: list[str] = []
-    i = 0
-    n = len(body)
-    while i < n:
-        ch = body[i]
-        if ch == "{":
-            if i + 1 < n and body[i + 1] == "{":
-                out.append("{")
-                i += 2
-                continue
-            m = _NAME_RE.match(body, i + 1)
-            if m is None or m.end() >= n or body[m.end()] != "}":
-                raise PromptError(
-                    f"template {template!r}: malformed placeholder at offset {i}"
-                )
-            name = m.group(0)
-            if name not in bindings:
-                raise MissingPlaceholderError(template, [name])
-            out.append(str(bindings[name]))
-            i = m.end() + 1
-            continue
-        if ch == "}":
-            if i + 1 < n and body[i + 1] == "}":
-                out.append("}")
-                i += 2
-                continue
-            raise PromptError(f"template {template!r}: unescaped '}}' at offset {i}")
-        out.append(ch)
-        i += 1
-    return "".join(out)
+
+    def token(m: re.Match) -> str:
+        if m.group(1) is not None:
+            return value_of(m.group(1))
+        text = m.group(0)
+        if len(text) == 2:
+            return text[0]
+        if text == "{":
+            raise PromptError(f"template {template!r}: malformed placeholder at offset {m.start()}")
+        raise PromptError(f"template {template!r}: unescaped '}}' at offset {m.start()}")
+
+    return _TOKEN_RE.sub(token, body)
 
 
 def placeholders_in(body: str, template: str = "<inline>") -> set[str]:
     """Placeholder names occurring in a template body."""
     names: set[str] = set()
-    stripped = body
-    i = 0
-    n = len(stripped)
-    while i < n:
-        ch = stripped[i]
-        if ch == "{" and i + 1 < n and stripped[i + 1] == "{":
-            i += 2
-            continue
-        if ch == "}" and i + 1 < n and stripped[i + 1] == "}":
-            i += 2
-            continue
-        if ch == "{":
-            m = _NAME_RE.match(stripped, i + 1)
-            if m is None or m.end() >= n or stripped[m.end()] != "}":
-                raise PromptError(f"template {template!r}: malformed placeholder at offset {i}")
-            names.add(m.group(0))
-            i = m.end() + 1
-            continue
-        if ch == "}":
-            raise PromptError(f"template {template!r}: unescaped '}}' at offset {i}")
-        i += 1
+    _scan(body, template, lambda name: names.add(name) or "")
     return names
 
 
@@ -200,7 +164,7 @@ class PromptLibrary:
         missing = sorted(template.required_placeholders - set(bindings))
         if missing:
             raise MissingPlaceholderError(name, missing)
-        return _scan(template.body, bindings, name)
+        return _scan(template.body, name, lambda placeholder: str(bindings[placeholder]))
 
     def theories(self) -> list[DiscoveryTheory]:
         """The 10 catalog entries in index order."""

@@ -44,7 +44,7 @@ class DecompositionPlan:
             "thinking": self.thinking,
             "modules": [
                 {
-                    "name": m.name,
+                    "name": m.module_name,
                     "purpose": m.purpose,
                     "implementation": m.implementation,
                     "search_keywords": list(m.keywords),
@@ -59,7 +59,7 @@ class DecompositionPlan:
             thinking=data["thinking"],
             modules=tuple(
                 SubModule(
-                    name=m["name"],
+                    module_name=m["name"],
                     purpose=m["purpose"],
                     implementation=m["implementation"],
                     keywords=tuple(m["search_keywords"]),
@@ -174,7 +174,7 @@ class ProposalBuilder:
                 continue
             modules.append(
                 SubModule(
-                    name=raw["name"],
+                    module_name=raw["name"],
                     purpose=raw["purpose"],
                     implementation=raw["implementation"],
                     keywords=keywords,
@@ -191,7 +191,7 @@ class ProposalBuilder:
         plan = SearchPlan(
             idea_id=idea.id,
             directions=tuple(
-                Direction(thinking=f"module: {m.name}", keywords=m.keywords)
+                Direction(thinking=f"module: {m.module_name}", keywords=m.keywords)
                 for m in decomposition.modules
             ),
             created_at_generation=idea.generation,

@@ -167,24 +167,13 @@ def _embedded_matrix(pool: list[Idea]) -> np.ndarray:
     return np.asarray([i.embedding for i in pool], dtype=np.float64)
 
 
-def select_representatives(pool: list[Idea], k: int, seed: int) -> list[Idea]:
-    """At most k ideas, one per cluster, ordered by cluster index.
-
-    The pool is scanned in canonical ID order so duplicate embeddings resolve
-    to the earlier idea.
-    """
-    if not pool:
-        raise SelectorError("pool must be nonempty")
-    ordered = sorted(pool, key=lambda i: i.id)
-    assignment = kmeans(
-        _embedded_matrix(ordered), k, seed, ids=[i.id for i in ordered]
-    )
-    by_id = {i.id: i for i in ordered}
-    return [by_id[idea_id] for idea_id in assignment.representative_ids]
-
-
 def cluster_pool(pool: list[Idea], k: int, seed: int) -> ClusterAssignment:
-    """kmeans over a pool of embedded ideas keyed by idea id."""
+    """kmeans over a pool of embedded ideas keyed by idea id.
+
+    `representative_ids` holds at most k ideas, one per cluster, ordered by
+    cluster index. The pool is scanned in canonical ID order so duplicate
+    embeddings resolve to the earlier idea.
+    """
     if not pool:
         raise SelectorError("pool must be nonempty")
     ordered = sorted(pool, key=lambda i: i.id)

@@ -142,3 +142,44 @@ def test_run_prints_stage_on_abort(cli_env, tmp_path, capsys, monkeypatch):
     argv[argv.index("--corpus") + 1] = str(tmp_path / "not-a-dir")
     assert main(argv) == 1  # usage error: corpus must exist
     assert "corpus" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("payload", [[{"title": "T", "abstract": "A"}], {"paper": ["T"]}, "T"])
+def test_validate_non_object_paper_is_reported(tmp_path, capsys, payload):
+    path = tmp_path / "list.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    assert main(["validate", "--paper", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("nova-error:")
+    assert "JSON object" in err
+
+
+@pytest.mark.parametrize(
+    "payload", [[{"title": "T", "abstract": "A"}], {"paper": ["T"]}, {"paper": {"title": "T"}}]
+)
+def test_seed_unparseable_paper_is_reported(cli_env, tmp_path, capsys, payload):
+    path = tmp_path / "bad_paper.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    argv = cli_env("seed", "d9")
+    argv[argv.index("--paper") + 1] = str(path)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("nova-error:")
+    assert "input paper" in err
+
+
+def test_non_object_config_is_usage_error(cli_env, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps([["iterations_T", 1]]), encoding="utf-8")
+    assert main(cli_env("seed", "d10", "--config", str(path))) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("nova-error:")
+    assert "must hold a JSON object" in err
+
+
+def test_missing_paper_file_creates_no_run_directory(cli_env, tmp_path, capsys):
+    argv = cli_env("run", "d11")
+    argv[argv.index("--paper") + 1] = str(tmp_path / "ghost.json")
+    assert main(argv) == 1
+    assert "does not exist" in capsys.readouterr().err
+    assert not (tmp_path / "d11").exists()

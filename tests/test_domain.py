@@ -30,6 +30,7 @@ from nova.domain import (
     validate,
     validate_lineage,
 )
+from nova.planner import IterationRecord
 from tests.conftest import make_idea
 
 
@@ -212,3 +213,159 @@ def test_parse_dispatch_unknown_kind():
 
     with pytest.raises(DomainParseError, match="unknown domain type"):
         parse("nonsense", {})
+
+
+# ---------------------------------------------------------------------------
+# The derived codec
+# ---------------------------------------------------------------------------
+
+CODEC_SAMPLES = {
+    **SAMPLES,
+    "idea_no_embedding": Idea(id="i2", thinking="th", idea="x", keywords=("k",), source="trend"),
+    "retrieved_doc_no_embedding": RetrievedDoc(title="Doc"),
+    "iteration_record": IterationRecord(
+        generation=1, input_pool_size=2, output_pool_size=3,
+        plans=(SearchPlan(idea_id="i1", directions=(Direction("d", ("k",)),)),),
+        retrieved_counts={"i1": 2},
+    ),
+}
+
+# JSON bytes of CODEC_SAMPLES as written by the hand-written codecs the derived
+# one replaced: key order and omission rules are part of the artifact format.
+GOLDEN_JSON = {
+    "seed_paper": '{"id": "p1", "title": "T", "abstract": "A", "references": [{"title": "R1", '
+    '"abstract": "a1"}, {"title": "R2", "abstract": ""}], "source_meta": {"likes": 3, '
+    '"comments": 0}}',
+    "idea": '{"id": "i1", "thinking": "th", "idea": "the idea", "keywords": ["k1", "k2"], '
+    '"source": "iteration", "generation": 2, "parent_id": "i0", "embedding": [0.6, 0.8]}',
+    "search_plan": '{"idea_id": "i1", "directions": [{"thinking": "d1", "keywords": ["k1"]}, '
+    '{"thinking": "d2", "keywords": ["k2", "k3"]}], "created_at_generation": 1}',
+    "retrieved_doc": '{"title": "Doc", "abstract": "ab", "source_query": "q", "score": 0.42, '
+    '"embedding": [1.0, 0.0]}',
+    "proposal": '{"idea_id": "i1", "stage": "initial", "sections": {"Problem": "body of Problem", '
+    '"Existing Methods": "body of Existing Methods", "Motivation": "body of Motivation", '
+    '"Proposed Method": "body of Proposed Method", "Experiment Plan": "body of Experiment '
+    'Plan"}, "decomposition": [{"module_name": "M1", "purpose": "p", "implementation": "impl", '
+    '"keywords": ["k"]}]}',
+    "pipeline_config": '{"iterations_T": 3, "initial_seed_count": 15, "expand_count": 10, '
+    '"keep_count": 3, "retrieve_K": 5, "cluster_count": 100, "tournament_rounds": 5, '
+    '"novelty_topk": 10, "novelty_sim_threshold": 0.3, "dup_sim_threshold": 0.8, "rng_seed": 0}',
+    "tournament_result": '{"scores": {"a": 1, "b": 1, "c": 1}, "matches": [{"round": 1, "a": "a", '
+    '"b": "b", "winner": "a"}, {"round": 2, "a": "a", "b": "c", "winner": "c"}], "byes": '
+    '[{"round": 1, "idea_id": "c"}]}',
+    "idea_no_embedding": '{"id": "i2", "thinking": "th", "idea": "x", "keywords": ["k"], '
+    '"source": "trend", "generation": 0}',
+    "retrieved_doc_no_embedding": '{"title": "Doc", "abstract": "", "source_query": "", '
+    '"score": 0.0}',
+    "iteration_record": '{"generation": 1, "input_pool_size": 2, "output_pool_size": 3, "plans": '
+    '[{"idea_id": "i1", "directions": [{"thinking": "d", "keywords": ["k"]}], '
+    '"created_at_generation": 0}], "retrieved_counts": {"i1": 2}}',
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CODEC_SAMPLES))
+def test_golden_json_bytes(kind):
+    value = CODEC_SAMPLES[kind]
+    assert json.dumps(value.to_dict(), ensure_ascii=False) == GOLDEN_JSON[kind]
+    assert type(value).from_dict(json.loads(GOLDEN_JSON[kind])) == value
+
+
+IDEA_DICT = SAMPLES["idea"].to_dict()
+DOC_DICT = SAMPLES["retrieved_doc"].to_dict()
+PROPOSAL_DICT = SAMPLES["proposal"].to_dict()
+RESULT_DICT = SAMPLES["tournament_result"].to_dict()
+
+
+@pytest.mark.parametrize(
+    "cls, data, field_name, bad, message",
+    [
+        (Idea, IDEA_DICT, "generation", "2", "generation must be an integer"),
+        (Idea, IDEA_DICT, "generation", True, "generation must be an integer"),
+        (Match, {"round": 1, "a": "a", "b": "b", "winner": "a"}, "round", 1.0,
+         "round must be an integer"),
+        (RetrievedDoc, DOC_DICT, "score", "0.5", "score must be a number"),
+        (RetrievedDoc, DOC_DICT, "score", False, "score must be a number"),
+        (Idea, IDEA_DICT, "keywords", "k1", "keywords must be a list of strings"),
+        (Idea, IDEA_DICT, "keywords", ["k1", 2], "keywords must be a list of strings"),
+        (Idea, IDEA_DICT, "embedding", {"0": 1.0}, "embedding must be a list of numbers"),
+        (Idea, IDEA_DICT, "embedding", [1.0, True], "embedding must be a list of numbers"),
+        (RetrievedDoc, DOC_DICT, "embedding", ["1.0"], "embedding must be a list of numbers"),
+        (SeedPaper, SAMPLES["seed_paper"].to_dict(), "references", {"title": "R"},
+         "references must be a list"),
+        (SeedPaper, SAMPLES["seed_paper"].to_dict(), "references", ["R1"],
+         "Reference: expected object, got str"),
+        (SeedPaper, SAMPLES["seed_paper"].to_dict(), "source_meta", {"likes": 1.5},
+         "source_meta must map strings to integers"),
+        (TournamentResult, RESULT_DICT, "scores", {"a": True}, "scores must map strings to integers"),
+        (TournamentResult, RESULT_DICT, "scores", {1: 1}, "scores must map strings to integers"),
+        (TournamentResult, RESULT_DICT, "scores", [["a", 1]], "scores must map strings to integers"),
+        (TournamentResult, RESULT_DICT, "matches", {"round": 1}, "matches must be a list"),
+        (Proposal, PROPOSAL_DICT, "sections", {"Problem": 1}, "sections must map strings to strings"),
+        (Proposal, PROPOSAL_DICT, "sections", {2: "x"}, "sections must map strings to strings"),
+        (Proposal, PROPOSAL_DICT, "decomposition", "M1", "decomposition must be a list"),
+        (Proposal, PROPOSAL_DICT, "decomposition",
+         [{"module_name": "M", "purpose": "p", "implementation": "i", "search_keywords": ["k"]}],
+         "SubModule: unknown fields \\['search_keywords'\\]"),
+        (PipelineConfig, {}, "cluster_count", 2.0, "cluster_count must be an integer"),
+        (PipelineConfig, {}, "dup_sim_threshold", "0.5", "dup_sim_threshold must be a number"),
+    ],
+)
+def test_wrong_typed_field_rejected(cls, data, field_name, bad, message):
+    with pytest.raises(DomainParseError, match=message):
+        cls.from_dict({**data, field_name: bad})
+
+
+def test_scalar_coercions():
+    assert Reference.from_dict({"title": 5}).title == "5"
+    doc = RetrievedDoc.from_dict({**DOC_DICT, "score": 1, "embedding": [1, 0]})
+    assert doc.score == 1.0 and isinstance(doc.score, float)
+    assert doc.embedding == (1.0, 0.0) and all(isinstance(v, float) for v in doc.embedding)
+    config = PipelineConfig.from_dict({"novelty_sim_threshold": 0})
+    assert isinstance(config.novelty_sim_threshold, float)
+    assert Idea.from_dict({**IDEA_DICT, "parent_id": None, "embedding": None}) == dataclasses.replace(
+        SAMPLES["idea"], parent_id=None, embedding=None
+    )
+
+
+@pytest.mark.parametrize("cls", [Idea, SeedPaper, TournamentResult, PipelineConfig, IterationRecord])
+def test_non_object_rejected(cls):
+    with pytest.raises(DomainParseError, match=f"{cls.__name__}: expected object, got list"):
+        cls.from_dict([])
+
+
+@pytest.mark.parametrize(
+    "cls, data, expected",
+    [
+        (SeedPaper, {"id": "p", "title": "T", "abstract": "A"},
+         SeedPaper(id="p", title="T", abstract="A", references=(), source_meta=None)),
+        (Idea, {"id": "i", "thinking": "t", "idea": "x", "keywords": ["k"], "source": "trend"},
+         Idea(id="i", thinking="t", idea="x", keywords=("k",), source="trend", generation=0)),
+        (SearchPlan, {"idea_id": "i", "directions": []}, SearchPlan("i", (), 0)),
+        (RetrievedDoc, {"title": "D"}, RetrievedDoc("D", "", "", 0.0, None)),
+        (TournamentResult, {}, TournamentResult({}, (), ())),
+        (PipelineConfig, {"rng_seed": 7}, dataclasses.replace(PipelineConfig(), rng_seed=7)),
+    ],
+)
+def test_missing_field_with_default_takes_default(cls, data, expected):
+    assert cls.from_dict(data) == expected
+
+
+@pytest.mark.parametrize(
+    "cls, data, missing",
+    [
+        (Idea, {"id": "i", "thinking": "t", "keywords": ["k"], "source": "trend"}, "\\['idea'\\]"),
+        (SeedPaper, {"title": "T"}, "\\['abstract', 'id'\\]"),
+        (Match, {"round": 1, "a": "a", "b": "b"}, "\\['winner'\\]"),
+        (Proposal, {"idea_id": "i", "stage": "final"}, "\\['sections'\\]"),
+    ],
+)
+def test_missing_field_without_default_rejected(cls, data, missing):
+    with pytest.raises(DomainParseError, match=f"{cls.__name__}: missing fields {missing}"):
+        cls.from_dict(data)
+
+
+def test_iteration_record_round_trip():
+    record = CODEC_SAMPLES["iteration_record"]
+    assert IterationRecord.from_dict(json.loads(json.dumps(record.to_dict()))) == record
+    with pytest.raises(DomainParseError, match="IterationRecord: retrieved_counts must map"):
+        IterationRecord.from_dict({**record.to_dict(), "retrieved_counts": {"i1": "2"}})

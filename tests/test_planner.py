@@ -6,12 +6,13 @@ import json
 
 import pytest
 
-from nova.domain import Direction, PipelineConfig, SearchPlan, validate_lineage
+from nova.domain import Direction, PipelineConfig, RetrievedDoc, SearchPlan, validate_lineage
 from nova.gateway import Gateway, GatewayOptions
 from nova.ids import IdFactory
 from nova.literature import HashEmbedder, OfflineCorpus, SearchQuery
 from nova.mockllm import MockBackend
-from nova.planner import PlannerLoop, record_from_dict
+from nova.orchestrator import Runner, RunnerOptions
+from nova.planner import IterationRecord, PlannerLoop
 from nova.prompts import PromptLibrary
 from tests.conftest import FAST_GATEWAY, RuleBackend, embedded_idea, make_idea
 
@@ -38,6 +39,31 @@ def plan_json(directions):
 def embedded(n, seed=1, **kwargs):
     vec = HashEmbedder(dim=8, seed=seed).embed([f"idea text {n}"])[0]
     return embedded_idea(n, vec, **kwargs)
+
+
+def run_generations(planner, paper, pool, iterations):
+    """Generations 1..iterations, chained the way the orchestrator's iterate stage does."""
+    records = []
+    for step in range(1, iterations + 1):
+        pool, record = planner.run_generation(paper, pool, step)
+        records.append(record)
+    return pool, records
+
+
+def expand_one(planner, paper, old):
+    """The next-generation pool grown from `old` alone."""
+    pool, _ = planner.run_generation(paper, [old], old.generation + 1)
+    return pool
+
+
+class StaticSearch:
+    """Search backend that answers every query with the same docs."""
+
+    def __init__(self, docs):
+        self.docs = list(docs)
+
+    def search(self, query):
+        return list(self.docs)
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +217,7 @@ def test_execute_plan_search_failures_tolerated(make_gateway):
 
 
 # ---------------------------------------------------------------------------
-# expand_idea
+# expansion of one idea, through run_generation
 # ---------------------------------------------------------------------------
 
 
@@ -210,7 +236,7 @@ def test_expand_scripted_keeps_named_idea(make_gateway, sample_paper):
     backend = RuleBackend(rules=[(EXPAND_SIG, scripted)])
     planner = make_planner(backend, make_gateway)
     old = embedded(1)
-    children = planner.expand_idea(sample_paper, old, [])
+    children = expand_one(planner, sample_paper, old)
     assert len(children) == 3
     assert children[0].idea == "Dynamic Knowledge Graph Integration"
     assert all(c.parent_id == old.id and c.generation == old.generation + 1 for c in children)
@@ -221,7 +247,7 @@ def test_expand_failure_returns_old_unchanged(make_gateway, sample_paper, caplog
     backend = RuleBackend(rules=[(EXPAND_SIG, "garbage")])
     planner = make_planner(backend, make_gateway)
     old = embedded(9, generation=2, source="iteration")
-    out = planner.expand_idea(sample_paper, old, [])
+    out = expand_one(planner, sample_paper, old)
     assert out == [old]
     assert out[0].generation == 2
     assert any("expansion failed" in r.message for r in caplog.records)
@@ -233,7 +259,7 @@ def test_expand_ten_candidates_top_three_survive(make_gateway, sample_paper):
         {"index": i, "sound": True, "score": i} for i in range(1, 11)]})
     backend = RuleBackend(rules=[(EXPAND_SIG, scripted), (REFLECT_SIG, scores)])
     planner = make_planner(backend, make_gateway)
-    children = planner.expand_idea(sample_paper, embedded(1), [])
+    children = expand_one(planner, sample_paper, embedded(1))
     assert [c.idea for c in children] == ["candidate 10", "candidate 9", "candidate 8"]
 
 
@@ -243,26 +269,24 @@ def test_expand_unsound_candidates_dropped(make_gateway, sample_paper):
     backend = RuleBackend(rules=[(EXPAND_SIG, scripted),
                                  (REFLECT_SIG, json.dumps({"evaluations": evaluations}))])
     planner = make_planner(backend, make_gateway)
-    children = planner.expand_idea(sample_paper, embedded(1), [])
+    children = expand_one(planner, sample_paper, embedded(1))
     assert [c.idea for c in children] == ["candidate 10", "candidate 9", "candidate 8"]
 
 
 def test_expand_prompt_includes_docs_and_old_idea(make_gateway, sample_paper):
-    from nova.domain import RetrievedDoc
-
     backend = RuleBackend()
-    planner = make_planner(backend, make_gateway)
-    old = embedded(1, text="the old idea text")
     doc = RetrievedDoc(title="Known Doc Title", abstract="known abstract",
                        source_query="q", score=0.5)
-    planner.expand_idea(sample_paper, old, [doc])
+    planner = make_planner(backend, make_gateway, corpus=StaticSearch([doc]))
+    old = embedded(1, text="the old idea text")
+    expand_one(planner, sample_paper, old)
     prompt = next(p for p in backend.prompts if EXPAND_SIG in p)
     assert "Known Doc Title" in prompt
     assert "the old idea text" in prompt
 
 
 # ---------------------------------------------------------------------------
-# iterate
+# chained generations
 # ---------------------------------------------------------------------------
 
 
@@ -273,26 +297,30 @@ def small_pool(n, config=None):
 def test_growth_law_t2(make_gateway, sample_paper):
     config = PipelineConfig(iterations_T=2, expand_count=4, keep_count=3)
     planner = make_planner(MockBackend(seed=0), make_gateway, config=config)
-    pool, records = planner.iterate(sample_paper, small_pool(5))
+    pool, records = run_generations(planner, sample_paper, small_pool(5), config.iterations_T)
     assert len(pool) == 5 * 3 * 3
     assert [r.output_pool_size for r in records] == [15, 45]
     assert all(i.generation == 2 for i in pool)
 
 
-def test_t_zero_identity(make_gateway, sample_paper):
-    config = PipelineConfig(iterations_T=0)
-    planner = make_planner(MockBackend(seed=0), make_gateway, config=config)
-    pool_in = small_pool(4)
-    pool, records = planner.iterate(sample_paper, pool_in)
-    assert pool == pool_in
-    assert records == []
+def test_t_zero_identity(tmp_path, paper_input_file):
+    """With iterations_T=0 the iterate stage keeps the seed pool and records nothing."""
+    config = PipelineConfig(iterations_T=0, initial_seed_count=4)
+    runner = Runner(tmp_path / "t0", config, RunnerOptions(backend="mock"))
+    runner.advance_to("seeded", paper_input=str(paper_input_file))
+    pool_in = runner._load_pool(0)
+    state = runner.advance_to("iterated")
+    assert set(state.pools) == {"0"}
+    assert runner._load_pool(config.iterations_T) == pool_in
+    records = runner.store.get_data(state.iteration_records_ref, "iteration_records")
+    assert records == {"records": []}
 
 
 def test_lineage_chain_reaches_generation_zero(make_gateway, sample_paper):
     config = PipelineConfig(iterations_T=2, expand_count=4, keep_count=2)
     planner = make_planner(MockBackend(seed=0), make_gateway, config=config)
     roots = small_pool(3)
-    pool, _ = planner.iterate(sample_paper, roots)
+    pool, _ = run_generations(planner, sample_paper, roots, config.iterations_T)
     known = {i.id: i for i in roots}
     # walk every final idea's ancestry without gaps
     all_snapshots = {i.id: i for i in roots}
@@ -306,7 +334,7 @@ def test_replacement_no_stale_generation(make_gateway, sample_paper):
     config = PipelineConfig(iterations_T=1, expand_count=4, keep_count=2)
     planner = make_planner(MockBackend(seed=0), make_gateway, config=config)
     roots = small_pool(4)
-    pool, _ = planner.iterate(sample_paper, roots)
+    pool, _ = run_generations(planner, sample_paper, roots, config.iterations_T)
     root_ids = {i.id for i in roots}
     assert not root_ids & {i.id for i in pool}
 
@@ -316,7 +344,7 @@ def test_failure_survivor_keeps_old_generation(make_gateway, sample_paper):
     config = PipelineConfig(iterations_T=1)
     planner = make_planner(backend, make_gateway, config=config)
     roots = small_pool(3)
-    pool, records = planner.iterate(sample_paper, roots)
+    pool, records = run_generations(planner, sample_paper, roots, config.iterations_T)
     assert {i.id for i in pool} == {i.id for i in roots}
     assert all(i.generation == 0 for i in pool)
     assert records[0].output_pool_size == 3
@@ -325,9 +353,9 @@ def test_failure_survivor_keeps_old_generation(make_gateway, sample_paper):
 def test_iteration_record_round_trip(make_gateway, sample_paper):
     config = PipelineConfig(iterations_T=1, expand_count=4, keep_count=2)
     planner = make_planner(MockBackend(seed=0), make_gateway, config=config)
-    _, records = planner.iterate(sample_paper, small_pool(2))
+    _, records = run_generations(planner, sample_paper, small_pool(2), config.iterations_T)
     record = records[0]
-    assert record_from_dict(json.loads(json.dumps(record.to_dict()))) == record
+    assert IterationRecord.from_dict(json.loads(json.dumps(record.to_dict()))) == record
     assert set(record.retrieved_counts) == {i.id for i in small_pool(2)}
 
 
@@ -340,7 +368,7 @@ def test_parallel_iterate_reproducible(make_gateway, sample_paper, tmp_path):
         gateway = Gateway(MockBackend(seed=3), tmp_path / cache_name, options)
         planner = PlannerLoop(gateway, LIBRARY, None, HashEmbedder(dim=8, seed=1),
                               IdFactory(seed=2), config, "m")
-        pool, _ = planner.iterate(sample_paper, small_pool(4))
+        pool, _ = run_generations(planner, sample_paper, small_pool(4), config.iterations_T)
         return [(i.id, i.idea, i.parent_id) for i in pool]
 
     sequential = build(1, "c1")

@@ -173,3 +173,40 @@ def test_render_injective_in_single_binding(a, b):
     ra = LIBRARY.render("novelty_judge", {**base, "idea_text": a})
     rb = LIBRARY.render("novelty_judge", {**base, "idea_text": b})
     assert (ra == rb) == (a == b)
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("a { b", "malformed placeholder at offset 2"),
+        ("a } b", "unescaped '}' at offset 2"),
+        ("x {1x} y", "malformed placeholder at offset 2"),
+        ("{{a} and {b}", "unescaped '}' at offset 3"),
+        ("tail {name", "malformed placeholder at offset 5"),
+    ],
+)
+def test_stray_braces_rejected_with_offset(body, message):
+    with pytest.raises(PromptError, match=re.escape(f"template 'inline': {message}")):
+        placeholders_in(body, "inline")
+
+
+def test_stray_brace_rejected_at_load(tmp_path):
+    (tmp_path / "search_plan.txt").write_text(
+        "{idea_info} {few_shot_example} {plan_json_format} }", encoding="utf-8"
+    )
+    with pytest.raises(PromptError, match=re.escape("unescaped '}' at offset 50")):
+        PromptLibrary(template_dir=tmp_path)
+
+
+def test_tripled_braces_render_a_braced_value(tmp_path):
+    (tmp_path / "search_plan.txt").write_text(
+        "{{{idea_info}}} {few_shot_example}{plan_json_format}", encoding="utf-8"
+    )
+    library = PromptLibrary(template_dir=tmp_path)
+    assert placeholders_in(library.get("search_plan").body) == {
+        "idea_info", "few_shot_example", "plan_json_format"
+    }
+    rendered = library.render(
+        "search_plan", {"idea_info": "value", "few_shot_example": "{x}", "plan_json_format": "}"}
+    )
+    assert rendered == "{value} {x}}"

@@ -144,7 +144,7 @@ def test_decompose_six_modules(make_gateway, sample_paper):
     initial = builder.build_initial(sample_paper, idea(), [])
     plan = builder.decompose(initial)
     assert len(plan.modules) == 6
-    assert plan.modules[0].name == "Real-Time Dialogue Engine"
+    assert plan.modules[0].module_name == "Real-Time Dialogue Engine"
     assert all(m.keywords for m in plan.modules)
 
 
@@ -163,7 +163,7 @@ def test_decompose_drops_keywordless_modules(make_gateway, sample_paper):
                                  (DECOMPOSE_SIG, decompose_reply(modules))])
     builder = make_builder(backend, make_gateway)
     plan = builder.decompose(builder.build_initial(sample_paper, idea(), []))
-    assert [m.name for m in plan.modules] == ["Context Understanding Module"]
+    assert [m.module_name for m in plan.modules] == ["Context Understanding Module"]
 
 
 def test_decompose_all_dropped_is_failure(make_gateway, sample_paper):
@@ -220,7 +220,7 @@ def test_build_final_prompt_names_every_module(make_gateway, sample_paper):
     builder.build_final(sample_paper, the_idea, initial, plan)
     final_prompt = next(p for p in backend.prompts if FINAL_SIG in p)
     for module in plan.modules:
-        assert module.name in final_prompt
+        assert module.module_name in final_prompt
 
 
 def test_build_final_optional_blocks_omitted(make_gateway, sample_paper):
@@ -255,7 +255,7 @@ def test_build_final_two_module_decomposition_referenced(make_gateway, sample_pa
     plan = builder.decompose(initial)
     final = builder.build_final(sample_paper, the_idea, initial, plan)
     for module in plan.modules:
-        assert module.name in final.sections["Proposed Method"]
+        assert module.module_name in final.sections["Proposed Method"]
 
 
 def test_build_final_rejects_invalid_initial(make_gateway, sample_paper):
@@ -272,7 +272,7 @@ def test_decomposition_plan_round_trip():
         "modules": [{"name": "M", "purpose": "p", "implementation": "i",
                      "search_keywords": ["k"]}],
     })))
-    assert plan.modules[0].name == "M"
+    assert plan.modules[0].module_name == "M"
     assert DecompositionPlan.from_dict(plan.to_dict()) == plan
 
 

@@ -15,7 +15,6 @@ from nova.selector import (
     cluster_pool,
     kmeans,
     non_duplicate_fraction,
-    select_representatives,
 )
 from tests.conftest import embedded_idea
 
@@ -118,7 +117,7 @@ def test_kmeans_rejects_bad_inputs():
 
 
 # ---------------------------------------------------------------------------
-# select_representatives
+# cluster_pool representatives
 # ---------------------------------------------------------------------------
 
 
@@ -129,15 +128,16 @@ def _pool_from_rows(rows, **kwargs):
 def test_representatives_count_and_distinct():
     rng = np.random.Generator(np.random.PCG64(11))
     pool = _pool_from_rows(rng.standard_normal((30, 6)))
-    reps = select_representatives(pool, 10, seed=1)
+    reps = cluster_pool(pool, 10, seed=1).representative_ids
     assert len(reps) == 10
-    assert len({r.id for r in reps}) == 10
+    assert len(set(reps)) == 10
+    assert set(reps) <= {i.id for i in pool}
 
 
 def test_representatives_clamped_when_pool_small():
     rng = np.random.Generator(np.random.PCG64(12))
     pool = _pool_from_rows(rng.standard_normal((4, 6)))
-    reps = select_representatives(pool, 100, seed=1)
+    reps = cluster_pool(pool, 100, seed=1).representative_ids
     assert len(reps) == 4
 
 
@@ -146,8 +146,7 @@ def test_duplicate_embedding_representative_is_earlier_id():
     far = normalize([0.0, 0.0, 1.0])
     pool = _pool_from_rows([shared, shared, far])
     assert pool[0].id < pool[1].id
-    reps = select_representatives(pool, 2, seed=5)
-    rep_ids = {r.id for r in reps}
+    rep_ids = set(cluster_pool(pool, 2, seed=5).representative_ids)
     assert pool[0].id in rep_ids  # the earlier of the two identical ideas
     assert pool[1].id not in rep_ids
 
@@ -158,7 +157,7 @@ def test_unembedded_idea_rejected():
 
     pool.append(make_idea(99))
     with pytest.raises(SelectorError, match="without embeddings"):
-        select_representatives(pool, 2, seed=0)
+        cluster_pool(pool, 2, seed=0)
 
 
 def test_cluster_pool_assignment_keys_are_idea_ids():
