@@ -12,17 +12,26 @@ them makes a live backend call and only then hands the rest to a pool, so
 cached and offline work never pays for threads. Concurrent requests for one
 cache key make a single live call; the others wait for it and count as cache
 hits, exactly as if they had been issued one after another.
+
+The response cache takes no lock. Single-flight gives each key one writer per
+gateway, and every write goes to a temporary file private to the writing
+thread that `os.replace` then renames over the entry, so readers and other
+processes see the old entry or the new one, never part of one. A cache entry
+that cannot be read back (cut-off JSON, not an object, no string ``"text"``)
+is logged and treated as a miss; the reply sent in its place overwrites it.
+Structured output is checked with the compiled checkers of
+:func:`nova.schemas.output_schema_check`.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import logging
 import os
 import random
 import re
-import tempfile
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -105,34 +114,64 @@ class GatewayOptions:
 
 
 class ResponseCache:
-    """Content-addressed on-disk store; no eviction, atomic writes."""
+    """Content-addressed on-disk store of reply texts; no eviction, no lock.
+
+    An entry is the JSON object ``{"text": ...}`` at ``<dir>/<key[:2]>/<key>.json``.
+    `put` writes the encoded entry to ``<entry>.<pid>.<thread id>.tmp`` (mode
+    0o600) and renames it over the entry with `os.replace`, which is atomic, so
+    concurrent writers and readers need no lock: a reader sees a whole old or a
+    whole new entry. If the write or the rename fails, the temporary file is
+    removed and any previous entry stays as it was. `get` treats an entry that
+    does not decode to an object with a string ``"text"`` as a miss and logs a
+    warning naming the key; the next `put` for that key replaces it.
+    """
+
+    _OPEN_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_NOFOLLOW", 0)
 
     def __init__(self, cache_dir: str | Path):
         self._dir = Path(cache_dir)
         self._dir.mkdir(parents=True, exist_ok=True)
-        self._write_lock = threading.Lock()
 
-    def _path(self, key: str) -> Path:
-        return self._dir / key[:2] / f"{key}.json"
+    def _path(self, key: str) -> str:
+        return os.path.join(self._dir, key[:2], f"{key}.json")
 
     def get(self, key: str) -> str | None:
-        path = self._path(key)
-        if not path.is_file():
+        try:
+            with open(self._path(key), "rb") as fh:
+                data = fh.read()
+        except FileNotFoundError:
             return None
-        return json.loads(path.read_text(encoding="utf-8"))["text"]
+        try:
+            entry = json.loads(data)
+        except ValueError:
+            entry = None
+        text = entry.get("text") if isinstance(entry, dict) else None
+        if not isinstance(text, str):
+            logger.warning("unreadable response cache entry %s; treating it as a miss", key)
+            return None
+        return text
 
     def put(self, key: str, text: str) -> None:
         path = self._path(key)
-        with self._write_lock:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+        data = json.dumps({"text": text}, ensure_ascii=False).encode("utf-8")
+        tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
+        try:
+            fd = os.open(tmp, self._OPEN_FLAGS, 0o600)
+        except FileNotFoundError:
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            fd = os.open(tmp, self._OPEN_FLAGS, 0o600)
+        try:
             try:
-                with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                    json.dump({"text": text}, fh, ensure_ascii=False)
-                os.replace(tmp, path)
+                view = memoryview(data)
+                while view:
+                    view = view[os.write(fd, view) :]
             finally:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
+                os.close(fd)
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
+            raise
 
 
 class GatewayStats:
@@ -355,12 +394,13 @@ def _candidates(raw: str):
 
 def extract_json(raw: str, schema_name: str):
     """First JSON value in `raw` that validates against the named output schema."""
+    check = schemas.output_schema_check(schema_name)
     seen_invalid = 0
     for fragment in _candidates(raw):
         value = _try_parse(fragment)
         if value is None:
             continue
-        if not schemas.output_schema_validate(schema_name, value):
+        if check(value):
             return value
         seen_invalid += 1
     if seen_invalid:

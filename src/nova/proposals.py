@@ -53,21 +53,6 @@ class DecompositionPlan:
             ],
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "DecompositionPlan":
-        return cls(
-            thinking=data["thinking"],
-            modules=tuple(
-                SubModule(
-                    module_name=m["name"],
-                    purpose=m["purpose"],
-                    implementation=m["implementation"],
-                    keywords=tuple(m["search_keywords"]),
-                )
-                for m in data["modules"]
-            ),
-        )
-
 
 class ProposalBuilder:
     def __init__(

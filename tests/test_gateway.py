@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import logging
+import os
+import stat
 import sys
 import threading
 import time
@@ -17,6 +20,7 @@ from nova.gateway import (
     GatewayOptions,
     HttpChatBackend,
     NoValidJsonError,
+    ResponseCache,
     TransientBackendError,
     extract_json,
 )
@@ -199,6 +203,168 @@ def test_single_flight_stress_counts_match_sequential(make_gateway):
         sys.setswitchinterval(old_interval)
     assert sorted(backend.sends) == sorted(set(prompts))
     assert gateway.stats.snapshot() == {"requests": 64, "cache_hits": 59, "live_calls": 5}
+
+
+# ---------------------------------------------------------------------------
+# ResponseCache
+# ---------------------------------------------------------------------------
+
+
+def entry_path(cache_dir, key: str):
+    return cache_dir / key[:2] / f"{key}.json"
+
+
+UNREADABLE_ENTRIES = {
+    "truncated": b'{"text": "half a rep',
+    "non_object": b'["text", "a reply"]',
+    "string": b'"a reply"',
+    "no_text": b'{"reply": "a reply"}',
+    "non_string_text": b'{"text": 42}',
+    "null_text": b'{"text": null}',
+    "not_utf8": b'{"text": "\xff\xfe"}',
+}
+
+
+@pytest.mark.parametrize("raw", UNREADABLE_ENTRIES.values(), ids=UNREADABLE_ENTRIES)
+def test_unreadable_cache_entry_is_a_miss_and_is_replaced(make_gateway, tmp_path, caplog, raw):
+    request = req("hello")
+    path = entry_path(tmp_path / "cache", request.cache_key)
+    path.parent.mkdir(parents=True)
+    path.write_bytes(raw)
+
+    with pytest.raises(BackendUnavailableError, match="cache-only"):
+        make_gateway(None).complete(request)
+
+    gateway = make_gateway(MockBackend({prompt_digest("hello"): "X"}))
+    with caplog.at_level(logging.WARNING, logger="nova.gateway"):
+        response = gateway.complete(request)
+    assert (response.text, response.from_cache) == ("X", False)
+    assert request.cache_key in caplog.text
+    assert json.loads(path.read_bytes()) == {"text": "X"}
+    assert gateway.complete(request).from_cache
+
+
+def test_cache_entry_bytes_are_unchanged(tmp_path):
+    """Existing caches keep replaying: the entry layout and encoding are fixed."""
+    cache = ResponseCache(tmp_path)
+    key = "ab" + "0" * 62
+    cache.put(key, "caf\u00e9 \"q\"\n")
+    assert entry_path(tmp_path, key).read_bytes() == '{"text": "caf\u00e9 \\"q\\"\\n"}'.encode()
+    assert cache.get(key) == "caf\u00e9 \"q\"\n"
+
+
+def cache_files(cache_dir):
+    return [p for p in cache_dir.rglob("*") if p.is_file()]
+
+
+def test_cache_stress_without_a_lock(tmp_path):
+    """16 threads put and get overlapping keys in lock-step rounds.
+
+    Within a round a get sees the entry of this round or the previous one,
+    never a partial one; after each round every entry holds that round's value.
+    """
+    cache = ResponseCache(tmp_path)
+    keys = [f"{n:02x}" + "f" * 62 for n in range(8)]
+
+    def value(key: str, rnd: int) -> str:
+        return f"{key[:2]}:{rnd}:" + "\u00e9x" * (300 + 37 * rnd % 500)
+
+    errors: list[str] = []
+    rounds = {"done": 0, "stop": False}
+    deadline = time.monotonic() + 2.0
+
+    def end_of_round():
+        rnd = rounds["done"]
+        for key in keys:
+            if cache.get(key) != value(key, rnd):
+                errors.append(f"round {rnd}: {key[:2]} does not hold its last value")
+        leftovers = [p.name for p in cache_files(tmp_path) if p.name.endswith(".tmp")]
+        if leftovers:
+            errors.append(f"round {rnd}: temporary files left: {leftovers}")
+        rounds["done"] += 1
+        rounds["stop"] = rounds["done"] >= 200 or time.monotonic() > deadline
+
+    barrier = threading.Barrier(16, action=end_of_round, timeout=30)
+
+    def worker(n: int):
+        rnd = 0
+        try:
+            while not rounds["stop"]:
+                for j in range(4):
+                    key = keys[(n + j) % len(keys)]
+                    cache.put(key, value(key, rnd))
+                    other = keys[(n + 2 * j + 1) % len(keys)]
+                    seen = cache.get(other)
+                    if seen not in (value(other, rnd), value(other, rnd - 1), None):
+                        errors.append(f"round {rnd}: read {str(seen)[:20]!r} for {other[:2]}")
+                    if seen is None and rnd > 0:
+                        errors.append(f"round {rnd}: {other[:2]} vanished")
+                barrier.wait()
+                rnd += 1
+        except Exception as exc:  # reported through `errors`, and frees the other threads
+            errors.append(f"worker {n}, round {rnd}: {exc!r}")
+            barrier.abort()
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        run_threads(worker, 16)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert errors == []
+    assert rounds["done"] >= 2
+    files = cache_files(tmp_path)
+    assert sorted(p.name for p in files) == sorted(f"{key}.json" for key in keys)
+    assert {stat.S_IMODE(p.stat().st_mode) for p in files} == {0o600}
+
+
+def test_failed_rename_leaves_no_temp_file_and_the_old_entry(tmp_path, monkeypatch):
+    cache = ResponseCache(tmp_path)
+    key = "cd" + "1" * 62
+    cache.put(key, "old")
+
+    def refuse(src, dst):
+        raise OSError("disk said no")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="disk said no"):
+        cache.put(key, "new")
+    monkeypatch.undo()
+    assert cache_files(tmp_path) == [entry_path(tmp_path, key)]
+    assert cache.get(key) == "old"
+
+
+def test_put_overwrites_a_stale_temp_file(tmp_path):
+    """A temporary file left by a crashed writer of the same name is truncated."""
+    cache = ResponseCache(tmp_path)
+    key = "0a" + "4" * 62
+    path = entry_path(tmp_path, key)
+    path.parent.mkdir(parents=True)
+    stale = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    stale.write_text("x" * 1000)
+    cache.put(key, "fresh")
+    assert cache.get(key) == "fresh"
+    assert cache_files(tmp_path) == [path]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_put_closes_its_descriptor_on_every_path(tmp_path, monkeypatch):
+    """`-X dev` cannot see a leaked raw descriptor, so count them."""
+    cache = ResponseCache(tmp_path)
+    before = len(os.listdir("/proc/self/fd"))
+    for n in range(20):
+        cache.put(f"{n:02x}" + "2" * 62, "text")
+
+    def refuse(*args):
+        raise OSError("disk said no")
+
+    for name in ("write", "replace"):
+        with monkeypatch.context() as patch:
+            patch.setattr(os, name, refuse)
+            with pytest.raises(OSError, match="disk said no"):
+                cache.put("ef" + "3" * 62, "text")
+    assert len(os.listdir("/proc/self/fd")) == before
+    assert not any(p.name.endswith(".tmp") for p in cache_files(tmp_path))
 
 
 # ---------------------------------------------------------------------------

@@ -266,14 +266,15 @@ def test_build_final_rejects_invalid_initial(make_gateway, sample_paper):
         builder.build_final(sample_paper, idea(), bad, plan)
 
 
-def test_decomposition_plan_round_trip():
-    plan = DecompositionPlan.from_dict(json.loads(json.dumps({
-        "thinking": "t",
-        "modules": [{"name": "M", "purpose": "p", "implementation": "i",
-                     "search_keywords": ["k"]}],
-    })))
-    assert plan.modules[0].module_name == "M"
-    assert DecompositionPlan.from_dict(plan.to_dict()) == plan
+def test_decomposition_plan_round_trip(make_gateway):
+    keywordless = {"name": "Blank", "purpose": "p", "implementation": "i",
+                   "search_keywords": ["", "  "]}
+    modules = [SIX_MODULES[0], keywordless, SIX_MODULES[1]]
+    backend = RuleBackend(rules=[(DECOMPOSE_SIG, decompose_reply(modules))])
+    builder = make_builder(backend, make_gateway)
+    plan = builder.decompose(Proposal(idea_id="x", stage="initial", sections=AEDS_SECTIONS))
+    assert plan.modules[0].module_name == SIX_MODULES[0]["name"]
+    assert plan.to_dict() == {"thinking": "split the method", "modules": SIX_MODULES[:2]}
 
 
 def test_render_markdown_contains_both_stages():
