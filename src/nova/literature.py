@@ -32,6 +32,14 @@ DEFAULT_EMBED_MODEL = "sentence-transformers/all-MiniLM-L6-v2"
 
 DEFAULT_TREND_PAPER_COUNT = 20
 
+# Largest gap allowed between a BLAS or einsum score and the `cosine` of the
+# same unit vectors; rounding stays far below it.
+ROUNDING_MARGIN = 1e-9
+
+# Embeddings per matrix product in `OfflineCorpus.max_similarity`; bounds the
+# score block to 64 x corpus size floats.
+PREFILTER_BLOCK = 64
+
 
 class LiteratureError(Exception):
     pass
@@ -135,10 +143,14 @@ class HttpEmbedder:
             raise TransientBackendError(f"embedding transport failure: {exc}") from exc
         if resp.status_code != 200:
             raise TransientBackendError(f"embedding HTTP {resp.status_code}")
-        rows = resp.json()["data"]
-        if len(rows) != len(texts):
+        try:
+            rows = resp.json()["data"]
+            vectors = [row["embedding"] for row in rows]
+        except (ValueError, LookupError, TypeError) as exc:
+            raise LiteratureError(f"malformed embedding reply: {exc!r}") from exc
+        if len(vectors) != len(texts):
             raise LiteratureError("embedding response length mismatch")
-        return [normalize(row["embedding"]) for row in rows]
+        return [normalize(vec) for vec in vectors]
 
 
 class OfflineCorpus:
@@ -151,7 +163,10 @@ class OfflineCorpus:
     The normalized embeddings are stored once, as the rows of one matrix, and
     each doc's "embedding" is a view of its row. A query scores every row in
     one `np.einsum` pass, which calls no BLAS and so stays fast when many
-    threads search at once.
+    threads search at once: `search` and `nearest` are BLAS-free.
+    `max_similarity`, the novelty prefilter, scores many embeddings at once on
+    the calling thread, with one BLAS matrix product per block of
+    `PREFILTER_BLOCK` embeddings.
     """
 
     def __init__(self, corpus_dir: str | Path, embedder: Embedder):
@@ -211,8 +226,8 @@ class OfflineCorpus:
         """The first k of `rows` sorted by (-cosine, title), with exact `cosine` scores.
 
         The einsum pass may differ from `cosine` in the last bits, so it only
-        shortlists: every row within 1e-9 of the k-th approximate score,
-        which includes every doc tied with the k-th, is rescored with
+        shortlists: every row within `ROUNDING_MARGIN` of the k-th approximate
+        score, which includes every doc tied with the k-th, is rescored with
         `cosine` and sorted by the exact key.
         """
         if qvec.shape != self._matrix.shape[1:]:
@@ -222,7 +237,7 @@ class OfflineCorpus:
         approx = np.einsum("ij,j->i", self._matrix, qvec)[rows]
         if k < rows.size:
             kth = -np.partition(-approx, k - 1)[k - 1]
-            rows = rows[approx >= kth - 1e-9]
+            rows = rows[approx >= kth - ROUNDING_MARGIN]
         scored = [(cosine(qvec, self._docs[i]["embedding"]), self._docs[i]) for i in rows]
         scored.sort(key=lambda pair: (-pair[0], pair[1]["title"]))
         return [
@@ -255,6 +270,26 @@ class OfflineCorpus:
         return self._ranked(
             np.asarray(embedding, dtype=np.float64), np.arange(len(self._docs)), k, ""
         )
+
+    def max_similarity(self, embeddings) -> np.ndarray:
+        """Approximate best cosine over all docs for each row of an (n, dim) array.
+
+        Each value is within `ROUNDING_MARGIN` of the largest `cosine` that
+        `nearest` would report; it is -inf for every row when the corpus is
+        empty.
+        """
+        queries = np.asarray(embeddings, dtype=np.float64)
+        best = np.full(queries.shape[0], -np.inf)
+        if not self._docs:
+            return best
+        if queries.shape[1:] != self._matrix.shape[1:]:
+            raise LiteratureError(
+                f"dimension mismatch: {queries.shape[1:]} vs {self._matrix.shape[1:]}"
+            )
+        for start in range(0, queries.shape[0], PREFILTER_BLOCK):
+            scores = queries[start : start + PREFILTER_BLOCK] @ self._matrix.T
+            best[start : start + PREFILTER_BLOCK] = scores.max(axis=1)
+        return best
 
 
 class HttpSearchClient:
@@ -291,27 +326,33 @@ class HttpSearchClient:
             raise TransientBackendError(f"search transport failure: {exc}") from exc
         if resp.status_code != 200:
             raise TransientBackendError(f"search HTTP {resp.status_code}")
-        rows = resp.json().get("results", [])[: query.limit]
-        docs = []
-        for row in rows:
-            embedding = None
-            if self._embedder is not None:
-                embedding = tuple(
-                    float(v)
-                    for v in self._embedder.embed(
-                        [f"{row['title']}\n{row.get('abstract', '')}"]
-                    )[0]
-                )
-            docs.append(
-                RetrievedDoc(
-                    title=row["title"],
-                    abstract=row.get("abstract", ""),
-                    source_query=query.text,
-                    score=float(row.get("score", 0.0)),
-                    embedding=embedding,
-                )
+        try:
+            body = resp.json()
+        except ValueError as exc:
+            raise LiteratureError(f"search reply is not JSON: {exc}") from exc
+        rows = body.get("results", []) if isinstance(body, dict) else None
+        if not isinstance(rows, list):
+            raise LiteratureError("search reply has no list of results")
+        rows = rows[: query.limit]
+        for n, row in enumerate(rows):
+            if not isinstance(row, dict) or not isinstance(row.get("title"), str):
+                raise LiteratureError(f"search result {n} has no title")
+        embeddings: list = [None] * len(rows)
+        if self._embedder is not None and rows:
+            vectors = self._embedder.embed(
+                [f"{row['title']}\n{row.get('abstract', '')}" for row in rows]
             )
-        return docs
+            embeddings = [tuple(float(v) for v in vec) for vec in vectors]
+        return [
+            RetrievedDoc(
+                title=row["title"],
+                abstract=row.get("abstract", ""),
+                source_query=query.text,
+                score=float(row.get("score", 0.0)),
+                embedding=embedding,
+            )
+            for row, embedding in zip(rows, embeddings)
+        ]
 
 
 # ---------------------------------------------------------------------------

@@ -16,14 +16,21 @@ run reproduces the artifact tree of an uninterrupted one byte for byte.
 
 The LLM-bound stages (iterate, propose, evaluate) map their per-item work
 through `Gateway.fan_out`, bounded by `GatewayOptions.parallelism`; work runs
-inline until a call goes live. Results are written at the join, in input
-order, so the artifact tree does not depend on scheduling or parallelism.
+inline until a call goes live. The evaluate stage judges the novelty of every
+generation's pool through one fan-out (`tournament.unique_novel_counts`).
+Results are written at the join, in input order, so the artifact tree does
+not depend on scheduling or parallelism.
+
+A `Runner` keeps each idea pool it writes or reads, keyed by artifact digest,
+so a fresh run never decodes a pool it wrote and a resumed run decodes each
+pool at most once.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import logging
 import os
@@ -110,8 +117,20 @@ class RunState:
         return cls(**{**data, "config": PipelineConfig.from_dict(data["config"])})
 
 
+_ENCODER = json.JSONEncoder(ensure_ascii=False, indent=2)
+
+
 def _dump_bytes(payload: dict) -> bytes:
-    return (json.dumps(payload, ensure_ascii=False, indent=2) + "\n").encode("utf-8")
+    """`json.dumps(payload, ensure_ascii=False, indent=2)` and a newline, as UTF-8.
+
+    The chunks are streamed into one buffer: `json.dumps` with an indent first
+    collects every chunk in a list, several times the size of the output, and
+    that list for the largest idea pool was a run's peak memory.
+    """
+    buf = io.StringIO()
+    buf.writelines(_ENCODER.iterencode(payload))
+    buf.write("\n")
+    return buf.getvalue().encode("utf-8")
 
 
 def _atomic_write(path: Path, data: bytes) -> None:
@@ -215,6 +234,7 @@ class Runner:
         self.config = config
         self.options = options
         self.store = ArtifactStore(self.out_dir)
+        self._pools: dict[str, tuple[Idea, ...]] = {}  # artifact digest -> pool
         self.events = EventLog(self.out_dir)
         self.state: RunState | None = self._load_state()
         if self.state is not None:
@@ -298,14 +318,18 @@ class Runner:
 
     def _load_pool(self, generation: int) -> list[Idea]:
         digest = self.state.pools[str(generation)]
-        data = self.store.get_data(digest, "idea_pool")
-        return [Idea.from_dict(d) for d in data["ideas"]]
+        if digest not in self._pools:
+            data = self.store.get_data(digest, "idea_pool")
+            self._pools[digest] = tuple(Idea.from_dict(d) for d in data["ideas"])
+        return list(self._pools[digest])
 
     def _store_pool(self, generation: int, pool: list[Idea]) -> str:
-        return self.store.put(
+        digest = self.store.put(
             "idea_pool",
             {"generation": generation, "ideas": [i.to_dict() for i in pool]},
         )
+        self._pools[digest] = tuple(pool)
+        return digest
 
     def _load_proposal(self, idea_id: str, stage: str) -> Proposal:
         digest = self.state.proposals[idea_id][stage]
@@ -452,21 +476,19 @@ class Runner:
         else:
             logger.warning("fewer than 2 final proposals; skipping tournament")
 
-        unique_novel: dict[str, int] = {}
-        for generation in sorted(self.state.pools, key=int):
-            pool = self._load_pool(int(generation))
-            if self.corpus is None:
-                _, retained = selector.non_duplicate_fraction(
-                    pool, self.config.dup_sim_threshold
-                )
-                unique_novel[generation] = len(retained)
-            else:
-                unique_novel[generation] = tournament.unique_novel_count(
-                    pool, self.corpus, self.config,
-                    gateway=self.gateway, library=self.library,
-                    model_id=self.options.ranker_model_id,
-                    threshold_only=self.options.threshold_only_novelty,
-                )
+        pools = {g: self._load_pool(int(g)) for g in sorted(self.state.pools, key=int)}
+        if self.corpus is None:
+            unique_novel = {
+                g: len(selector.non_duplicate_fraction(pool, self.config.dup_sim_threshold)[1])
+                for g, pool in pools.items()
+            }
+        else:
+            unique_novel = tournament.unique_novel_counts(
+                pools, self.corpus, self.config,
+                gateway=self.gateway, library=self.library,
+                model_id=self.options.ranker_model_id,
+                threshold_only=self.options.threshold_only_novelty,
+            )
         final_pool = self._load_pool(self.config.iterations_T)
         fraction, retained_ids = selector.non_duplicate_fraction(
             final_pool, self.config.dup_sim_threshold
@@ -483,7 +505,8 @@ class Runner:
         )
 
     def _stage_done(self) -> None:
-        write_report(self.out_dir, self.state, self.store)
+        pool_sizes = {g: len(self._load_pool(int(g))) for g in self.state.pools}
+        write_report(self.out_dir, self.state, self.store, pool_sizes)
         self._commit("done", {})
 
     # -- driving -----------------------------------------------------------------
@@ -521,8 +544,12 @@ class Runner:
         return self.advance_to("done", paper_input=paper_input)
 
 
-def write_report(out_dir: Path, state: RunState, store: ArtifactStore) -> dict:
-    """Emit metric CSVs and the JSON summary; flags gaps for missing stages."""
+def write_report(out_dir: Path, state: RunState, store: ArtifactStore,
+                 pool_sizes: dict[str, int]) -> dict:
+    """Emit metric CSVs and the JSON summary; flags gaps for missing stages.
+
+    `pool_sizes` maps each generation in `state.pools` to its idea count.
+    """
     report_dir = out_dir / "report"
     report_dir.mkdir(exist_ok=True)
     gaps: list[str] = []
@@ -533,8 +560,7 @@ def write_report(out_dir: Path, state: RunState, store: ArtifactStore) -> dict:
         "gaps": gaps,
     }
     for generation in sorted(state.pools, key=int):
-        data = store.get_data(state.pools[generation], "idea_pool")
-        summary["pool_sizes"][generation] = len(data["ideas"])
+        summary["pool_sizes"][generation] = pool_sizes[generation]
     if state.representatives_ref:
         data = store.get_data(state.representatives_ref, "representatives")
         summary["representative_count"] = len(data["idea_ids"])
@@ -584,7 +610,11 @@ def metrics_report(out_dir: str | Path, config: PipelineConfig | None = None) ->
     if not path.is_file():
         raise OrchestratorError(f"no run state at {path}")
     state = RunState.from_dict(json.loads(path.read_text(encoding="utf-8")))
-    return write_report(out_dir, state, ArtifactStore(out_dir))
+    store = ArtifactStore(out_dir)
+    pool_sizes = {
+        g: len(store.get_data(digest, "idea_pool")["ideas"]) for g, digest in state.pools.items()
+    }
+    return write_report(out_dir, state, store, pool_sizes)
 
 
 def replay_events(out_dir: str | Path) -> dict | None:

@@ -15,9 +15,9 @@ import logging
 from dataclasses import dataclass, replace
 
 from .domain import Direction, Idea, PipelineConfig, Record, RetrievedDoc, SearchPlan, SeedPaper
-from .gateway import ChatRequest, ExtractionFailedError, Gateway
+from .gateway import ChatRequest, ExtractionFailedError, Gateway, GatewayError
 from .ids import IdFactory
-from .literature import Embedder, SearchQuery, cosine
+from .literature import Embedder, LiteratureError, SearchQuery, cosine
 from .prompts import PromptLibrary
 from .seeding import format_idea
 
@@ -105,7 +105,11 @@ class PlannerLoop:
         )
 
     def execute_plan(self, plan: SearchPlan, K: int, idea_embedding) -> list[RetrievedDoc]:
-        """One search per direction, merged by title, ranked by cosine, top K."""
+        """One search per direction, merged by title, ranked by cosine, top K.
+
+        A search that fails with a gateway or literature error is logged and
+        skipped; any other exception propagates.
+        """
         if self._search is None:
             return []
         merged: dict[str, RetrievedDoc] = {}
@@ -113,7 +117,7 @@ class PlannerLoop:
             query = SearchQuery(text=" ".join(direction.keywords), limit=K)
             try:
                 results = self._search.search(query)
-            except Exception as exc:
+            except (GatewayError, LiteratureError) as exc:
                 logger.warning("search failed for %r: %s", query.text, exc)
                 continue
             for doc in results:
@@ -122,16 +126,17 @@ class PlannerLoop:
             logger.info("plan for idea %s retrieved nothing", plan.idea_id)
             return []
         docs = list(merged.values())
-        sims = {}
-        for doc in docs:
-            embedding = doc.embedding
-            if embedding is None:
-                embedding = tuple(
-                    float(v) for v in self._embedder.embed([f"{doc.title}\n{doc.abstract}"])[0]
-                )
-                doc = replace(doc, embedding=embedding)
-            sims[doc.title] = (cosine(idea_embedding, doc.embedding), doc)
-        ranked = sorted(sims.values(), key=lambda pair: (-pair[0], pair[1].title))
+        missing = [n for n, doc in enumerate(docs) if doc.embedding is None]
+        if missing:
+            vectors = self._embedder.embed(
+                [f"{docs[n].title}\n{docs[n].abstract}" for n in missing]
+            )
+            for n, vec in zip(missing, vectors):
+                docs[n] = replace(docs[n], embedding=tuple(float(v) for v in vec))
+        ranked = sorted(
+            ((cosine(idea_embedding, doc.embedding), doc) for doc in docs),
+            key=lambda pair: (-pair[0], pair[1].title),
+        )
         return [doc for _, doc in ranked[:K]]
 
     # -- expansion -------------------------------------------------------------

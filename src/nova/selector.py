@@ -185,6 +185,9 @@ def non_duplicate_fraction(pool: list[Idea], threshold: float) -> tuple[float, l
 
     An idea is a duplicate iff its cosine to any previously retained idea is
     >= threshold. Returns (retained/total, retained ids in scan order).
+
+    Retained rows are written into one preallocated matrix, so each test is
+    one contiguous matrix-vector product over its first m rows, with no copy.
     """
     if not pool:
         raise SelectorError("pool must be nonempty")
@@ -192,11 +195,12 @@ def non_duplicate_fraction(pool: list[Idea], threshold: float) -> tuple[float, l
         raise SelectorError("threshold must be in [0, 1]")
     ordered = sorted(pool, key=lambda i: i.id)
     X = _embedded_matrix(ordered)
+    retained = np.empty_like(X)
     retained_ids: list[str] = []
-    retained_rows: list[np.ndarray] = []
     for idea, row in zip(ordered, X):
-        if retained_rows and bool(np.any(np.stack(retained_rows) @ row >= threshold)):
+        m = len(retained_ids)
+        if m and bool(np.any(retained[:m] @ row >= threshold)):
             continue
+        retained[m] = row
         retained_ids.append(idea.id)
-        retained_rows.append(row)
     return len(retained_ids) / len(ordered), retained_ids

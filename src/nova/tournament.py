@@ -12,6 +12,13 @@ flags are drawn in match order before dispatch, and the coin flips for failed
 judgements in match order after the join, so the random stream, and with it
 the result, does not depend on how the matches were scheduled. With no failed
 match the stream is the swap flags alone, as when matches ran one by one.
+
+Novelty is counted per generation pool: dedup first, then a two-stage check of
+each retained idea, a similarity prefilter against the literature and an LLM
+judge of every doc above the threshold (`novelty_judge`, the only code that
+decides a verdict). `unique_novel_counts` scores every pool of a run in one
+pass: one batched prefilter over all retained ideas clears those no doc comes
+close to, and the rest go through one fan-out of `novelty_judge`.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from typing import Callable, Iterable
 
 from .domain import Bye, Idea, Match, PipelineConfig, Proposal, RetrievedDoc, TournamentResult
 from .gateway import ChatRequest, Gateway, GatewayError
-from .literature import cosine
+from .literature import ROUNDING_MARGIN, cosine
 from .prompts import PromptLibrary
 from .selector import non_duplicate_fraction
 
@@ -260,6 +267,64 @@ def novelty_judge(
     return NoveltyResult(novel=novel, evidence=tuple(evidence), judge_calls=judge_calls)
 
 
+def _cleared_by_prefilter(ideas: list[Idea], corpus, threshold: float) -> list[bool]:
+    """Per idea: True when no doc can be a novelty candidate, so it is novel.
+
+    The approximate best cosine must sit at least `ROUNDING_MARGIN` below the
+    threshold, so every exact `cosine` that `novelty_judge` would compute is at
+    most the threshold. A corpus without `max_similarity` clears no idea.
+    """
+    if not ideas or not hasattr(corpus, "max_similarity"):
+        return [False] * len(ideas)
+    best = corpus.max_similarity([idea.embedding for idea in ideas])
+    return (best <= threshold - ROUNDING_MARGIN).tolist()
+
+
+def unique_novel_counts(
+    pools: dict[str, list[Idea]],
+    corpus,
+    config: PipelineConfig,
+    gateway: Gateway | None = None,
+    library: PromptLibrary | None = None,
+    model_id: str = "",
+    threshold_only: bool = False,
+) -> dict[str, int]:
+    """Deduplicate each pool, then count its retained ideas judged novel.
+
+    The retained ideas of all pools are checked together. One batched
+    similarity prefilter counts an idea novel outright when no doc is close
+    enough to be a candidate; each other idea goes to `novelty_judge`, all of
+    them through one `gateway.fan_out` (in order without a gateway). An idea
+    retained by several pools is judged once per pool, as a per-pool count
+    would judge it.
+    """
+    owners: list[str] = []
+    retained: list[Idea] = []
+    for key, pool in pools.items():
+        if not pool:
+            continue
+        _, retained_ids = non_duplicate_fraction(pool, config.dup_sim_threshold)
+        by_id = {i.id: i for i in pool}
+        owners += [key] * len(retained_ids)
+        retained += [by_id[idea_id] for idea_id in retained_ids]
+    cleared = _cleared_by_prefilter(retained, corpus, config.novelty_sim_threshold)
+
+    def is_novel(idea: Idea) -> bool:
+        # Only the flag crosses the join; the evidence is dropped in the worker.
+        return novelty_judge(
+            idea, corpus, config,
+            gateway=gateway, library=library, model_id=model_id,
+            threshold_only=threshold_only,
+        ).novel
+
+    fan_out = gateway.fan_out if gateway is not None else in_order
+    judged = iter(fan_out([i for i, c in zip(retained, cleared) if not c], is_novel))
+    counts = dict.fromkeys(pools, 0)
+    for key, skip in zip(owners, cleared):
+        counts[key] += 1 if skip else int(next(judged))
+    return counts
+
+
 def unique_novel_count(
     pool: list[Idea],
     corpus,
@@ -269,22 +334,8 @@ def unique_novel_count(
     model_id: str = "",
     threshold_only: bool = False,
 ) -> int:
-    """Deduplicate the pool, then count retained ideas judged novel.
-
-    With a gateway, the retained ideas are judged through `gateway.fan_out`.
-    """
-    if not pool:
-        return 0
-    _, retained_ids = non_duplicate_fraction(pool, config.dup_sim_threshold)
-    retained = {i.id: i for i in pool}
-
-    def is_novel(idea_id: str) -> bool:
-        # Only the flag crosses the join; the evidence is dropped in the worker.
-        return novelty_judge(
-            retained[idea_id], corpus, config,
-            gateway=gateway, library=library, model_id=model_id,
-            threshold_only=threshold_only,
-        ).novel
-
-    fan_out = gateway.fan_out if gateway is not None else in_order
-    return sum(fan_out(retained_ids, is_novel))
+    """`unique_novel_counts` for a single pool."""
+    return unique_novel_counts(
+        {"pool": pool}, corpus, config,
+        gateway=gateway, library=library, model_id=model_id, threshold_only=threshold_only,
+    )["pool"]

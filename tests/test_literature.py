@@ -13,6 +13,7 @@ from hypothesis import given, strategies as st
 
 from nova.domain import SeedPaper
 from nova.literature import (
+    DEFAULT_EMBED_MODEL,
     HashEmbedder,
     HttpEmbedder,
     HttpSearchClient,
@@ -342,6 +343,73 @@ def test_http_search_client_limits_and_embeds(hash_embedder):
     docs = client.search(SearchQuery(text="q", limit=4))
     assert len(docs) == 4
     assert all(d.embedding is not None for d in docs)
+
+
+class _CountingPost:
+    """One fake transport for both services: search rows, and per-text embeddings."""
+
+    def __init__(self, rows):
+        self.rows = rows
+        self.requests: list[tuple[str, dict]] = []
+
+    def __call__(self, url, json=None, **kwargs):
+        self.requests.append((url, json))
+        if url == "https://s.test":
+            return _FakeResponse(200, {"results": self.rows})
+        vectors = [HashEmbedder(dim=6, seed=2).embed([text])[0].tolist() for text in json["input"]]
+        return _FakeResponse(200, {"data": [{"embedding": v} for v in vectors]})
+
+
+@pytest.mark.parametrize("count", [0, 1, 5])
+def test_http_search_client_embeds_rows_in_one_request(count):
+    rows = [{"title": f"t{i}", "abstract": f"a{i}", "score": i} for i in range(count)]
+    post = _CountingPost(rows)
+    embedder = HttpEmbedder("https://e.test", post=post)
+    client = HttpSearchClient("https://s.test", embedder=embedder, post=post)
+    docs = client.search(SearchQuery(text="q", limit=10))
+
+    embed_requests = [body for url, body in post.requests if url == "https://e.test"]
+    assert embed_requests == ([{"model": DEFAULT_EMBED_MODEL,
+                                "input": [f"t{i}\na{i}" for i in range(count)]}]
+                              if count else [])
+    # The same vectors as one embed request per row.
+    for row, doc in zip(rows, docs):
+        alone = embedder.embed([f"{row['title']}\n{row['abstract']}"])[0]
+        assert doc.embedding == tuple(float(v) for v in alone)
+    assert [d.title for d in docs] == [r["title"] for r in rows]
+
+
+class _NotJson(_FakeResponse):
+    def json(self):
+        raise ValueError("Expecting value: line 1 column 1 (char 0)")
+
+
+@pytest.mark.parametrize("response", [
+    _NotJson(200, None),
+    _FakeResponse(200, ["not", "an", "object"]),
+    _FakeResponse(200, {"results": {"title": "t"}}),
+    _FakeResponse(200, {"results": [{"abstract": "no title"}]}),
+    _FakeResponse(200, {"results": [{"title": "ok"}, "not a row"]}),
+    _FakeResponse(200, {"results": [{"title": None}]}),
+])
+def test_http_search_client_malformed_reply_is_literature_error(hash_embedder, response):
+    client = HttpSearchClient("https://s.test", embedder=hash_embedder,
+                              post=lambda url, **k: response)
+    with pytest.raises(LiteratureError):
+        client.search(SearchQuery(text="q", limit=4))
+
+
+@pytest.mark.parametrize("response", [
+    _NotJson(200, None),
+    _FakeResponse(200, {"rows": []}),
+    _FakeResponse(200, {"data": [{"vector": [1.0, 0.0]}]}),
+    _FakeResponse(200, {"data": ["not a row"]}),
+    _FakeResponse(200, {"data": [{"embedding": [1.0, 0.0]}, {"embedding": [0.0, 1.0]}]}),
+])
+def test_http_embedder_malformed_reply_is_literature_error(response):
+    embedder = HttpEmbedder("https://e.test", post=lambda url, **k: response)
+    with pytest.raises(LiteratureError):
+        embedder.embed(["x"])
 
 
 # ---------------------------------------------------------------------------

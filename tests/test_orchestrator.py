@@ -6,6 +6,7 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nova import schemas
 from nova.domain import PipelineConfig
@@ -13,6 +14,8 @@ from nova.gateway import GatewayOptions
 from nova.mockllm import MockBackend, prompt_digest
 from nova.orchestrator import (
     STAGES,
+    ArtifactStore,
+    _dump_bytes,
     OrchestratorError,
     PipelineAborted,
     Runner,
@@ -268,3 +271,68 @@ def test_stage_cursor_only_advances(run_env, paper_input_file):
         )
         seen.append(state.stage_cursor)
     assert seen == list(STAGES)
+
+
+@pytest.fixture
+def pool_reads(monkeypatch):
+    """Digests of the idea_pool artifacts read through `ArtifactStore.get`, in order."""
+    reads: list[str] = []
+    original = ArtifactStore.get
+
+    def get(self, digest):
+        envelope = original(self, digest)
+        if envelope["kind"] == "idea_pool":
+            reads.append(digest)
+        return envelope
+
+    monkeypatch.setattr(ArtifactStore, "get", get)
+    return reads
+
+
+def test_fresh_run_decodes_no_pool(run_env, paper_input_file, pool_reads):
+    runner = run_env("fresh")
+    runner.run(paper_input=str(paper_input_file))
+    assert pool_reads == []
+    summary = json.loads((runner.out_dir / "report" / "summary.json").read_text())
+    assert summary["pool_sizes"] == {"0": 6, "1": 12, "2": 24}
+    # The report command counts the pools from the store; the summary was
+    # written before the `done` commit, so only the cursor differs.
+    assert metrics_report(runner.out_dir) == {**summary, "stage_cursor": "done"}
+    assert len(pool_reads) == len(runner.state.pools)
+
+
+def test_resumed_run_decodes_each_pool_at_most_once(run_env, paper_input_file, pool_reads):
+    for stage in STAGES[:-1]:
+        name = f"resume_{stage}"
+        with pytest.raises(PipelineAborted):
+            run_env(name, abort_after=stage).run(paper_input=str(paper_input_file))
+        assert pool_reads == []
+        resumed = run_env(name)
+        resumed.run()
+        assert len(pool_reads) == len(set(pool_reads)), stage
+        assert set(pool_reads) <= set(resumed.state.pools.values())
+        pool_reads.clear()
+
+
+def test_loaded_pool_is_a_copy(run_env, paper_input_file):
+    runner = run_env("copy")
+    runner.advance_to("seeded", paper_input=str(paper_input_file))
+    pool = runner._load_pool(0)
+    pool.clear()
+    assert len(runner._load_pool(0)) == 6
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(alphabet=st.characters(blacklist_categories=("Cs",))),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.text(max_size=6), _json_values, max_size=5))
+def test_dump_bytes_equals_json_dumps(payload):
+    reference = (json.dumps(payload, ensure_ascii=False, indent=2) + "\n").encode("utf-8")
+    assert _dump_bytes(payload) == reference

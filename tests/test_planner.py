@@ -7,9 +7,9 @@ import json
 import pytest
 
 from nova.domain import Direction, PipelineConfig, RetrievedDoc, SearchPlan, validate_lineage
-from nova.gateway import Gateway, GatewayOptions
+from nova.gateway import Gateway, GatewayOptions, TransientBackendError
 from nova.ids import IdFactory
-from nova.literature import HashEmbedder, OfflineCorpus, SearchQuery
+from nova.literature import HashEmbedder, LiteratureError, OfflineCorpus, SearchQuery
 from nova.mockllm import MockBackend
 from nova.orchestrator import Runner, RunnerOptions
 from nova.planner import IterationRecord, PlannerLoop
@@ -205,15 +205,88 @@ def test_execute_plan_no_backend_returns_empty(make_gateway):
     assert planner.execute_plan(plan, 5, idea.embedding) == []
 
 
-def test_execute_plan_search_failures_tolerated(make_gateway):
+def test_execute_plan_search_failures_tolerated(make_gateway, caplog):
     class BrokenCorpus:
         def search(self, query):
-            raise RuntimeError("backend down")
+            if query.text == "down":
+                raise TransientBackendError("backend down")
+            raise LiteratureError("malformed reply")
 
     planner = make_planner(RuleBackend(), make_gateway, corpus=BrokenCorpus())
     idea = embedded(5)
+    plan = SearchPlan(idea.id, (Direction("a", ("down",)), Direction("b", ("bad",))), 0)
+    with caplog.at_level("WARNING", logger="nova.planner"):
+        assert planner.execute_plan(plan, 5, idea.embedding) == []
+    assert [r.getMessage() for r in caplog.records] == [
+        "search failed for 'down': backend down",
+        "search failed for 'bad': malformed reply",
+    ]
+
+
+@pytest.mark.parametrize("error", [TypeError, AttributeError, KeyError])
+def test_execute_plan_programming_errors_propagate(make_gateway, error):
+    class BuggyCorpus:
+        def search(self, query):
+            raise error("bug")
+
+    planner = make_planner(RuleBackend(), make_gateway, corpus=BuggyCorpus())
+    idea = embedded(5)
     plan = SearchPlan(idea.id, (Direction("a", ("kw",)),), 0)
-    assert planner.execute_plan(plan, 5, idea.embedding) == []
+    with pytest.raises(error):
+        planner.execute_plan(plan, 5, idea.embedding)
+
+
+class CountingEmbedder(HashEmbedder):
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.batches: list[list[str]] = []
+
+    def embed(self, texts):
+        self.batches.append(list(texts))
+        return super().embed(texts)
+
+
+def test_execute_plan_embeds_unembedded_docs_in_one_batch(make_gateway):
+    stored = HashEmbedder(dim=8, seed=9).embed(["stored"])[0]
+    docs = [
+        RetrievedDoc(title=f"doc {n}", abstract=f"abstract {n}", source_query="q",
+                     embedding=tuple(stored) if n == 2 else None)
+        for n in range(5)
+    ]
+
+    class StubSearch:
+        def search(self, query):
+            return docs
+
+    embedder = CountingEmbedder(dim=8, seed=1)
+    planner = make_planner(RuleBackend(), make_gateway, corpus=StubSearch(), embedder=embedder)
+    idea = embedded(5)
+    plan = SearchPlan(idea.id, (Direction("a", ("kw",)),), 0)
+    got = planner.execute_plan(plan, 5, idea.embedding)
+
+    assert embedder.batches == [[f"doc {n}\nabstract {n}" for n in (0, 1, 3, 4)]]
+    # The vectors are the ones a per-doc embed call gives.
+    reference = HashEmbedder(dim=8, seed=1)
+    by_title = {d.title: d.embedding for d in got}
+    for n in (0, 1, 3, 4):
+        expected = reference.embed([f"doc {n}\nabstract {n}"])[0]
+        assert by_title[f"doc {n}"] == tuple(float(v) for v in expected)
+    assert by_title["doc 2"] == tuple(stored)
+
+
+def test_execute_plan_all_embedded_sends_no_embed_call(make_gateway):
+    vec = tuple(HashEmbedder(dim=8, seed=9).embed(["stored"])[0])
+
+    class StubSearch:
+        def search(self, query):
+            return [RetrievedDoc(title="doc", abstract="", source_query="q", embedding=vec)]
+
+    embedder = CountingEmbedder(dim=8, seed=1)
+    planner = make_planner(RuleBackend(), make_gateway, corpus=StubSearch(), embedder=embedder)
+    idea = embedded(5)
+    plan = SearchPlan(idea.id, (Direction("a", ("kw",)),), 0)
+    assert [d.title for d in planner.execute_plan(plan, 5, idea.embedding)] == ["doc"]
+    assert embedder.batches == []
 
 
 # ---------------------------------------------------------------------------

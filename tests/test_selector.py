@@ -239,3 +239,43 @@ def test_greedy_matches_brute_force_property(seed, n, threshold):
     pool = _pool_from_rows(rng.standard_normal((n, 4)))
     _, retained = non_duplicate_fraction(pool, threshold)
     assert set(retained) == set(brute_force_retained(pool, threshold))
+
+
+def stacked_reference(pool, threshold):
+    """The scan before the preallocated matrix: re-stacks the retained rows per idea."""
+    ordered = sorted(pool, key=lambda i: i.id)
+    X = np.asarray([i.embedding for i in ordered], dtype=np.float64)
+    retained_ids: list[str] = []
+    retained_rows: list[np.ndarray] = []
+    for idea, row in zip(ordered, X):
+        if retained_rows and bool(np.any(np.stack(retained_rows) @ row >= threshold)):
+            continue
+        retained_ids.append(idea.id)
+        retained_rows.append(row)
+    return len(retained_ids) / len(ordered), retained_ids
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**31),
+    st.integers(1, 405),
+    st.sampled_from([3, 16, 384]),
+    st.integers(0, 100),
+    st.data(),
+)
+def test_dedup_equals_stacked_reference(seed, n, dim, dup_percent, data):
+    """Bit-identical verdicts, also at thresholds equal to an observed cosine."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    rows = rng.standard_normal((n, dim))
+    for dst in range(n):
+        if rng.integers(100) < dup_percent:
+            rows[dst] = rows[rng.integers(n)]  # exact duplicate embeddings
+    pool = _pool_from_rows(rows)
+    X = np.asarray([i.embedding for i in pool])
+    observed = (X @ X[int(rng.integers(n))]).tolist()
+    near = data.draw(st.sampled_from(observed))
+    threshold = data.draw(st.sampled_from([
+        0.0, 1.0, near, float(np.nextafter(near, 2.0)), float(np.nextafter(near, -2.0)),
+    ]))
+    threshold = min(max(threshold, 0.0), 1.0)
+    assert non_duplicate_fraction(pool, threshold) == stacked_reference(pool, threshold)

@@ -15,8 +15,10 @@ from scipy.stats import spearmanr
 
 from nova.domain import FINAL_SECTIONS, PipelineConfig, Proposal, RetrievedDoc
 from nova.gateway import ChatRequest, GatewayOptions
+from nova.literature import HashEmbedder, LiteratureError, OfflineCorpus
 from nova.mockllm import MockBackend
 from nova.prompts import PromptLibrary
+from nova.selector import SelectorError, non_duplicate_fraction
 from nova.tournament import (
     NoveltyResult,
     RankerError,
@@ -26,8 +28,9 @@ from nova.tournament import (
     score_histogram,
     swiss_tournament,
     unique_novel_count,
+    unique_novel_counts,
 )
-from tests.conftest import PlantedCorpus, RuleBackend, embedded_idea
+from tests.conftest import PlantedCorpus, RuleBackend, embedded_idea, make_idea
 
 LIBRARY = PromptLibrary()
 
@@ -415,9 +418,169 @@ def test_unique_novel_count_empty_pool():
     assert unique_novel_count([], PlantedCorpus([]), PipelineConfig()) == 0
 
 
-def test_unembedded_idea_rejected():
-    from tests.conftest import make_idea
-
+def test_unembedded_idea_rejected(tmp_path):
     with pytest.raises(ValueError, match="embedding"):
         novelty_judge(make_idea(1), PlantedCorpus([]), PipelineConfig(),
                       threshold_only=True)
+    # The count dedups first, so an unembedded idea fails there, before any prefilter.
+    corpus = OfflineCorpus(write_corpus(tmp_path / "c", [np.eye(4)[0]]), HashEmbedder(dim=4))
+    pool = [embedded_idea(0, np.eye(4)[1]), make_idea(1)]
+    with pytest.raises(SelectorError, match="without embeddings"):
+        unique_novel_counts({"0": pool}, corpus, PipelineConfig(), threshold_only=True)
+
+
+# ---------------------------------------------------------------------------
+# unique_novel_counts: one prefilter pass and one fan-out over every pool
+# ---------------------------------------------------------------------------
+
+
+class CountingCorpus(OfflineCorpus):
+    """An `OfflineCorpus` that counts `nearest` calls, i.e. ideas the prefilter kept."""
+
+    nearest_calls = 0
+
+    def nearest(self, embedding, k):
+        self.nearest_calls += 1
+        return super().nearest(embedding, k)
+
+
+def write_corpus(path, vectors):
+    path.mkdir()
+    for n, vec in enumerate(vectors):
+        (path / f"doc{n:03d}.json").write_text(json.dumps({
+            "title": f"doc {n:03d}", "abstract": f"abstract {n}",
+            "embedding": [float(v) for v in vec],
+        }), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("offset, cleared", [
+    (1e-12, False), (0.0, False), (-1e-12, False), (-2e-9, True), (-0.2, True),
+])
+def test_prefilter_at_threshold(tmp_path, offset, cleared):
+    """Only a doc at least the rounding margin below the threshold clears an idea."""
+    threshold = 0.3
+    sim = threshold + offset
+    e1, e2 = np.eye(8)[0], np.eye(8)[1]
+    doc = sim * e1 + math.sqrt(1 - sim * sim) * e2
+    corpus = CountingCorpus(write_corpus(tmp_path / "c", [doc]), HashEmbedder(dim=8))
+    idea = embedded_idea(0, e1)
+    config = PipelineConfig(novelty_sim_threshold=threshold)
+    assert abs(corpus.max_similarity([idea.embedding])[0] - sim) < 1e-15
+    expected = novelty_judge(idea, corpus, config, threshold_only=True).novel
+    assert expected == (offset <= 0.0)
+    corpus.nearest_calls = 0
+    counts = unique_novel_counts({"0": [idea]}, corpus, config, threshold_only=True)
+    assert counts == {"0": int(expected)}
+    assert corpus.nearest_calls == (0 if cleared else 1)
+
+
+def test_prefilter_empty_corpus_clears_every_idea(tmp_path):
+    (tmp_path / "empty").mkdir()
+    corpus = CountingCorpus(tmp_path / "empty", HashEmbedder(dim=4))
+    pool = [embedded_idea(n, np.eye(4)[n]) for n in range(4)]
+    assert corpus.max_similarity([i.embedding for i in pool]).tolist() == [-np.inf] * 4
+    # No dimension check without docs, as `nearest` returns [] for any query.
+    assert corpus.max_similarity([[1.0, 0.0]]).tolist() == [-np.inf]
+    counts = unique_novel_counts({"0": pool, "1": pool[:1], "2": []}, corpus, PipelineConfig())
+    assert counts == {"0": 4, "1": 1, "2": 0}
+    assert corpus.nearest_calls == 0
+
+
+def test_prefilter_dimension_mismatch(tmp_path):
+    corpus = OfflineCorpus(write_corpus(tmp_path / "c", [np.eye(8)[0]]), HashEmbedder(dim=8))
+    pool = [embedded_idea(0, np.eye(4)[0])]
+    with pytest.raises(LiteratureError, match="dimension mismatch"):
+        corpus.max_similarity([pool[0].embedding])
+    with pytest.raises(LiteratureError, match="dimension mismatch"):
+        unique_novel_counts({"0": pool}, corpus, PipelineConfig(), threshold_only=True)
+
+
+def test_max_similarity_equals_best_nearest_score(tmp_path):
+    """Blocks of 64: more ideas than two blocks, each matched to `nearest`'s top score."""
+    rng = np.random.Generator(np.random.PCG64(5))
+    docs = rng.standard_normal((50, 16))
+    corpus = OfflineCorpus(write_corpus(tmp_path / "c", docs), HashEmbedder(dim=16))
+    queries = [embedded_idea(n, rng.standard_normal(16)).embedding for n in range(150)]
+    queries[70] = tuple(corpus.nearest(queries[0], 1)[0].embedding)  # an exact doc
+    best = corpus.max_similarity(queries)
+    assert best.shape == (150,)
+    for query, value in zip(queries, best):
+        assert abs(value - corpus.nearest(query, 1)[0].score) < 1e-12
+
+
+def per_pool_reference(pools, corpus, config, gateway=None, **kwargs):
+    """The count before the batched pass: per pool, every retained idea judged in order."""
+    counts = {}
+    for key, pool in pools.items():
+        counts[key] = 0
+        if pool:
+            _, retained = non_duplicate_fraction(pool, config.dup_sim_threshold)
+            by_id = {i.id: i for i in pool}
+            counts[key] = sum(
+                novelty_judge(by_id[i], corpus, config, gateway=gateway, **kwargs).novel
+                for i in retained
+            )
+    return counts
+
+
+def novelty_pools(rng, dim: int) -> tuple[dict, list]:
+    """Three generations sharing survivors, with in-pool duplicates, and docs near some ideas."""
+    ideas = [embedded_idea(n, rng.standard_normal(dim)) for n in range(40)]
+    ideas.append(embedded_idea(40, ideas[3].embedding))  # a duplicate of idea 3
+    pools = {"0": ideas[:10], "1": ideas[5:25], "2": ideas[:3] + ideas[20:41], "3": []}
+    near = [np.asarray(ideas[n].embedding) + 0.3 * rng.standard_normal(dim) for n in (1, 6, 22, 30)]
+    far = [rng.standard_normal(dim) for _ in range(8)]
+    return pools, near + far
+
+
+@pytest.mark.parametrize("corpus_kind", ["offline", "planted"])
+@pytest.mark.parametrize("threshold_only", [False, True])
+def test_unique_novel_counts_equal_per_pool_counts(make_gateway, tmp_path, corpus_kind,
+                                                   threshold_only):
+    rng = np.random.Generator(np.random.PCG64(21))
+    pools, doc_vectors = novelty_pools(rng, 24)
+    corpus = CountingCorpus(write_corpus(tmp_path / "c", doc_vectors), HashEmbedder(dim=24))
+    if corpus_kind == "planted":  # no `max_similarity`: every idea goes to the judge
+        corpus = PlantedCorpus([
+            RetrievedDoc(title=d.title, abstract=d.abstract, source_query="", score=0.0,
+                         embedding=d.embedding)
+            for d in corpus.nearest(doc_vectors[0], len(doc_vectors))
+        ])
+    config = PipelineConfig(novelty_topk=3, novelty_sim_threshold=0.25)
+
+    def verdict(prompt: str) -> str:
+        # A third similar, a fifth failing outright (counted similar).
+        h = stable_hash(prompt)
+        if h % 5 == 0:
+            return "not json at all"
+        return json.dumps({"verdict": "similar" if h % 3 == 0 else "different"})
+
+    def gateway(parallelism: int, name: str):
+        return make_gateway(
+            RuleBackend(rules=[("contains the core", verdict)]),
+            options=GatewayOptions(parallelism=parallelism, backoff_base=0.0, backoff_cap=0.0),
+            cache_dir=tmp_path / name,
+        )
+
+    kwargs = dict(library=LIBRARY, model_id="m", threshold_only=threshold_only)
+    sequential = gateway(1, "sequential")
+    expected = per_pool_reference(pools, corpus, config, gateway=sequential, **kwargs)
+    if isinstance(corpus, CountingCorpus):
+        corpus.nearest_calls = 0
+    pooled = gateway(8, "pooled")
+    assert unique_novel_counts(pools, corpus, config, gateway=pooled, **kwargs) == expected
+    assert pooled.stats.snapshot() == sequential.stats.snapshot()
+    retained = sum(
+        len(non_duplicate_fraction(pool, config.dup_sim_threshold)[1])
+        for pool in pools.values() if pool
+    )
+    assert 0 < sum(expected.values()) < retained
+    if isinstance(corpus, CountingCorpus):  # the prefilter cleared some ideas, not all
+        assert 0 < corpus.nearest_calls < retained
+    if threshold_only:
+        assert unique_novel_counts(pools, corpus, config, threshold_only=True) == expected
+    else:
+        assert sequential.stats.snapshot()["live_calls"] > 0
+    for key, pool in pools.items():
+        assert unique_novel_count(pool, corpus, config, gateway=pooled, **kwargs) == expected[key]
