@@ -5,6 +5,16 @@ bounded retries with jittered exponential backoff, a concurrency bound, and
 structured-output extraction with bounded syntactic repair. Backends are
 pluggable; the deterministic mock lives in :mod:`nova.mockllm`.
 
+Every pipeline call goes through :meth:`Gateway.ask`, which renders a
+template, appends an optional suffix (a seeding refill note), and checks the
+reply against the output schema the template's manifest entry names; no other
+module builds a `ChatRequest` or names a schema. Failures follow one rule.
+`ExtractionFailedError` is a content failure: the model answered, but not in
+the required shape, and the caller takes its documented fallback. Every other
+`GatewayError` (a dead or refusing backend, a missing key, a malformed HTTP
+reply) is an availability failure that no caller catches, so the stage fails
+and `Runner.advance_to` aborts the run at its last checkpoint.
+
 Concurrency has one setting, ``GatewayOptions.parallelism``, and one place
 that starts threads, :meth:`Gateway.fan_out`, which every LLM-bound stage maps
 its per-item work through. It runs items on the calling thread until one of
@@ -35,11 +45,12 @@ import re
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterable, Protocol, TypeVar
 
 from . import schemas
+from .prompts import PromptLibrary
 
 logger = logging.getLogger(__name__)
 
@@ -324,6 +335,27 @@ class Gateway:
             f"backend failed after {self._options.retry_budget} attempts: {last_error}"
         )
 
+    def ask(
+        self,
+        library: PromptLibrary,
+        template: str,
+        bindings: dict[str, str],
+        model_id: str,
+        suffix: str = "",
+    ):
+        """Send the rendered `template` plus `suffix`; return the checked reply.
+
+        With an output schema in the template's manifest entry the parsed JSON
+        value is returned (`complete_json`, which may raise
+        `ExtractionFailedError`); without one, the reply text.
+        """
+        prompt = library.render(template, bindings) + suffix
+        request = ChatRequest(model_id=model_id, prompt=prompt)
+        schema_name = library.get(template).schema_name
+        if schema_name is None:
+            return self.complete(request).text
+        return self.complete_json(request, schema_name)[0]
+
     def complete_json(self, request: ChatRequest, schema_name: str):
         """complete() plus extraction; re-prompts on invalid JSON up to budget.
 
@@ -332,14 +364,7 @@ class Gateway:
         """
         prompt = request.prompt
         for attempt in range(self._options.reprompt_budget + 1):
-            response = self.complete(
-                ChatRequest(
-                    model_id=request.model_id,
-                    prompt=prompt,
-                    temperature=request.temperature,
-                    max_tokens=request.max_tokens,
-                )
-            )
+            response = self.complete(replace(request, prompt=prompt))
             try:
                 return extract_json(response.text, schema_name), response
             except NoValidJsonError as exc:
@@ -457,8 +482,12 @@ class HttpChatBackend:
             raise TransientBackendError(f"HTTP {status}")
         if status != 200:
             raise GatewayError(f"HTTP {status}: {getattr(resp, 'text', '')[:200]}")
-        body = resp.json()
         try:
-            return body["choices"][0]["message"]["content"]
-        except (KeyError, IndexError, TypeError) as exc:
+            content = resp.json()["choices"][0]["message"]["content"]
+        except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise GatewayError(f"malformed completion response: {exc}") from exc
+        if not isinstance(content, str):
+            raise GatewayError(
+                f"malformed completion response: content is {type(content).__name__}"
+            )
+        return content

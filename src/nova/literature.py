@@ -20,7 +20,7 @@ from typing import Protocol
 import numpy as np
 
 from .domain import RetrievedDoc, SeedPaper
-from .gateway import ChatRequest, Gateway, TransientBackendError
+from .gateway import Gateway, TransientBackendError
 from .prompts import PromptLibrary
 
 logger = logging.getLogger(__name__)
@@ -392,8 +392,5 @@ def build_trend_report(
         if not p.source_meta:
             raise LiteratureError(f"paper {p.id} has no engagement metrics")
     ranked = rank_by_engagement(recent)[:top_n]
-    prompt = library.render(
-        "trend_report", {"popular_paper_list": format_paper_list(ranked)}
-    )
-    response = gateway.complete(ChatRequest(model_id=model_id, prompt=prompt))
-    return response.text
+    bindings = {"popular_paper_list": format_paper_list(ranked)}
+    return gateway.ask(library, "trend_report", bindings, model_id)

@@ -512,7 +512,12 @@ class Runner:
     # -- driving -----------------------------------------------------------------
 
     def advance_to(self, target: str, paper_input=None) -> RunState:
-        """Run stages in order until the cursor reaches `target`."""
+        """Run stages in order until the cursor reaches `target`.
+
+        A `GatewayError` out of a stage, which by the gateway's failure rule is
+        an availability failure, raises `PipelineAborted` naming the last
+        committed stage; the run resumes from there.
+        """
         if target not in STAGES:
             raise OrchestratorError(f"unknown stage {target!r}")
         runners = {

@@ -15,11 +15,11 @@ import logging
 from dataclasses import dataclass, replace
 
 from .domain import Direction, Idea, PipelineConfig, Record, RetrievedDoc, SearchPlan, SeedPaper
-from .gateway import ChatRequest, ExtractionFailedError, Gateway, GatewayError
+from .gateway import ExtractionFailedError, Gateway, GatewayError
 from .ids import IdFactory
 from .literature import Embedder, LiteratureError, SearchQuery, cosine
 from .prompts import PromptLibrary
-from .seeding import format_idea
+from .seeding import format_idea, reflect
 
 logger = logging.getLogger(__name__)
 
@@ -75,19 +75,14 @@ class PlannerLoop:
     def make_plan(self, idea: Idea) -> SearchPlan:
         """Search plan for one idea; falls back to its own keywords on failure."""
         defaults = self._library.default_bindings()
-        prompt = self._library.render(
-            "search_plan",
-            {
-                "few_shot_example": defaults["few_shot_example"],
-                "plan_json_format": defaults["plan_json_format"],
-                "idea_info": format_idea(idea),
-            },
-        )
+        bindings = {
+            "few_shot_example": defaults["few_shot_example"],
+            "plan_json_format": defaults["plan_json_format"],
+            "idea_info": format_idea(idea),
+        }
         directions: list[Direction] = []
         try:
-            parsed, _ = self._gateway.complete_json(
-                ChatRequest(model_id=self._model_id, prompt=prompt), "search_plan"
-            )
+            parsed = self._gateway.ask(self._library, "search_plan", bindings, self._model_id)
             for raw in parsed["directions"]:
                 keywords = tuple(k for k in raw["keywords"] if k.strip())
                 if not keywords:
@@ -145,20 +140,15 @@ class PlannerLoop:
         self, paper: SeedPaper, old: Idea, docs: list[RetrievedDoc]
     ) -> tuple[dict, ...] | None:
         """Expand one idea into candidate dicts cut to keep_count; None on failure."""
-        prompt = self._library.render(
-            "expand_ideas",
-            {
-                "expand_count": str(self._config.expand_count),
-                "paper_title": paper.title,
-                "paper_abstract": paper.abstract,
-                "old_idea": format_idea(old),
-                "new_knowledge": format_docs(docs),
-            },
-        )
+        bindings = {
+            "expand_count": str(self._config.expand_count),
+            "paper_title": paper.title,
+            "paper_abstract": paper.abstract,
+            "old_idea": format_idea(old),
+            "new_knowledge": format_docs(docs),
+        }
         try:
-            raw, _ = self._gateway.complete_json(
-                ChatRequest(model_id=self._model_id, prompt=prompt), "idea_list"
-            )
+            raw = self._gateway.ask(self._library, "expand_ideas", bindings, self._model_id)
         except ExtractionFailedError as exc:
             logger.warning("expansion failed for idea %s: %s", old.id, exc)
             return None
@@ -168,25 +158,13 @@ class PlannerLoop:
         """Self-reflection cut: drop unsound candidates, keep the top-scored."""
         if len(candidates) <= keep:
             return list(candidates)
-        listing = "\n".join(f"{n}. {c['idea']}" for n, c in enumerate(candidates, 1))
-        prompt = self._library.render("self_reflect_cut", {"candidate_list": listing})
-        try:
-            parsed, _ = self._gateway.complete_json(
-                ChatRequest(model_id=self._model_id, prompt=prompt), "reflect_evaluations"
-            )
-        except ExtractionFailedError as exc:
-            logger.warning("reflection cut failed, keeping first %d: %s", keep, exc)
-            return list(candidates[:keep])
-        by_index = {e["index"]: e for e in parsed["evaluations"]}
-        sound = [
-            n for n in range(len(candidates))
-            if by_index.get(n + 1, {"sound": True}).get("sound", True)
-        ]
+        evaluations = reflect(
+            self._gateway, self._library, self._model_id, [c["idea"] for c in candidates]
+        )
+        sound = [n for n, ev in enumerate(evaluations) if ev["sound"]]
         if not sound:
             sound = list(range(len(candidates)))
-        ranked = sorted(
-            sound, key=lambda n: (-by_index.get(n + 1, {}).get("score", 1), n)
-        )
+        ranked = sorted(sound, key=lambda n: (-evaluations[n]["score"], n))
         return [candidates[n] for n in ranked[:keep]]
 
     def _materialize(self, old: Idea, candidates: tuple[dict, ...]) -> list[Idea]:

@@ -22,7 +22,7 @@ from .domain import (
     SeedPaper,
     SubModule,
 )
-from .gateway import ChatRequest, ExtractionFailedError, Gateway
+from .gateway import ExtractionFailedError, Gateway
 from .planner import PlannerLoop, format_docs
 from .prompts import PromptLibrary
 from .seeding import format_idea
@@ -107,21 +107,16 @@ class ProposalBuilder:
                 "analyze the advantages and disadvantages of each of them. Your final "
                 "proposal can absorb their advantages and discard their disadvantages."
             )
-        prompt = self._library.render(
-            "initial_proposal",
-            {
-                "idea": format_idea(idea),
-                "paper_title": paper.title,
-                "paper_abstract": paper.abstract,
-                "relevant_papers_block": relevant_block,
-                "few_shot_block": few_shot_block,
-                "self_reflection_block": reflection_block,
-            },
-        )
+        bindings = {
+            "idea": format_idea(idea),
+            "paper_title": paper.title,
+            "paper_abstract": paper.abstract,
+            "relevant_papers_block": relevant_block,
+            "few_shot_block": few_shot_block,
+            "self_reflection_block": reflection_block,
+        }
         try:
-            parsed, _ = self._gateway.complete_json(
-                ChatRequest(model_id=self._model_id, prompt=prompt), "initial_proposal"
-            )
+            parsed = self._gateway.ask(self._library, "initial_proposal", bindings, self._model_id)
         except ExtractionFailedError as exc:
             raise ProposalFailure(f"initial proposal failed for idea {idea.id}: {exc}") from exc
         name, sections = next(iter(parsed.items()))
@@ -134,19 +129,12 @@ class ProposalBuilder:
         """Break the initial proposal's method into keyword-carrying submodules."""
         if proposal.stage != "initial":
             raise ValueError("decompose expects an initial-stage proposal")
-        prompt = self._library.render(
-            "method_decompose",
-            {
-                "initial_idea_json": json.dumps(
-                    proposal.sections, ensure_ascii=False, indent=2
-                ),
-                "example_block": "",
-            },
-        )
+        bindings = {
+            "initial_idea_json": json.dumps(proposal.sections, ensure_ascii=False, indent=2),
+            "example_block": "",
+        }
         try:
-            parsed, _ = self._gateway.complete_json(
-                ChatRequest(model_id=self._model_id, prompt=prompt), "decomposition"
-            )
+            parsed = self._gateway.ask(self._library, "method_decompose", bindings, self._model_id)
         except ExtractionFailedError as exc:
             raise ProposalFailure(
                 f"decomposition failed for idea {proposal.idea_id}: {exc}"
@@ -209,22 +197,17 @@ class ProposalBuilder:
         )
         feedback_block = f"The feedback is: {feedback}" if feedback else ""
         knowledge_block = f"The new knowledge is:\n{new_knowledge}" if new_knowledge else ""
-        prompt = self._library.render(
-            "final_proposal",
-            {
-                "idea_json": json.dumps(initial.sections, ensure_ascii=False, indent=2),
-                "paper_title": paper.title,
-                "paper_abstract": paper.abstract,
-                "method_decomposition_block": decomposition_block,
-                "feedback_block": feedback_block,
-                "new_knowledge_block": knowledge_block,
-                "demo_examples_block": "",
-            },
-        )
+        bindings = {
+            "idea_json": json.dumps(initial.sections, ensure_ascii=False, indent=2),
+            "paper_title": paper.title,
+            "paper_abstract": paper.abstract,
+            "method_decomposition_block": decomposition_block,
+            "feedback_block": feedback_block,
+            "new_knowledge_block": knowledge_block,
+            "demo_examples_block": "",
+        }
         try:
-            parsed, _ = self._gateway.complete_json(
-                ChatRequest(model_id=self._model_id, prompt=prompt), "final_proposal"
-            )
+            parsed = self._gateway.ask(self._library, "final_proposal", bindings, self._model_id)
         except ExtractionFailedError as exc:
             raise ProposalFailure(f"final proposal failed for idea {idea.id}: {exc}") from exc
         return Proposal(

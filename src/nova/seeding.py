@@ -13,7 +13,7 @@ import logging
 from dataclasses import dataclass
 
 from .domain import Idea, PipelineConfig, SeedPaper
-from .gateway import ChatRequest, ExtractionFailedError, Gateway
+from .gateway import ExtractionFailedError, Gateway
 from .ids import IdFactory
 from .prompts import PromptLibrary
 
@@ -65,6 +65,27 @@ def format_idea(idea: Idea) -> str:
     )
 
 
+def reflect(
+    gateway: Gateway, library: PromptLibrary, model_id: str, texts: list[str]
+) -> list[dict]:
+    """One self-reflection review of candidate idea texts: per text, its
+    ``{"sound", "score"}`` evaluation.
+
+    A candidate the reply leaves out, or every candidate when no valid reply
+    arrives, counts as sound with the lowest score, 1.
+    """
+    listing = "\n".join(f"{n}. {text}" for n, text in enumerate(texts, 1))
+    try:
+        parsed = gateway.ask(library, "self_reflect_cut", {"candidate_list": listing}, model_id)
+    except ExtractionFailedError as exc:
+        logger.warning("self-reflection failed, counting %d candidates sound: %s", len(texts), exc)
+        parsed = {"evaluations": []}
+    by_index = {
+        e["index"]: {"sound": e["sound"], "score": e["score"]} for e in parsed["evaluations"]
+    }
+    return [by_index.get(n, {"sound": True, "score": 1}) for n in range(1, len(texts) + 1)]
+
+
 class SeedGenerator:
     def __init__(
         self,
@@ -92,18 +113,17 @@ class SeedGenerator:
         self._require_valid(paper)
         titles, abstracts = format_references(paper)
         defaults = self._library.default_bindings()
-        prompt = self._library.render(
-            "initial_seed",
-            {
-                "qa_info_with_idea_json_format": defaults["qa_info_with_idea_json_format"],
-                "idea_count": str(self._quota.internal_knowledge),
-                "paper_title": paper.title,
-                "paper_abstract": paper.abstract,
-                "related_paper_titles": titles,
-                "related_paper_abstracts": abstracts,
-            },
+        bindings = {
+            "qa_info_with_idea_json_format": defaults["qa_info_with_idea_json_format"],
+            "idea_count": str(self._quota.internal_knowledge),
+            "paper_title": paper.title,
+            "paper_abstract": paper.abstract,
+            "related_paper_titles": titles,
+            "related_paper_abstracts": abstracts,
+        }
+        return self._generate(
+            "internal_knowledge", "initial_seed", bindings, self._quota.internal_knowledge
         )
-        return self._generate("internal_knowledge", prompt, self._quota.internal_knowledge)
 
     def generate_trend(
         self,
@@ -125,36 +145,32 @@ class SeedGenerator:
         exist = (
             "\n".join(f"- {i.idea}" for i in existing) if existing else "(none yet)"
         )
-        prompt = self._library.render(
-            "trend_ideas",
-            {
-                "idea_count": str(self._quota.trend),
-                "paper_title": paper.title,
-                "paper_abstract": paper.abstract,
-                "target_paper_base_info": base_info,
-                "research_trending_info": trend_report,
-                "high_quality_paper_list": hot_list,
-                "exist_idea": exist,
-            },
-        )
-        return self._generate("trend", prompt, self._quota.trend)
+        bindings = {
+            "idea_count": str(self._quota.trend),
+            "paper_title": paper.title,
+            "paper_abstract": paper.abstract,
+            "target_paper_base_info": base_info,
+            "research_trending_info": trend_report,
+            "high_quality_paper_list": hot_list,
+            "exist_idea": exist,
+        }
+        return self._generate("trend", "trend_ideas", bindings, self._quota.trend)
 
     def generate_theory(self, paper: SeedPaper) -> list[Idea]:
         """Ideas steered by the 10-entry scientific-discovery catalog."""
         self._require_valid(paper)
         titles, abstracts = format_references(paper)
-        prompt = self._library.render(
-            "theory_ideas",
-            {
-                "scientific_discovery_theory": self._library.theory_catalog_text(),
-                "idea_count": str(self._quota.discovery_theory),
-                "related_paper_titles": titles,
-                "related_paper_abstracts": abstracts,
-                "paper_title": paper.title,
-                "paper_abstract": paper.abstract,
-            },
+        bindings = {
+            "scientific_discovery_theory": self._library.theory_catalog_text(),
+            "idea_count": str(self._quota.discovery_theory),
+            "related_paper_titles": titles,
+            "related_paper_abstracts": abstracts,
+            "paper_title": paper.title,
+            "paper_abstract": paper.abstract,
+        }
+        return self._generate(
+            "discovery_theory", "theory_ideas", bindings, self._quota.discovery_theory
         )
-        return self._generate("discovery_theory", prompt, self._quota.discovery_theory)
 
     # -- self-correction -----------------------------------------------------
 
@@ -173,17 +189,7 @@ class SeedGenerator:
         return [sound[n] for n in ranked[:keep]]
 
     def _reflect(self, candidates: list[Idea]) -> list[dict]:
-        listing = "\n".join(f"{n}. {c.idea}" for n, c in enumerate(candidates, 1))
-        prompt = self._library.render("self_reflect_cut", {"candidate_list": listing})
-        parsed, _ = self._gateway.complete_json(
-            ChatRequest(model_id=self._model_id, prompt=prompt), "reflect_evaluations"
-        )
-        by_index = {e["index"]: e for e in parsed["evaluations"]}
-        # Unreviewed candidates default to sound with the lowest score.
-        return [
-            by_index.get(n, {"index": n, "sound": True, "score": 1})
-            for n in range(1, len(candidates) + 1)
-        ]
+        return reflect(self._gateway, self._library, self._model_id, [c.idea for c in candidates])
 
     # -- pool assembly -------------------------------------------------------
 
@@ -232,13 +238,11 @@ class SeedGenerator:
             for entry in raw
         ]
 
-    def _generate(self, source: str, prompt: str, quota: int) -> list[Idea]:
+    def _generate(self, source: str, template: str, bindings: dict, quota: int) -> list[Idea]:
         if quota == 0:
             return []
         try:
-            raw, _ = self._gateway.complete_json(
-                ChatRequest(model_id=self._model_id, prompt=prompt), "idea_list"
-            )
+            raw = self._gateway.ask(self._library, template, bindings, self._model_id)
         except ExtractionFailedError as exc:
             logger.warning("%s generation failed: %s", source, exc)
             raw = []
@@ -248,15 +252,12 @@ class SeedGenerator:
         while len(kept) < quota and refills < MAX_REFILLS:
             refills += 1
             have = "\n".join(f"- {i.idea}" for i in kept) or "(none)"
-            refill_prompt = (
-                prompt
-                + f"\n\n(Refill attempt {refills}: propose ideas different from these "
+            suffix = (
+                f"\n\n(Refill attempt {refills}: propose ideas different from these "
                 f"already-accepted ones.)\nAccepted so far:\n{have}"
             )
             try:
-                raw, _ = self._gateway.complete_json(
-                    ChatRequest(model_id=self._model_id, prompt=refill_prompt), "idea_list"
-                )
+                raw = self._gateway.ask(self._library, template, bindings, self._model_id, suffix)
             except ExtractionFailedError as exc:
                 logger.warning("%s refill %d failed: %s", source, refills, exc)
                 continue

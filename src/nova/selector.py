@@ -41,14 +41,6 @@ class ClusterAssignment:
     representative_ids: tuple[str, ...]
     inertia_history: tuple[float, ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "assignments": dict(self.assignments),
-            "centroids": [list(c) for c in self.centroids],
-            "representative_ids": list(self.representative_ids),
-            "inertia_history": list(self.inertia_history),
-        }
-
 
 def _as_matrix(vectors) -> np.ndarray:
     X = np.asarray(vectors, dtype=np.float64)

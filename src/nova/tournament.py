@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .domain import Bye, Idea, Match, PipelineConfig, Proposal, RetrievedDoc, TournamentResult
-from .gateway import ChatRequest, Gateway, GatewayError
+from .gateway import ExtractionFailedError, Gateway
 from .literature import ROUNDING_MARGIN, cosine
 from .prompts import PromptLibrary
 from .selector import non_duplicate_fraction
@@ -81,18 +81,17 @@ def proposal_text(proposal: Proposal) -> str:
 
 
 def make_llm_ranker(gateway: Gateway, library: PromptLibrary, model_id: str) -> RankerFn:
-    """Zero-shot pairwise judge over the gateway; raises RankerError on failure."""
+    """Zero-shot pairwise judge over the gateway.
+
+    Raises RankerError when no valid verdict arrives; any other gateway error
+    propagates.
+    """
 
     def ranker(a: Proposal, b: Proposal) -> str:
-        prompt = library.render(
-            "pairwise_rank",
-            {"proposal_a": proposal_text(a), "proposal_b": proposal_text(b)},
-        )
+        bindings = {"proposal_a": proposal_text(a), "proposal_b": proposal_text(b)}
         try:
-            verdict, _ = gateway.complete_json(
-                ChatRequest(model_id=model_id, prompt=prompt), "pair_verdict"
-            )
-        except GatewayError as exc:
+            verdict = gateway.ask(library, "pairwise_rank", bindings, model_id)
+        except ExtractionFailedError as exc:
             raise RankerError(str(exc)) from exc
         return verdict["winner"]
 
@@ -230,7 +229,8 @@ def novelty_judge(
     above novelty_sim_threshold become candidates. In threshold-only mode any
     candidate makes the idea non-novel with zero judge calls; otherwise each
     candidate is judged individually and the idea is novel iff none is judged
-    similar. A failed judge call counts the candidate as similar.
+    similar. A judge reply with no valid verdict counts the candidate as
+    similar; any other gateway error propagates.
     """
     if idea.embedding is None:
         raise ValueError(f"idea {idea.id} has no embedding")
@@ -249,17 +249,13 @@ def novelty_judge(
             continue
         if gateway is None or library is None:
             raise ValueError("judge mode requires a gateway and prompt library")
-        prompt = library.render(
-            "novelty_judge",
-            {"idea_text": idea.idea, "paper_title": doc.title, "paper_abstract": doc.abstract},
-        )
+        bindings = {
+            "idea_text": idea.idea, "paper_title": doc.title, "paper_abstract": doc.abstract
+        }
         judge_calls += 1
         try:
-            parsed, _ = gateway.complete_json(
-                ChatRequest(model_id=model_id, prompt=prompt), "novelty_verdict"
-            )
-            verdict = parsed["verdict"]
-        except GatewayError as exc:
+            verdict = gateway.ask(library, "novelty_judge", bindings, model_id)["verdict"]
+        except ExtractionFailedError as exc:
             logger.warning("novelty judge failed for %s, treating as similar: %s", idea.id, exc)
             verdict = "similar"
         evidence.append(NoveltyEvidence(doc=doc, similarity=sim, verdict=verdict))

@@ -9,6 +9,7 @@ import stat
 import sys
 import threading
 import time
+from importlib import resources
 
 import pytest
 
@@ -17,6 +18,7 @@ from nova.gateway import (
     ChatRequest,
     ExtractionFailedError,
     Gateway,
+    GatewayError,
     GatewayOptions,
     HttpChatBackend,
     NoValidJsonError,
@@ -25,6 +27,7 @@ from nova.gateway import (
     extract_json,
 )
 from nova.mockllm import MockBackend, prompt_digest
+from nova.prompts import PromptLibrary
 from tests.conftest import FAST_GATEWAY, FlakyBackend, RuleBackend
 
 
@@ -525,6 +528,56 @@ def test_complete_json_recovers_on_reprompt(make_gateway):
 
 
 # ---------------------------------------------------------------------------
+# ask()
+# ---------------------------------------------------------------------------
+
+LIBRARY = PromptLibrary()
+PAIR = {"proposal_a": "first proposal", "proposal_b": "second proposal"}
+
+
+def test_ask_sends_the_rendered_template_plus_suffix(make_gateway, tmp_path):
+    reply = 'Verdict: {"winner": "B"}'
+    backend = RuleBackend(rules=[("decide which one is better", reply)])
+    gateway = make_gateway(backend)
+    suffix = "\n\n(Refill attempt 1)"
+    assert gateway.ask(LIBRARY, "pairwise_rank", PAIR, "judge-model", suffix) == {"winner": "B"}
+
+    request = ChatRequest("judge-model", LIBRARY.render("pairwise_rank", PAIR) + suffix)
+    assert backend.prompts == [request.prompt]
+    # Pinned: caches written before `ask` existed keep replaying.
+    assert request.cache_key == "abd95c9e2cda82b2c633a8ae528657717fd6eb1b885a8c29e1e32a17f1fc5fee"
+    entry = entry_path(tmp_path / "cache", request.cache_key)
+    assert entry.read_bytes() == json.dumps({"text": reply}).encode()
+    assert gateway.ask(LIBRARY, "pairwise_rank", PAIR, "judge-model", suffix) == {"winner": "B"}
+    assert gateway.stats.snapshot() == {"requests": 2, "cache_hits": 1, "live_calls": 1}
+
+
+def test_ask_validates_against_the_manifest_schema(make_gateway, tmp_path):
+    manifest = json.loads((resources.files("nova.templates") / "manifest.json").read_text())
+    for entry in manifest["templates"]:
+        if entry["name"] == "pairwise_rank":
+            entry["schema_name"] = "novelty_verdict"
+    user_dir = tmp_path / "templates"
+    user_dir.mkdir()
+    (user_dir / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    user_library = PromptLibrary(template_dir=user_dir)
+
+    backend = RuleBackend(rules=[("decide which one is better", '{"verdict": "similar"}')])
+    gateway = make_gateway(backend)
+    assert gateway.ask(user_library, "pairwise_rank", PAIR, "m") == {"verdict": "similar"}
+    with pytest.raises(ExtractionFailedError, match="pair_verdict"):
+        gateway.ask(LIBRARY, "pairwise_rank", PAIR, "m")
+
+
+def test_ask_without_a_schema_returns_the_reply_text(make_gateway):
+    backend = RuleBackend(rules=[("", "Prose, {not JSON")])
+    gateway = make_gateway(backend)
+    bindings = {"popular_paper_list": "1. Title: t"}
+    assert gateway.ask(LIBRARY, "trend_report", bindings, "m") == "Prose, {not JSON"
+    assert len(backend.prompts) == 1  # no re-prompt
+
+
+# ---------------------------------------------------------------------------
 # live backend classification
 # ---------------------------------------------------------------------------
 
@@ -556,6 +609,34 @@ def test_http_backend_maps_status_codes(monkeypatch):
         "https://example.test/v1", post=lambda url, **k: _FakeResponse(200, ok_body)
     )
     assert backend.send("m", "p", 0.0, 10) == "hi"
+
+
+class _HtmlResponse(_FakeResponse):
+    def json(self):
+        return json.loads(self.text)
+
+
+@pytest.mark.parametrize(
+    "response",
+    [
+        _HtmlResponse(200, text="<html>gateway timeout page</html>"),
+        _FakeResponse(200, {"choices": [{"message": {"content": None}}]}),
+        _FakeResponse(200, {"choices": [{"message": {"content": ["a", "list"]}}]}),
+        _FakeResponse(200, {"choices": []}),
+    ],
+    ids=["html_body", "null_content", "list_content", "no_choices"],
+)
+def test_http_backend_rejects_a_malformed_200(monkeypatch, make_gateway, tmp_path, response):
+    monkeypatch.setenv("NOVA_LLM_API_KEY", "k")
+    backend = HttpChatBackend("https://example.test/v1", post=lambda url, **k: response)
+    with pytest.raises(GatewayError, match="malformed completion response") as info:
+        backend.send("m", "p", 0.0, 10)
+    assert type(info.value) is GatewayError  # not retried, not a content failure
+    gateway = make_gateway(backend)
+    with pytest.raises(GatewayError, match="malformed"):
+        gateway.complete_json(req("p"), "pair_verdict")
+    assert gateway.stats.snapshot()["live_calls"] == 1
+    assert cache_files(tmp_path / "cache") == []  # nothing cached to fail again on resume
 
 
 def test_http_backend_requires_api_key(monkeypatch):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import logging
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from nova import schemas
 from nova.domain import PipelineConfig
-from nova.gateway import GatewayOptions
+from nova.gateway import GatewayError, GatewayOptions, HttpChatBackend, TransientBackendError
 from nova.mockllm import MockBackend, prompt_digest
 from nova.orchestrator import (
     STAGES,
@@ -25,6 +26,7 @@ from nova.orchestrator import (
     replay_events,
 )
 from nova.ids import IdFactory
+from tests.conftest import FAST_GATEWAY, RuleBackend
 
 
 def tree_bytes(root: Path, exclude=("events.jsonl",)) -> dict[str, bytes]:
@@ -336,3 +338,106 @@ _json_values = st.recursive(
 def test_dump_bytes_equals_json_dumps(payload):
     reference = (json.dumps(payload, ensure_ascii=False, indent=2) + "\n").encode("utf-8")
     assert _dump_bytes(payload) == reference
+
+
+# ---------------------------------------------------------------------------
+# the failure rule: content failures fall back, availability failures abort
+# ---------------------------------------------------------------------------
+
+REFLECT_SIG = "critically reviewing a numbered list"
+PAIR_SIG = "decide which one is better"
+JUDGE_SIG = "already contains the core of a proposed research idea"
+
+
+class FailingBackend:
+    """Raises `error` for each prompt containing `needle`; the mock answers the rest."""
+
+    def __init__(self, error: Exception, needle: str, seed: int):
+        self.error = error
+        self.needle = needle
+        self.inner = MockBackend(seed=seed)
+        self.failures = 0
+
+    def send(self, model_id, prompt, temperature, max_tokens):
+        if self.needle in prompt:
+            self.failures += 1
+            raise self.error
+        return self.inner.send(model_id, prompt, temperature, max_tokens)
+
+
+class BackendRunner(Runner):
+    """`Runner` that talks to a given chat backend."""
+
+    def __init__(self, out_dir, config, options, backend):
+        self._given_backend = backend
+        super().__init__(out_dir, config, options)
+
+    def _make_backend(self):
+        return self._given_backend
+
+
+def test_prose_reflection_replies_do_not_abort_the_run(
+    tmp_path, corpus_dir, paper_input_file, small_config, caplog
+):
+    backend = RuleBackend(
+        rules=[(REFLECT_SIG, "These all look promising to me.")],
+        fallback=MockBackend(seed=small_config.rng_seed),
+    )
+    runner = BackendRunner(tmp_path / "prose", small_config, options_for(corpus_dir), backend)
+    with caplog.at_level(logging.WARNING):
+        state = runner.run(paper_input=str(paper_input_file))
+    assert state.stage_cursor == "done"
+    assert any(REFLECT_SIG in prompt for prompt in backend.prompts)
+    assert "self-reflection failed" in caplog.text
+    # every candidate counts as sound with score 1, so each source keeps its first ideas
+    assert len(runner._load_pool(0)) == small_config.initial_seed_count
+
+
+@pytest.mark.parametrize(
+    "needle, error",
+    [
+        ("", TransientBackendError("backend down")),
+        (PAIR_SIG, GatewayError("HTTP 400: bad request")),
+        (JUDGE_SIG, GatewayError("HTTP 403: forbidden")),
+    ],
+    ids=["dead_backend", "ranker_http_4xx", "judge_http_4xx"],
+)
+def test_availability_failure_aborts_then_resume_matches_clean_run(
+    run_env, tmp_path, corpus_dir, paper_input_file, small_config, caplog, needle, error
+):
+    clean = run_env("clean")
+    clean.run(paper_input=str(paper_input_file))
+    reference = tree_bytes(clean.out_dir)
+
+    run_env("outage").advance_to("proposed", paper_input=str(paper_input_file))
+    backend = FailingBackend(error, needle, small_config.rng_seed)
+    failing = BackendRunner(
+        tmp_path / "outage", small_config, options_for(corpus_dir, gateway=FAST_GATEWAY), backend
+    )
+    with caplog.at_level(logging.WARNING), pytest.raises(PipelineAborted) as aborted:
+        failing.run()
+    assert aborted.value.stage == "proposed"
+    assert str(error) in str(aborted.value)
+    retried = isinstance(error, TransientBackendError)
+    assert backend.failures == (FAST_GATEWAY.retry_budget if retried else 1)
+    assert "coin-flipping" not in caplog.text
+    assert "treating as similar" not in caplog.text
+    state = json.loads((tmp_path / "outage" / "state.json").read_text())
+    assert state["stage_cursor"] == "proposed"
+
+    assert run_env("outage").run().stage_cursor == "done"
+    assert tree_bytes(tmp_path / "outage") == reference
+
+
+def test_missing_api_key_aborts_instead_of_coin_flipping(
+    run_env, tmp_path, corpus_dir, paper_input_file, small_config, caplog, monkeypatch
+):
+    monkeypatch.delenv("NOVA_LLM_API_KEY", raising=False)
+    run_env("nokey").advance_to("proposed", paper_input=str(paper_input_file))
+    backend = HttpChatBackend("https://example.test/v1", post=lambda url, **kwargs: None)
+    runner = BackendRunner(tmp_path / "nokey", small_config, options_for(corpus_dir), backend)
+    with caplog.at_level(logging.WARNING), pytest.raises(PipelineAborted, match="NOVA_LLM_API_KEY"):
+        runner.run()
+    assert "coin-flipping" not in caplog.text
+    assert runner.state.stage_cursor == "proposed"
+    assert runner.state.tournament_ref is None

@@ -346,6 +346,14 @@ def test_expand_unsound_candidates_dropped(make_gateway, sample_paper):
     assert [c.idea for c in children] == ["candidate 10", "candidate 9", "candidate 8"]
 
 
+def test_expand_prose_reflection_keeps_the_first_candidates(make_gateway, sample_paper):
+    scripted = expand_json([f"candidate {i}" for i in range(1, 11)])
+    backend = RuleBackend(rules=[(EXPAND_SIG, scripted), (REFLECT_SIG, "All ten are good.")])
+    planner = make_planner(backend, make_gateway)
+    children = expand_one(planner, sample_paper, embedded(1))
+    assert [c.idea for c in children] == ["candidate 1", "candidate 2", "candidate 3"]
+
+
 def test_expand_prompt_includes_docs_and_old_idea(make_gateway, sample_paper):
     backend = RuleBackend()
     doc = RetrievedDoc(title="Known Doc Title", abstract="known abstract",

@@ -9,7 +9,8 @@ import pytest
 from nova.domain import PipelineConfig
 from nova.ids import IdFactory
 from nova.prompts import PromptLibrary
-from nova.seeding import SeedGenerator, SeedingError, SourceQuota
+from nova.gateway import BackendUnavailableError, TransientBackendError
+from nova.seeding import SeedGenerator, SeedingError, SourceQuota, reflect
 from tests.conftest import RuleBackend, make_idea
 
 LIBRARY = PromptLibrary()
@@ -171,6 +172,36 @@ def test_self_correct_all_rejected_returns_empty(make_gateway):
     )
     seeder = make_seeder(backend, make_gateway)
     assert seeder.self_correct(candidates, keep=3) == []
+
+
+def test_reflect_defaults_unreviewed_candidates_to_sound_score_one(make_gateway):
+    backend = RuleBackend(
+        rules=[(REFLECT_SIG, reflect_json([{"index": 2, "sound": False, "score": 7}]))]
+    )
+    evaluations = reflect(make_gateway(backend), LIBRARY, "m", ["a", "b", "c"])
+    assert evaluations == [
+        {"sound": True, "score": 1},
+        {"sound": False, "score": 7},
+        {"sound": True, "score": 1},
+    ]
+    assert "1. a\n2. b\n3. c" in backend.prompts[0]
+
+
+def test_self_correct_prose_reflection_keeps_the_first_ideas(make_gateway, caplog):
+    candidates = [make_idea(i, text=f"cand {i}") for i in range(4)]
+    backend = RuleBackend(rules=[(REFLECT_SIG, "They all seem fine.")])
+    seeder = make_seeder(backend, make_gateway)
+    assert seeder.self_correct(candidates, keep=2) == candidates[:2]
+    assert "self-reflection failed" in caplog.text
+
+
+def test_self_correct_backend_outage_propagates(make_gateway):
+    def down(prompt):
+        raise TransientBackendError("backend down")
+
+    seeder = make_seeder(RuleBackend(rules=[(REFLECT_SIG, down)]), make_gateway)
+    with pytest.raises(BackendUnavailableError):
+        seeder.self_correct([make_idea(1)], keep=1)
 
 
 def test_self_correct_requires_candidates(make_gateway):

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import spearmanr
 
 from nova.domain import FINAL_SECTIONS, PipelineConfig, Proposal, RetrievedDoc
-from nova.gateway import ChatRequest, GatewayOptions
+from nova.gateway import ChatRequest, GatewayError, GatewayOptions, TransientBackendError
 from nova.literature import HashEmbedder, LiteratureError, OfflineCorpus
 from nova.mockllm import MockBackend
 from nova.prompts import PromptLibrary
@@ -165,6 +165,33 @@ def test_llm_ranker_round_trip(make_gateway):
     ranker = make_llm_ranker(gateway, LIBRARY, "judge-model")
     assert ranker(proposal("x"), proposal("y")) == "B"
     assert "Title for x" in backend.prompts[0]
+
+
+def refuse(prompt):
+    raise GatewayError("HTTP 400: bad request")
+
+
+def test_llm_ranker_content_failure_is_a_ranker_error(make_gateway):
+    backend = RuleBackend(rules=[("decide which one is better", "Both are lovely.")])
+    ranker = make_llm_ranker(make_gateway(backend), LIBRARY, "m")
+    with pytest.raises(RankerError, match="pair_verdict"):
+        ranker(proposal("x"), proposal("y"))
+
+
+@pytest.mark.parametrize(
+    "error",
+    [GatewayError("HTTP 400: bad request"), TransientBackendError("backend down")],
+    ids=["http_4xx", "dead_backend"],
+)
+def test_llm_ranker_availability_failure_propagates(make_gateway, error):
+    def send(prompt):
+        raise error
+
+    gateway = make_gateway(RuleBackend(rules=[("decide which one is better", send)]))
+    ranker = make_llm_ranker(gateway, LIBRARY, "m")
+    with pytest.raises(GatewayError) as info:
+        swiss_tournament([proposal("a"), proposal("b")], 1, ranker, seed=9)
+    assert not isinstance(info.value, RankerError)  # no coin flip
 
 
 def test_presentation_order_randomized():
@@ -345,6 +372,14 @@ def test_judge_failure_is_conservative(make_gateway):
     result = novelty_judge(idea, corpus, PipelineConfig(), gateway=gateway,
                            library=LIBRARY, model_id="m")
     assert not result.novel  # extraction failure counts as similar
+
+
+def test_judge_availability_failure_propagates(make_gateway):
+    idea, corpus = planted_corpus([0.9])
+    gateway = make_gateway(RuleBackend(rules=[("contains the core", refuse)]))
+    with pytest.raises(GatewayError, match="HTTP 400"):
+        novelty_judge(idea, corpus, PipelineConfig(), gateway=gateway,
+                      library=LIBRARY, model_id="m")
 
 
 @settings(max_examples=30)
