@@ -24,6 +24,7 @@ from typing import get_type_hints
 from . import __version__
 from .domain import DomainParseError, PipelineConfig, SeedPaper
 from .gateway import GatewayError
+from .literature import LiteratureError
 from .orchestrator import (
     OrchestratorError,
     PipelineAborted,
@@ -196,7 +197,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{ERROR_PREFIX} {exc}", file=sys.stderr)
         print(parser.format_usage(), file=sys.stderr, end="")
         return 1
-    except (OrchestratorError, OSError, json.JSONDecodeError) as exc:
+    except (OrchestratorError, LiteratureError, OSError, json.JSONDecodeError) as exc:
         print(f"{ERROR_PREFIX} {exc}", file=sys.stderr)
         return 2
 

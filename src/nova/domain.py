@@ -510,19 +510,3 @@ DOMAIN_TYPES = {
     "tournament_result": TournamentResult,
 }
 
-
-def validate(artifact) -> list[str]:
-    """Invariant report for any domain value; empty means all invariants hold."""
-    checker = getattr(artifact, "validate", None)
-    if checker is None:
-        raise TypeError(f"not a domain value: {type(artifact).__name__}")
-    return checker()
-
-
-def parse(kind: str, data: dict):
-    """Parse a dict into the named domain type; raises DomainParseError."""
-    try:
-        cls = DOMAIN_TYPES[kind]
-    except KeyError:
-        raise DomainParseError(f"unknown domain type {kind!r}") from None
-    return cls.from_dict(data)

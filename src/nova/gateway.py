@@ -104,13 +104,6 @@ class ChatRequest:
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-@dataclass(frozen=True)
-class ChatResponse:
-    text: str
-    from_cache: bool
-    attempts: int
-
-
 class ChatBackend(Protocol):
     def send(self, model_id: str, prompt: str, temperature: float, max_tokens: int) -> str: ...
 
@@ -233,10 +226,6 @@ class Gateway:
         self._thread = _ThreadState()
         self.stats = GatewayStats()
 
-    @property
-    def options(self) -> GatewayOptions:
-        return self._options
-
     def fan_out(self, items: Iterable[T], fn: Callable[[T], R]) -> list[R]:
         """`[fn(item) for item in items]`, run concurrently once calls go live.
 
@@ -269,8 +258,11 @@ class Gateway:
     def _enter_worker(self) -> None:
         self._thread.in_worker = True
 
-    def complete(self, request: ChatRequest) -> ChatResponse:
-        """Return the cached reply for this request, or issue it with retries.
+    def complete(self, request: ChatRequest) -> str:
+        """Return the reply text for this request: cached, or sent with retries.
+
+        `stats` counts the request, and whether it was a cache hit or how
+        many live attempts it took.
 
         Single-flight per cache key: while one thread sends a request, others
         with the same key wait for it and then read its reply from the cache.
@@ -289,7 +281,7 @@ class Gateway:
             cached = self._cache.get(key)
             if cached is not None:
                 self.stats._bump("cache_hits")
-                return ChatResponse(text=cached, from_cache=True, attempts=1)
+                return cached
             if self._backend is None:
                 raise BackendUnavailableError(
                     f"cache miss for {key[:12]} and no backend configured (cache-only mode)"
@@ -300,7 +292,7 @@ class Gateway:
                 del self._flights[key]
             flight.set()
 
-    def _send(self, request: ChatRequest, key: str) -> ChatResponse:
+    def _send(self, request: ChatRequest, key: str) -> str:
         """Live call with retries; caches the reply."""
         self._thread.live_sends += 1
         last_error: Exception | None = None
@@ -312,7 +304,7 @@ class Gateway:
                         request.model_id, request.prompt, request.temperature, request.max_tokens
                     )
                 self._cache.put(key, text)
-                return ChatResponse(text=text, from_cache=False, attempts=attempt)
+                return text
             except TransientBackendError as exc:
                 last_error = exc
                 if attempt == self._options.retry_budget:
@@ -353,20 +345,21 @@ class Gateway:
         request = ChatRequest(model_id=model_id, prompt=prompt)
         schema_name = library.get(template).schema_name
         if schema_name is None:
-            return self.complete(request).text
-        return self.complete_json(request, schema_name)[0]
+            return self.complete(request)
+        return self.complete_json(request, schema_name)
 
     def complete_json(self, request: ChatRequest, schema_name: str):
         """complete() plus extraction; re-prompts on invalid JSON up to budget.
 
-        Returns (parsed_value, final_response). Raises ExtractionFailedError
-        once the re-prompt budget is spent.
+        Returns the first JSON value in a reply that validates against the
+        named output schema. Raises ExtractionFailedError once the re-prompt
+        budget is spent.
         """
         prompt = request.prompt
         for attempt in range(self._options.reprompt_budget + 1):
-            response = self.complete(replace(request, prompt=prompt))
+            text = self.complete(replace(request, prompt=prompt))
             try:
-                return extract_json(response.text, schema_name), response
+                return extract_json(text, schema_name)
             except NoValidJsonError as exc:
                 logger.warning(
                     "no valid %s JSON (attempt %d/%d): %s",

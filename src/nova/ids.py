@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import hashlib
-import os
 import threading
 
 # Crockford base32: ascending ASCII, so equal-length IDs sort numerically.
@@ -23,13 +22,12 @@ def _encode(value: int, length: int) -> str:
 class IdFactory:
     """Allocates 26-character IDs: a 10-char counter prefix plus an 80-bit tail.
 
-    The counter prefix makes IDs from one factory sort in creation order.
-    Seeded factories derive the tail from (seed, counter), so a run that
-    restores the counter after an interruption re-issues identical IDs.
-    Unseeded factories use a random tail and are not reproducible.
+    The counter prefix makes IDs from one factory sort in creation order. The
+    tail is derived from (seed, counter), so a run that restores the counter
+    after an interruption re-issues identical IDs.
     """
 
-    def __init__(self, seed: int | None = None, counter: int = 0):
+    def __init__(self, seed: int, counter: int = 0):
         if counter < 0:
             raise ValueError("counter must be nonnegative")
         self._seed = seed
@@ -44,10 +42,5 @@ class IdFactory:
         with self._lock:
             n = self._counter
             self._counter += 1
-        if self._seed is None:
-            tail = os.urandom(10)
-        else:
-            tail = hashlib.blake2b(
-                f"{self._seed}:{n}".encode("utf-8"), digest_size=10
-            ).digest()
+        tail = hashlib.blake2b(f"{self._seed}:{n}".encode("utf-8"), digest_size=10).digest()
         return _encode(n, 10) + _encode(int.from_bytes(tail, "big"), 16)

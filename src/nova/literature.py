@@ -13,7 +13,6 @@ import json
 import logging
 import os
 from dataclasses import dataclass
-from datetime import date
 from pathlib import Path
 from typing import Protocol
 
@@ -68,16 +67,11 @@ def cosine(a, b) -> float:
 @dataclass(frozen=True)
 class SearchQuery:
     text: str
-    categories: tuple[str, ...] = ()
-    date_from: date | None = None
-    date_to: date | None = None
     limit: int = 10
 
     def __post_init__(self):
         if self.limit < 1:
             raise ValueError("SearchQuery.limit must be >= 1")
-        if self.date_from and self.date_to and self.date_from > self.date_to:
-            raise ValueError("SearchQuery: date_from must be <= date_to")
 
 
 class Embedder(Protocol):
@@ -156,9 +150,10 @@ class HttpEmbedder:
 class OfflineCorpus:
     """Directory of *.json docs; retrieval ranks by embedding cosine.
 
-    Each doc file holds {"title", "abstract"} and optionally "embedding",
-    "categories", and "date" (ISO-8601). Docs without a stored embedding are
-    embedded from "<title>\\n<abstract>" at load time.
+    Each doc file holds {"title", "abstract"} and optionally "embedding"; any
+    other key is ignored. Docs without a stored embedding are embedded from
+    "<title>\\n<abstract>" at load time. A doc without a title, or stored
+    embeddings of different shapes, raise `LiteratureError`.
 
     The normalized embeddings are stored once, as the rows of one matrix, and
     each doc's "embedding" is a view of its row. A query scores every row in
@@ -207,26 +202,11 @@ class OfflineCorpus:
     def __len__(self) -> int:
         return len(self._docs)
 
-    def _matches(self, doc: dict, query: SearchQuery) -> bool:
-        if query.categories:
-            have = set(doc.get("categories", []))
-            if not have & set(query.categories):
-                return False
-        raw_date = doc.get("date")
-        if raw_date is not None:
-            doc_date = date.fromisoformat(raw_date)
-            if query.date_from and doc_date < query.date_from:
-                return False
-            if query.date_to and doc_date > query.date_to:
-                return False
-        return True
-
-    def _ranked(self, qvec: np.ndarray, rows: np.ndarray, k: int, source_query: str
-                ) -> list[RetrievedDoc]:
-        """The first k of `rows` sorted by (-cosine, title), with exact `cosine` scores.
+    def _ranked(self, qvec: np.ndarray, k: int, source_query: str) -> list[RetrievedDoc]:
+        """The first k docs sorted by (-cosine, title), with exact `cosine` scores.
 
         The einsum pass may differ from `cosine` in the last bits, so it only
-        shortlists: every row within `ROUNDING_MARGIN` of the k-th approximate
+        shortlists: every doc within `ROUNDING_MARGIN` of the k-th approximate
         score, which includes every doc tied with the k-th, is rescored with
         `cosine` and sorted by the exact key.
         """
@@ -234,10 +214,11 @@ class OfflineCorpus:
             raise LiteratureError(
                 f"dimension mismatch: {qvec.shape} vs {self._matrix.shape[1:]}"
             )
-        approx = np.einsum("ij,j->i", self._matrix, qvec)[rows]
-        if k < rows.size:
+        approx = np.einsum("ij,j->i", self._matrix, qvec)
+        rows = range(len(self._docs))
+        if k < len(rows):
             kth = -np.partition(-approx, k - 1)[k - 1]
-            rows = rows[approx >= kth - ROUNDING_MARGIN]
+            rows = np.flatnonzero(approx >= kth - ROUNDING_MARGIN)
         scored = [(cosine(qvec, self._docs[i]["embedding"]), self._docs[i]) for i in rows]
         scored.sort(key=lambda pair: (-pair[0], pair[1]["title"]))
         return [
@@ -252,24 +233,16 @@ class OfflineCorpus:
         ]
 
     def search(self, query: SearchQuery) -> list[RetrievedDoc]:
-        if query.categories or query.date_from or query.date_to:
-            rows = np.array(
-                [i for i, d in enumerate(self._docs) if self._matches(d, query)], dtype=np.intp
-            )
-        else:
-            rows = np.arange(len(self._docs))
-        if not rows.size:
+        if not self._docs:
             return []
         qvec = np.asarray(self._embedder.embed([query.text])[0], dtype=np.float64)
-        return self._ranked(qvec, rows, query.limit, query.text)
+        return self._ranked(qvec, query.limit, query.text)
 
     def nearest(self, embedding, k: int) -> list[RetrievedDoc]:
         """Top-k docs by cosine to an existing embedding (no query text)."""
         if not self._docs:
             return []
-        return self._ranked(
-            np.asarray(embedding, dtype=np.float64), np.arange(len(self._docs)), k, ""
-        )
+        return self._ranked(np.asarray(embedding, dtype=np.float64), k, "")
 
     def max_similarity(self, embeddings) -> np.ndarray:
         """Approximate best cosine over all docs for each row of an (n, dim) array.
@@ -293,10 +266,13 @@ class OfflineCorpus:
 
 
 class HttpSearchClient:
-    """Paper-search HTTP contract: query text, categories, ISO dates, limit."""
+    """Paper-search HTTP contract: POST {query, limit} -> {results: [{title, abstract, score}]}.
 
-    def __init__(self, endpoint: str, embedder: Embedder | None = None, post=None,
-                 timeout: float = 60.0):
+    Every returned doc is embedded from "<title>\\n<abstract>" with `embedder`,
+    in one call per search.
+    """
+
+    def __init__(self, endpoint: str, embedder: Embedder, post=None, timeout: float = 60.0):
         self._endpoint = endpoint
         self._embedder = embedder
         self._timeout = timeout
@@ -308,13 +284,7 @@ class HttpSearchClient:
 
     def search(self, query: SearchQuery) -> list[RetrievedDoc]:
         api_key = os.environ.get(SEARCH_API_KEY_ENV, "")
-        payload = {
-            "query": query.text,
-            "categories": list(query.categories),
-            "date_from": query.date_from.isoformat() if query.date_from else None,
-            "date_to": query.date_to.isoformat() if query.date_to else None,
-            "limit": query.limit,
-        }
+        payload = {"query": query.text, "limit": query.limit}
         try:
             resp = self._post(
                 self._endpoint,
@@ -337,21 +307,20 @@ class HttpSearchClient:
         for n, row in enumerate(rows):
             if not isinstance(row, dict) or not isinstance(row.get("title"), str):
                 raise LiteratureError(f"search result {n} has no title")
-        embeddings: list = [None] * len(rows)
-        if self._embedder is not None and rows:
-            vectors = self._embedder.embed(
-                [f"{row['title']}\n{row.get('abstract', '')}" for row in rows]
-            )
-            embeddings = [tuple(float(v) for v in vec) for vec in vectors]
+        if not rows:
+            return []
+        vectors = self._embedder.embed(
+            [f"{row['title']}\n{row.get('abstract', '')}" for row in rows]
+        )
         return [
             RetrievedDoc(
                 title=row["title"],
                 abstract=row.get("abstract", ""),
                 source_query=query.text,
                 score=float(row.get("score", 0.0)),
-                embedding=embedding,
+                embedding=tuple(float(v) for v in vec),
             )
-            for row, embedding in zip(rows, embeddings)
+            for row, vec in zip(rows, vectors)
         ]
 
 

@@ -16,10 +16,11 @@ run reproduces the artifact tree of an uninterrupted one byte for byte.
 
 The LLM-bound stages (iterate, propose, evaluate) map their per-item work
 through `Gateway.fan_out`, bounded by `GatewayOptions.parallelism`; work runs
-inline until a call goes live. The evaluate stage judges the novelty of every
-generation's pool through one fan-out (`tournament.unique_novel_counts`).
-Results are written at the join, in input order, so the artifact tree does
-not depend on scheduling or parallelism.
+inline until a call goes live. The evaluate stage dedups each generation's
+pool once and judges the novelty of every retained idea through one fan-out
+(`tournament.unique_novel_counts`); without a corpus each count is the pool's
+dedup count. Results are written at the join, in input order, so the artifact
+tree does not depend on scheduling or parallelism.
 
 A `Runner` keeps each idea pool it writes or reads, keyed by artifact digest,
 so a fresh run never decodes a pool it wrote and a resumed run decodes each
@@ -230,16 +231,19 @@ class Runner:
 
     def __init__(self, out_dir: str | Path, config: PipelineConfig, options: RunnerOptions):
         self.out_dir = Path(out_dir)
-        self.out_dir.mkdir(parents=True, exist_ok=True)
         self.config = config
         self.options = options
-        self.store = ArtifactStore(self.out_dir)
-        self._pools: dict[str, tuple[Idea, ...]] = {}  # artifact digest -> pool
-        self.events = EventLog(self.out_dir)
         self.state: RunState | None = self._load_state()
         if self.state is not None:
             self.config = self.state.config
+        # A malformed corpus fails here, before the run directory is created.
+        self.embedder = self._make_embedder()
+        self.corpus = self._make_corpus()
 
+        self.out_dir.mkdir(parents=True, exist_ok=True)
+        self.store = ArtifactStore(self.out_dir)
+        self._pools: dict[str, tuple[Idea, ...]] = {}  # artifact digest -> pool
+        self.events = EventLog(self.out_dir)
         self.ids = IdFactory(
             seed=self.config.rng_seed,
             counter=self.state.id_counter if self.state else 0,
@@ -247,8 +251,6 @@ class Runner:
         self.library = PromptLibrary(template_dir=options.template_dir)
         cache_dir = Path(options.cache_dir) if options.cache_dir else self.out_dir / "cache"
         self.gateway = Gateway(self._make_backend(), cache_dir, options.gateway)
-        self.embedder = self._make_embedder()
-        self.corpus = self._make_corpus()
         self.seeder = SeedGenerator(
             self.gateway, self.library, self.ids, self.config, options.model_id
         )
@@ -346,13 +348,6 @@ class Runner:
                 {"paper": paper.id, "config": self.config.to_dict()}, sort_keys=True
             ).encode("utf-8")
         ).hexdigest()[:12]
-        self.state = RunState(
-            run_id=run_id,
-            config=self.config,
-            stage_cursor="seeded",
-            backend=self.options.backend,
-            seed_paper_ref="0" * 64,
-        )
         self.events.append(
             {
                 "seq": 0,
@@ -369,7 +364,18 @@ class Runner:
                 trend_papers, self.gateway, self.library, self.options.model_id
             )
         pool = self.seeder.generate_pool(paper, trend_report, trend_papers)
+        if not pool:
+            raise OrchestratorError(
+                "seeding produced no ideas: every source failed or was cut to nothing"
+            )
         pool = self.planner._embed_new(pool)
+        self.state = RunState(
+            run_id=run_id,
+            config=self.config,
+            stage_cursor="seeded",
+            backend=self.options.backend,
+            seed_paper_ref="0" * 64,
+        )
 
         delta = {
             "seed_paper_ref": self.store.put("seed_paper", paper.to_dict()),
@@ -477,26 +483,21 @@ class Runner:
             logger.warning("fewer than 2 final proposals; skipping tournament")
 
         pools = {g: self._load_pool(int(g)) for g in sorted(self.state.pools, key=int)}
-        if self.corpus is None:
-            unique_novel = {
-                g: len(selector.non_duplicate_fraction(pool, self.config.dup_sim_threshold)[1])
-                for g, pool in pools.items()
-            }
-        else:
-            unique_novel = tournament.unique_novel_counts(
-                pools, self.corpus, self.config,
-                gateway=self.gateway, library=self.library,
-                model_id=self.options.ranker_model_id,
-                threshold_only=self.options.threshold_only_novelty,
-            )
-        final_pool = self._load_pool(self.config.iterations_T)
-        fraction, retained_ids = selector.non_duplicate_fraction(
-            final_pool, self.config.dup_sim_threshold
+        retained = {
+            g: tournament.retained_ideas(pool, self.config.dup_sim_threshold)
+            for g, pool in pools.items()
+        }
+        unique_novel = tournament.unique_novel_counts(
+            retained, self.corpus, self.config,
+            gateway=self.gateway, library=self.library,
+            model_id=self.options.ranker_model_id,
+            threshold_only=self.options.threshold_only_novelty,
         )
+        final = str(self.config.iterations_T)
         metrics = {
             "unique_novel_per_generation": unique_novel,
-            "non_duplicate_fraction": fraction,
-            "retained_count": len(retained_ids),
+            "non_duplicate_fraction": len(retained[final]) / len(pools[final]),
+            "retained_count": len(retained[final]),
             "score_histogram": histogram,
         }
         self._commit(

@@ -102,8 +102,11 @@ class PlannerLoop:
     def execute_plan(self, plan: SearchPlan, K: int, idea_embedding) -> list[RetrievedDoc]:
         """One search per direction, merged by title, ranked by cosine, top K.
 
-        A search that fails with a gateway or literature error is logged and
-        skipped; any other exception propagates.
+        Every doc a search returns carries its embedding: the search backend
+        embeds it (`OfflineCorpus` stores them, `HttpSearchClient` embeds each
+        reply), and a doc without one raises ValueError. A search that fails
+        with a gateway or literature error is logged and skipped; any other
+        exception propagates.
         """
         if self._search is None:
             return []
@@ -120,16 +123,11 @@ class PlannerLoop:
         if not merged:
             logger.info("plan for idea %s retrieved nothing", plan.idea_id)
             return []
-        docs = list(merged.values())
-        missing = [n for n, doc in enumerate(docs) if doc.embedding is None]
-        if missing:
-            vectors = self._embedder.embed(
-                [f"{docs[n].title}\n{docs[n].abstract}" for n in missing]
-            )
-            for n, vec in zip(missing, vectors):
-                docs[n] = replace(docs[n], embedding=tuple(float(v) for v in vec))
+        for doc in merged.values():
+            if doc.embedding is None:
+                raise ValueError(f"retrieved doc {doc.title!r} has no embedding")
         ranked = sorted(
-            ((cosine(idea_embedding, doc.embedding), doc) for doc in docs),
+            ((cosine(idea_embedding, doc.embedding), doc) for doc in merged.values()),
             key=lambda pair: (-pair[0], pair[1].title),
         )
         return [doc for _, doc in ranked[:K]]

@@ -2,7 +2,7 @@
 
 The three stages for one idea run sequentially; the decomposition's per-module
 search keywords feed retrieved knowledge into the final stage. Conditional
-prompt content (relevant papers, feedback, examples) is composed here as
+prompt content (relevant papers, feedback, self-reflection) is composed here as
 pre-rendered blocks so empty inputs simply vanish from the prompt.
 """
 
@@ -63,7 +63,6 @@ class ProposalBuilder:
         config: PipelineConfig,
         model_id: str,
         use_self_reflection: bool = False,
-        proposal_examples: str | None = None,
     ):
         self._gateway = gateway
         self._library = library
@@ -71,7 +70,6 @@ class ProposalBuilder:
         self._config = config
         self._model_id = model_id
         self._use_self_reflection = use_self_reflection
-        self._proposal_examples = proposal_examples
 
     # -- stage 1: initial proposal -------------------------------------------
 
@@ -93,13 +91,6 @@ class ProposalBuilder:
                 "Here are some relevant papers on this idea just for your background "
                 "knowledge:\n" + format_docs(context_docs)
             )
-        few_shot_block = ""
-        if self._proposal_examples:
-            few_shot_block = (
-                "You can follow these examples to get a sense of how the proposal "
-                "should be formatted (but don't borrow the proposals themselves):\n"
-                + self._proposal_examples
-            )
         reflection_block = ""
         if self._use_self_reflection:
             reflection_block = (
@@ -112,7 +103,7 @@ class ProposalBuilder:
             "paper_title": paper.title,
             "paper_abstract": paper.abstract,
             "relevant_papers_block": relevant_block,
-            "few_shot_block": few_shot_block,
+            "few_shot_block": "",
             "self_reflection_block": reflection_block,
         }
         try:

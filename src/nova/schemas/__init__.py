@@ -28,15 +28,6 @@ _PACKAGE = "nova.schemas"
 
 
 @lru_cache(maxsize=None)
-def schema_names() -> tuple[str, ...]:
-    names = []
-    for entry in resources.files(_PACKAGE).iterdir():
-        if entry.name.endswith(".json"):
-            names.append(entry.name[: -len(".json")])
-    return tuple(sorted(names))
-
-
-@lru_cache(maxsize=None)
 def output_schema_names() -> tuple[str, ...]:
     names = []
     for entry in (resources.files(_PACKAGE) / "outputs").iterdir():
@@ -250,8 +241,8 @@ def validate_artifact(kind: str, data) -> list[str]:
         return violations
     if kind in domain.DOMAIN_TYPES:
         try:
-            value = domain.parse(kind, data)
+            value = domain.DOMAIN_TYPES[kind].from_dict(data)
         except domain.DomainParseError as exc:
             return [str(exc)]
-        violations.extend(domain.validate(value))
+        violations.extend(value.validate())
     return violations

@@ -102,10 +102,6 @@ class SeedGenerator:
         self._model_id = model_id
         self._quota = SourceQuota.from_config(config)
 
-    @property
-    def quota(self) -> SourceQuota:
-        return self._quota
-
     # -- per-source generation ---------------------------------------------
 
     def generate_internal(self, paper: SeedPaper) -> list[Idea]:

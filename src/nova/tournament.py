@@ -6,19 +6,24 @@ rematch avoidance, falling back to a rematch when forced. With an odd field,
 the lowest-sorted idea without a prior bye sits out for 1 point. Each match
 presents the pair to the judge in seed-randomized order.
 
+A match fails in one way: the ranker returns anything but "A" or "B" (the LLM
+ranker returns None when no valid verdict arrives), and the match is decided
+by a seeded coin flip. Any exception from the ranker propagates.
+
 The matches of one round depend only on earlier rounds, so a round is paired
 first and its matches are judged through one fan-out. The presentation swap
 flags are drawn in match order before dispatch, and the coin flips for failed
-judgements in match order after the join, so the random stream, and with it
-the result, does not depend on how the matches were scheduled. With no failed
+matches in match order after the join, so the random stream, and with it the
+result, does not depend on how the matches were scheduled. With no failed
 match the stream is the swap flags alone, as when matches ran one by one.
 
-Novelty is counted per generation pool: dedup first, then a two-stage check of
-each retained idea, a similarity prefilter against the literature and an LLM
-judge of every doc above the threshold (`novelty_judge`, the only code that
-decides a verdict). `unique_novel_counts` scores every pool of a run in one
-pass: one batched prefilter over all retained ideas clears those no doc comes
-close to, and the rest go through one fan-out of `novelty_judge`.
+Novelty is counted per generation pool, on the ideas its dedup retains
+(`retained_ideas`): a similarity prefilter against the literature, then an
+LLM judge of every doc above the threshold (`novelty_judge`, the only code
+that decides a verdict). `unique_novel_counts` scores every pool of a run in
+one pass: one batched prefilter over all retained ideas clears those no doc
+comes close to, and the rest go through one fan-out of `novelty_judge`.
+Without a corpus no doc can be a candidate, so every retained idea is novel.
 """
 
 from __future__ import annotations
@@ -37,12 +42,10 @@ from .selector import non_duplicate_fraction
 logger = logging.getLogger(__name__)
 
 
-class RankerError(Exception):
-    """A pairwise judge failed for one match after its own retries."""
-
-
-# A ranker judges the pair as presented and returns "A" or "B".
-RankerFn = Callable[[Proposal, Proposal], str]
+# A ranker judges the pair as presented and returns "A" or "B"; any other
+# return value, such as None for a reply without a valid verdict, makes the
+# match a coin flip.
+RankerFn = Callable[[Proposal, Proposal], str | None]
 
 # An ordered map, such as `Gateway.fan_out`: [fn(item) for item in items].
 FanOut = Callable[[Iterable, Callable], list]
@@ -51,15 +54,6 @@ FanOut = Callable[[Iterable, Callable], list]
 def in_order(items: Iterable, fn: Callable) -> list:
     """The sequential `FanOut`."""
     return [fn(item) for item in items]
-
-
-@dataclass(frozen=True)
-class PairVerdict:
-    a: str
-    b: str
-    winner: str
-    judge_raw: str
-    presentation_swapped: bool
 
 
 @dataclass(frozen=True)
@@ -83,17 +77,17 @@ def proposal_text(proposal: Proposal) -> str:
 def make_llm_ranker(gateway: Gateway, library: PromptLibrary, model_id: str) -> RankerFn:
     """Zero-shot pairwise judge over the gateway.
 
-    Raises RankerError when no valid verdict arrives; any other gateway error
+    Returns None when no valid verdict arrives; any other gateway error
     propagates.
     """
 
-    def ranker(a: Proposal, b: Proposal) -> str:
+    def ranker(a: Proposal, b: Proposal) -> str | None:
         bindings = {"proposal_a": proposal_text(a), "proposal_b": proposal_text(b)}
         try:
-            verdict = gateway.ask(library, "pairwise_rank", bindings, model_id)
+            return gateway.ask(library, "pairwise_rank", bindings, model_id)["winner"]
         except ExtractionFailedError as exc:
-            raise RankerError(str(exc)) from exc
-        return verdict["winner"]
+            logger.warning("no verdict for (%s, %s): %s", a.idea_id, b.idea_id, exc)
+            return None
 
     return ranker
 
@@ -110,7 +104,8 @@ def swiss_tournament(
     Args:
         proposals: at least two proposals, identified by idea_id.
         rounds: number of rounds; every idea plays (or sits out) each round.
-        ranker: pairwise judge for the presented order.
+        ranker: pairwise judge for the presented order; a verdict other than
+            "A" or "B" is replaced by a seeded coin flip.
         seed: drives round-1 pairing, presentation order, and failure coin-flips.
         fan_out: ordered map the matches of one round are judged through.
 
@@ -131,12 +126,6 @@ def swiss_tournament(
     had_bye: set[str] = set()
     matches: list[Match] = []
     byes: list[Bye] = []
-
-    def judge(presented: tuple[str, str]) -> str | RankerError:
-        try:
-            return ranker(by_id[presented[0]], by_id[presented[1]])
-        except RankerError as exc:
-            return exc
 
     for rnd in range(1, rounds + 1):
         if rnd == 1:
@@ -174,14 +163,12 @@ def swiss_tournament(
             pairs.append((a, opp))
 
         presented = [(opp, a) if rng.random() < 0.5 else (a, opp) for a, opp in pairs]
-        verdicts = fan_out(presented, judge)
+        verdicts = fan_out(presented, lambda pair: ranker(by_id[pair[0]], by_id[pair[1]]))
         for (a, opp), (first, second), verdict in zip(pairs, presented, verdicts):
-            if not isinstance(verdict, RankerError) and verdict not in ("A", "B"):
-                verdict = RankerError(f"judge returned {verdict!r}")
-            if isinstance(verdict, RankerError):
+            if verdict not in ("A", "B"):
                 logger.warning(
-                    "round %d: ranker failed for (%s, %s), coin-flipping: %s",
-                    rnd, a, opp, verdict,
+                    "round %d: ranker returned %r for (%s, %s), coin-flipping",
+                    rnd, verdict, a, opp,
                 )
                 verdict = rng.choice(["A", "B"])
             winner = first if verdict == "A" else second
@@ -263,13 +250,25 @@ def novelty_judge(
     return NoveltyResult(novel=novel, evidence=tuple(evidence), judge_calls=judge_calls)
 
 
+def retained_ideas(pool: list[Idea], threshold: float) -> list[Idea]:
+    """The ideas of `pool` its dedup retains, in scan order; [] for an empty pool."""
+    if not pool:
+        return []
+    _, retained_ids = non_duplicate_fraction(pool, threshold)
+    by_id = {i.id: i for i in pool}
+    return [by_id[idea_id] for idea_id in retained_ids]
+
+
 def _cleared_by_prefilter(ideas: list[Idea], corpus, threshold: float) -> list[bool]:
     """Per idea: True when no doc can be a novelty candidate, so it is novel.
 
     The approximate best cosine must sit at least `ROUNDING_MARGIN` below the
     threshold, so every exact `cosine` that `novelty_judge` would compute is at
-    most the threshold. A corpus without `max_similarity` clears no idea.
+    most the threshold. No corpus (None) clears every idea; a corpus without
+    `max_similarity` clears none.
     """
+    if corpus is None:
+        return [True] * len(ideas)
     if not ideas or not hasattr(corpus, "max_similarity"):
         return [False] * len(ideas)
     best = corpus.max_similarity([idea.embedding for idea in ideas])
@@ -277,7 +276,7 @@ def _cleared_by_prefilter(ideas: list[Idea], corpus, threshold: float) -> list[b
 
 
 def unique_novel_counts(
-    pools: dict[str, list[Idea]],
+    retained_pools: dict[str, list[Idea]],
     corpus,
     config: PipelineConfig,
     gateway: Gateway | None = None,
@@ -285,24 +284,18 @@ def unique_novel_counts(
     model_id: str = "",
     threshold_only: bool = False,
 ) -> dict[str, int]:
-    """Deduplicate each pool, then count its retained ideas judged novel.
+    """Per key, the number of ideas judged novel among already deduplicated ones.
 
-    The retained ideas of all pools are checked together. One batched
-    similarity prefilter counts an idea novel outright when no doc is close
-    enough to be a candidate; each other idea goes to `novelty_judge`, all of
-    them through one `gateway.fan_out` (in order without a gateway). An idea
-    retained by several pools is judged once per pool, as a per-pool count
-    would judge it.
+    Each value of `retained_pools` is what `retained_ideas` keeps of one pool.
+    The ideas of all pools are checked together. One batched similarity
+    prefilter counts an idea novel outright when no doc is close enough to be
+    a candidate; with `corpus=None` no doc can be one, so every idea is novel.
+    Each other idea goes to `novelty_judge`, all of them through one
+    `gateway.fan_out` (in order without a gateway). An idea retained by
+    several pools is judged once per pool, as a per-pool count would judge it.
     """
-    owners: list[str] = []
-    retained: list[Idea] = []
-    for key, pool in pools.items():
-        if not pool:
-            continue
-        _, retained_ids = non_duplicate_fraction(pool, config.dup_sim_threshold)
-        by_id = {i.id: i for i in pool}
-        owners += [key] * len(retained_ids)
-        retained += [by_id[idea_id] for idea_id in retained_ids]
+    owners = [key for key, ideas in retained_pools.items() for _ in ideas]
+    retained = [idea for ideas in retained_pools.values() for idea in ideas]
     cleared = _cleared_by_prefilter(retained, corpus, config.novelty_sim_threshold)
 
     def is_novel(idea: Idea) -> bool:
@@ -315,7 +308,7 @@ def unique_novel_counts(
 
     fan_out = gateway.fan_out if gateway is not None else in_order
     judged = iter(fan_out([i for i, c in zip(retained, cleared) if not c], is_novel))
-    counts = dict.fromkeys(pools, 0)
+    counts = dict.fromkeys(retained_pools, 0)
     for key, skip in zip(owners, cleared):
         counts[key] += 1 if skip else int(next(judged))
     return counts
@@ -330,8 +323,8 @@ def unique_novel_count(
     model_id: str = "",
     threshold_only: bool = False,
 ) -> int:
-    """`unique_novel_counts` for a single pool."""
+    """`unique_novel_counts` for a single pool, deduplicated here."""
     return unique_novel_counts(
-        {"pool": pool}, corpus, config,
+        {"pool": retained_ideas(pool, config.dup_sim_threshold)}, corpus, config,
         gateway=gateway, library=library, model_id=model_id, threshold_only=threshold_only,
     )["pool"]

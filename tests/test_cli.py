@@ -183,3 +183,27 @@ def test_missing_paper_file_creates_no_run_directory(cli_env, tmp_path, capsys):
     assert main(argv) == 1
     assert "does not exist" in capsys.readouterr().err
     assert not (tmp_path / "d11").exists()
+
+
+@pytest.mark.parametrize(
+    "docs, message",
+    [
+        ([{"title": "ok", "abstract": "a"}, {"abstract": "no title"}], "has no title"),
+        ([{"title": "flat", "embedding": [1.0, 0.0]},
+          {"title": "deep", "embedding": [1.0, 0.0, 0.0]}], "has embedding shape"),
+    ],
+    ids=["untitled_doc", "mixed_embedding_shapes"],
+)
+def test_malformed_corpus_exits_2_before_creating_the_run_dir(cli_env, tmp_path, capsys,
+                                                              docs, message):
+    corpus = tmp_path / "bad_corpus"
+    corpus.mkdir()
+    for n, doc in enumerate(docs):
+        (corpus / f"doc{n}.json").write_text(json.dumps(doc), encoding="utf-8")
+    argv = cli_env("run", "bad")
+    argv[argv.index("--corpus") + 1] = str(corpus)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("nova-error:") and message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "bad").exists()

@@ -27,7 +27,6 @@ from nova.domain import (
     SeedPaper,
     SubModule,
     TournamentResult,
-    validate,
     validate_lineage,
 )
 from nova.planner import IterationRecord
@@ -89,7 +88,7 @@ def test_round_trip_identity(kind):
 
 @pytest.mark.parametrize("kind", sorted(SAMPLES))
 def test_samples_are_valid(kind):
-    assert validate(SAMPLES[kind]) == []
+    assert SAMPLES[kind].validate() == []
     assert schemas.schema_validate(kind, SAMPLES[kind].to_dict()) == []
 
 
@@ -112,12 +111,12 @@ def test_schema_completeness_every_field_present():
 
 def test_idea_empty_text_one_violation():
     idea = Idea(id="i", thinking="t", idea="", keywords=("k",), source="trend", generation=0)
-    assert len(validate(idea)) == 1
+    assert len(idea.validate()) == 1
 
 
 def test_pipeline_config_defaults_valid_and_match_experiment_setup():
     config = PipelineConfig()
-    assert validate(config) == []
+    assert config.validate() == []
     assert config.iterations_T == 3
     assert config.initial_seed_count == 15
     assert config.expand_count == 10
@@ -135,7 +134,7 @@ def test_idea_bad_embedding_norm_one_violation():
         id="i", thinking="t", idea="x", keywords=("k",), source="trend",
         generation=0, embedding=(0.3, 0.4),  # norm 0.5
     )
-    report = validate(idea)
+    report = idea.validate()
     assert len(report) == 1
     assert "norm" in report[0]
 
@@ -146,7 +145,7 @@ def test_idea_keyword_count_bounds():
         id=too_many.id, thinking="t", idea="x", keywords=tuple(f"k{i}" for i in range(11)),
         source="trend", generation=0,
     )
-    assert any("keywords" in v for v in validate(too_many))
+    assert any("keywords" in v for v in too_many.validate())
 
 
 def test_seed_paper_duplicate_reference_titles():
@@ -154,7 +153,7 @@ def test_seed_paper_duplicate_reference_titles():
         id="p", title="T", abstract="A",
         references=(Reference("same", ""), Reference("same", "")),
     )
-    assert any("unique" in v for v in validate(paper))
+    assert any("unique" in v for v in paper.validate())
 
 
 def test_lineage_validation():
@@ -168,31 +167,31 @@ def test_lineage_validation():
 def test_proposal_section_registry_enforced():
     wrong = Proposal(idea_id="i", stage="final",
                      sections={name: "x" for name in INITIAL_SECTIONS})
-    assert any("requires exactly" in v for v in validate(wrong))
+    assert any("requires exactly" in v for v in wrong.validate())
     right = Proposal(idea_id="i", stage="final",
                      sections={name: "x" for name in FINAL_SECTIONS})
-    assert validate(right) == []
+    assert right.validate() == []
 
 
 def test_proposal_section_order_matters():
     shuffled = dict(reversed(list({n: "x" for n in INITIAL_SECTIONS}.items())))
     proposal = Proposal(idea_id="i", stage="initial", sections=shuffled)
-    assert any("requires exactly" in v for v in validate(proposal))
+    assert any("requires exactly" in v for v in proposal.validate())
 
 
 def test_tournament_result_conservation_violations():
     bad_sum = TournamentResult(scores={"a": 5}, matches=(Match(1, "a", "b", "a"),), byes=())
-    assert any("score sum" in v for v in validate(bad_sum))
+    assert any("score sum" in v for v in bad_sum.validate())
     bad_winner = TournamentResult(
         scores={"a": 1}, matches=(Match(1, "a", "b", "zzz"),), byes=()
     )
-    assert any("winner" in v for v in validate(bad_winner))
+    assert any("winner" in v for v in bad_winner.validate())
 
 
 def test_config_invariants():
-    assert any("keep_count" in v for v in validate(PipelineConfig(expand_count=2, keep_count=5)))
-    assert any("[0, 1]" in v for v in validate(PipelineConfig(dup_sim_threshold=1.5)))
-    assert validate(PipelineConfig(iterations_T=0)) == []  # identity iteration is legal
+    assert any("keep_count" in v for v in PipelineConfig(expand_count=2, keep_count=5).validate())
+    assert any("[0, 1]" in v for v in PipelineConfig(dup_sim_threshold=1.5).validate())
+    assert PipelineConfig(iterations_T=0).validate() == []  # identity iteration is legal
 
 
 @given(
@@ -206,13 +205,6 @@ def test_idea_round_trip_property(text, keywords, generation):
         source="internal_knowledge", generation=generation,
     )
     assert Idea.from_dict(json.loads(json.dumps(idea.to_dict(), ensure_ascii=False))) == idea
-
-
-def test_parse_dispatch_unknown_kind():
-    from nova.domain import parse
-
-    with pytest.raises(DomainParseError, match="unknown domain type"):
-        parse("nonsense", {})
 
 
 # ---------------------------------------------------------------------------

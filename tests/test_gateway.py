@@ -50,27 +50,23 @@ def test_cache_key_is_pure_function_of_fields():
 
 def test_second_identical_request_hits_cache(make_gateway):
     gateway = make_gateway(MockBackend({prompt_digest("hello"): "X"}))
-    first = gateway.complete(req("hello"))
-    second = gateway.complete(req("hello"))
-    assert first.text == "X" and not first.from_cache and first.attempts == 1
-    assert second.from_cache
-    assert second.text == first.text  # byte-identical to the stored response
-    assert gateway.stats.snapshot()["live_calls"] == 1
+    assert gateway.complete(req("hello")) == "X"
+    assert gateway.stats.snapshot() == {"requests": 1, "cache_hits": 0, "live_calls": 1}
+    assert gateway.complete(req("hello")) == "X"  # byte-identical to the stored response
+    assert gateway.stats.snapshot() == {"requests": 2, "cache_hits": 1, "live_calls": 1}
 
 
 def test_mock_scripted_reply_passthrough(make_gateway):
     gateway = make_gateway(MockBackend({prompt_digest("ping"): "pong"}))
-    response = gateway.complete(req("ping"))
-    assert response.text == "pong"
-    assert response.attempts == 1
+    assert gateway.complete(req("ping")) == "pong"
+    assert gateway.stats.snapshot()["live_calls"] == 1
 
 
 def test_two_transient_failures_then_success_counts_attempts(make_gateway):
     backend = FlakyBackend(2, MockBackend({prompt_digest("q"): "ok"}))
     gateway = make_gateway(backend)
-    response = gateway.complete(req("q"))
-    assert response.text == "ok"
-    assert response.attempts == 3
+    assert gateway.complete(req("q")) == "ok"
+    assert gateway.stats.snapshot() == {"requests": 1, "cache_hits": 0, "live_calls": 3}
 
 
 def test_retry_budget_exhaustion_raises(make_gateway):
@@ -84,9 +80,8 @@ def test_retry_budget_exhaustion_raises(make_gateway):
 def test_scripted_fault_injection_through_mock_script(make_gateway):
     script = {prompt_digest("flaky"): {"text": "fine", "transient_failures": 2}}
     gateway = make_gateway(MockBackend(script))
-    response = gateway.complete(req("flaky"))
-    assert response.text == "fine"
-    assert response.attempts == 3
+    assert gateway.complete(req("flaky")) == "fine"
+    assert gateway.stats.snapshot()["live_calls"] == 3
 
 
 def test_cache_only_mode_errors_on_miss(make_gateway):
@@ -99,8 +94,8 @@ def test_attempts_never_exceed_budget(make_gateway):
     options = GatewayOptions(retry_budget=3, backoff_base=0.0)
     gateway = make_gateway(FlakyBackend(1, MockBackend({prompt_digest("z"): "t"})),
                            options=options)
-    response = gateway.complete(req("z"))
-    assert response.attempts <= options.retry_budget
+    assert gateway.complete(req("z")) == "t"
+    assert gateway.stats.snapshot()["live_calls"] <= options.retry_budget
 
 
 def test_mock_determinism_byte_identical_across_instances():
@@ -117,7 +112,7 @@ def test_concurrent_completes_are_consistent(make_gateway, tmp_path):
     results: dict[int, str] = {}
 
     def worker(n: int):
-        results[n] = gateway.complete(req(prompts[n])).text
+        results[n] = gateway.complete(req(prompts[n]))
 
     threads = [threading.Thread(target=worker, args=(n,)) for n in range(len(prompts))]
     for t in threads:
@@ -169,7 +164,7 @@ def test_concurrent_identical_requests_make_one_live_call(make_gateway):
     backend = SlowBackend(delay=0.2)
     gateway = make_gateway(backend)
     texts: dict[int, str] = {}
-    run_threads(lambda n: texts.__setitem__(n, gateway.complete(req("same")).text), 2)
+    run_threads(lambda n: texts.__setitem__(n, gateway.complete(req("same"))), 2)
     assert backend.sends == ["same"]
     assert texts == {0: "reply to same", 1: "reply to same"}
     assert gateway.stats.snapshot() == {"requests": 2, "cache_hits": 1, "live_calls": 1}
@@ -240,11 +235,12 @@ def test_unreadable_cache_entry_is_a_miss_and_is_replaced(make_gateway, tmp_path
 
     gateway = make_gateway(MockBackend({prompt_digest("hello"): "X"}))
     with caplog.at_level(logging.WARNING, logger="nova.gateway"):
-        response = gateway.complete(request)
-    assert (response.text, response.from_cache) == ("X", False)
+        assert gateway.complete(request) == "X"
+    assert gateway.stats.snapshot() == {"requests": 1, "cache_hits": 0, "live_calls": 1}
     assert request.cache_key in caplog.text
     assert json.loads(path.read_bytes()) == {"text": "X"}
-    assert gateway.complete(request).from_cache
+    assert gateway.complete(request) == "X"
+    assert gateway.stats.snapshot() == {"requests": 2, "cache_hits": 1, "live_calls": 1}
 
 
 def test_cache_entry_bytes_are_unchanged(tmp_path):
@@ -384,7 +380,7 @@ def test_fan_out_cached_items_stay_on_the_calling_thread(make_gateway):
 
     def fn(n: int) -> str:
         threads.append(threading.get_ident())
-        return gateway.complete(req(f"p{n}")).text
+        return gateway.complete(req(f"p{n}"))
 
     assert gateway.fan_out(range(6), fn) == [f"reply to p{n}" for n in range(6)]
     assert threads == [threading.get_ident()] * 6
@@ -397,7 +393,7 @@ def test_fan_out_pools_the_rest_once_a_call_goes_live(make_gateway):
 
     def fn(n: int) -> str:
         threads[n] = threading.get_ident()
-        return gateway.complete(req(f"p{n}")).text
+        return gateway.complete(req(f"p{n}"))
 
     results = gateway.fan_out(range(13), fn)
     assert results == [f"reply to p{n}" for n in range(13)]
@@ -522,9 +518,9 @@ def test_complete_json_recovers_on_reprompt(make_gateway):
     good = json.dumps([{"thinking": "t", "idea": "ok", "keywords": ["k"]}])
     backend = RuleBackend(rules=[("Retry 1", good), ("give me json", "garbage")])
     gateway = make_gateway(backend)
-    value, response = gateway.complete_json(req("give me json"), "idea_list")
+    value = gateway.complete_json(req("give me json"), "idea_list")
     assert value[0]["idea"] == "ok"
-    assert not response.from_cache
+    assert gateway.stats.snapshot() == {"requests": 2, "cache_hits": 0, "live_calls": 2}
 
 
 # ---------------------------------------------------------------------------

@@ -25,8 +25,3 @@ def test_counter_restore_resumes_sequence():
     assert resumed.new_id() == first[3]
     assert resumed.new_id() == first[4]
 
-
-def test_unseeded_ids_unique():
-    factory = IdFactory()
-    ids = {factory.new_id() for _ in range(100)}
-    assert len(ids) == 100

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import math
-from datetime import date
 from pathlib import Path
 
 import numpy as np
@@ -187,27 +186,9 @@ def test_corpus_determinism(tmp_path, hash_embedder, corpus_dir):
     assert first == second
 
 
-def test_corpus_date_and_category_filters(tmp_path, hash_embedder):
-    cdir = tmp_path / "c"
-    cdir.mkdir()
-    (cdir / "a.json").write_text(
-        json.dumps({"title": "old nlp", "abstract": "", "date": "2021-01-01",
-                    "categories": ["NLP"]}), encoding="utf-8")
-    (cdir / "b.json").write_text(
-        json.dumps({"title": "new cv", "abstract": "", "date": "2023-06-01",
-                    "categories": ["CV"]}), encoding="utf-8")
-    corpus = OfflineCorpus(cdir, hash_embedder)
-    hits = corpus.search(SearchQuery(text="q", date_from=date(2022, 1, 1), limit=10))
-    assert [h.title for h in hits] == ["new cv"]
-    hits = corpus.search(SearchQuery(text="q", categories=("NLP",), limit=10))
-    assert [h.title for h in hits] == ["old nlp"]
-
-
 def test_search_query_invariants():
     with pytest.raises(ValueError):
         SearchQuery(text="x", limit=0)
-    with pytest.raises(ValueError):
-        SearchQuery(text="x", date_from=date(2024, 1, 1), date_to=date(2023, 1, 1))
 
 
 def test_corpus_nearest_uses_existing_embedding(corpus_dir, hash_embedder):
@@ -219,9 +200,9 @@ def test_corpus_nearest_uses_existing_embedding(corpus_dir, hash_embedder):
 
 
 def ranking_corpus(tmp_path, embedder: HashEmbedder):
-    """Stored and embedded docs, duplicate embeddings, categories and dates.
+    """Stored and embedded docs, duplicate embeddings, and keys the corpus ignores.
 
-    Returns the corpus dir and, per title, (normalized embedding, categories, date).
+    Returns the corpus dir and, per title, the normalized embedding.
     """
     rng = np.random.Generator(np.random.PCG64(77))
     shared = rng.standard_normal(embedder.dim)  # eight docs repeat this vector
@@ -242,23 +223,14 @@ def ranking_corpus(tmp_path, embedder: HashEmbedder):
         else:
             vector = normalize(embedder.embed([f"{title}\nabstract {n}"])[0])  # as at load
         (cdir / f"{n:02d}.json").write_text(json.dumps(raw), encoding="utf-8")
-        truth[title] = (vector, raw["categories"], date.fromisoformat(raw["date"]))
+        truth[title] = vector
     return cdir, truth, normalize(shared)
 
 
-def reference_ranking(truth, qvec, k, query: SearchQuery | None = None):
-    """Brute force: filter, then sort every doc by (-cosine, title)."""
-    rows = []
-    for title, (vector, categories, day) in truth.items():
-        if query is not None:
-            if query.categories and not set(categories) & set(query.categories):
-                continue
-            if query.date_from and day < query.date_from:
-                continue
-            if query.date_to and day > query.date_to:
-                continue
-        rows.append((-cosine(qvec, vector), title))
-    return [(title, -neg) for neg, title in sorted(rows)[:k]]
+def reference_ranking(truth, qvec, k):
+    """Brute force: sort every doc by (-cosine, title)."""
+    rows = sorted((-cosine(qvec, vector), title) for title, vector in truth.items())
+    return [(title, -neg) for neg, title in rows[:k]]
 
 
 @pytest.mark.parametrize("k", [1, 3, 5, 8, 9, 39, 40, 100])
@@ -266,23 +238,17 @@ def test_corpus_ranking_equals_brute_force(tmp_path, k):
     embedder = HashEmbedder(dim=12, seed=4)
     cdir, truth, shared = ranking_corpus(tmp_path, embedder)
     corpus = OfflineCorpus(cdir, embedder)
-    probes = [shared, truth["doc 13"][0], embedder.embed(["free text"])[0]]
+    probes = [shared, truth["doc 13"], embedder.embed(["free text"])[0]]
     for qvec in probes:
         hits = corpus.nearest(tuple(qvec.tolist()), k)
         assert [(h.title, h.score) for h in hits] == reference_ranking(truth, qvec, k)
         for h in hits:
-            assert h.embedding == tuple(truth[h.title][0].tolist())
-    queries = [
-        SearchQuery(text="agents", limit=k),
-        SearchQuery(text="agents", categories=("NLP",), limit=k),
-        SearchQuery(text="planning", date_from=date(2021, 3, 1), limit=k),
-        SearchQuery(text="planning", categories=("CV", "ML"), date_to=date(2022, 5, 1), limit=k),
-        SearchQuery(text="nothing", categories=("BIO",), limit=k),
-    ]
-    for query in queries:
+            assert h.embedding == tuple(truth[h.title].tolist())
+    for text in ("agents", "planning", "nothing"):
+        query = SearchQuery(text=text, limit=k)
         qvec = embedder.embed([query.text])[0]
         hits = corpus.search(query)
-        assert [(h.title, h.score) for h in hits] == reference_ranking(truth, qvec, k, query)
+        assert [(h.title, h.score) for h in hits] == reference_ranking(truth, qvec, k)
         assert all(h.source_query == query.text for h in hits)
 
 
@@ -291,7 +257,7 @@ def test_corpus_ties_at_kth_score_break_by_title(tmp_path):
     embedder = HashEmbedder(dim=12, seed=4)
     cdir, truth, shared = ranking_corpus(tmp_path, embedder)
     corpus = OfflineCorpus(cdir, embedder)
-    tied = sorted(t for t, (vec, _, _) in truth.items() if np.array_equal(vec, shared))
+    tied = sorted(t for t, vec in truth.items() if np.array_equal(vec, shared))
     assert len(tied) == 8
     for k in (1, 4, 8):
         assert [h.title for h in corpus.nearest(tuple(shared.tolist()), k)] == tied[:k]
@@ -368,6 +334,10 @@ def test_http_search_client_embeds_rows_in_one_request(count):
     client = HttpSearchClient("https://s.test", embedder=embedder, post=post)
     docs = client.search(SearchQuery(text="q", limit=10))
 
+    # The search request carries only the query text and the limit.
+    assert [body for url, body in post.requests if url == "https://s.test"] == [
+        {"query": "q", "limit": 10}
+    ]
     embed_requests = [body for url, body in post.requests if url == "https://e.test"]
     assert embed_requests == ([{"model": DEFAULT_EMBED_MODEL,
                                 "input": [f"t{i}\na{i}" for i in range(count)]}]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import logging
 from pathlib import Path
@@ -26,6 +27,7 @@ from nova.orchestrator import (
     replay_events,
 )
 from nova.ids import IdFactory
+from nova.selector import non_duplicate_fraction
 from tests.conftest import FAST_GATEWAY, RuleBackend
 
 
@@ -441,3 +443,41 @@ def test_missing_api_key_aborts_instead_of_coin_flipping(
     assert "coin-flipping" not in caplog.text
     assert runner.state.stage_cursor == "proposed"
     assert runner.state.tournament_ref is None
+
+
+SEED_SIG = "new ideas worth exploring"
+
+
+def test_empty_seed_pool_stops_before_the_seeded_commit(
+    tmp_path, corpus_dir, paper_input_file, small_config
+):
+    """Every seed source answers with prose: the run stops with a named reason, twice."""
+    backend = RuleBackend(
+        rules=[(SEED_SIG, "I would rather not list any ideas.")],
+        fallback=MockBackend(seed=small_config.rng_seed),
+    )
+    out = tmp_path / "empty"
+    for _ in range(2):  # a resume replays the cached replies and stops the same way
+        runner = BackendRunner(out, small_config, options_for(corpus_dir), backend)
+        with pytest.raises(OrchestratorError, match="seeding produced no ideas") as info:
+            runner.run(paper_input=str(paper_input_file))
+        assert not isinstance(info.value, PipelineAborted)
+        assert runner.state is None
+        assert not (out / "state.json").exists()
+    assert sum(SEED_SIG in prompt for prompt in backend.prompts) > 0
+
+
+def test_run_without_corpus_counts_each_pools_dedup(tmp_path, paper_input_file, small_config):
+    """Without a corpus no doc can be a novelty candidate: each count is the pool's dedup."""
+    config = dataclasses.replace(small_config, dup_sim_threshold=0.3)
+    runner = Runner(tmp_path / "nocorpus", config, RunnerOptions(backend="mock"))
+    assert runner.corpus is None
+    state = runner.advance_to("evaluated", paper_input=str(paper_input_file))
+    metrics = runner.store.get_data(state.metrics_ref, "run_metrics")
+    pools = {g: runner._load_pool(int(g)) for g in state.pools}
+    dedup = {g: non_duplicate_fraction(pool, 0.3) for g, pool in pools.items()}
+    assert metrics["unique_novel_per_generation"] == {g: len(d[1]) for g, d in dedup.items()}
+    assert any(len(dedup[g][1]) < len(pool) for g, pool in pools.items())
+    final = str(config.iterations_T)
+    assert metrics["non_duplicate_fraction"] == dedup[final][0]
+    assert metrics["retained_count"] == len(dedup[final][1])

@@ -246,32 +246,21 @@ class CountingEmbedder(HashEmbedder):
         return super().embed(texts)
 
 
-def test_execute_plan_embeds_unembedded_docs_in_one_batch(make_gateway):
-    stored = HashEmbedder(dim=8, seed=9).embed(["stored"])[0]
+def test_execute_plan_rejects_unembedded_doc(make_gateway):
+    """The search backend embeds what it returns; a doc without an embedding is a bug."""
+    stored = tuple(HashEmbedder(dim=8, seed=9).embed(["stored"])[0])
     docs = [
-        RetrievedDoc(title=f"doc {n}", abstract=f"abstract {n}", source_query="q",
-                     embedding=tuple(stored) if n == 2 else None)
-        for n in range(5)
+        RetrievedDoc(title="doc 0", abstract="", source_query="q", embedding=stored),
+        RetrievedDoc(title="doc 1", abstract="", source_query="q"),
     ]
-
-    class StubSearch:
-        def search(self, query):
-            return docs
-
     embedder = CountingEmbedder(dim=8, seed=1)
-    planner = make_planner(RuleBackend(), make_gateway, corpus=StubSearch(), embedder=embedder)
+    planner = make_planner(RuleBackend(), make_gateway, corpus=StaticSearch(docs),
+                           embedder=embedder)
     idea = embedded(5)
     plan = SearchPlan(idea.id, (Direction("a", ("kw",)),), 0)
-    got = planner.execute_plan(plan, 5, idea.embedding)
-
-    assert embedder.batches == [[f"doc {n}\nabstract {n}" for n in (0, 1, 3, 4)]]
-    # The vectors are the ones a per-doc embed call gives.
-    reference = HashEmbedder(dim=8, seed=1)
-    by_title = {d.title: d.embedding for d in got}
-    for n in (0, 1, 3, 4):
-        expected = reference.embed([f"doc {n}\nabstract {n}"])[0]
-        assert by_title[f"doc {n}"] == tuple(float(v) for v in expected)
-    assert by_title["doc 2"] == tuple(stored)
+    with pytest.raises(ValueError, match="'doc 1' has no embedding"):
+        planner.execute_plan(plan, 5, idea.embedding)
+    assert embedder.batches == []
 
 
 def test_execute_plan_all_embedded_sends_no_embed_call(make_gateway):
@@ -356,10 +345,10 @@ def test_expand_prose_reflection_keeps_the_first_candidates(make_gateway, sample
 
 def test_expand_prompt_includes_docs_and_old_idea(make_gateway, sample_paper):
     backend = RuleBackend()
-    doc = RetrievedDoc(title="Known Doc Title", abstract="known abstract",
-                       source_query="q", score=0.5)
-    planner = make_planner(backend, make_gateway, corpus=StaticSearch([doc]))
     old = embedded(1, text="the old idea text")
+    doc = RetrievedDoc(title="Known Doc Title", abstract="known abstract",
+                       source_query="q", score=0.5, embedding=old.embedding)
+    planner = make_planner(backend, make_gateway, corpus=StaticSearch([doc]))
     expand_one(planner, sample_paper, old)
     prompt = next(p for p in backend.prompts if EXPAND_SIG in p)
     assert "Known Doc Title" in prompt

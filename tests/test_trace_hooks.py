@@ -5,6 +5,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from nova import tournament
+from nova.orchestrator import Runner, RunnerOptions
 from nova.prompts import PromptLibrary
 from tests.conftest import RuleBackend
 
@@ -36,3 +37,16 @@ def test_ask_with_a_suffix_is_attributed_to_its_template(monkeypatch, make_gatew
         }
     calls = {k: n for k, n in tracing.recorder.counts.items() if k.startswith("gateway.calls.")}
     assert calls == {"gateway.calls.pairwise_rank": 1}
+
+
+def test_evaluate_dedups_each_pool_once(monkeypatch, tmp_path, corpus_dir, paper_input_file,
+                                        small_config):
+    monkeypatch.syspath_prepend(str(BENCH_DIR))
+    from nova_bench.layers import Tracing
+
+    runner = Runner(tmp_path / "run", small_config,
+                    RunnerOptions(backend="mock", corpus_dir=corpus_dir))
+    with Tracing() as tracing:
+        state = runner.advance_to("evaluated", paper_input=str(paper_input_file))
+    dedups = [span for span in tracing.recorder.spans if span.name == "selector.dedup"]
+    assert len(dedups) == len(state.pools) == small_config.iterations_T + 1
