@@ -22,14 +22,17 @@ from pathlib import Path
 from typing import get_type_hints
 
 from . import __version__
-from .domain import DomainParseError, PipelineConfig, SeedPaper
+from .domain import DomainParseError, PipelineConfig
 from .gateway import GatewayError
+from .ids import IdFactory
 from .literature import LiteratureError
 from .orchestrator import (
+    InvalidPaperError,
     OrchestratorError,
     PipelineAborted,
     Runner,
     RunnerOptions,
+    load_paper_input,
     metrics_report,
 )
 
@@ -167,16 +170,12 @@ def _validate_command(args) -> int:
     path = Path(args.paper)
     if not path.is_file():
         raise UsageError(f"paper file {path} does not exist")
-    raw = json.loads(path.read_text(encoding="utf-8"))
-    paper_raw = raw.get("paper", raw) if isinstance(raw, dict) else raw
-    if not isinstance(paper_raw, dict):
-        print(f"{ERROR_PREFIX} paper file {path} must hold a JSON object", file=sys.stderr)
-        return 2
+    # The same parse and checks as `nova run`, trend papers included.
     try:
-        paper = SeedPaper.from_dict({"id": "paper-under-validation", **paper_raw})
-        violations = paper.validate()
-    except DomainParseError as exc:
-        violations = [str(exc)]
+        load_paper_input(path, IdFactory(seed=0))
+        violations = []
+    except InvalidPaperError as exc:
+        violations = exc.violations
     print(json.dumps({"violations": violations}, ensure_ascii=False, indent=2))
     return 0 if not violations else 2
 

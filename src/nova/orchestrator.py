@@ -65,6 +65,14 @@ class OrchestratorError(Exception):
     pass
 
 
+class InvalidPaperError(OrchestratorError):
+    """A run-input paper that does not parse or validate; `violations` says why."""
+
+    def __init__(self, violations: list[str]):
+        super().__init__("invalid input paper: " + "; ".join(violations))
+        self.violations = violations
+
+
 class PipelineAborted(OrchestratorError):
     """A stage aborted; the run directory holds a resumable checkpoint."""
 
@@ -202,7 +210,8 @@ def load_paper_input(source: dict | str | Path, id_factory: IdFactory) -> tuple[
     """Parse the run input: a bare paper object or {"paper", "trend_papers"}.
 
     Papers without an "id" get one from the factory, so the counter must be
-    fresh when a new run starts.
+    fresh when a new run starts. A paper that does not parse, or a target
+    paper that does not validate, raises `InvalidPaperError`.
     """
     if not isinstance(source, dict):
         source = json.loads(Path(source).read_text(encoding="utf-8"))
@@ -213,7 +222,7 @@ def load_paper_input(source: dict | str | Path, id_factory: IdFactory) -> tuple[
     paper = _parse_paper(paper_raw, id_factory)
     problems = paper.validate()
     if problems:
-        raise OrchestratorError(f"invalid input paper: {problems}")
+        raise InvalidPaperError(problems)
     return paper, [_parse_paper(raw, id_factory) for raw in trend_raw]
 
 
@@ -223,7 +232,7 @@ def _parse_paper(raw, id_factory: IdFactory) -> SeedPaper:
     try:
         return SeedPaper.from_dict({"id": id_factory.new_id(), **raw})
     except DomainParseError as exc:
-        raise OrchestratorError(f"invalid input paper: {exc}") from exc
+        raise InvalidPaperError([str(exc)]) from exc
 
 
 class Runner:
@@ -259,7 +268,7 @@ class Runner:
             self.config, options.model_id,
         )
         self.builder = proposals_mod.ProposalBuilder(
-            self.gateway, self.library, self.planner, self.config, options.model_id,
+            self.gateway, self.library, self.planner, options.model_id,
             use_self_reflection=options.use_self_reflection,
         )
 
@@ -348,15 +357,6 @@ class Runner:
                 {"paper": paper.id, "config": self.config.to_dict()}, sort_keys=True
             ).encode("utf-8")
         ).hexdigest()[:12]
-        self.events.append(
-            {
-                "seq": 0,
-                "type": "run_started",
-                "run_id": run_id,
-                "backend": self.options.backend,
-                "config": self.config.to_dict(),
-            }
-        )
 
         trend_report = None
         if trend_papers:
@@ -386,6 +386,17 @@ class Runner:
             ),
             "pools": {"0": self._store_pool(0, pool)},
         }
+        # Logged only now, so an attempt that fails or aborts while seeding
+        # leaves no start event behind.
+        self.events.append(
+            {
+                "seq": 0,
+                "type": "run_started",
+                "run_id": run_id,
+                "backend": self.options.backend,
+                "config": self.config.to_dict(),
+            }
+        )
         self._commit("seeded", delta)
 
     def _stage_iterate(self) -> None:

@@ -19,7 +19,7 @@ from .gateway import ExtractionFailedError, Gateway, GatewayError
 from .ids import IdFactory
 from .literature import Embedder, LiteratureError, SearchQuery, cosine
 from .prompts import PromptLibrary
-from .seeding import format_idea, reflect
+from .seeding import format_idea, new_ideas, reflect
 
 logger = logging.getLogger(__name__)
 
@@ -99,20 +99,24 @@ class PlannerLoop:
             created_at_generation=idea.generation,
         )
 
-    def execute_plan(self, plan: SearchPlan, K: int, idea_embedding) -> list[RetrievedDoc]:
-        """One search per direction, merged by title, ranked by cosine, top K.
+    def execute_plan(self, idea: Idea, keyword_groups) -> list[RetrievedDoc]:
+        """One search per keyword group, merged by title, ranked by cosine to
+        the idea's embedding, top `retrieve_K`.
 
-        Every doc a search returns carries its embedding: the search backend
-        embeds it (`OfflineCorpus` stores them, `HttpSearchClient` embeds each
-        reply), and a doc without one raises ValueError. A search that fails
-        with a gateway or literature error is logged and skipped; any other
-        exception propagates.
+        The planner passes one group per search-plan direction; proposals pass
+        the idea's own keywords, or one group per decomposition module. Every
+        doc a search returns carries its embedding: the search backend embeds
+        it (`OfflineCorpus` stores them, `HttpSearchClient` embeds each reply),
+        and a doc without one raises ValueError. A search that fails with a
+        gateway or literature error is logged and skipped; any other exception
+        propagates.
         """
         if self._search is None:
             return []
+        K = self._config.retrieve_K
         merged: dict[str, RetrievedDoc] = {}
-        for direction in plan.directions:
-            query = SearchQuery(text=" ".join(direction.keywords), limit=K)
+        for keywords in keyword_groups:
+            query = SearchQuery(text=" ".join(keywords), limit=K)
             try:
                 results = self._search.search(query)
             except (GatewayError, LiteratureError) as exc:
@@ -121,13 +125,13 @@ class PlannerLoop:
             for doc in results:
                 merged.setdefault(doc.title, doc)
         if not merged:
-            logger.info("plan for idea %s retrieved nothing", plan.idea_id)
+            logger.info("search for idea %s retrieved nothing", idea.id)
             return []
         for doc in merged.values():
             if doc.embedding is None:
                 raise ValueError(f"retrieved doc {doc.title!r} has no embedding")
         ranked = sorted(
-            ((cosine(idea_embedding, doc.embedding), doc) for doc in merged.values()),
+            ((cosine(idea.embedding, doc.embedding), doc) for doc in merged.values()),
             key=lambda pair: (-pair[0], pair[1].title),
         )
         return [doc for _, doc in ranked[:K]]
@@ -165,25 +169,11 @@ class PlannerLoop:
         ranked = sorted(sound, key=lambda n: (-evaluations[n]["score"], n))
         return [candidates[n] for n in ranked[:keep]]
 
-    def _materialize(self, old: Idea, candidates: tuple[dict, ...]) -> list[Idea]:
-        return [
-            Idea(
-                id=self._ids.new_id(),
-                thinking=entry["thinking"],
-                idea=entry["idea"],
-                keywords=tuple(entry["keywords"]),
-                source="iteration",
-                generation=old.generation + 1,
-                parent_id=old.id,
-            )
-            for entry in candidates
-        ]
-
     # -- the loop ---------------------------------------------------------------
 
     def _process_idea(self, paper: SeedPaper, idea: Idea) -> _ExpandOutcome:
         plan = self.make_plan(idea)
-        docs = self.execute_plan(plan, self._config.retrieve_K, idea.embedding)
+        docs = self.execute_plan(idea, [d.keywords for d in plan.directions])
         candidates = self._expand_candidates(paper, idea, docs)
         return _ExpandOutcome(plan=plan, retrieved=len(docs), candidates=candidates)
 
@@ -217,7 +207,9 @@ class PlannerLoop:
             if outcome.candidates is None:
                 next_pool.append(idea)  # failure survival, generation unchanged
             else:
-                next_pool.extend(self._materialize(idea, outcome.candidates))
+                next_pool.extend(new_ideas(
+                    self._ids, outcome.candidates, "iteration", idea.generation + 1, idea.id
+                ))
         next_pool = self._embed_new(next_pool)
         assert len(next_pool) <= len(pool) * max(self._config.keep_count, 1)
         record = IterationRecord(

@@ -159,7 +159,10 @@ class PromptLibrary:
             raise UnknownTemplateError(f"unknown template {name!r}") from None
 
     def render(self, name: str, bindings: dict[str, str]) -> str:
-        """Substitute every placeholder; raises if any required binding is absent."""
+        """Substitute every placeholder; raises if any required binding is absent.
+
+        Bindings the template does not name are ignored.
+        """
         template = self.get(name)
         missing = sorted(template.required_placeholders - set(bindings))
         if missing:

@@ -2,8 +2,9 @@
 
 The three stages for one idea run sequentially; the decomposition's per-module
 search keywords feed retrieved knowledge into the final stage. Conditional
-prompt content (relevant papers, feedback, self-reflection) is composed here as
-pre-rendered blocks so empty inputs simply vanish from the prompt.
+prompt content (relevant papers, self-reflection, method decomposition, new
+knowledge) is composed here as pre-rendered blocks so empty inputs simply
+vanish from the prompt.
 """
 
 from __future__ import annotations
@@ -13,12 +14,11 @@ import logging
 from dataclasses import dataclass
 
 from .domain import (
-    Direction,
+    FINAL_SECTIONS,
+    INITIAL_SECTIONS,
     Idea,
-    PipelineConfig,
     Proposal,
     RetrievedDoc,
-    SearchPlan,
     SeedPaper,
     SubModule,
 )
@@ -55,19 +55,24 @@ class DecompositionPlan:
 
 
 class ProposalBuilder:
+    """Writes the three proposal stages for one idea (`build_all`).
+
+    Retrieval goes through `PlannerLoop.execute_plan`: the idea's keywords for
+    the initial proposal, one keyword group per decomposition module for the
+    final one. Sections are stored in `INITIAL_SECTIONS`/`FINAL_SECTIONS` order.
+    """
+
     def __init__(
         self,
         gateway: Gateway,
         library: PromptLibrary,
         planner: PlannerLoop,
-        config: PipelineConfig,
         model_id: str,
         use_self_reflection: bool = False,
     ):
         self._gateway = gateway
         self._library = library
         self._planner = planner
-        self._config = config
         self._model_id = model_id
         self._use_self_reflection = use_self_reflection
 
@@ -75,12 +80,7 @@ class ProposalBuilder:
 
     def retrieve_context(self, idea: Idea) -> list[RetrievedDoc]:
         """Background docs for the initial proposal, from the idea's keywords."""
-        plan = SearchPlan(
-            idea_id=idea.id,
-            directions=(Direction(thinking="proposal context", keywords=idea.keywords),),
-            created_at_generation=idea.generation,
-        )
-        return self._planner.execute_plan(plan, self._config.retrieve_K, idea.embedding)
+        return self._planner.execute_plan(idea, [idea.keywords])
 
     def build_initial(
         self, paper: SeedPaper, idea: Idea, context_docs: list[RetrievedDoc]
@@ -103,7 +103,6 @@ class ProposalBuilder:
             "paper_title": paper.title,
             "paper_abstract": paper.abstract,
             "relevant_papers_block": relevant_block,
-            "few_shot_block": "",
             "self_reflection_block": reflection_block,
         }
         try:
@@ -112,17 +111,15 @@ class ProposalBuilder:
             raise ProposalFailure(f"initial proposal failed for idea {idea.id}: {exc}") from exc
         name, sections = next(iter(parsed.items()))
         logger.debug("initial proposal %r for idea %s", name, idea.id)
-        return Proposal(idea_id=idea.id, stage="initial", sections=dict(sections))
+        sections = {key: sections[key] for key in INITIAL_SECTIONS}
+        return Proposal(idea_id=idea.id, stage="initial", sections=sections)
 
     # -- stage 2: method decomposition -----------------------------------------
 
     def decompose(self, proposal: Proposal) -> DecompositionPlan:
         """Break the initial proposal's method into keyword-carrying submodules."""
-        if proposal.stage != "initial":
-            raise ValueError("decompose expects an initial-stage proposal")
         bindings = {
             "initial_idea_json": json.dumps(proposal.sections, ensure_ascii=False, indent=2),
-            "example_block": "",
         }
         try:
             parsed = self._gateway.ask(self._library, "method_decompose", bindings, self._model_id)
@@ -152,15 +149,7 @@ class ProposalBuilder:
 
     def module_knowledge(self, idea: Idea, decomposition: DecompositionPlan) -> str | None:
         """Merged retrieval over the decomposition's per-module keywords."""
-        plan = SearchPlan(
-            idea_id=idea.id,
-            directions=tuple(
-                Direction(thinking=f"module: {m.module_name}", keywords=m.keywords)
-                for m in decomposition.modules
-            ),
-            created_at_generation=idea.generation,
-        )
-        docs = self._planner.execute_plan(plan, self._config.retrieve_K, idea.embedding)
+        docs = self._planner.execute_plan(idea, [m.keywords for m in decomposition.modules])
         if not docs:
             return None
         return format_docs(docs)
@@ -173,12 +162,8 @@ class ProposalBuilder:
         idea: Idea,
         initial: Proposal,
         decomposition: DecompositionPlan,
-        feedback: str | None = None,
         new_knowledge: str | None = None,
     ) -> Proposal:
-        problems = initial.validate()
-        if problems:
-            raise ValueError(f"invalid initial proposal: {problems}")
         decomposition_block = (
             "You will be given a method decomposition info (possible method module "
             "design). You need to analyze whether the design of these modules is "
@@ -186,16 +171,13 @@ class ProposalBuilder:
             "design of the final method.\nMethod decomposition info:\n"
             + json.dumps(decomposition.to_dict(), ensure_ascii=False, indent=2)
         )
-        feedback_block = f"The feedback is: {feedback}" if feedback else ""
         knowledge_block = f"The new knowledge is:\n{new_knowledge}" if new_knowledge else ""
         bindings = {
             "idea_json": json.dumps(initial.sections, ensure_ascii=False, indent=2),
             "paper_title": paper.title,
             "paper_abstract": paper.abstract,
             "method_decomposition_block": decomposition_block,
-            "feedback_block": feedback_block,
             "new_knowledge_block": knowledge_block,
-            "demo_examples_block": "",
         }
         try:
             parsed = self._gateway.ask(self._library, "final_proposal", bindings, self._model_id)
@@ -204,7 +186,7 @@ class ProposalBuilder:
         return Proposal(
             idea_id=idea.id,
             stage="final",
-            sections=dict(parsed),
+            sections={key: parsed[key] for key in FINAL_SECTIONS},
             decomposition=decomposition.modules,
         )
 
@@ -221,27 +203,14 @@ class ProposalBuilder:
         return initial, decomposition, final
 
 
-def render_markdown(
-    idea: Idea, initial: Proposal, final: Proposal | None
-) -> str:
+def render_markdown(idea: Idea, initial: Proposal, final: Proposal) -> str:
     """Human-readable rendering of one idea's proposals."""
     lines = [f"# Proposal for idea {idea.id}", "", f"**Idea:** {idea.idea}", ""]
     if idea.keywords:
         lines.append(f"**Keywords:** {', '.join(idea.keywords)}")
         lines.append("")
-    lines.append("## Initial proposal")
-    lines.append("")
-    for name, body in initial.sections.items():
-        lines.append(f"### {name}")
-        lines.append("")
-        lines.append(body)
-        lines.append("")
-    if final is not None:
-        lines.append("## Final proposal")
-        lines.append("")
-        for name, body in final.sections.items():
-            lines.append(f"### {name}")
-            lines.append("")
-            lines.append(body)
-            lines.append("")
+    for heading, proposal in (("Initial proposal", initial), ("Final proposal", final)):
+        lines += [f"## {heading}", ""]
+        for name, body in proposal.sections.items():
+            lines += [f"### {name}", "", body, ""]
     return "\n".join(lines).rstrip() + "\n"

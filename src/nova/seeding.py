@@ -1,16 +1,18 @@
 """Initial seed-idea pool: three generation sources plus self-correction.
 
-Each source asks for its quota of ideas, then self-correction runs a binary
-soundness pass followed by a reflection-scoring pass (two judge calls over
-the same review template). When a cut drops a source below quota, the prompt
-is re-issued with the surviving ideas appended, up to two refills; remaining
-shortfall is tolerated and logged.
+`SOURCES` lists the sources in the order they run: internal knowledge, research
+trends and discovery theories. Each renders its template from one shared set of
+bindings and asks for its share of `initial_seed_count` (`source_quotas`); the
+trend source lists the ideas kept so far, and is skipped when the run has no
+trend inputs. Self-correction runs a binary soundness pass followed by a
+reflection-scoring pass (two judge calls over the same review template). When a
+cut drops a source below quota, the prompt is re-issued with the surviving ideas
+appended, up to two refills; remaining shortfall is tolerated and logged.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 from .domain import Idea, PipelineConfig, SeedPaper
 from .gateway import ExtractionFailedError, Gateway
@@ -21,30 +23,35 @@ logger = logging.getLogger(__name__)
 
 MAX_REFILLS = 2
 
+# (source tag, template), in the order the sources run.
+SOURCES = (
+    ("internal_knowledge", "initial_seed"),
+    ("trend", "trend_ideas"),
+    ("discovery_theory", "theory_ideas"),
+)
 
-class SeedingError(Exception):
-    pass
+
+def source_quotas(total: int) -> tuple[int, int, int]:
+    """Split `total` ideas as evenly as possible across `SOURCES`, earlier first."""
+    base, extra = divmod(total, 3)
+    return base + (1 if extra >= 1 else 0), base + (1 if extra >= 2 else 0), base
 
 
-@dataclass(frozen=True)
-class SourceQuota:
-    internal_knowledge: int = 5
-    trend: int = 5
-    discovery_theory: int = 5
-
-    @classmethod
-    def from_config(cls, config: PipelineConfig) -> "SourceQuota":
-        """Split initial_seed_count as evenly as possible across the 3 sources."""
-        base, extra = divmod(config.initial_seed_count, 3)
-        return cls(
-            internal_knowledge=base + (1 if extra >= 1 else 0),
-            trend=base + (1 if extra >= 2 else 0),
-            discovery_theory=base,
+def new_ideas(ids: IdFactory, entries, source: str, generation: int = 0,
+              parent_id: str | None = None) -> list[Idea]:
+    """`Idea`s from `idea_list` reply entries; IDs are drawn in reply order."""
+    return [
+        Idea(
+            id=ids.new_id(),
+            thinking=entry["thinking"],
+            idea=entry["idea"],
+            keywords=tuple(entry["keywords"]),
+            source=source,
+            generation=generation,
+            parent_id=parent_id,
         )
-
-    @property
-    def total(self) -> int:
-        return self.internal_knowledge + self.trend + self.discovery_theory
+        for entry in entries
+    ]
 
 
 def format_references(paper: SeedPaper) -> tuple[str, str]:
@@ -100,80 +107,11 @@ class SeedGenerator:
         self._ids = id_factory
         self._config = config
         self._model_id = model_id
-        self._quota = SourceQuota.from_config(config)
-
-    # -- per-source generation ---------------------------------------------
-
-    def generate_internal(self, paper: SeedPaper) -> list[Idea]:
-        """Ideas from the model's own reading of the paper and its references."""
-        self._require_valid(paper)
-        titles, abstracts = format_references(paper)
-        defaults = self._library.default_bindings()
-        bindings = {
-            "qa_info_with_idea_json_format": defaults["qa_info_with_idea_json_format"],
-            "idea_count": str(self._quota.internal_knowledge),
-            "paper_title": paper.title,
-            "paper_abstract": paper.abstract,
-            "related_paper_titles": titles,
-            "related_paper_abstracts": abstracts,
-        }
-        return self._generate(
-            "internal_knowledge", "initial_seed", bindings, self._quota.internal_knowledge
-        )
-
-    def generate_trend(
-        self,
-        paper: SeedPaper,
-        trend_report: str,
-        hot_papers: list[SeedPaper],
-        existing: list[Idea],
-    ) -> list[Idea]:
-        """Ideas grounded in the trend report and high-engagement papers."""
-        self._require_valid(paper)
-        if not trend_report:
-            raise SeedingError("trend_report must be nonempty")
-        if not hot_papers:
-            raise SeedingError("hot_papers must be nonempty")
-        base_info = f"Title: {paper.title}\nAbstract: {paper.abstract}"
-        hot_list = "\n".join(
-            f"{n}. {p.title}: {p.abstract}" for n, p in enumerate(hot_papers, 1)
-        )
-        exist = (
-            "\n".join(f"- {i.idea}" for i in existing) if existing else "(none yet)"
-        )
-        bindings = {
-            "idea_count": str(self._quota.trend),
-            "paper_title": paper.title,
-            "paper_abstract": paper.abstract,
-            "target_paper_base_info": base_info,
-            "research_trending_info": trend_report,
-            "high_quality_paper_list": hot_list,
-            "exist_idea": exist,
-        }
-        return self._generate("trend", "trend_ideas", bindings, self._quota.trend)
-
-    def generate_theory(self, paper: SeedPaper) -> list[Idea]:
-        """Ideas steered by the 10-entry scientific-discovery catalog."""
-        self._require_valid(paper)
-        titles, abstracts = format_references(paper)
-        bindings = {
-            "scientific_discovery_theory": self._library.theory_catalog_text(),
-            "idea_count": str(self._quota.discovery_theory),
-            "related_paper_titles": titles,
-            "related_paper_abstracts": abstracts,
-            "paper_title": paper.title,
-            "paper_abstract": paper.abstract,
-        }
-        return self._generate(
-            "discovery_theory", "theory_ideas", bindings, self._quota.discovery_theory
-        )
 
     # -- self-correction -----------------------------------------------------
 
     def self_correct(self, candidates: list[Idea], keep: int) -> list[Idea]:
         """Soundness check, then reflection-ranked cut to at most `keep` ideas."""
-        if not candidates:
-            raise SeedingError("self_correct requires candidates")
         checked = self._reflect(candidates)
         sound = [idea for idea, ev in zip(candidates, checked) if ev["sound"]]
         if not sound:
@@ -192,19 +130,36 @@ class SeedGenerator:
     def generate_pool(
         self, paper: SeedPaper, trend_report: str | None, hot_papers: list[SeedPaper]
     ) -> list[Idea]:
-        """Assemble the generation-0 pool from the three sources.
+        """Assemble the generation-0 pool from the three sources, in `SOURCES` order.
 
         The trend source is skipped (with a logged shortfall) when no trend
         inputs are supplied.
         """
-        pool = self.generate_internal(paper)
-        if trend_report and hot_papers:
-            pool = pool + self.generate_trend(paper, trend_report, hot_papers, pool)
-        elif self._quota.trend:
-            logger.warning(
-                "no trend inputs supplied; pool starts %d short", self._quota.trend
-            )
-        pool = pool + self.generate_theory(paper)
+        titles, abstracts = format_references(paper)
+        defaults = self._library.default_bindings()
+        bindings = {
+            "qa_info_with_idea_json_format": defaults["qa_info_with_idea_json_format"],
+            "paper_title": paper.title,
+            "paper_abstract": paper.abstract,
+            "related_paper_titles": titles,
+            "related_paper_abstracts": abstracts,
+            "target_paper_base_info": f"Title: {paper.title}\nAbstract: {paper.abstract}",
+            "research_trending_info": trend_report,
+            "high_quality_paper_list": "\n".join(
+                f"{n}. {p.title}: {p.abstract}" for n, p in enumerate(hot_papers, 1)
+            ),
+            "scientific_discovery_theory": self._library.theory_catalog_text(),
+        }
+        pool: list[Idea] = []
+        quotas = source_quotas(self._config.initial_seed_count)
+        for (source, template), quota in zip(SOURCES, quotas):
+            if source == "trend" and not (trend_report and hot_papers):
+                if quota:
+                    logger.warning("no trend inputs supplied; pool starts %d short", quota)
+                continue
+            bindings["idea_count"] = str(quota)
+            bindings["exist_idea"] = "\n".join(f"- {i.idea}" for i in pool) or "(none yet)"
+            pool += self._generate(source, template, bindings, quota)
         if len(pool) < self._config.initial_seed_count:
             logger.warning(
                 "seed pool shortfall: %d of %d ideas",
@@ -215,25 +170,6 @@ class SeedGenerator:
 
     # -- internals -----------------------------------------------------------
 
-    @staticmethod
-    def _require_valid(paper: SeedPaper) -> None:
-        problems = paper.validate()
-        if problems:
-            raise SeedingError(f"invalid seed paper: {problems}")
-
-    def _parse_ideas(self, source: str, raw: list[dict]) -> list[Idea]:
-        return [
-            Idea(
-                id=self._ids.new_id(),
-                thinking=entry["thinking"],
-                idea=entry["idea"],
-                keywords=tuple(entry["keywords"]),
-                source=source,
-                generation=0,
-            )
-            for entry in raw
-        ]
-
     def _generate(self, source: str, template: str, bindings: dict, quota: int) -> list[Idea]:
         if quota == 0:
             return []
@@ -242,7 +178,7 @@ class SeedGenerator:
         except ExtractionFailedError as exc:
             logger.warning("%s generation failed: %s", source, exc)
             raw = []
-        candidates = self._parse_ideas(source, raw)
+        candidates = new_ideas(self._ids, raw, source)
         kept = self.self_correct(candidates, quota) if candidates else []
         refills = 0
         while len(kept) < quota and refills < MAX_REFILLS:
@@ -257,7 +193,7 @@ class SeedGenerator:
             except ExtractionFailedError as exc:
                 logger.warning("%s refill %d failed: %s", source, refills, exc)
                 continue
-            candidates = kept + self._parse_ideas(source, raw)
+            candidates = kept + new_ideas(self._ids, raw, source)
             if candidates:
                 kept = self.self_correct(candidates, quota)
         if len(kept) < quota:

@@ -207,3 +207,19 @@ def test_malformed_corpus_exits_2_before_creating_the_run_dir(cli_env, tmp_path,
     assert err.startswith("nova-error:") and message in err
     assert "Traceback" not in err
     assert not (tmp_path / "bad").exists()
+
+
+def test_validate_checks_trend_papers_as_run_does(cli_env, tmp_path, capsys):
+    path = tmp_path / "trend.json"
+    path.write_text(json.dumps({
+        "paper": {"title": "T", "abstract": "A"},
+        "trend_papers": [{"title": "H", "abstract": "B", "colour": "red"}],
+    }), encoding="utf-8")
+    assert main(["validate", "--paper", str(path)]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert any("colour" in violation for violation in report["violations"])
+
+    argv = cli_env("run", "trend-bad")
+    argv[argv.index("--paper") + 1] = str(path)
+    assert main(argv) == 2
+    assert "colour" in capsys.readouterr().err

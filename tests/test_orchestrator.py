@@ -11,12 +11,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nova import schemas
-from nova.domain import PipelineConfig
+from nova.domain import FINAL_SECTIONS, INITIAL_SECTIONS, PipelineConfig
 from nova.gateway import GatewayError, GatewayOptions, HttpChatBackend, TransientBackendError
 from nova.mockllm import MockBackend, prompt_digest
 from nova.orchestrator import (
     STAGES,
     ArtifactStore,
+    EventLog,
     _dump_bytes,
     OrchestratorError,
     PipelineAborted,
@@ -481,3 +482,62 @@ def test_run_without_corpus_counts_each_pools_dedup(tmp_path, paper_input_file, 
     final = str(config.iterations_T)
     assert metrics["non_duplicate_fraction"] == dedup[final][0]
     assert metrics["retained_count"] == len(dedup[final][1])
+
+
+def test_aborted_seeding_attempts_log_no_run_start(
+    tmp_path, corpus_dir, paper_input_file, small_config
+):
+    """Only a seeding attempt that commits appends `run_started`."""
+    out = tmp_path / "dead"
+    for _ in range(3):
+        backend = FailingBackend(TransientBackendError("backend down"), "", small_config.rng_seed)
+        runner = BackendRunner(
+            out, small_config, options_for(corpus_dir, gateway=FAST_GATEWAY), backend
+        )
+        with pytest.raises(PipelineAborted):
+            runner.run(paper_input=str(paper_input_file))
+        assert replay_events(out) is None
+    assert not (out / "state.json").exists()
+
+    Runner(out, small_config, options_for(corpus_dir)).run(paper_input=str(paper_input_file))
+    types = [event["type"] for event in EventLog(out).read_all()]
+    assert types.count("run_started") == 1
+    assert types[0] == "run_started"
+
+
+INITIAL_SIG = "brainstorm the detailed research project proposal"
+FINAL_SIG = "expand a brief project idea into a full project proposal"
+
+
+class ReversedSectionsBackend:
+    """The mock's replies, with the sections of both proposal replies reversed."""
+
+    def __init__(self, seed: int):
+        self.inner = MockBackend(seed=seed)
+        self.reversed = 0
+
+    def send(self, model_id, prompt, temperature, max_tokens):
+        reply = self.inner.send(model_id, prompt, temperature, max_tokens)
+        if INITIAL_SIG not in prompt and FINAL_SIG not in prompt:
+            return reply
+        value = json.loads(reply[reply.index("{"):reply.rindex("}") + 1])
+        if INITIAL_SIG in prompt:  # {proposal name: sections}
+            value = {name: dict(reversed(body.items())) for name, body in value.items()}
+        else:
+            value = dict(reversed(value.items()))
+        self.reversed += 1
+        return "```json\n" + json.dumps(value) + "\n```"
+
+
+def test_proposal_sections_in_any_reply_order_are_stored_canonically(
+    tmp_path, corpus_dir, paper_input_file, small_config
+):
+    backend = ReversedSectionsBackend(small_config.rng_seed)
+    runner = BackendRunner(tmp_path / "reversed", small_config, options_for(corpus_dir), backend)
+    state = runner.run(paper_input=str(paper_input_file))
+    assert state.stage_cursor == "done"
+    assert backend.reversed == 2 * small_config.cluster_count
+    assert len(state.proposals) == small_config.cluster_count
+    for idea_id in state.proposals:
+        assert tuple(runner._load_proposal(idea_id, "initial").sections) == INITIAL_SECTIONS
+        assert tuple(runner._load_proposal(idea_id, "final").sections) == FINAL_SECTIONS

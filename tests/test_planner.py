@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from nova.domain import Direction, PipelineConfig, RetrievedDoc, SearchPlan, validate_lineage
+from nova.domain import PipelineConfig, RetrievedDoc, validate_lineage
 from nova.gateway import Gateway, GatewayOptions, TransientBackendError
 from nova.ids import IdFactory
 from nova.literature import HashEmbedder, LiteratureError, OfflineCorpus, SearchQuery
@@ -149,12 +149,7 @@ def test_execute_plan_two_directions_top_k_unique(tmp_path, make_gateway):
     corpus = make_corpus(tmp_path, 20, embedder)
     planner = make_planner(RuleBackend(), make_gateway, corpus=corpus, embedder=embedder)
     idea = embedded(1)
-    plan = SearchPlan(
-        idea_id=idea.id,
-        directions=(Direction("a", ("alpha", "beta")), Direction("b", ("gamma",))),
-        created_at_generation=0,
-    )
-    docs = planner.execute_plan(plan, 5, idea.embedding)
+    docs = planner.execute_plan(idea, [("alpha", "beta"), ("gamma",)])
     titles = [d.title for d in docs]
     assert len(docs) == 5
     assert len(set(titles)) == 5
@@ -165,44 +160,39 @@ def test_execute_plan_fewer_than_k(tmp_path, make_gateway):
     corpus = make_corpus(tmp_path, 3, embedder)
     planner = make_planner(RuleBackend(), make_gateway, corpus=corpus, embedder=embedder)
     idea = embedded(2)
-    plan = SearchPlan(idea.id, (Direction("a", ("kw",)),), 0)
-    assert len(planner.execute_plan(plan, 5, idea.embedding)) == 3
+    assert len(planner.execute_plan(idea, [("kw",)])) == 3
 
 
 def test_execute_plan_merge_matches_brute_force(tmp_path, make_gateway):
     """Title-dedup then rank-by-cosine equals an independent merge."""
     embedder = HashEmbedder(dim=8, seed=1)
     corpus = make_corpus(tmp_path, 12, embedder)
-    planner = make_planner(RuleBackend(), make_gateway, corpus=corpus, embedder=embedder)
-    idea = embedded(3)
-    plan = SearchPlan(
-        idea_id=idea.id,
-        directions=(Direction("a", ("query one",)), Direction("b", ("query two",))),
-        created_at_generation=0,
-    )
     K = 4
-    got = [d.title for d in planner.execute_plan(plan, K, idea.embedding)]
+    planner = make_planner(RuleBackend(), make_gateway, corpus=corpus, embedder=embedder,
+                           config=PipelineConfig(retrieve_K=K))
+    idea = embedded(3)
+    groups = [("query one",), ("query two",)]
+    got = [d.title for d in planner.execute_plan(idea, groups)]
 
-    # brute force: per-direction searches, first-seen merge, cosine sort
+    # brute force: per-group searches, first-seen merge, cosine sort
     import numpy as np
 
     seen = {}
-    for direction in plan.directions:
-        for doc in corpus.search(SearchQuery(text=" ".join(direction.keywords), limit=K)):
+    for keywords in groups:
+        for doc in corpus.search(SearchQuery(text=" ".join(keywords), limit=K)):
             seen.setdefault(doc.title, doc)
     expected = sorted(
         seen.values(),
         key=lambda d: (-float(np.asarray(idea.embedding) @ np.asarray(d.embedding)), d.title),
     )[:K]
     assert got == [d.title for d in expected]
-    assert len(set(got)) == len(got)  # a doc reachable from both directions appears once
+    assert len(set(got)) == len(got)  # a doc reachable from both groups appears once
 
 
 def test_execute_plan_no_backend_returns_empty(make_gateway):
     planner = make_planner(RuleBackend(), make_gateway, corpus=None)
     idea = embedded(4)
-    plan = SearchPlan(idea.id, (Direction("a", ("kw",)),), 0)
-    assert planner.execute_plan(plan, 5, idea.embedding) == []
+    assert planner.execute_plan(idea, [("kw",)]) == []
 
 
 def test_execute_plan_search_failures_tolerated(make_gateway, caplog):
@@ -214,9 +204,8 @@ def test_execute_plan_search_failures_tolerated(make_gateway, caplog):
 
     planner = make_planner(RuleBackend(), make_gateway, corpus=BrokenCorpus())
     idea = embedded(5)
-    plan = SearchPlan(idea.id, (Direction("a", ("down",)), Direction("b", ("bad",))), 0)
     with caplog.at_level("WARNING", logger="nova.planner"):
-        assert planner.execute_plan(plan, 5, idea.embedding) == []
+        assert planner.execute_plan(idea, [("down",), ("bad",)]) == []
     assert [r.getMessage() for r in caplog.records] == [
         "search failed for 'down': backend down",
         "search failed for 'bad': malformed reply",
@@ -231,9 +220,8 @@ def test_execute_plan_programming_errors_propagate(make_gateway, error):
 
     planner = make_planner(RuleBackend(), make_gateway, corpus=BuggyCorpus())
     idea = embedded(5)
-    plan = SearchPlan(idea.id, (Direction("a", ("kw",)),), 0)
     with pytest.raises(error):
-        planner.execute_plan(plan, 5, idea.embedding)
+        planner.execute_plan(idea, [("kw",)])
 
 
 class CountingEmbedder(HashEmbedder):
@@ -257,9 +245,8 @@ def test_execute_plan_rejects_unembedded_doc(make_gateway):
     planner = make_planner(RuleBackend(), make_gateway, corpus=StaticSearch(docs),
                            embedder=embedder)
     idea = embedded(5)
-    plan = SearchPlan(idea.id, (Direction("a", ("kw",)),), 0)
     with pytest.raises(ValueError, match="'doc 1' has no embedding"):
-        planner.execute_plan(plan, 5, idea.embedding)
+        planner.execute_plan(idea, [("kw",)])
     assert embedder.batches == []
 
 
@@ -273,8 +260,7 @@ def test_execute_plan_all_embedded_sends_no_embed_call(make_gateway):
     embedder = CountingEmbedder(dim=8, seed=1)
     planner = make_planner(RuleBackend(), make_gateway, corpus=StubSearch(), embedder=embedder)
     idea = embedded(5)
-    plan = SearchPlan(idea.id, (Direction("a", ("kw",)),), 0)
-    assert [d.title for d in planner.execute_plan(plan, 5, idea.embedding)] == ["doc"]
+    assert [d.title for d in planner.execute_plan(idea, [("kw",)])] == ["doc"]
     assert embedder.batches == []
 
 

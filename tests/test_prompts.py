@@ -43,15 +43,11 @@ GOLDEN_BINDINGS = {
     "idea": "Thinking: golden\nIdea: golden idea\nKeywords: gk",
     "relevant_papers_block": "Here are some relevant papers on this idea just for your "
     "background knowledge:\nTitle: Context Doc\nAbstract: context abstract",
-    "few_shot_block": "",
     "self_reflection_block": "",
     "initial_idea_json": '{"Problem": "golden problem"}',
-    "example_block": "",
     "idea_json": '{"Problem": "golden problem"}',
     "method_decomposition_block": "Method decomposition info:\ngolden modules",
-    "feedback_block": "",
     "new_knowledge_block": "",
-    "demo_examples_block": "",
     "idea_info": "Thinking: golden\nIdea: golden idea\nKeywords: gk",
     "popular_paper_list": "1. Title: Golden Hot Paper\n   Abstract: hot abstract",
     "proposal_a": "Title: A\nProblem Statement: pa",

@@ -1,4 +1,7 @@
-"""Seed-pool generation: sources, quotas, self-correction, refills."""
+"""Seed-pool generation: sources, quotas, self-correction, refills.
+
+Each source is exercised through `generate_pool`, the one entry point.
+"""
 
 from __future__ import annotations
 
@@ -10,7 +13,7 @@ from nova.domain import PipelineConfig
 from nova.ids import IdFactory
 from nova.prompts import PromptLibrary
 from nova.gateway import BackendUnavailableError, TransientBackendError
-from nova.seeding import SeedGenerator, SeedingError, SourceQuota, reflect
+from nova.seeding import SeedGenerator, reflect, source_quotas
 from tests.conftest import RuleBackend, make_idea
 
 LIBRARY = PromptLibrary()
@@ -40,6 +43,11 @@ THEORY_SIG = "familiar with Science Discovery Theory"
 REFLECT_SIG = "critically reviewing a numbered list"
 
 
+def from_source(seeder, paper, source):
+    """The ideas `source` contributed to a generation-0 pool built without trend inputs."""
+    return [i for i in seeder.generate_pool(paper, None, []) if i.source == source]
+
+
 def test_internal_scripted_five_ideas(make_gateway, sample_paper):
     scripted = idea_list_json(
         [("Integrate real-time data feeds",
@@ -48,18 +56,18 @@ def test_internal_scripted_five_ideas(make_gateway, sample_paper):
     )
     backend = RuleBackend(rules=[(INTERNAL_SIG, scripted)])
     seeder = make_seeder(backend, make_gateway)
-    ideas = seeder.generate_internal(sample_paper)
+    ideas = from_source(seeder, sample_paper, "internal_knowledge")
     assert len(ideas) == 5
-    assert all(i.source == "internal_knowledge" and i.generation == 0 for i in ideas)
+    assert all(i.generation == 0 for i in ideas)
     assert "real-time data integration" in ideas[0].keywords
 
 
 def test_internal_empty_script_and_refill_gives_shortfall(make_gateway, sample_paper, caplog):
     backend = RuleBackend(rules=[(INTERNAL_SIG, "no json here at all")])
     seeder = make_seeder(backend, make_gateway)
-    ideas = seeder.generate_internal(sample_paper)
+    ideas = from_source(seeder, sample_paper, "internal_knowledge")
     assert ideas == []
-    assert any("shortfall" in r.message for r in caplog.records)
+    assert any("internal_knowledge shortfall" in r.message for r in caplog.records)
 
 
 def test_seven_candidates_quota_five_top_scored_survive(make_gateway, sample_paper):
@@ -70,7 +78,7 @@ def test_seven_candidates_quota_five_top_scored_survive(make_gateway, sample_pap
     )
     backend = RuleBackend(rules=[(INTERNAL_SIG, scripted), (REFLECT_SIG, scores)])
     seeder = make_seeder(backend, make_gateway)
-    ideas = seeder.generate_internal(sample_paper)
+    ideas = from_source(seeder, sample_paper, "internal_knowledge")
     assert [i.idea for i in ideas] == [f"candidate {i}" for i in (7, 6, 5, 4, 3)]
 
 
@@ -79,39 +87,32 @@ def test_refill_tops_up_to_quota(make_gateway, sample_paper):
     more = idea_list_json([(f"refill idea {i}", ["kw"]) for i in range(6)])
     backend = RuleBackend(rules=[("Refill attempt 1", more), (INTERNAL_SIG, short)])
     seeder = make_seeder(backend, make_gateway)
-    ideas = seeder.generate_internal(sample_paper)
+    ideas = from_source(seeder, sample_paper, "internal_knowledge")
     assert len(ideas) == 5
-    assert any("Refill attempt 1" in p for p in backend.prompts)
+    assert any("Refill attempt 1" in p and INTERNAL_SIG in p for p in backend.prompts)
 
 
 def test_trend_prompt_embeds_existing_ideas(make_gateway, sample_paper, trend_papers):
-    backend = RuleBackend()
-    seeder = make_seeder(backend, make_gateway)
-    existing = [make_idea(1, text="prior idea alpha"), make_idea(2, text="prior idea beta")]
-    ideas = seeder.generate_trend(sample_paper, "the trend report", trend_papers, existing)
+    scripted = idea_list_json([("prior idea alpha", ["a"]), ("prior idea beta", ["b"])])
+    backend = RuleBackend(rules=[(INTERNAL_SIG, scripted)])
+    seeder = make_seeder(backend, make_gateway, PipelineConfig(initial_seed_count=6))
+    pool = seeder.generate_pool(sample_paper, "the trend report", trend_papers)
+    internal = [i.idea for i in pool if i.source == "internal_knowledge"]
+    assert internal == ["prior idea alpha", "prior idea beta"]
     trend_prompts = [p for p in backend.prompts if TREND_SIG in p]
     assert trend_prompts, "trend prompt never sent"
-    assert "prior idea alpha" in trend_prompts[0]
-    assert "prior idea beta" in trend_prompts[0]
-    assert all(i.source == "trend" for i in ideas)
-
-
-def test_trend_requires_report_and_hot_papers(make_gateway, sample_paper, trend_papers):
-    seeder = make_seeder(RuleBackend(), make_gateway)
-    with pytest.raises(SeedingError):
-        seeder.generate_trend(sample_paper, "", trend_papers, [])
-    with pytest.raises(SeedingError):
-        seeder.generate_trend(sample_paper, "report", [], [])
+    assert "- prior idea alpha\n- prior idea beta" in trend_prompts[0]
+    assert "the trend report" in trend_prompts[0]
+    assert [i.source for i in pool].count("trend") == 2
 
 
 def test_theory_prompt_contains_catalog_and_tags_source(make_gateway, sample_paper):
     backend = RuleBackend()
     seeder = make_seeder(backend, make_gateway)
-    ideas = seeder.generate_theory(sample_paper)
+    ideas = from_source(seeder, sample_paper, "discovery_theory")
     theory_prompts = [p for p in backend.prompts if THEORY_SIG in p]
     assert "Kuhn's paradigm theory" in theory_prompts[0]
     assert len(ideas) == 5
-    assert all(i.source == "discovery_theory" for i in ideas)
 
 
 # ---------------------------------------------------------------------------
@@ -204,12 +205,6 @@ def test_self_correct_backend_outage_propagates(make_gateway):
         seeder.self_correct([make_idea(1)], keep=1)
 
 
-def test_self_correct_requires_candidates(make_gateway):
-    seeder = make_seeder(RuleBackend(), make_gateway)
-    with pytest.raises(SeedingError):
-        seeder.self_correct([], keep=3)
-
-
 # ---------------------------------------------------------------------------
 # quotas and pool assembly
 # ---------------------------------------------------------------------------
@@ -217,10 +212,10 @@ def test_self_correct_requires_candidates(make_gateway):
 
 def test_quota_split_sums_to_initial_seed_count():
     for count in (15, 6, 7, 8, 1, 2):
-        quota = SourceQuota.from_config(PipelineConfig(initial_seed_count=count))
-        assert quota.total == count
-    default = SourceQuota.from_config(PipelineConfig())
-    assert (default.internal_knowledge, default.trend, default.discovery_theory) == (5, 5, 5)
+        assert sum(source_quotas(count)) == count
+    assert source_quotas(PipelineConfig().initial_seed_count) == (5, 5, 5)
+    assert source_quotas(7) == (3, 2, 2)
+    assert source_quotas(8) == (3, 3, 2)
 
 
 def test_generate_pool_full_and_valid(make_gateway, sample_paper, trend_papers):
@@ -256,11 +251,3 @@ def test_pool_reproducible_modulo_ids(make_gateway, sample_paper, trend_papers, 
     assert [(i.idea, i.source, i.keywords) for i in first] == [
         (i.idea, i.source, i.keywords) for i in second
     ]
-
-
-def test_invalid_paper_rejected(make_gateway):
-    from nova.domain import SeedPaper
-
-    seeder = make_seeder(RuleBackend(), make_gateway)
-    with pytest.raises(SeedingError, match="invalid seed paper"):
-        seeder.generate_internal(SeedPaper(id="x", title="", abstract="a"))
