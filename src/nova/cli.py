@@ -80,8 +80,10 @@ def build_parser() -> _Parser:
 
     for command in ("run", "seed"):
         add_run_flags(sub.add_parser(command), needs_paper=True)
-    for command in ("iterate", "select", "propose", "evaluate", "report"):
+    for command in ("iterate", "select", "propose", "evaluate"):
         add_run_flags(sub.add_parser(command), needs_paper=False)
+
+    sub.add_parser("report").add_argument("--out", required=True, help="run directory")
 
     validate = sub.add_parser("validate")
     validate.add_argument("--paper", required=True, help="paper JSON file to validate")
@@ -159,13 +161,6 @@ def _run_command(args, target_stage: str) -> int:
     return 0
 
 
-def _report_command(args) -> int:
-    # Reports never advance the pipeline; they summarize whatever exists.
-    summary = metrics_report(args.out)
-    print(json.dumps(summary, ensure_ascii=False, indent=2))
-    return 0
-
-
 def _validate_command(args) -> int:
     path = Path(args.paper)
     if not path.is_file():
@@ -187,8 +182,9 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if args.command == "validate":
             return _validate_command(args)
-        if args.command == "report":
-            return _report_command(args)
+        if args.command == "report":  # summarizes whatever exists; never advances the run
+            print(json.dumps(metrics_report(args.out), ensure_ascii=False, indent=2))
+            return 0
         if args.command == "run":
             return _run_command(args, "done")
         return _run_command(args, _STAGE_COMMANDS[args.command])

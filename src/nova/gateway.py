@@ -23,14 +23,20 @@ cached and offline work never pays for threads. Concurrent requests for one
 cache key make a single live call; the others wait for it and count as cache
 hits, exactly as if they had been issued one after another.
 
-The response cache takes no lock. Single-flight gives each key one writer per
-gateway, and every write goes to a temporary file private to the writing
-thread that `os.replace` then renames over the entry, so readers and other
-processes see the old entry or the new one, never part of one. A cache entry
+Cache entries, artifacts, ``state.json`` and ``summary.json`` are written by
+:func:`atomic_write`: a temporary file private to the writing thread, renamed
+over the target with `os.replace`, so readers and other processes see the old
+file or the new one, never part of one. The response cache takes no lock:
+single-flight gives each key one writer per gateway. A cache entry
 that cannot be read back (cut-off JSON, not an object, no string ``"text"``)
 is logged and treated as a miss; the reply sent in its place overwrites it.
 Structured output is checked with the compiled checkers of
 :func:`nova.schemas.output_schema_check`.
+
+The live HTTP clients (chat here; paper search and embeddings in
+:mod:`nova.literature`) all send through :func:`post_json`, which holds the one
+status rule: a transport error (`OSError`) or HTTP 429/500/502/503/504 raises
+`TransientBackendError`; any other status but 200 a plain `GatewayError`.
 """
 
 from __future__ import annotations
@@ -65,7 +71,7 @@ class GatewayError(Exception):
 
 
 class TransientBackendError(GatewayError):
-    """Transport, 429, or 5xx-class failure; worth retrying."""
+    """Transport failure or HTTP 429/500/502/503/504 (see `post_json`); worth retrying."""
 
 
 class BackendUnavailableError(GatewayError):
@@ -117,20 +123,47 @@ class GatewayOptions:
     reprompt_budget: int = 2
 
 
+_OPEN_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_NOFOLLOW", 0)
+
+
+def atomic_write(path: str | os.PathLike, data: bytes) -> None:
+    """Replace the file at `path` with `data`; a reader sees the old or the new file.
+
+    The bytes go to ``<path>.<pid>.<thread id>.tmp`` (mode 0o600, truncated if
+    a crashed writer left it, a symlink not followed), which `os.replace` renames
+    over `path`; the directory is made only when the open finds it missing. On
+    failure the temporary file is removed and the previous file left as it was.
+    """
+    tmp = f"{os.fspath(path)}.{os.getpid()}.{threading.get_ident()}.tmp"
+    try:
+        fd = os.open(tmp, _OPEN_FLAGS, 0o600)
+    except FileNotFoundError:
+        os.makedirs(os.path.dirname(tmp), exist_ok=True)
+        fd = os.open(tmp, _OPEN_FLAGS, 0o600)
+    try:
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view) :]
+        finally:
+            os.close(fd)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
 class ResponseCache:
     """Content-addressed on-disk store of reply texts; no eviction, no lock.
 
     An entry is the JSON object ``{"text": ...}`` at ``<dir>/<key[:2]>/<key>.json``.
-    `put` writes the encoded entry to ``<entry>.<pid>.<thread id>.tmp`` (mode
-    0o600) and renames it over the entry with `os.replace`, which is atomic, so
-    concurrent writers and readers need no lock: a reader sees a whole old or a
-    whole new entry. If the write or the rename fails, the temporary file is
-    removed and any previous entry stays as it was. `get` treats an entry that
-    does not decode to an object with a string ``"text"`` as a miss and logs a
-    warning naming the key; the next `put` for that key replaces it.
+    `put` writes it with `atomic_write`, so concurrent writers and readers need
+    no lock: a reader sees a whole old or a whole new entry, and a failed write
+    leaves any previous entry as it was. `get` treats an entry that does not
+    decode to an object with a string ``"text"`` as a miss and logs a warning
+    naming the key; the next `put` for that key replaces it.
     """
-
-    _OPEN_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_NOFOLLOW", 0)
 
     def __init__(self, cache_dir: str | Path):
         self._dir = Path(cache_dir)
@@ -156,26 +189,8 @@ class ResponseCache:
         return text
 
     def put(self, key: str, text: str) -> None:
-        path = self._path(key)
         data = json.dumps({"text": text}, ensure_ascii=False).encode("utf-8")
-        tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
-        try:
-            fd = os.open(tmp, self._OPEN_FLAGS, 0o600)
-        except FileNotFoundError:
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            fd = os.open(tmp, self._OPEN_FLAGS, 0o600)
-        try:
-            try:
-                view = memoryview(data)
-                while view:
-                    view = view[os.write(fd, view) :]
-            finally:
-                os.close(fd)
-            os.replace(tmp, path)
-        except BaseException:
-            with contextlib.suppress(FileNotFoundError):
-                os.unlink(tmp)
-            raise
+        atomic_write(self._path(key), data)
 
 
 class GatewayStats:
@@ -429,31 +444,52 @@ def extract_json(raw: str, schema_name: str):
 
 
 # ---------------------------------------------------------------------------
-# Live backend (OpenAI-style chat completions)
+# Live HTTP backends
 # ---------------------------------------------------------------------------
+
+_RETRYABLE_STATUS = frozenset({429, 500, 502, 503, 504})
+
+
+def post_json(endpoint: str, payload: dict, key_env: str, post=None, timeout: float = 60.0):
+    """POST `payload` as JSON with ``Authorization: Bearer <$key_env>``; return the 200 reply.
+
+    Failures follow the module's status rule. `post` defaults to `requests.post`.
+    """
+    if post is None:
+        import requests
+
+        post = requests.post
+    try:
+        resp = post(
+            endpoint,
+            json=payload,
+            headers={"Authorization": f"Bearer {os.environ.get(key_env, '')}"},
+            timeout=timeout,
+        )
+    except OSError as exc:
+        raise TransientBackendError(f"{endpoint}: transport failure: {exc}") from exc
+    status = resp.status_code
+    if status in _RETRYABLE_STATUS:
+        raise TransientBackendError(f"{endpoint}: HTTP {status}")
+    if status != 200:
+        raise GatewayError(f"{endpoint}: HTTP {status}: {getattr(resp, 'text', '')[:200]}")
+    return resp
 
 
 class HttpChatBackend:
-    """OpenAI-style chat-completion HTTP client.
+    """OpenAI-style chat-completion client over `post_json`.
 
-    The API key comes from the NOVA_LLM_API_KEY environment variable. A
-    custom `post` callable can be injected for testing.
+    Without NOVA_LLM_API_KEY `send` raises `GatewayError` and sends nothing; so
+    does a reply without a string ``choices[0].message.content``.
     """
-
-    _RETRYABLE_STATUS = frozenset({429, 500, 502, 503, 504})
 
     def __init__(self, endpoint: str, post=None, timeout: float = 120.0):
         self._endpoint = endpoint
-        self._timeout = timeout
-        if post is None:
-            import requests
-
-            post = requests.post
         self._post = post
+        self._timeout = timeout
 
     def send(self, model_id: str, prompt: str, temperature: float, max_tokens: int) -> str:
-        api_key = os.environ.get(LLM_API_KEY_ENV, "")
-        if not api_key:
+        if not os.environ.get(LLM_API_KEY_ENV):
             raise GatewayError(f"{LLM_API_KEY_ENV} is not set")
         payload = {
             "model": model_id,
@@ -461,26 +497,11 @@ class HttpChatBackend:
             "temperature": temperature,
             "max_tokens": max_tokens,
         }
-        try:
-            resp = self._post(
-                self._endpoint,
-                json=payload,
-                headers={"Authorization": f"Bearer {api_key}"},
-                timeout=self._timeout,
-            )
-        except OSError as exc:
-            raise TransientBackendError(f"transport failure: {exc}") from exc
-        status = getattr(resp, "status_code", 0)
-        if status in self._RETRYABLE_STATUS:
-            raise TransientBackendError(f"HTTP {status}")
-        if status != 200:
-            raise GatewayError(f"HTTP {status}: {getattr(resp, 'text', '')[:200]}")
+        resp = post_json(self._endpoint, payload, LLM_API_KEY_ENV, self._post, self._timeout)
         try:
             content = resp.json()["choices"][0]["message"]["content"]
+            if not isinstance(content, str):
+                raise TypeError(f"content is {type(content).__name__}")
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise GatewayError(f"malformed completion response: {exc}") from exc
-        if not isinstance(content, str):
-            raise GatewayError(
-                f"malformed completion response: content is {type(content).__name__}"
-            )
         return content

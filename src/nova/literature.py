@@ -2,16 +2,16 @@
 
 Two backends exist for each contract: an HTTP client for live use and a
 deterministic offline variant (hash-to-sphere embedder, JSON corpus directory)
-for desk-scale and replay runs. All embeddings are unit-normalized at write
-time so cosine similarity reduces to a dot product.
+for desk-scale and replay runs. The HTTP clients send through
+`gateway.post_json`, so they classify HTTP failures exactly as the chat
+backend does. All embeddings are unit-normalized at write time so cosine
+similarity reduces to a dot product.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import logging
-import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol
@@ -19,10 +19,8 @@ from typing import Protocol
 import numpy as np
 
 from .domain import RetrievedDoc, SeedPaper
-from .gateway import Gateway, TransientBackendError
+from .gateway import Gateway, post_json
 from .prompts import PromptLibrary
-
-logger = logging.getLogger(__name__)
 
 SEARCH_API_KEY_ENV = "NOVA_SEARCH_API_KEY"
 EMBED_API_KEY_ENV = "NOVA_EMBED_API_KEY"
@@ -78,10 +76,6 @@ class Embedder(Protocol):
     def embed(self, texts: list[str]) -> list[np.ndarray]: ...
 
 
-class SearchBackend(Protocol):
-    def search(self, query: SearchQuery) -> list[RetrievedDoc]: ...
-
-
 class HashEmbedder:
     """Seeded hash-to-sphere mock embedder.
 
@@ -109,34 +103,24 @@ class HashEmbedder:
 
 
 class HttpEmbedder:
-    """Embeddings HTTP contract: POST {model, input: [texts]} -> {data: [{embedding}]}."""
+    """Embeddings client over `gateway.post_json`: POST {model, input} -> {data: [...]}.
+
+    The key comes from NOVA_EMBED_API_KEY, empty if unset. A reply without one
+    ``{"embedding": [...]}`` row per text raises `LiteratureError`.
+    """
 
     def __init__(self, endpoint: str, model: str = DEFAULT_EMBED_MODEL, post=None,
                  timeout: float = 60.0):
         self._endpoint = endpoint
         self._model = model
-        self._timeout = timeout
-        if post is None:
-            import requests
-
-            post = requests.post
         self._post = post
+        self._timeout = timeout
 
     def embed(self, texts: list[str]) -> list[np.ndarray]:
         if not texts:
             raise LiteratureError("embed requires at least one text")
-        api_key = os.environ.get(EMBED_API_KEY_ENV, "")
-        try:
-            resp = self._post(
-                self._endpoint,
-                json={"model": self._model, "input": list(texts)},
-                headers={"Authorization": f"Bearer {api_key}"},
-                timeout=self._timeout,
-            )
-        except OSError as exc:
-            raise TransientBackendError(f"embedding transport failure: {exc}") from exc
-        if resp.status_code != 200:
-            raise TransientBackendError(f"embedding HTTP {resp.status_code}")
+        payload = {"model": self._model, "input": list(texts)}
+        resp = post_json(self._endpoint, payload, EMBED_API_KEY_ENV, self._post, self._timeout)
         try:
             rows = resp.json()["data"]
             vectors = [row["embedding"] for row in rows]
@@ -266,36 +250,22 @@ class OfflineCorpus:
 
 
 class HttpSearchClient:
-    """Paper-search HTTP contract: POST {query, limit} -> {results: [{title, abstract, score}]}.
+    """Paper-search client over `gateway.post_json`: POST {query, limit} -> {results: [...]}.
 
-    Every returned doc is embedded from "<title>\\n<abstract>" with `embedder`,
-    in one call per search.
+    The key comes from NOVA_SEARCH_API_KEY, empty if unset. A reply that is not
+    an object with a list of titled results raises `LiteratureError`. Returned
+    docs are embedded from "<title>\\n<abstract>" with `embedder`, in one call.
     """
 
     def __init__(self, endpoint: str, embedder: Embedder, post=None, timeout: float = 60.0):
         self._endpoint = endpoint
         self._embedder = embedder
-        self._timeout = timeout
-        if post is None:
-            import requests
-
-            post = requests.post
         self._post = post
+        self._timeout = timeout
 
     def search(self, query: SearchQuery) -> list[RetrievedDoc]:
-        api_key = os.environ.get(SEARCH_API_KEY_ENV, "")
         payload = {"query": query.text, "limit": query.limit}
-        try:
-            resp = self._post(
-                self._endpoint,
-                json=payload,
-                headers={"Authorization": f"Bearer {api_key}"},
-                timeout=self._timeout,
-            )
-        except OSError as exc:
-            raise TransientBackendError(f"search transport failure: {exc}") from exc
-        if resp.status_code != 200:
-            raise TransientBackendError(f"search HTTP {resp.status_code}")
+        resp = post_json(self._endpoint, payload, SEARCH_API_KEY_ENV, self._post, self._timeout)
         try:
             body = resp.json()
         except ValueError as exc:
@@ -354,12 +324,11 @@ def build_trend_report(
     model_id: str,
     top_n: int = DEFAULT_TREND_PAPER_COUNT,
 ) -> str:
-    """Summarize the highest-engagement recent papers into a trend report."""
-    if not recent:
-        raise LiteratureError("trend report requires at least one recent paper")
-    for p in recent:
-        if not p.source_meta:
-            raise LiteratureError(f"paper {p.id} has no engagement metrics")
+    """Summarize the highest-engagement recent papers into a trend report.
+
+    `recent` is nonempty and every paper has engagement metrics; the run
+    input's loader, `orchestrator.load_paper_input`, checks both.
+    """
     ranked = rank_by_engagement(recent)[:top_n]
     bindings = {"popular_paper_list": format_paper_list(ranked)}
     return gateway.ask(library, "trend_report", bindings, model_id)

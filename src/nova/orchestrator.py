@@ -34,8 +34,6 @@ import hashlib
 import io
 import json
 import logging
-import os
-import tempfile
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -43,7 +41,7 @@ from . import planner as planner_mod
 from . import proposals as proposals_mod
 from . import selector, tournament
 from .domain import DomainParseError, Idea, PipelineConfig, Proposal, SeedPaper
-from .gateway import Gateway, GatewayError, GatewayOptions, HttpChatBackend
+from .gateway import Gateway, GatewayError, GatewayOptions, HttpChatBackend, atomic_write
 from .ids import IdFactory
 from .literature import (
     HashEmbedder,
@@ -97,7 +95,6 @@ class RunnerOptions:
     gateway: GatewayOptions = field(default_factory=GatewayOptions)
     threshold_only_novelty: bool = False
     use_self_reflection: bool = False
-    abort_after: str | None = None  # stage name; kill-injection for testing
 
 
 @dataclass
@@ -126,6 +123,14 @@ class RunState:
         return cls(**{**data, "config": PipelineConfig.from_dict(data["config"])})
 
 
+def load_state(out_dir: Path) -> RunState | None:
+    """The run state persisted in `out_dir`, or None if no run started there."""
+    path = out_dir / "state.json"
+    if not path.is_file():
+        return None
+    return RunState.from_dict(json.loads(path.read_text(encoding="utf-8")))
+
+
 _ENCODER = json.JSONEncoder(ensure_ascii=False, indent=2)
 
 
@@ -142,18 +147,6 @@ def _dump_bytes(payload: dict) -> bytes:
     return buf.getvalue().encode("utf-8")
 
 
-def _atomic_write(path: Path, data: bytes) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-
-
 class ArtifactStore:
     """Content-addressed JSON artifacts under <run>/artifacts."""
 
@@ -166,7 +159,7 @@ class ArtifactStore:
         digest = hashlib.sha256(payload).hexdigest()
         path = self._dir / f"{digest}.json"
         if not path.exists():
-            _atomic_write(path, payload)
+            atomic_write(path, payload)
         return digest
 
     def get(self, digest: str) -> dict:
@@ -210,8 +203,9 @@ def load_paper_input(source: dict | str | Path, id_factory: IdFactory) -> tuple[
     """Parse the run input: a bare paper object or {"paper", "trend_papers"}.
 
     Papers without an "id" get one from the factory, so the counter must be
-    fresh when a new run starts. A paper that does not parse, or a target
-    paper that does not validate, raises `InvalidPaperError`.
+    fresh when a new run starts. A paper that does not parse or validate, or a
+    trend paper without engagement metrics (`source_meta`), raises
+    `InvalidPaperError`; each trend paper's violations start ``trend_papers[<n>]: ``.
     """
     if not isinstance(source, dict):
         source = json.loads(Path(source).read_text(encoding="utf-8"))
@@ -219,20 +213,31 @@ def load_paper_input(source: dict | str | Path, id_factory: IdFactory) -> tuple[
         paper_raw, trend_raw = source["paper"], source.get("trend_papers", [])
     else:
         paper_raw, trend_raw = source, []
+    if not isinstance(trend_raw, list):
+        raise InvalidPaperError([f"trend_papers: must be a list, got {type(trend_raw).__name__}"])
     paper = _parse_paper(paper_raw, id_factory)
     problems = paper.validate()
+    trend_papers = [
+        _parse_paper(raw, id_factory, f"trend_papers[{n}]: ") for n, raw in enumerate(trend_raw)
+    ]
+    for n, trend in enumerate(trend_papers):
+        if not trend.source_meta:
+            problems.append(f"trend_papers[{n}]: SeedPaper.source_meta: must be nonempty")
+        problems += [f"trend_papers[{n}]: {problem}" for problem in trend.validate()]
     if problems:
         raise InvalidPaperError(problems)
-    return paper, [_parse_paper(raw, id_factory) for raw in trend_raw]
+    return paper, trend_papers
 
 
-def _parse_paper(raw, id_factory: IdFactory) -> SeedPaper:
+def _parse_paper(raw, id_factory: IdFactory, where: str = "") -> SeedPaper:
     if not isinstance(raw, dict):
-        raise OrchestratorError(f"input paper must be a JSON object, got {type(raw).__name__}")
+        raise OrchestratorError(
+            f"{where}input paper must be a JSON object, got {type(raw).__name__}"
+        )
     try:
         return SeedPaper.from_dict({"id": id_factory.new_id(), **raw})
     except DomainParseError as exc:
-        raise InvalidPaperError([str(exc)]) from exc
+        raise InvalidPaperError([f"{where}{exc}"]) from exc
 
 
 class Runner:
@@ -242,7 +247,7 @@ class Runner:
         self.out_dir = Path(out_dir)
         self.config = config
         self.options = options
-        self.state: RunState | None = self._load_state()
+        self.state: RunState | None = load_state(self.out_dir)
         if self.state is not None:
             self.config = self.state.config
         # A malformed corpus fails here, before the run directory is created.
@@ -295,14 +300,8 @@ class Runner:
 
     # -- state plumbing --------------------------------------------------------
 
-    def _load_state(self) -> RunState | None:
-        path = self.out_dir / "state.json"
-        if not path.is_file():
-            return None
-        return RunState.from_dict(json.loads(path.read_text(encoding="utf-8")))
-
     def _write_state(self) -> None:
-        _atomic_write(self.out_dir / "state.json", _dump_bytes(self.state.to_dict()))
+        atomic_write(self.out_dir / "state.json", _dump_bytes(self.state.to_dict()))
 
     def _commit(self, stage: str, delta: dict) -> None:
         for key, value in delta.items():
@@ -540,20 +539,13 @@ class Runner:
             "evaluated": self._stage_evaluate,
             "done": self._stage_done,
         }
-        while True:
-            cursor = self.state.stage_cursor if self.state else None
-            if cursor == target:
-                break
-            done_index = STAGES.index(cursor) if cursor else -1
-            if done_index >= STAGES.index(target):
-                break
-            next_stage = STAGES[done_index + 1]
+        start = STAGES.index(self.state.stage_cursor) + 1 if self.state else 0
+        for stage in STAGES[start : STAGES.index(target) + 1]:
+            committed = self.state.stage_cursor if self.state else "(fresh)"
             try:
-                runners[next_stage]()
+                runners[stage]()
             except GatewayError as exc:
-                raise PipelineAborted(cursor or "(fresh)", str(exc)) from exc
-            if self.options.abort_after == next_stage and next_stage != target:
-                raise PipelineAborted(next_stage, "abort injected for testing")
+                raise PipelineAborted(committed, str(exc)) from exc
         return self.state
 
     def run(self, paper_input=None) -> RunState:
@@ -608,7 +600,7 @@ def write_report(out_dir: Path, state: RunState, store: ArtifactStore,
             gaps.append("score_histogram: tournament was skipped")
     else:
         gaps.append("metrics: run not evaluated yet")
-    _atomic_write(report_dir / "summary.json", _dump_bytes(summary))
+    atomic_write(report_dir / "summary.json", _dump_bytes(summary))
     return summary
 
 
@@ -620,13 +612,12 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
             writer.writerow(row)
 
 
-def metrics_report(out_dir: str | Path, config: PipelineConfig | None = None) -> dict:
+def metrics_report(out_dir: str | Path) -> dict:
     """Regenerate the report for an existing run directory."""
     out_dir = Path(out_dir)
-    path = out_dir / "state.json"
-    if not path.is_file():
-        raise OrchestratorError(f"no run state at {path}")
-    state = RunState.from_dict(json.loads(path.read_text(encoding="utf-8")))
+    state = load_state(out_dir)
+    if state is None:
+        raise OrchestratorError(f"no run state at {out_dir / 'state.json'}")
     store = ArtifactStore(out_dir)
     pool_sizes = {
         g: len(store.get_data(digest, "idea_pool")["ideas"]) for g, digest in state.pools.items()

@@ -20,6 +20,8 @@ def mock_script(tmp_path) -> Path:
 @pytest.fixture
 def cli_env(tmp_path, paper_input_file, corpus_dir, mock_script):
     def _argv(command: str, out: str, *extra: str) -> list[str]:
+        if command == "report":
+            return [command, "--out", str(tmp_path / out), *extra]
         argv = [command, "--out", str(tmp_path / out),
                 "--backend", "mock", "--mock-script", str(mock_script),
                 "--corpus", str(corpus_dir),
@@ -100,6 +102,15 @@ def test_report_on_partial_run_exits_zero_with_gaps(cli_env, tmp_path, capsys):
     summary = json.loads(capsys.readouterr().out)
     assert summary["gaps"], "expected gap flags for the unevaluated run"
     assert (tmp_path / "partial" / "report" / "summary.json").is_file()
+
+
+def test_report_takes_only_the_run_directory(cli_env, tmp_path, capsys):
+    """`nova report` reads a run; run flags, which it would ignore, are usage errors."""
+    argv = cli_env("report", "r", "--backend", "live", "--seed", "9", "--set", "bogus=1")
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --backend live --seed 9 --set bogus=1" in err
+    assert not (tmp_path / "r").exists()
 
 
 def test_identical_argv_identical_run_directory(cli_env, tmp_path):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import os
@@ -10,6 +11,7 @@ import sys
 import threading
 import time
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -26,7 +28,16 @@ from nova.gateway import (
     TransientBackendError,
     extract_json,
 )
+from nova.domain import PipelineConfig
+from nova.literature import (
+    DEFAULT_EMBED_MODEL,
+    HashEmbedder,
+    HttpEmbedder,
+    HttpSearchClient,
+    SearchQuery,
+)
 from nova.mockllm import MockBackend, prompt_digest
+from nova.orchestrator import ArtifactStore, Runner, RunnerOptions, RunState, _dump_bytes
 from nova.prompts import PromptLibrary
 from tests.conftest import FAST_GATEWAY, FlakyBackend, RuleBackend
 
@@ -317,42 +328,82 @@ def test_cache_stress_without_a_lock(tmp_path):
     assert {stat.S_IMODE(p.stat().st_mode) for p in files} == {0o600}
 
 
-def test_failed_rename_leaves_no_temp_file_and_the_old_entry(tmp_path, monkeypatch):
-    cache = ResponseCache(tmp_path)
-    key = "cd" + "1" * 62
-    cache.put(key, "old")
+def cache_writer(root: Path):
+    cache, key = ResponseCache(root), "cd" + "1" * 62
+    return (lambda text: entry_path(root, key)), (lambda text: cache.put(key, text))
+
+
+def artifact_writer(root: Path):
+    store = ArtifactStore(root)
+
+    def target(text: str) -> Path:
+        digest = hashlib.sha256(_dump_bytes({"kind": "note", "data": text})).hexdigest()
+        return root / "artifacts" / f"{digest}.json"
+
+    return target, (lambda text: store.put("note", text))
+
+
+def state_writer(root: Path):
+    runner = Runner(root, PipelineConfig(), RunnerOptions())
+
+    def write(text: str) -> None:
+        runner.state = RunState(run_id=text, config=runner.config, stage_cursor="seeded",
+                                backend="mock", seed_paper_ref="0" * 64)
+        runner._write_state()
+
+    return (lambda text: root / "state.json"), write
+
+
+# Every file the run directory and the response cache replace goes through
+# `atomic_write`; each case writes through one of its callers.
+WRITERS = {"cache": cache_writer, "artifact": artifact_writer, "state": state_writer}
+
+
+def file_bytes(root: Path) -> dict[Path, bytes]:
+    return {p: p.read_bytes() for p in cache_files(root)}
+
+
+@pytest.mark.parametrize("make_writer", WRITERS.values(), ids=WRITERS)
+def test_failed_rename_leaves_no_temp_file_and_the_old_entry(tmp_path, monkeypatch, make_writer):
+    _, write = make_writer(tmp_path)
+    write("old")
+    before = file_bytes(tmp_path)
+    assert before
 
     def refuse(src, dst):
         raise OSError("disk said no")
 
     monkeypatch.setattr(os, "replace", refuse)
     with pytest.raises(OSError, match="disk said no"):
-        cache.put(key, "new")
+        write("new")
     monkeypatch.undo()
-    assert cache_files(tmp_path) == [entry_path(tmp_path, key)]
-    assert cache.get(key) == "old"
+    assert file_bytes(tmp_path) == before
 
 
-def test_put_overwrites_a_stale_temp_file(tmp_path):
+@pytest.mark.parametrize("make_writer", WRITERS.values(), ids=WRITERS)
+def test_put_overwrites_a_stale_temp_file(tmp_path, make_writer):
     """A temporary file left by a crashed writer of the same name is truncated."""
-    cache = ResponseCache(tmp_path)
-    key = "0a" + "4" * 62
-    path = entry_path(tmp_path, key)
-    path.parent.mkdir(parents=True)
+    target, write = make_writer(tmp_path / "run")
+    path = target("fresh")
+    path.parent.mkdir(parents=True, exist_ok=True)
     stale = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
-    stale.write_text("x" * 1000)
-    cache.put(key, "fresh")
-    assert cache.get(key) == "fresh"
-    assert cache_files(tmp_path) == [path]
+    stale.write_text("x" * 100_000)
+    write("fresh")
+    assert cache_files(tmp_path / "run") == [path]
+
+    clean_target, clean_write = make_writer(tmp_path / "clean")
+    clean_write("fresh")
+    assert path.read_bytes() == clean_target("fresh").read_bytes()
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
-def test_put_closes_its_descriptor_on_every_path(tmp_path, monkeypatch):
+@pytest.mark.parametrize("make_writer", WRITERS.values(), ids=WRITERS)
+def test_put_closes_its_descriptor_on_every_path(tmp_path, monkeypatch, make_writer):
     """`-X dev` cannot see a leaked raw descriptor, so count them."""
-    cache = ResponseCache(tmp_path)
+    _, write = make_writer(tmp_path)
     before = len(os.listdir("/proc/self/fd"))
     for n in range(20):
-        cache.put(f"{n:02x}" + "2" * 62, "text")
+        write(f"text {n}")
 
     def refuse(*args):
         raise OSError("disk said no")
@@ -361,7 +412,7 @@ def test_put_closes_its_descriptor_on_every_path(tmp_path, monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(os, name, refuse)
             with pytest.raises(OSError, match="disk said no"):
-                cache.put("ef" + "3" * 62, "text")
+                write("one more")
     assert len(os.listdir("/proc/self/fd")) == before
     assert not any(p.name.endswith(".tmp") for p in cache_files(tmp_path))
 
@@ -640,3 +691,87 @@ def test_http_backend_requires_api_key(monkeypatch):
     backend = HttpChatBackend("https://example.test/v1", post=lambda url, **k: None)
     with pytest.raises(Exception, match="NOVA_LLM_API_KEY"):
         backend.send("m", "p", 0.0, 10)
+
+
+class _RecordingPost:
+    """A fake `requests.post` that records each request and answers with `outcome`."""
+
+    def __init__(self, outcome):
+        self.outcome = outcome
+        self.requests: list[tuple[str, dict]] = []
+
+    def __call__(self, url, **kwargs):
+        self.requests.append((url, kwargs))
+        if isinstance(self.outcome, Exception):
+            raise self.outcome
+        return self.outcome
+
+
+# name -> (call with an injected post, URL, JSON body, key variable, timeout, 200 body)
+HTTP_CLIENTS = {
+    "chat": (
+        lambda post: HttpChatBackend("https://chat.test/v1", post=post).send("m", "p", 0.5, 7),
+        "https://chat.test/v1",
+        {"model": "m", "messages": [{"role": "user", "content": "p"}],
+         "temperature": 0.5, "max_tokens": 7},
+        "NOVA_LLM_API_KEY",
+        120.0,
+        {"choices": [{"message": {"content": "hi"}}]},
+    ),
+    "embed": (
+        lambda post: HttpEmbedder("https://embed.test", post=post).embed(["a", "b"]),
+        "https://embed.test",
+        {"model": DEFAULT_EMBED_MODEL, "input": ["a", "b"]},
+        "NOVA_EMBED_API_KEY",
+        60.0,
+        {"data": [{"embedding": [3.0, 4.0]}, {"embedding": [0.0, 2.0]}]},
+    ),
+    "search": (
+        lambda post: HttpSearchClient(
+            "https://search.test", HashEmbedder(dim=4), post=post
+        ).search(SearchQuery(text="q", limit=3)),
+        "https://search.test",
+        {"query": "q", "limit": 3},
+        "NOVA_SEARCH_API_KEY",
+        60.0,
+        {"results": [{"title": "t", "abstract": "a", "score": 0.5}]},
+    ),
+}
+
+TRANSIENT = [OSError("connection reset"), 429, 500, 502, 503, 504]
+PERMANENT = [400, 401, 403, 404, 501]
+
+
+@pytest.mark.parametrize("outcome", [*TRANSIENT, *PERMANENT, 200],
+                         ids=lambda o: "oserror" if isinstance(o, Exception) else str(o))
+@pytest.mark.parametrize("client", HTTP_CLIENTS)
+def test_http_clients_share_one_status_rule(monkeypatch, client, outcome):
+    call, url, body, key_env, timeout, ok_body = HTTP_CLIENTS[client]
+    monkeypatch.setenv(key_env, f"key-{client}")
+    post = _RecordingPost(
+        _FakeResponse(outcome, ok_body if outcome == 200 else None, text="refused")
+        if isinstance(outcome, int) else outcome
+    )
+    if outcome in TRANSIENT:
+        with pytest.raises(TransientBackendError):
+            call(post)
+    elif outcome in PERMANENT:
+        with pytest.raises(GatewayError, match=f"HTTP {outcome}") as info:
+            call(post)
+        assert type(info.value) is GatewayError  # not retried, not a content failure
+    else:
+        assert call(post)
+    assert post.requests == [(url, {
+        "json": body,
+        "headers": {"Authorization": f"Bearer key-{client}"},
+        "timeout": timeout,
+    })]
+
+
+@pytest.mark.parametrize("client", ["embed", "search"])
+def test_search_and_embed_send_without_a_key(monkeypatch, client):
+    call, _, _, key_env, _, ok_body = HTTP_CLIENTS[client]
+    monkeypatch.delenv(key_env, raising=False)
+    post = _RecordingPost(_FakeResponse(200, ok_body))
+    assert call(post)
+    assert post.requests[0][1]["headers"] == {"Authorization": "Bearer "}

@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from nova.cli import main
 from nova.domain import SeedPaper
+from nova.ids import IdFactory
 from nova.literature import (
     DEFAULT_EMBED_MODEL,
     HashEmbedder,
@@ -26,6 +28,7 @@ from nova.literature import (
     rank_by_engagement,
 )
 from nova.mockllm import MockBackend
+from nova.orchestrator import InvalidPaperError, load_paper_input
 from nova.prompts import PromptLibrary
 from tests.conftest import RuleBackend
 
@@ -429,10 +432,38 @@ def test_trend_prompt_takes_exactly_top_n(make_gateway):
     assert sum(1 for i in range(20) if f"Trend Paper {i:02d}" in prompt) == 8
 
 
-def test_trend_report_preconditions(make_gateway):
-    gateway = make_gateway(RuleBackend())
-    with pytest.raises(LiteratureError):
-        build_trend_report([], gateway, LIBRARY, "m")
-    no_meta = SeedPaper(id="x", title="T", abstract="A")
-    with pytest.raises(LiteratureError, match="engagement"):
-        build_trend_report([no_meta], gateway, LIBRARY, "m")
+def test_trend_report_preconditions(tmp_path, capsys):
+    """The run input is refused before any call when a trend paper could not be ranked.
+
+    `build_trend_report` needs papers with a title, an abstract and engagement
+    metrics; `load_paper_input`, and so `nova validate` and `nova run`, check
+    each trend paper and name it in every violation.
+    """
+    ok = {"title": "H", "abstract": "B", "source_meta": {"likes": 1}}
+    bad = {
+        "empty_text": {"title": "", "abstract": "", "source_meta": {"likes": 3}},
+        "no_meta": {"title": "T", "abstract": "A"},
+        "empty_meta": {"title": "T", "abstract": "A", "source_meta": {}},
+    }
+    for name, trend in bad.items():
+        source = {"paper": {"title": "P", "abstract": "Q"}, "trend_papers": [trend, ok, trend]}
+        with pytest.raises(InvalidPaperError) as info:
+            load_paper_input(source, IdFactory(seed=0))
+        violations = info.value.violations
+        assert violations, name
+        assert {v.split(": ", 1)[0] for v in violations} == {"trend_papers[0]", "trend_papers[2]"}
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({**source, "trend_papers": [trend]}), encoding="utf-8")
+        assert main(["validate", "--paper", str(path)]) == 2, name
+        report = json.loads(capsys.readouterr().out)
+        assert report["violations"] and all(
+            v.startswith("trend_papers[0]: ") for v in report["violations"]
+        ), report
+    paper, trend_papers = load_paper_input(
+        {"paper": {"title": "P", "abstract": "Q"}, "trend_papers": [ok]}, IdFactory(seed=0)
+    )
+    assert [p.title for p in trend_papers] == ["H"]
+    for not_a_list in (5, {"title": "H"}, "H"):
+        with pytest.raises(InvalidPaperError, match="trend_papers: must be a list"):
+            load_paper_input({"paper": {"title": "P", "abstract": "Q"}, "trend_papers": not_a_list},
+                             IdFactory(seed=0))

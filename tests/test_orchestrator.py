@@ -97,8 +97,7 @@ def test_abort_then_resume_matches_clean_run(run_env, paper_input_file, tmp_path
 
     for stage in STAGES[:-1]:
         name = f"abort_{stage}"
-        with pytest.raises(PipelineAborted):
-            run_env(name, abort_after=stage).run(paper_input=str(paper_input_file))
+        run_env(name).advance_to(stage, paper_input=str(paper_input_file))
         interrupted_state = json.loads((tmp_path / name / "state.json").read_text())
         assert interrupted_state["stage_cursor"] == stage
         run_env(name).run(paper_input=str(paper_input_file))
@@ -309,8 +308,7 @@ def test_fresh_run_decodes_no_pool(run_env, paper_input_file, pool_reads):
 def test_resumed_run_decodes_each_pool_at_most_once(run_env, paper_input_file, pool_reads):
     for stage in STAGES[:-1]:
         name = f"resume_{stage}"
-        with pytest.raises(PipelineAborted):
-            run_env(name, abort_after=stage).run(paper_input=str(paper_input_file))
+        run_env(name).advance_to(stage, paper_input=str(paper_input_file))
         assert pool_reads == []
         resumed = run_env(name)
         resumed.run()
