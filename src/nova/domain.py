@@ -6,7 +6,10 @@ annotations, so a type's shape is written down once, in its field list.
 
 Serialization is plain JSON with keys emitted in field-declaration order.
 Tuples become lists, nested records serialize through their own `to_dict`,
-and a field whose default is None is omitted while it is None.
+and a field whose default is None is omitted while it is None. A field
+annotated `Embedding` (`Idea.embedding`, `RetrievedDoc.embedding`) is one
+string: the base64 (RFC 4648, standard alphabet, padded) of its values as
+little-endian float64, so every value round-trips bit for bit.
 
 `from_dict` rejects non-objects, unknown fields and wrongly typed values with
 a `DomainParseError` naming the type and the field, so artifacts written by
@@ -20,12 +23,16 @@ cannot express.
 
 from __future__ import annotations
 
+import base64
+import binascii
 import dataclasses
 import functools
 import math
 import types
 import typing
 from dataclasses import dataclass, field
+
+import numpy as np
 
 IDEA_SOURCES = ("internal_knowledge", "trend", "discovery_theory", "iteration")
 
@@ -85,6 +92,15 @@ def _is_record(hint) -> bool:
     return isinstance(hint, type) and issubclass(hint, Record)
 
 
+# The wire type of an embedding: base64 of little-endian float64 bytes.
+_BASE64_F8 = "base64 <f8"
+Embedding = typing.Annotated[tuple[float, ...], _BASE64_F8]
+
+
+def _encode_embedding(values) -> str:
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
 def _converters(owner: str, name: str, hint):
     """(encode, decode) for one field annotation; encode None means identity."""
 
@@ -92,6 +108,20 @@ def _converters(owner: str, name: str, hint):
         raise DomainParseError(f"{owner}: {name} {problem}")
 
     origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is typing.Annotated and args[1:] == (_BASE64_F8,):
+
+        def decode_embedding(v):
+            if not isinstance(v, str):
+                fail("must be a base64 string of little-endian float64")
+            try:
+                raw = base64.b64decode(v, validate=True)
+            except (binascii.Error, ValueError):
+                fail("is not valid base64")
+            if not raw or len(raw) % 8:
+                fail(f"decodes to {len(raw)} bytes, not a positive multiple of 8")
+            return tuple(np.frombuffer(raw, "<f8").tolist())
+
+        return _encode_embedding, decode_embedding
     if origin in (types.UnionType, typing.Union):
         (inner,) = [a for a in args if a is not type(None)]
         # Every optional field defaults to None, so to_dict never encodes a None.
@@ -152,7 +182,7 @@ class _Codec:
 
 @functools.cache
 def _codec(cls) -> _Codec:
-    hints = typing.get_type_hints(cls)
+    hints = typing.get_type_hints(cls, include_extras=True)
     encoders, decoders, required = [], {}, set()
     for f in dataclasses.fields(cls):
         encode, decode = _converters(cls.__name__, f.name, hints[f.name])
@@ -260,7 +290,7 @@ class Idea(Record):
     source: str
     generation: int = 0
     parent_id: str | None = None
-    embedding: tuple[float, ...] | None = None
+    embedding: Embedding | None = None
 
     def validate(self) -> list[str]:
         out: list[str] = []
@@ -275,24 +305,6 @@ class Idea(Record):
         if self.embedding is not None:
             _check_embedding("Idea", self.embedding, out)
         return out
-
-
-def validate_lineage(pool: list[Idea]) -> list[str]:
-    """Cross-object check: a child's generation is its parent's plus one."""
-    by_id = {i.id: i for i in pool}
-    out: list[str] = []
-    for idea in pool:
-        if idea.parent_id is None:
-            continue
-        parent = by_id.get(idea.parent_id)
-        if parent is None:
-            continue  # parent may live in an earlier generation snapshot
-        if idea.generation != parent.generation + 1:
-            out.append(
-                f"Idea {idea.id}: generation {idea.generation} != parent generation "
-                f"{parent.generation} + 1"
-            )
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +349,7 @@ class RetrievedDoc(Record):
     abstract: str = ""
     source_query: str = ""
     score: float = 0.0
-    embedding: tuple[float, ...] | None = None
+    embedding: Embedding | None = None
 
     def validate(self) -> list[str]:
         out: list[str] = []

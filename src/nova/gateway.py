@@ -23,13 +23,14 @@ cached and offline work never pays for threads. Concurrent requests for one
 cache key make a single live call; the others wait for it and count as cache
 hits, exactly as if they had been issued one after another.
 
-Cache entries, artifacts, ``state.json`` and ``summary.json`` are written by
-:func:`atomic_write`: a temporary file private to the writing thread, renamed
-over the target with `os.replace`, so readers and other processes see the old
-file or the new one, never part of one. The response cache takes no lock:
-single-flight gives each key one writer per gateway. A cache entry
-that cannot be read back (cut-off JSON, not an object, no string ``"text"``)
-is logged and treated as a miss; the reply sent in its place overwrites it.
+Cache entries, artifacts, ``state.json``, the proposal Markdown and the
+report files are written by :func:`atomic_write`: a temporary file private to
+the writing thread, renamed over the target with `os.replace`, so readers and
+other processes see the old file or the new one, never part of one. The
+response cache takes no lock: single-flight gives each key one writer per
+gateway. A cache entry that cannot be read back (cut-off JSON, not an object,
+no string ``"text"``) is logged and treated as a miss; the reply sent in its
+place overwrites it.
 Structured output is checked with the compiled checkers of
 :func:`nova.schemas.output_schema_check`.
 
@@ -129,10 +130,11 @@ _OPEN_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_NOFOLLOW", 
 def atomic_write(path: str | os.PathLike, data: bytes) -> None:
     """Replace the file at `path` with `data`; a reader sees the old or the new file.
 
-    The bytes go to ``<path>.<pid>.<thread id>.tmp`` (mode 0o600, truncated if
-    a crashed writer left it, a symlink not followed), which `os.replace` renames
-    over `path`; the directory is made only when the open finds it missing. On
-    failure the temporary file is removed and the previous file left as it was.
+    The bytes go to ``<path>.<pid>.<thread id>.tmp`` (mode 0o600 even if a
+    crashed writer left it with another mode, truncated, a symlink not
+    followed), which `os.replace` renames over `path`; the directory is made
+    only when the open finds it missing. On failure the temporary file is
+    removed and the previous file left as it was.
     """
     tmp = f"{os.fspath(path)}.{os.getpid()}.{threading.get_ident()}.tmp"
     try:
@@ -142,6 +144,7 @@ def atomic_write(path: str | os.PathLike, data: bytes) -> None:
         fd = os.open(tmp, _OPEN_FLAGS, 0o600)
     try:
         try:
+            os.fchmod(fd, 0o600)
             view = memoryview(data)
             while view:
                 view = view[os.write(fd, view) :]
@@ -167,7 +170,6 @@ class ResponseCache:
 
     def __init__(self, cache_dir: str | Path):
         self._dir = Path(cache_dir)
-        self._dir.mkdir(parents=True, exist_ok=True)
 
     def _path(self, key: str) -> str:
         return os.path.join(self._dir, key[:2], f"{key}.json")

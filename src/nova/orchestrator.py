@@ -9,6 +9,15 @@ One directory per run:
     report/         metric CSVs and the JSON summary
     cache/          gateway response cache (unless redirected)
 
+Every file but `events.jsonl` is written whole through `gateway.atomic_write`
+(mode 0o600), and `artifacts/` and `cache/` are made by their first write, so
+building a `Runner` creates no directory but the run's own. An embedding is
+stored inside its idea as one base64 string of little-endian float64 bytes
+(see `domain`); a pool stored in the older list-of-numbers form is refused
+with an `OrchestratorError` naming the artifact and the field. The
+`representatives` artifact holds the representative ids and the cluster
+assignments; the k-means centroids are not stored.
+
 Stages commit atomically in order seeded -> iterated -> selected -> proposed
 -> evaluated -> done; a crash between stages leaves a resumable checkpoint.
 Nothing written under the run directory carries wall-clock time, so a resumed
@@ -152,7 +161,6 @@ class ArtifactStore:
 
     def __init__(self, run_dir: Path):
         self._dir = run_dir / "artifacts"
-        self._dir.mkdir(parents=True, exist_ok=True)
 
     def put(self, kind: str, data) -> str:
         payload = _dump_bytes({"kind": kind, "data": data})
@@ -330,7 +338,10 @@ class Runner:
         digest = self.state.pools[str(generation)]
         if digest not in self._pools:
             data = self.store.get_data(digest, "idea_pool")
-            self._pools[digest] = tuple(Idea.from_dict(d) for d in data["ideas"])
+            try:
+                self._pools[digest] = tuple(Idea.from_dict(d) for d in data["ideas"])
+            except DomainParseError as exc:
+                raise OrchestratorError(f"idea pool artifact {digest}: {exc}") from exc
         return list(self._pools[digest])
 
     def _store_pool(self, generation: int, pool: list[Idea]) -> str:
@@ -426,7 +437,6 @@ class Runner:
                     {
                         "idea_ids": list(assignment.representative_ids),
                         "assignments": dict(assignment.assignments),
-                        "centroids": [list(c) for c in assignment.centroids],
                     },
                 )
             },
@@ -463,8 +473,9 @@ class Runner:
                 "decomposition": self.store.put("decomposition_plan", decomposition.to_dict()),
                 "final": self.store.put("proposal", final.to_dict()),
             }
-            (proposals_dir / f"{idea.id}.md").write_text(
-                proposals_mod.render_markdown(idea, initial, final), encoding="utf-8"
+            atomic_write(
+                proposals_dir / f"{idea.id}.md",
+                proposals_mod.render_markdown(idea, initial, final).encode("utf-8"),
             )
         self._commit("proposed", {"proposals": proposal_refs, "failed_proposals": failed})
 
@@ -560,7 +571,6 @@ def write_report(out_dir: Path, state: RunState, store: ArtifactStore,
     `pool_sizes` maps each generation in `state.pools` to its idea count.
     """
     report_dir = out_dir / "report"
-    report_dir.mkdir(exist_ok=True)
     gaps: list[str] = []
     summary: dict = {
         "run_id": state.run_id,
@@ -605,11 +615,11 @@ def write_report(out_dir: Path, state: RunState, store: ArtifactStore,
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    atomic_write(path, buf.getvalue().encode("utf-8"))
 
 
 def metrics_report(out_dir: str | Path) -> dict:

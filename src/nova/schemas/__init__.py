@@ -28,15 +28,6 @@ _PACKAGE = "nova.schemas"
 
 
 @lru_cache(maxsize=None)
-def output_schema_names() -> tuple[str, ...]:
-    names = []
-    for entry in (resources.files(_PACKAGE) / "outputs").iterdir():
-        if entry.name.endswith(".json"):
-            names.append(entry.name[: -len(".json")])
-    return tuple(sorted(names))
-
-
-@lru_cache(maxsize=None)
 def load_schema(name: str) -> dict:
     path = resources.files(_PACKAGE) / f"{name}.json"
     if not path.is_file():

@@ -114,6 +114,24 @@ def embedded_idea(n: int, vector, **kwargs) -> Idea:
     return make_idea(n, embedding=tuple(float(v) for v in normalize(vector)), **kwargs)
 
 
+def validate_lineage(pool: list[Idea]) -> list[str]:
+    """Cross-object check: a child's generation is its parent's plus one."""
+    by_id = {i.id: i for i in pool}
+    out: list[str] = []
+    for idea in pool:
+        if idea.parent_id is None:
+            continue
+        parent = by_id.get(idea.parent_id)
+        if parent is None:
+            continue  # parent may live in an earlier generation snapshot
+        if idea.generation != parent.generation + 1:
+            out.append(
+                f"Idea {idea.id}: generation {idea.generation} != parent generation "
+                f"{parent.generation} + 1"
+            )
+    return out
+
+
 @pytest.fixture
 def corpus_dir(tmp_path):
     """Eight-doc offline corpus with embeddings computed at load time."""

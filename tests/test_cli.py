@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import base64
+import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from nova.cli import main
+from nova.orchestrator import _dump_bytes
 
 
 @pytest.fixture
@@ -234,3 +238,26 @@ def test_validate_checks_trend_papers_as_run_does(cli_env, tmp_path, capsys):
     argv[argv.index("--paper") + 1] = str(path)
     assert main(argv) == 2
     assert "colour" in capsys.readouterr().err
+
+
+def test_run_refuses_a_pool_stored_as_a_list_of_numbers(cli_env, tmp_path, capsys):
+    """A pool written with embeddings as JSON number lists is refused, naming the artifact."""
+    assert main(cli_env("seed", "old")) == 0
+    run_dir = tmp_path / "old"
+    state = read_state(tmp_path, "old")
+    path = run_dir / "artifacts" / f"{state['pools']['0']}.json"
+    envelope = json.loads(path.read_text(encoding="utf-8"))
+    for idea in envelope["data"]["ideas"]:
+        idea["embedding"] = np.frombuffer(base64.b64decode(idea["embedding"]), "<f8").tolist()
+    payload = _dump_bytes(envelope)
+    digest = hashlib.sha256(payload).hexdigest()
+    (run_dir / "artifacts" / f"{digest}.json").write_bytes(payload)
+    state["pools"]["0"] = digest
+    (run_dir / "state.json").write_text(json.dumps(state), encoding="utf-8")
+    capsys.readouterr()
+
+    assert main(cli_env("run", "old")) == 2
+    err = capsys.readouterr().err
+    assert f"idea pool artifact {digest}" in err
+    assert "embedding must be a base64 string" in err
+    assert read_state(tmp_path, "old")["stage_cursor"] == "seeded"

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import base64
 import dataclasses
 import json
 import math
+import struct
 
 import pytest
 from hypothesis import given, strategies as st
@@ -27,10 +29,9 @@ from nova.domain import (
     SeedPaper,
     SubModule,
     TournamentResult,
-    validate_lineage,
 )
 from nova.planner import IterationRecord
-from tests.conftest import make_idea
+from tests.conftest import make_idea, validate_lineage
 
 
 def unit(*values):
@@ -229,11 +230,12 @@ GOLDEN_JSON = {
     '"abstract": "a1"}, {"title": "R2", "abstract": ""}], "source_meta": {"likes": 3, '
     '"comments": 0}}',
     "idea": '{"id": "i1", "thinking": "th", "idea": "the idea", "keywords": ["k1", "k2"], '
-    '"source": "iteration", "generation": 2, "parent_id": "i0", "embedding": [0.6, 0.8]}',
+    '"source": "iteration", "generation": 2, "parent_id": "i0", '
+    '"embedding": "MzMzMzMz4z+amZmZmZnpPw=="}',
     "search_plan": '{"idea_id": "i1", "directions": [{"thinking": "d1", "keywords": ["k1"]}, '
     '{"thinking": "d2", "keywords": ["k2", "k3"]}], "created_at_generation": 1}',
     "retrieved_doc": '{"title": "Doc", "abstract": "ab", "source_query": "q", "score": 0.42, '
-    '"embedding": [1.0, 0.0]}',
+    '"embedding": "AAAAAAAA8D8AAAAAAAAAAA=="}',
     "proposal": '{"idea_id": "i1", "stage": "initial", "sections": {"Problem": "body of Problem", '
     '"Existing Methods": "body of Existing Methods", "Motivation": "body of Motivation", '
     '"Proposed Method": "body of Proposed Method", "Experiment Plan": "body of Experiment '
@@ -279,9 +281,9 @@ RESULT_DICT = SAMPLES["tournament_result"].to_dict()
         (RetrievedDoc, DOC_DICT, "score", False, "score must be a number"),
         (Idea, IDEA_DICT, "keywords", "k1", "keywords must be a list of strings"),
         (Idea, IDEA_DICT, "keywords", ["k1", 2], "keywords must be a list of strings"),
-        (Idea, IDEA_DICT, "embedding", {"0": 1.0}, "embedding must be a list of numbers"),
-        (Idea, IDEA_DICT, "embedding", [1.0, True], "embedding must be a list of numbers"),
-        (RetrievedDoc, DOC_DICT, "embedding", ["1.0"], "embedding must be a list of numbers"),
+        (Idea, IDEA_DICT, "embedding", {"0": 1.0}, "embedding must be a base64 string"),
+        (Idea, IDEA_DICT, "embedding", [0.6, 0.8], "embedding must be a base64 string"),
+        (RetrievedDoc, DOC_DICT, "embedding", ["1.0"], "embedding must be a base64 string"),
         (SeedPaper, SAMPLES["seed_paper"].to_dict(), "references", {"title": "R"},
          "references must be a list"),
         (SeedPaper, SAMPLES["seed_paper"].to_dict(), "references", ["R1"],
@@ -309,9 +311,12 @@ def test_wrong_typed_field_rejected(cls, data, field_name, bad, message):
 
 def test_scalar_coercions():
     assert Reference.from_dict({"title": 5}).title == "5"
-    doc = RetrievedDoc.from_dict({**DOC_DICT, "score": 1, "embedding": [1, 0]})
+    doc = RetrievedDoc.from_dict({**DOC_DICT, "score": 1})
     assert doc.score == 1.0 and isinstance(doc.score, float)
     assert doc.embedding == (1.0, 0.0) and all(isinstance(v, float) for v in doc.embedding)
+    assert RetrievedDoc(title="Doc", embedding=(1, 0)).to_dict() == RetrievedDoc(
+        title="Doc", embedding=(1.0, 0.0)
+    ).to_dict()
     config = PipelineConfig.from_dict({"novelty_sim_threshold": 0})
     assert isinstance(config.novelty_sim_threshold, float)
     assert Idea.from_dict({**IDEA_DICT, "parent_id": None, "embedding": None}) == dataclasses.replace(
@@ -361,3 +366,49 @@ def test_iteration_record_round_trip():
     assert IterationRecord.from_dict(json.loads(json.dumps(record.to_dict()))) == record
     with pytest.raises(DomainParseError, match="IterationRecord: retrieved_counts must map"):
         IterationRecord.from_dict({**record.to_dict(), "retrieved_counts": {"i1": "2"}})
+
+
+# ---------------------------------------------------------------------------
+# The embedding wire format: base64 of little-endian float64
+# ---------------------------------------------------------------------------
+
+
+def test_embedding_golden_base64():
+    """A dtype, byte-order or alphabet change fails here."""
+    vector = (1.0, -0.0, 0.1, -2.5)
+    wire = "AAAAAAAA8D8AAAAAAAAAgJqZmZmZmbk/AAAAAAAABMA="
+    assert RetrievedDoc(title="Doc", embedding=vector).to_dict()["embedding"] == wire
+    decoded = RetrievedDoc.from_dict({"title": "Doc", "embedding": wire}).embedding
+    assert struct.pack("<4d", *decoded) == struct.pack("<4d", *vector)
+
+
+FLOAT64 = st.one_of(
+    st.floats(allow_nan=False),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 2.2250738585072009e-308]),
+)
+
+
+@given(st.lists(FLOAT64, min_size=1, max_size=384))
+def test_embedding_round_trips_bit_exactly(values):
+    idea = dataclasses.replace(SAMPLES["idea"], embedding=tuple(values))
+    decoded = Idea.from_dict(json.loads(json.dumps(idea.to_dict()))).embedding
+    assert isinstance(decoded, tuple) and all(type(v) is float for v in decoded)
+    layout = f"<{len(values)}d"
+    assert struct.pack(layout, *decoded) == struct.pack(layout, *values)
+
+
+@pytest.mark.parametrize(
+    "cls, data, bad, message",
+    [
+        (Idea, IDEA_DICT, 3.5, "embedding must be a base64 string"),
+        (Idea, IDEA_DICT, "AAAA AAAA8D8=", "embedding is not valid base64"),
+        (Idea, IDEA_DICT, "AAAAAAAA8D8", "embedding is not valid base64"),
+        (RetrievedDoc, DOC_DICT, "AAAAAAAA8D-=", "embedding is not valid base64"),
+        (RetrievedDoc, DOC_DICT, "", "embedding decodes to 0 bytes"),
+        (Idea, IDEA_DICT, base64.b64encode(bytes(12)).decode(), "embedding decodes to 12 bytes"),
+    ],
+    ids=["non_string", "whitespace", "unpadded", "urlsafe_alphabet", "empty", "12_bytes"],
+)
+def test_embedding_decode_rejects(cls, data, bad, message):
+    with pytest.raises(DomainParseError, match=f"{cls.__name__}: {message}"):
+        cls.from_dict({**data, "embedding": bad})

@@ -382,14 +382,17 @@ def test_failed_rename_leaves_no_temp_file_and_the_old_entry(tmp_path, monkeypat
 
 @pytest.mark.parametrize("make_writer", WRITERS.values(), ids=WRITERS)
 def test_put_overwrites_a_stale_temp_file(tmp_path, make_writer):
-    """A temporary file left by a crashed writer of the same name is truncated."""
+    """A temporary file left by a crashed writer of the same name is truncated,
+    and its mode does not carry over to the file it replaces."""
     target, write = make_writer(tmp_path / "run")
     path = target("fresh")
     path.parent.mkdir(parents=True, exist_ok=True)
     stale = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     stale.write_text("x" * 100_000)
+    stale.chmod(0o644)
     write("fresh")
     assert cache_files(tmp_path / "run") == [path]
+    assert stat.S_IMODE(path.stat().st_mode) == 0o600
 
     clean_target, clean_write = make_writer(tmp_path / "clean")
     clean_write("fresh")

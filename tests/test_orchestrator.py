@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
+import stat
 from pathlib import Path
 
 import pytest
@@ -323,6 +324,25 @@ def test_loaded_pool_is_a_copy(run_env, paper_input_file):
     pool = runner._load_pool(0)
     pool.clear()
     assert len(runner._load_pool(0)) == 6
+
+
+def test_runner_construction_creates_only_the_run_directory(
+    run_env, paper_input_file, small_config
+):
+    """No `artifacts/` or `cache/` until the first write; the finished tree is as before."""
+    runner = run_env("lazy")
+    assert list(runner.out_dir.iterdir()) == []
+    runner.run(paper_input=str(paper_input_file))
+    assert sorted(p.name for p in runner.out_dir.iterdir()) == [
+        "artifacts", "cache", "events.jsonl", "proposals", "report", "state.json",
+    ]
+    # Every file but the event log is written through `atomic_write`.
+    for path in runner.out_dir.rglob("*"):
+        if path.is_file() and path.name != "events.jsonl":
+            assert stat.S_IMODE(path.stat().st_mode) == 0o600, path
+    assert len(list((runner.out_dir / "proposals").iterdir())) == small_config.cluster_count
+    representatives = runner.store.get_data(runner.state.representatives_ref, "representatives")
+    assert sorted(representatives) == ["assignments", "idea_ids"]
 
 
 _json_values = st.recursive(

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from nova.domain import PipelineConfig, RetrievedDoc, validate_lineage
+from nova.domain import PipelineConfig, RetrievedDoc
 from nova.gateway import Gateway, GatewayOptions, TransientBackendError
 from nova.ids import IdFactory
 from nova.literature import HashEmbedder, LiteratureError, OfflineCorpus, SearchQuery
@@ -14,7 +14,9 @@ from nova.mockllm import MockBackend
 from nova.orchestrator import Runner, RunnerOptions
 from nova.planner import IterationRecord, PlannerLoop
 from nova.prompts import PromptLibrary
-from tests.conftest import FAST_GATEWAY, RuleBackend, embedded_idea, make_idea
+from tests.conftest import (
+    FAST_GATEWAY, RuleBackend, embedded_idea, make_idea, validate_lineage,
+)
 
 LIBRARY = PromptLibrary()
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import math
+from importlib import resources
 
 import jsonschema
 import pytest
@@ -12,7 +13,12 @@ from hypothesis import given, settings, strategies as st
 from nova import schemas
 from nova.prompts import PromptLibrary
 
-OUTPUT_SCHEMAS = schemas.output_schema_names()
+# The shipped output schemas, by file name.
+OUTPUT_SCHEMAS = tuple(sorted(
+    entry.name.removesuffix(".json")
+    for entry in (resources.files("nova.schemas") / "outputs").iterdir()
+    if entry.name.endswith(".json")
+))
 
 
 def reference_valid(schema, value) -> bool:
