@@ -6,7 +6,7 @@ Subcommands map 1:1 to pipeline stages so partial pipelines are scriptable:
     nova seed     --paper p.json --out d/ ...      (first stage only)
     nova iterate  --out d/                         (next stage, and so on)
     nova report   --out d/                         (metrics for whatever exists)
-    nova validate --paper p.json                   (schema + invariant check)
+    nova validate --paper p.json                   (parse + invariant check)
 
 Exit codes: 0 success, 1 usage error, 2 pipeline abort or failed validation.
 Errors go to stderr with the machine-parsable prefix "nova-error:".

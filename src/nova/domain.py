@@ -1,8 +1,10 @@
 """Shared domain types, their JSON (de)serialization, and invariant checks.
 
-Every pipeline artifact is one of these value types. Each inherits `Record`,
-whose `to_dict`/`from_dict` are derived from the dataclass fields and their
-annotations, so a type's shape is written down once, in its field list.
+These types and their codec are the artifact format: every artifact a run
+stores, and its `state.json`, is one `Record` encoded by `to_dict`, and there
+is no second description of the shapes. `Record`'s `to_dict`/`from_dict` are
+derived from the dataclass fields and their annotations, so a type's shape is
+written down once, in its field list.
 
 Serialization is plain JSON with keys emitted in field-declaration order.
 Tuples become lists, nested records serialize through their own `to_dict`,
@@ -14,8 +16,8 @@ little-endian float64, so every value round-trips bit for bit.
 `from_dict` rejects non-objects, unknown fields and wrongly typed values with
 a `DomainParseError` naming the type and the field, so artifacts written by
 other tools fail loudly instead of silently. A field may be absent iff it has
-a default; an absent field takes that default. `str` fields are coerced with
-`str()`; `int` fields reject bools; `float` fields accept ints.
+a default; an absent field takes that default. `str` fields take only
+strings; `int` fields reject bools; `float` fields accept ints.
 
 The `validate()` methods hold the semantic invariants that the types alone
 cannot express.
@@ -78,13 +80,13 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-# Element annotation -> (accepts, converts, plural noun for error messages,
-# the exact types `accepts` takes). A list whose element types are all exact
+# Element annotation -> (accepts, converts, plural noun, the exact types
+# `accepts` takes, scalar problem). A list whose element types are all exact
 # skips the per-element `accepts` call: at 384-d that call dominates parsing.
 _ELEMENTS = {
-    str: (_is_str, str, "strings", {str}),
-    int: (_is_int, int, "integers", {int}),
-    float: (_is_number, float, "numbers", {int, float}),
+    str: (_is_str, str, "strings", {str}, "must be a string"),
+    int: (_is_int, int, "integers", {int}, "must be an integer"),
+    float: (_is_number, float, "numbers", {int, float}, "must be a number"),
 }
 
 
@@ -124,7 +126,7 @@ def _converters(owner: str, name: str, hint):
         return _encode_embedding, decode_embedding
     if origin in (types.UnionType, typing.Union):
         (inner,) = [a for a in args if a is not type(None)]
-        # Every optional field defaults to None, so to_dict never encodes a None.
+        # to_dict omits a None only where the default is None; RunState's `*_ref` write null.
         encode, decode = _converters(owner, name, inner)
         return encode, (lambda v: None if v is None else decode(v))
     if origin is tuple:
@@ -136,7 +138,7 @@ def _converters(owner: str, name: str, hint):
                 return tuple(item.from_dict(x) for x in v)
 
             return (lambda v: [x.to_dict() for x in v]), decode_records
-        accepts, convert, noun, exact = _ELEMENTS[item]
+        accepts, convert, noun, exact, _ = _ELEMENTS[item]
 
         def decode_items(v):
             if not isinstance(v, list) or not (
@@ -146,24 +148,30 @@ def _converters(owner: str, name: str, hint):
             return tuple(map(convert, v))
 
         return list, decode_items
-    if origin is dict:
-        key_ok = _ELEMENTS[args[0]][0]
-        value_ok, _, noun, _ = _ELEMENTS[args[1]]
+    if origin is dict and args[1] in _ELEMENTS:
+        value_ok, _, noun, _, _ = _ELEMENTS[args[1]]
 
         def decode_map(v):
             if not isinstance(v, dict) or not all(
-                key_ok(k) and value_ok(x) for k, x in v.items()
+                _is_str(k) and value_ok(x) for k, x in v.items()
             ):
                 fail(f"must map strings to {noun}")
             return dict(v)
 
         return dict, decode_map
+    if origin is dict:
+        encode_value, decode_value = _converters(owner, f"{name} values", args[1])
+
+        def decode_nested(v):
+            if not isinstance(v, dict) or not all(map(_is_str, v)):
+                fail("must be an object")
+            return {k: decode_value(x) for k, x in v.items()}
+
+        encode_value = encode_value or (lambda x: x)
+        return (lambda v: {k: encode_value(x) for k, x in v.items()}), decode_nested
     if _is_record(hint):
         return (lambda v: v.to_dict()), hint.from_dict
-    if hint is str:
-        return None, str
-    accepts, convert, _, _ = _ELEMENTS[hint]
-    problem = "must be an integer" if hint is int else "must be a number"
+    accepts, convert, _, _, problem = _ELEMENTS[hint]
 
     def decode_scalar(v):
         if not accepts(v):
@@ -376,6 +384,31 @@ class SubModule(Record):
 
 
 @dataclass(frozen=True)
+class DecompositionModule(Record):
+    """One module of a method decomposition, under the field names of the reply."""
+
+    name: str
+    purpose: str
+    implementation: str
+    search_keywords: tuple[str, ...]
+
+
+@dataclass(frozen=True)
+class DecompositionPlan(Record):
+    """The method decomposition between the initial and the final proposal."""
+
+    thinking: str
+    modules: tuple[DecompositionModule, ...]
+
+    def validate(self) -> list[str]:
+        out = [] if self.modules else ["DecompositionPlan.modules: at least one module required"]
+        for n, m in enumerate(self.modules):
+            if not m.name or not m.search_keywords:
+                out.append(f"DecompositionPlan.modules[{n}]: module needs a name and >=1 keyword")
+        return out
+
+
+@dataclass(frozen=True)
 class Proposal(Record):
     """Structured expansion of an idea; section set depends on the stage."""
 
@@ -509,16 +542,75 @@ class TournamentResult(Record):
 
 
 # ---------------------------------------------------------------------------
-# Generic dispatch
+# The other stored artifacts
 # ---------------------------------------------------------------------------
 
-DOMAIN_TYPES = {
-    "seed_paper": SeedPaper,
-    "idea": Idea,
-    "search_plan": SearchPlan,
-    "retrieved_doc": RetrievedDoc,
-    "proposal": Proposal,
-    "pipeline_config": PipelineConfig,
-    "tournament_result": TournamentResult,
-}
 
+def _each(where: str, records) -> list[str]:
+    return [f"{where}[{n}]: {v}" for n, r in enumerate(records) for v in r.validate()]
+
+
+@dataclass(frozen=True)
+class TrendReport(Record):
+    text: str
+
+    def validate(self) -> list[str]:
+        return [] if self.text else ["TrendReport.text: must be nonempty"]
+
+
+@dataclass(frozen=True)
+class IdeaPool(Record):
+    generation: int
+    ideas: tuple[Idea, ...]
+
+    def validate(self) -> list[str]:
+        out = [] if self.generation >= 0 else ["IdeaPool.generation: must be nonnegative"]
+        return out + _each("IdeaPool.ideas", self.ideas)
+
+
+@dataclass(frozen=True)
+class IterationRecord(Record):
+    generation: int
+    input_pool_size: int
+    output_pool_size: int
+    plans: tuple[SearchPlan, ...]
+    retrieved_counts: dict[str, int]
+
+    def validate(self) -> list[str]:
+        out = [] if self.generation >= 1 else ["IterationRecord.generation: must be positive"]
+        return out + _each("IterationRecord.plans", self.plans)
+
+
+@dataclass(frozen=True)
+class IterationRecords(Record):
+    records: tuple[IterationRecord, ...]
+
+    def validate(self) -> list[str]:
+        return _each("IterationRecords.records", self.records)
+
+
+@dataclass(frozen=True)
+class Representatives(Record):
+    """The representative idea ids and the cluster of each final-pool idea."""
+
+    idea_ids: tuple[str, ...]
+    assignments: dict[str, int]
+
+    def validate(self) -> list[str]:
+        return [f"Representatives.idea_ids: {i} has no cluster assignment"
+                for i in self.idea_ids if i not in self.assignments]
+
+
+@dataclass(frozen=True)
+class RunMetrics(Record):
+    unique_novel_per_generation: dict[str, int]
+    non_duplicate_fraction: float
+    retained_count: int
+    score_histogram: dict[str, int]
+
+    def validate(self) -> list[str]:
+        out = [f"RunMetrics.unique_novel_per_generation[{g}]: must be nonnegative"
+               for g, count in self.unique_novel_per_generation.items() if count < 0]
+        if not 0.0 <= self.non_duplicate_fraction <= 1.0:
+            out.append("RunMetrics.non_duplicate_fraction: must be in [0, 1]")
+        return out

@@ -4,19 +4,19 @@ One directory per run:
 
     state.json      atomic snapshot of RunState (write-temp-then-rename)
     events.jsonl    append-only log; replaying it reconstructs RunState
-    artifacts/      content-addressed JSON envelopes {"kind", "data"}
+    artifacts/      content-addressed typed envelopes {"kind", "data"}
     proposals/      rendered Markdown, one file per surviving idea
     report/         metric CSVs and the JSON summary
     cache/          gateway response cache (unless redirected)
 
 Every file but `events.jsonl` is written whole through `gateway.atomic_write`
 (mode 0o600), and `artifacts/` and `cache/` are made by their first write, so
-building a `Runner` creates no directory but the run's own. An embedding is
-stored inside its idea as one base64 string of little-endian float64 bytes
-(see `domain`); a pool stored in the older list-of-numbers form is refused
-with an `OrchestratorError` naming the artifact and the field. The
-`representatives` artifact holds the representative ids and the cluster
-assignments; the k-means centroids are not stored.
+building a `Runner` creates no directory but the run's own. An artifact's data
+is one `domain.Record` of the type its kind names in `ARTIFACT_TYPES`, and
+`state.json` is a `RunState`: the `Record` codec is their only description.
+`ArtifactStore.get` and `load_state` turn data that does not decode (a pool
+with list-of-numbers embeddings, say) into an `OrchestratorError` naming the
+artifact digest or the file, and the field.
 
 Stages commit atomically in order seeded -> iterated -> selected -> proposed
 -> evaluated -> done; a crash between stages leaves a resumable checkpoint.
@@ -43,13 +43,18 @@ import hashlib
 import io
 import json
 import logging
-from dataclasses import asdict, dataclass, field
+import re
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TypeVar
 
 from . import planner as planner_mod
 from . import proposals as proposals_mod
 from . import selector, tournament
-from .domain import DomainParseError, Idea, PipelineConfig, Proposal, SeedPaper
+from .domain import (
+    DecompositionPlan, DomainParseError, Idea, IdeaPool, IterationRecords, PipelineConfig,
+    Proposal, Record, Representatives, RunMetrics, SeedPaper, TournamentResult, TrendReport,
+)
 from .gateway import Gateway, GatewayError, GatewayOptions, HttpChatBackend, atomic_write
 from .ids import IdFactory
 from .literature import (
@@ -106,30 +111,45 @@ class RunnerOptions:
     use_self_reflection: bool = False
 
 
-@dataclass
-class RunState:
+_DIGEST = re.compile("[0-9a-f]{64}")
+
+
+@dataclass(kw_only=True)
+class RunState(Record):
+    """The run's progress; each `*_ref` is an artifact digest, null until written."""
+
     run_id: str
     config: PipelineConfig
     stage_cursor: str
     backend: str
     seed_paper_ref: str
-    trend_report_ref: str | None = None
+    trend_report_ref: str | None
     pools: dict[str, str] = field(default_factory=dict)
-    iteration_records_ref: str | None = None
-    representatives_ref: str | None = None
+    iteration_records_ref: str | None
+    representatives_ref: str | None
     proposals: dict[str, dict[str, str]] = field(default_factory=dict)
-    failed_proposals: list[str] = field(default_factory=list)
-    tournament_ref: str | None = None
-    metrics_ref: str | None = None
+    failed_proposals: tuple[str, ...] = ()
+    tournament_ref: str | None
+    metrics_ref: str | None
     id_counter: int = 0
     event_seq: int = 0
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     @classmethod
-    def from_dict(cls, data: dict) -> "RunState":
-        return cls(**{**data, "config": PipelineConfig.from_dict(data["config"])})
+    def start(cls, run_id: str, config: PipelineConfig, backend: str) -> "RunState":
+        """The state of a run before its first commit."""
+        return cls(run_id=run_id, config=config, stage_cursor="seeded", backend=backend,
+                   seed_paper_ref="0" * 64, trend_report_ref=None, iteration_records_ref=None,
+                   representatives_ref=None, tournament_ref=None, metrics_ref=None)
+
+    def validate(self) -> list[str]:
+        out = self.config.validate()
+        for name, allowed in (("stage_cursor", STAGES), ("backend", ("live", "mock"))):
+            if getattr(self, name) not in allowed:
+                out.append(f"RunState.{name}: {getattr(self, name)!r} not in {allowed}")
+        refs = [v for k, v in vars(self).items() if k.endswith("_ref") and v is not None]
+        refs += [*self.pools.values(), *(d for p in self.proposals.values() for d in p.values())]
+        return out + [f"RunState: {r!r} is not a sha256 digest" for r in refs
+                      if not _DIGEST.fullmatch(r)]
 
 
 def load_state(out_dir: Path) -> RunState | None:
@@ -137,7 +157,13 @@ def load_state(out_dir: Path) -> RunState | None:
     path = out_dir / "state.json"
     if not path.is_file():
         return None
-    return RunState.from_dict(json.loads(path.read_text(encoding="utf-8")))
+    try:
+        state = RunState.from_dict(json.loads(path.read_text(encoding="utf-8")))
+    except ValueError as exc:  # not JSON, or a DomainParseError
+        raise OrchestratorError(f"run state {path}: {exc}") from exc
+    if problems := state.validate():
+        raise OrchestratorError(f"run state {path}: {'; '.join(problems)}")
+    return state
 
 
 _ENCODER = json.JSONEncoder(ensure_ascii=False, indent=2)
@@ -156,33 +182,50 @@ def _dump_bytes(payload: dict) -> bytes:
     return buf.getvalue().encode("utf-8")
 
 
+# The envelope kind of each stored type; built at import, read by every put and get.
+ARTIFACT_TYPES: dict[str, type[Record]] = {
+    "seed_paper": SeedPaper,
+    "trend_report": TrendReport,
+    "idea_pool": IdeaPool,
+    "iteration_records": IterationRecords,
+    "representatives": Representatives,
+    "proposal": Proposal,
+    "decomposition_plan": DecompositionPlan,
+    "tournament_result": TournamentResult,
+    "run_metrics": RunMetrics,
+}
+_KINDS = {cls: kind for kind, cls in ARTIFACT_TYPES.items()}
+R = TypeVar("R", bound=Record)
+
+
 class ArtifactStore:
-    """Content-addressed JSON artifacts under <run>/artifacts."""
+    """Content-addressed `Record`s under <run>/artifacts, in {"kind", "data"} envelopes."""
 
     def __init__(self, run_dir: Path):
         self._dir = run_dir / "artifacts"
 
-    def put(self, kind: str, data) -> str:
-        payload = _dump_bytes({"kind": kind, "data": data})
+    def put(self, record: Record) -> str:
+        payload = _dump_bytes({"kind": _KINDS[type(record)], "data": record.to_dict()})
         digest = hashlib.sha256(payload).hexdigest()
         path = self._dir / f"{digest}.json"
         if not path.exists():
             atomic_write(path, payload)
         return digest
 
-    def get(self, digest: str) -> dict:
+    def get(self, digest: str, cls: type[R]) -> R:
+        """Artifact `digest` decoded as `cls`; a missing, foreign or malformed one raises."""
         path = self._dir / f"{digest}.json"
         if not path.is_file():
             raise OrchestratorError(f"missing artifact {digest}")
-        return json.loads(path.read_text(encoding="utf-8"))
-
-    def get_data(self, digest: str, expected_kind: str):
-        envelope = self.get(digest)
-        if envelope["kind"] != expected_kind:
-            raise OrchestratorError(
-                f"artifact {digest} has kind {envelope['kind']!r}, expected {expected_kind!r}"
-            )
-        return envelope["data"]
+        kind = _KINDS[cls]
+        try:
+            envelope = json.loads(path.read_text(encoding="utf-8"))
+            found = envelope.get("kind") if isinstance(envelope, dict) else None
+            if found != kind:
+                raise OrchestratorError(f"artifact {digest} has kind {found!r}, expected {kind!r}")
+            return cls.from_dict(envelope.get("data"))
+        except ValueError as exc:  # not JSON, or a DomainParseError
+            raise OrchestratorError(f"{kind.replace('_', ' ')} artifact {digest}: {exc}") from exc
 
 
 class EventLog:
@@ -331,30 +374,16 @@ class Runner:
 
     # -- artifact helpers --------------------------------------------------------
 
-    def _load_paper(self) -> SeedPaper:
-        return SeedPaper.from_dict(self.store.get_data(self.state.seed_paper_ref, "seed_paper"))
-
     def _load_pool(self, generation: int) -> list[Idea]:
         digest = self.state.pools[str(generation)]
         if digest not in self._pools:
-            data = self.store.get_data(digest, "idea_pool")
-            try:
-                self._pools[digest] = tuple(Idea.from_dict(d) for d in data["ideas"])
-            except DomainParseError as exc:
-                raise OrchestratorError(f"idea pool artifact {digest}: {exc}") from exc
+            self._pools[digest] = self.store.get(digest, IdeaPool).ideas
         return list(self._pools[digest])
 
     def _store_pool(self, generation: int, pool: list[Idea]) -> str:
-        digest = self.store.put(
-            "idea_pool",
-            {"generation": generation, "ideas": [i.to_dict() for i in pool]},
-        )
+        digest = self.store.put(IdeaPool(generation, tuple(pool)))
         self._pools[digest] = tuple(pool)
         return digest
-
-    def _load_proposal(self, idea_id: str, stage: str) -> Proposal:
-        digest = self.state.proposals[idea_id][stage]
-        return Proposal.from_dict(self.store.get_data(digest, "proposal"))
 
     # -- stages ---------------------------------------------------------------
 
@@ -379,21 +408,10 @@ class Runner:
                 "seeding produced no ideas: every source failed or was cut to nothing"
             )
         pool = self.planner._embed_new(pool)
-        self.state = RunState(
-            run_id=run_id,
-            config=self.config,
-            stage_cursor="seeded",
-            backend=self.options.backend,
-            seed_paper_ref="0" * 64,
-        )
-
+        self.state = RunState.start(run_id, self.config, self.options.backend)
         delta = {
-            "seed_paper_ref": self.store.put("seed_paper", paper.to_dict()),
-            "trend_report_ref": (
-                self.store.put("trend_report", {"text": trend_report})
-                if trend_report
-                else None
-            ),
+            "seed_paper_ref": self.store.put(paper),
+            "trend_report_ref": self.store.put(TrendReport(trend_report)) if trend_report else None,
             "pools": {"0": self._store_pool(0, pool)},
         }
         # Logged only now, so an attempt that fails or aborts while seeding
@@ -410,7 +428,7 @@ class Runner:
         self._commit("seeded", delta)
 
     def _stage_iterate(self) -> None:
-        paper = self._load_paper()
+        paper = self.store.get(self.state.seed_paper_ref, SeedPaper)
         pool = self._load_pool(0)
         pools = dict(self.state.pools)
         records = []
@@ -420,36 +438,21 @@ class Runner:
             pool, record = self.planner.run_generation(paper, pool, step)
             records.append(record)
             pools[str(step)] = self._store_pool(step, pool)
-        records_ref = self.store.put(
-            "iteration_records", {"records": [r.to_dict() for r in records]}
-        )
+        records_ref = self.store.put(IterationRecords(tuple(records)))
         self._commit("iterated", {"pools": pools, "iteration_records_ref": records_ref})
 
     def _stage_select(self) -> None:
         pool = self._load_pool(self.config.iterations_T)
         k = min(self.config.cluster_count, len(pool))
         assignment = selector.cluster_pool(pool, k, self.config.rng_seed)
-        self._commit(
-            "selected",
-            {
-                "representatives_ref": self.store.put(
-                    "representatives",
-                    {
-                        "idea_ids": list(assignment.representative_ids),
-                        "assignments": dict(assignment.assignments),
-                    },
-                )
-            },
-        )
-
-    def _load_representatives(self) -> list[Idea]:
-        data = self.store.get_data(self.state.representatives_ref, "representatives")
-        pool = {i.id: i for i in self._load_pool(self.config.iterations_T)}
-        return [pool[idea_id] for idea_id in data["idea_ids"]]
+        chosen = Representatives(assignment.representative_ids, dict(assignment.assignments))
+        self._commit("selected", {"representatives_ref": self.store.put(chosen)})
 
     def _stage_propose(self) -> None:
-        paper = self._load_paper()
-        representatives = self._load_representatives()
+        paper = self.store.get(self.state.seed_paper_ref, SeedPaper)
+        pool = {i.id: i for i in self._load_pool(self.config.iterations_T)}
+        ids = self.store.get(self.state.representatives_ref, Representatives).idea_ids
+        representatives = [pool[idea_id] for idea_id in ids]
         proposal_refs: dict[str, dict[str, str]] = {}
         failed: list[str] = []
         proposals_dir = self.out_dir / "proposals"
@@ -469,20 +472,19 @@ class Runner:
                 continue
             initial, decomposition, final = outcome
             proposal_refs[idea.id] = {
-                "initial": self.store.put("proposal", initial.to_dict()),
-                "decomposition": self.store.put("decomposition_plan", decomposition.to_dict()),
-                "final": self.store.put("proposal", final.to_dict()),
+                "initial": self.store.put(initial),
+                "decomposition": self.store.put(decomposition),
+                "final": self.store.put(final),
             }
             atomic_write(
                 proposals_dir / f"{idea.id}.md",
                 proposals_mod.render_markdown(idea, initial, final).encode("utf-8"),
             )
-        self._commit("proposed", {"proposals": proposal_refs, "failed_proposals": failed})
+        self._commit("proposed", {"proposals": proposal_refs, "failed_proposals": tuple(failed)})
 
     def _stage_evaluate(self) -> None:
-        finals = [
-            self._load_proposal(idea_id, "final") for idea_id in sorted(self.state.proposals)
-        ]
+        proposals = self.state.proposals
+        finals = [self.store.get(proposals[i]["final"], Proposal) for i in sorted(proposals)]
         tournament_ref = None
         histogram: dict[str, int] = {}
         if len(finals) >= 2:
@@ -493,7 +495,7 @@ class Runner:
                 finals, self.config.tournament_rounds, ranker, self.config.rng_seed,
                 fan_out=self.gateway.fan_out,
             )
-            tournament_ref = self.store.put("tournament_result", result.to_dict())
+            tournament_ref = self.store.put(result)
             histogram = {
                 str(score): count
                 for score, count in tournament.score_histogram(
@@ -515,15 +517,14 @@ class Runner:
             threshold_only=self.options.threshold_only_novelty,
         )
         final = str(self.config.iterations_T)
-        metrics = {
-            "unique_novel_per_generation": unique_novel,
-            "non_duplicate_fraction": len(retained[final]) / len(pools[final]),
-            "retained_count": len(retained[final]),
-            "score_histogram": histogram,
-        }
+        metrics = RunMetrics(
+            unique_novel_per_generation=unique_novel,
+            non_duplicate_fraction=len(retained[final]) / len(pools[final]),
+            retained_count=len(retained[final]),
+            score_histogram=histogram,
+        )
         self._commit(
-            "evaluated",
-            {"tournament_ref": tournament_ref, "metrics_ref": self.store.put("run_metrics", metrics)},
+            "evaluated", {"tournament_ref": tournament_ref, "metrics_ref": self.store.put(metrics)}
         )
 
     def _stage_done(self) -> None:
@@ -581,8 +582,8 @@ def write_report(out_dir: Path, state: RunState, store: ArtifactStore,
     for generation in sorted(state.pools, key=int):
         summary["pool_sizes"][generation] = pool_sizes[generation]
     if state.representatives_ref:
-        data = store.get_data(state.representatives_ref, "representatives")
-        summary["representative_count"] = len(data["idea_ids"])
+        representatives = store.get(state.representatives_ref, Representatives)
+        summary["representative_count"] = len(representatives.idea_ids)
     else:
         gaps.append("representatives: run not selected yet")
     if state.proposals:
@@ -591,20 +592,18 @@ def write_report(out_dir: Path, state: RunState, store: ArtifactStore,
     elif STAGES.index(state.stage_cursor) < STAGES.index("proposed"):
         gaps.append("proposals: run not proposed yet")
     if state.metrics_ref:
-        metrics = store.get_data(state.metrics_ref, "run_metrics")
-        summary["metrics"] = metrics
+        metrics = store.get(state.metrics_ref, RunMetrics)
+        summary["metrics"] = metrics.to_dict()
         _write_csv(
             report_dir / "unique_novel.csv",
             ["generation", "unique_novel"],
-            sorted(
-                ((int(g), n) for g, n in metrics["unique_novel_per_generation"].items())
-            ),
+            sorted(((int(g), n) for g, n in metrics.unique_novel_per_generation.items())),
         )
-        if metrics["score_histogram"]:
+        if metrics.score_histogram:
             _write_csv(
                 report_dir / "score_histogram.csv",
                 ["score", "count"],
-                sorted(((int(s), c) for s, c in metrics["score_histogram"].items())),
+                sorted(((int(s), c) for s, c in metrics.score_histogram.items())),
             )
         else:
             gaps.append("score_histogram: tournament was skipped")
@@ -629,9 +628,7 @@ def metrics_report(out_dir: str | Path) -> dict:
     if state is None:
         raise OrchestratorError(f"no run state at {out_dir / 'state.json'}")
     store = ArtifactStore(out_dir)
-    pool_sizes = {
-        g: len(store.get_data(digest, "idea_pool")["ideas"]) for g, digest in state.pools.items()
-    }
+    pool_sizes = {g: len(store.get(digest, IdeaPool).ideas) for g, digest in state.pools.items()}
     return write_report(out_dir, state, store, pool_sizes)
 
 
@@ -642,13 +639,8 @@ def replay_events(out_dir: str | Path) -> dict | None:
     state: dict | None = None
     for event in events:
         if event["type"] == "run_started":
-            state = RunState(
-                run_id=event["run_id"],
-                config=PipelineConfig.from_dict(event["config"]),
-                stage_cursor="seeded",
-                backend=event["backend"],
-                seed_paper_ref="0" * 64,
-            ).to_dict()
+            config = PipelineConfig.from_dict(event["config"])
+            state = RunState.start(event["run_id"], config, event["backend"]).to_dict()
             state["stage_cursor"] = None
         elif event["type"] == "stage_completed":
             assert state is not None, "stage_completed before run_started"

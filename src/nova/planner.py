@@ -14,7 +14,9 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, replace
 
-from .domain import Direction, Idea, PipelineConfig, Record, RetrievedDoc, SearchPlan, SeedPaper
+from .domain import (
+    Direction, Idea, IterationRecord, PipelineConfig, RetrievedDoc, SearchPlan, SeedPaper,
+)
 from .gateway import ExtractionFailedError, Gateway, GatewayError
 from .ids import IdFactory
 from .literature import Embedder, LiteratureError, SearchQuery, cosine
@@ -22,15 +24,6 @@ from .prompts import PromptLibrary
 from .seeding import format_idea, new_ideas, reflect
 
 logger = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class IterationRecord(Record):
-    generation: int
-    input_pool_size: int
-    output_pool_size: int
-    plans: tuple[SearchPlan, ...]
-    retrieved_counts: dict[str, int]
 
 
 @dataclass(frozen=True)

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass
 
 from .domain import (
     FINAL_SECTIONS,
     INITIAL_SECTIONS,
+    DecompositionModule,
+    DecompositionPlan,
     Idea,
     Proposal,
     RetrievedDoc,
@@ -32,26 +33,6 @@ logger = logging.getLogger(__name__)
 
 class ProposalFailure(Exception):
     """A proposal stage could not produce schema-valid output after budget."""
-
-
-@dataclass(frozen=True)
-class DecompositionPlan:
-    thinking: str
-    modules: tuple[SubModule, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "thinking": self.thinking,
-            "modules": [
-                {
-                    "name": m.module_name,
-                    "purpose": m.purpose,
-                    "implementation": m.implementation,
-                    "search_keywords": list(m.keywords),
-                }
-                for m in self.modules
-            ],
-        }
 
 
 class ProposalBuilder:
@@ -134,11 +115,11 @@ class ProposalBuilder:
                 logger.info("dropping keywordless module %r", raw["name"])
                 continue
             modules.append(
-                SubModule(
-                    module_name=raw["name"],
+                DecompositionModule(
+                    name=raw["name"],
                     purpose=raw["purpose"],
                     implementation=raw["implementation"],
-                    keywords=keywords,
+                    search_keywords=keywords,
                 )
             )
         if not modules:
@@ -149,7 +130,7 @@ class ProposalBuilder:
 
     def module_knowledge(self, idea: Idea, decomposition: DecompositionPlan) -> str | None:
         """Merged retrieval over the decomposition's per-module keywords."""
-        docs = self._planner.execute_plan(idea, [m.keywords for m in decomposition.modules])
+        docs = self._planner.execute_plan(idea, [m.search_keywords for m in decomposition.modules])
         if not docs:
             return None
         return format_docs(docs)
@@ -187,7 +168,10 @@ class ProposalBuilder:
             idea_id=idea.id,
             stage="final",
             sections={key: parsed[key] for key in FINAL_SECTIONS},
-            decomposition=decomposition.modules,
+            decomposition=tuple(
+                SubModule(m.name, m.purpose, m.implementation, m.search_keywords)
+                for m in decomposition.modules
+            ),
         )
 
     # -- whole pipeline for one idea ----------------------------------------------

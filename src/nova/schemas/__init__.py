@@ -1,9 +1,8 @@
-"""Loading and applying the shipped JSON schemas.
+"""Loading and applying the shipped JSON schemas of LLM replies.
 
-Two schema families live under ``nova/schemas``: domain/artifact schemas at
-the top level and LLM-output schemas under ``outputs/``. Domain validation
-returns violation strings (json-pointer path plus message) rather than
-raising, so callers can treat bad data as data.
+One schema family lives under ``nova/schemas/outputs``: the shape each prompt
+template's reply must have. The artifacts a run stores have no JSON schema;
+their `domain.Record` types are their only description.
 
 LLM replies only need a valid-or-invalid verdict, once per candidate value,
 so each output schema is compiled on first use into a plain predicate
@@ -20,19 +19,7 @@ from functools import lru_cache
 from importlib import resources
 from typing import Callable
 
-import jsonschema
-
-from .. import domain
-
 _PACKAGE = "nova.schemas"
-
-
-@lru_cache(maxsize=None)
-def load_schema(name: str) -> dict:
-    path = resources.files(_PACKAGE) / f"{name}.json"
-    if not path.is_file():
-        raise KeyError(f"unknown schema {name!r}")
-    return json.loads(path.read_text(encoding="utf-8"))
 
 
 @lru_cache(maxsize=None)
@@ -42,28 +29,6 @@ def load_output_schema(name: str) -> dict:
         raise KeyError(f"unknown output schema {name!r}")
     return json.loads(path.read_text(encoding="utf-8"))
 
-
-@lru_cache(maxsize=None)
-def _validator(name: str) -> jsonschema.Validator:
-    return jsonschema.Draft202012Validator(load_schema(name))
-
-
-def _errors(validator: jsonschema.Validator, data) -> list[str]:
-    out = []
-    for err in sorted(validator.iter_errors(data), key=lambda e: list(e.absolute_path)):
-        where = "/".join(str(p) for p in err.absolute_path) or "$"
-        out.append(f"{where}: {err.message}")
-    return out
-
-
-def schema_validate(kind: str, data) -> list[str]:
-    """Structural violations of `data` against the shipped schema for `kind`."""
-    return _errors(_validator(kind), data)
-
-
-# ---------------------------------------------------------------------------
-# Compiled checkers for LLM-output schemas
-# ---------------------------------------------------------------------------
 
 Check = Callable[[object], bool]
 
@@ -210,30 +175,3 @@ def output_schema_check(name: str) -> Check:
     """The compiled checker for the named output schema, built on first use."""
     return compile_check(load_output_schema(name))
 
-
-# Artifact kinds whose payload embeds other typed values; each entry maps the
-# container field to the element schema used for per-item validation.
-_COMPOSITE_ITEMS = {
-    "idea_pool": ("ideas", "idea"),
-    "iteration_records": ("records", "iteration_record"),
-}
-
-
-def validate_artifact(kind: str, data) -> list[str]:
-    """Full validation of one artifact payload: schema plus domain invariants."""
-    violations = schema_validate(kind, data)
-    if violations:
-        return violations
-    if kind in _COMPOSITE_ITEMS:
-        field, item_kind = _COMPOSITE_ITEMS[kind]
-        for n, item in enumerate(data[field]):
-            for v in validate_artifact(item_kind, item):
-                violations.append(f"{field}[{n}].{v}")
-        return violations
-    if kind in domain.DOMAIN_TYPES:
-        try:
-            value = domain.DOMAIN_TYPES[kind].from_dict(data)
-        except domain.DomainParseError as exc:
-            return [str(exc)]
-        violations.extend(value.validate())
-    return violations

@@ -6,6 +6,7 @@ pytest's capture so they are always visible.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import sys
@@ -16,17 +17,18 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
-from nova import schemas
 from nova.domain import (
     FINAL_SECTIONS,
+    DomainParseError,
     PipelineConfig,
     Proposal,
+    Representatives,
     RetrievedDoc,
 )
 from nova.gateway import Gateway, GatewayOptions
 from nova.literature import HashEmbedder, normalize
 from nova.mockllm import MockBackend
-from nova.orchestrator import STAGES, Runner, RunnerOptions
+from nova.orchestrator import ARTIFACT_TYPES, STAGES, Runner, RunnerOptions, RunState
 from nova.prompts import REGISTRY_NAMES, PromptLibrary
 from nova.selector import kmeans, non_duplicate_fraction
 from nova.tournament import novelty_judge, swiss_tournament
@@ -113,8 +115,8 @@ def test_criterion_1_pool_growth(default_run):
     assert state.stage_cursor == "done"
     assert len(runner._load_pool(0)) == 15
     assert len(runner._load_pool(3)) == 405  # zero tolerance
-    representatives = runner.store.get_data(state.representatives_ref, "representatives")
-    assert len(representatives["idea_ids"]) == 100  # zero tolerance
+    representatives = runner.store.get(state.representatives_ref, Representatives)
+    assert len(representatives.idea_ids) == 100  # zero tolerance
     assert len(state.proposals) + len(state.failed_proposals) == 100
     assert elapsed < 60.0
 
@@ -381,15 +383,18 @@ def test_criterion_8_template_goldens():
         assert _squash(theory.method) == _squash(method)
 
 
-def _mutate(kind: str, payload, rng: np.random.Generator):
+def _mutate(cls, payload, rng: np.random.Generator):
     """One guaranteed-invalidating top-level mutation; returns (mutated, why).
 
-    Three families, all of which every shipped schema must reject: an unknown
-    top-level field (additionalProperties is false everywhere), a deleted
-    required field, and a type-flipped required field.
+    Three families, all of which the `Record` codec must reject: an unknown
+    top-level field, a deleted required field (a field without a default), and
+    a type-flipped required field.
     """
     data = json.loads(json.dumps(payload))
-    required = schemas.load_schema(kind).get("required", [])
+    required = [
+        f.name for f in dataclasses.fields(cls)
+        if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+    ]
     op = int(rng.integers(3)) if required else 0
     if op == 0:
         data["unexpected_extra_field"] = {"__injected__": True}
@@ -402,7 +407,7 @@ def _mutate(kind: str, payload, rng: np.random.Generator):
     return data, f"wrong type for {key}"
 
 
-@criterion(9, "schema gate: run artifacts all valid; 1000 mutations rejected")
+@criterion(9, "artifact gate: every stored record decodes and validates; 1000 mutations rejected")
 def test_criterion_9_schema_gate(default_run):
     runner, state, _ = default_run
     artifact_paths = sorted((runner.out_dir / "artifacts").glob("*.json"))
@@ -410,18 +415,19 @@ def test_criterion_9_schema_gate(default_run):
     payloads = []
     for path in artifact_paths:
         envelope = json.loads(path.read_text(encoding="utf-8"))
-        violations = schemas.validate_artifact(envelope["kind"], envelope["data"])
+        cls = ARTIFACT_TYPES[envelope["kind"]]
+        violations = cls.from_dict(envelope["data"]).validate()
         assert violations == [], (envelope["kind"], violations[:3])
-        payloads.append((envelope["kind"], envelope["data"]))
+        payloads.append((cls, envelope["data"]))
     state_data = json.loads((runner.out_dir / "state.json").read_text(encoding="utf-8"))
-    assert schemas.schema_validate("run_state", state_data) == []
-    payloads.append(("run_state", state_data))
+    assert RunState.from_dict(state_data).validate() == []
+    payloads.append((RunState, state_data))
 
     rng = np.random.Generator(np.random.PCG64(1234))
     for n in range(1000):
-        kind, payload = payloads[int(rng.integers(len(payloads)))]
-        mutated, description = _mutate(kind, payload, rng)
-        violations = schemas.schema_validate(kind, mutated)
-        assert violations, (kind, description, n)
-        # precise: each violation names a location and a reason
-        assert all(": " in v for v in violations)
+        cls, payload = payloads[int(rng.integers(len(payloads)))]
+        mutated, description = _mutate(cls, payload, rng)
+        with pytest.raises(DomainParseError) as rejected:
+            cls.from_dict(mutated)
+        # precise: the message names the type, the field and the reason
+        assert ": " in str(rejected.value), (cls.__name__, description, n)

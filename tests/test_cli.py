@@ -5,11 +5,15 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nova
 from nova.cli import main
 from nova.orchestrator import _dump_bytes
 
@@ -261,3 +265,80 @@ def test_run_refuses_a_pool_stored_as_a_list_of_numbers(cli_env, tmp_path, capsy
     assert f"idea pool artifact {digest}" in err
     assert "embedding must be a base64 string" in err
     assert read_state(tmp_path, "old")["stage_cursor"] == "seeded"
+
+
+@pytest.mark.parametrize(
+    "damage, reason",
+    [
+        ({"surprise": 1}, "RunState: unknown fields ['surprise']"),
+        ({"stage_cursor": "bogus"}, "RunState.stage_cursor: 'bogus' not in"),
+    ],
+    ids=["unknown_field", "unknown_stage"],
+)
+def test_a_damaged_run_state_exits_2(cli_env, tmp_path, capsys, damage, reason):
+    """A damaged `state.json` is named with the field at fault, not a traceback."""
+    assert main(cli_env("seed", "damaged")) == 0
+    path = tmp_path / "damaged" / "state.json"
+    path.write_text(json.dumps({**read_state(tmp_path, "damaged"), **damage}), encoding="utf-8")
+    capsys.readouterr()
+    assert main(cli_env("iterate", "damaged")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("nova-error:")
+    assert f"run state {path}: {reason}" in err
+
+
+def test_representatives_without_idea_ids_exits_2(cli_env, tmp_path, capsys):
+    """A damaged artifact is named by its digest and the field at fault, not a traceback."""
+    assert main(cli_env("seed", "reps")) == 0
+    assert main(cli_env("select", "reps")) == 0
+    run_dir = tmp_path / "reps"
+    state = read_state(tmp_path, "reps")
+    path = run_dir / "artifacts" / f"{state['representatives_ref']}.json"
+    envelope = json.loads(path.read_text(encoding="utf-8"))
+    del envelope["data"]["idea_ids"]
+    payload = _dump_bytes(envelope)
+    digest = hashlib.sha256(payload).hexdigest()
+    (run_dir / "artifacts" / f"{digest}.json").write_bytes(payload)
+    state["representatives_ref"] = digest
+    (run_dir / "state.json").write_text(json.dumps(state), encoding="utf-8")
+    capsys.readouterr()
+
+    assert main(cli_env("propose", "reps")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("nova-error:")
+    assert f"representatives artifact {digest}: Representatives: missing fields ['idea_ids']" in err
+    assert read_state(tmp_path, "reps")["stage_cursor"] == "selected"
+
+
+def test_a_non_string_paper_title_exits_2(cli_env, tmp_path, capsys):
+    path = tmp_path / "numeric.json"
+    path.write_text(json.dumps({"title": 5, "abstract": "A"}), encoding="utf-8")
+    assert main(["validate", "--paper", str(path)]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["violations"] == ["SeedPaper: title must be a string"]
+
+    argv = cli_env("run", "numeric")
+    argv[argv.index("--paper") + 1] = str(path)
+    assert main(argv) == 2
+    assert "SeedPaper: title must be a string" in capsys.readouterr().err
+
+
+def test_a_mock_run_needs_no_jsonschema(cli_env, tmp_path):
+    """`jsonschema` is a test dependency only: a run with it unimportable reaches `done`."""
+    src = Path(nova.__file__).resolve().parents[1]
+    script = (
+        "import sys\n"
+        "sys.modules['jsonschema'] = None\n"
+        "from nova.cli import main\n"
+        f"code = main({cli_env('run', 'no-jsonschema')!r})\n"
+        "assert sys.modules['jsonschema'] is None\n"
+        "sys.exit(code)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]
+    )}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "stage reached: done" in done.stdout
+    assert read_state(tmp_path, "no-jsonschema")["stage_cursor"] == "done"

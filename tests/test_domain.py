@@ -1,4 +1,4 @@
-"""Domain types: invariants, serialization round-trips, schema gate."""
+"""Domain types: invariants, serialization round-trips, the codec's gate."""
 
 from __future__ import annotations
 
@@ -11,26 +11,32 @@ import struct
 import pytest
 from hypothesis import given, strategies as st
 
-from nova import schemas
 from nova.domain import (
-    DOMAIN_TYPES,
     FINAL_SECTIONS,
     INITIAL_SECTIONS,
     Bye,
+    DecompositionModule,
+    DecompositionPlan,
     Direction,
     DomainParseError,
     Idea,
+    IdeaPool,
+    IterationRecord,
+    IterationRecords,
     Match,
     PipelineConfig,
     Proposal,
     Reference,
+    Representatives,
     RetrievedDoc,
+    RunMetrics,
     SearchPlan,
     SeedPaper,
     SubModule,
     TournamentResult,
+    TrendReport,
 )
-from nova.planner import IterationRecord
+from nova.orchestrator import RunState
 from tests.conftest import make_idea, validate_lineage
 
 
@@ -77,20 +83,57 @@ SAMPLES = {
         matches=(Match(1, "a", "b", "a"), Match(2, "a", "c", "c")),
         byes=(Bye(1, "c"),),
     ),
+    "trend_report": TrendReport("Agents that plan retrieval are trending."),
+    "idea_pool": IdeaPool(
+        generation=1,
+        ideas=(
+            Idea(id="i3", thinking="t", idea="x", keywords=("k",), source="iteration",
+                 generation=1, parent_id="i1", embedding=unit(1.0, 0.0)),
+        ),
+    ),
+    "iteration_records": IterationRecords(
+        records=(
+            IterationRecord(
+                generation=1, input_pool_size=1, output_pool_size=2,
+                plans=(SearchPlan(idea_id="i1", directions=(Direction("d", ("k",)),)),),
+                retrieved_counts={"i1": 0},
+            ),
+        )
+    ),
+    "representatives": Representatives(idea_ids=("i1",), assignments={"i1": 0, "i2": 0}),
+    "decomposition_plan": DecompositionPlan(
+        thinking="split", modules=(DecompositionModule("M1", "p", "impl", ("k1", "k2")),)
+    ),
+    "run_metrics": RunMetrics(
+        unique_novel_per_generation={"0": 3, "1": 5},
+        non_duplicate_fraction=0.75,
+        retained_count=6,
+        score_histogram={"0": 1, "1": 2},
+    ),
+    "run_state": dataclasses.replace(
+        RunState.start("run-1", PipelineConfig(), "mock"),
+        stage_cursor="proposed",
+        seed_paper_ref="a" * 64,
+        pools={"0": "b" * 64},
+        representatives_ref="c" * 64,
+        proposals={"i1": {"initial": "d" * 64, "decomposition": "e" * 64, "final": "f" * 64}},
+        failed_proposals=("i2",),
+        id_counter=4,
+        event_seq=3,
+    ),
 }
 
 
 @pytest.mark.parametrize("kind", sorted(SAMPLES))
 def test_round_trip_identity(kind):
     value = SAMPLES[kind]
-    reparsed = DOMAIN_TYPES[kind].from_dict(json.loads(json.dumps(value.to_dict())))
+    reparsed = type(value).from_dict(json.loads(json.dumps(value.to_dict())))
     assert reparsed == value
 
 
 @pytest.mark.parametrize("kind", sorted(SAMPLES))
 def test_samples_are_valid(kind):
     assert SAMPLES[kind].validate() == []
-    assert schemas.schema_validate(kind, SAMPLES[kind].to_dict()) == []
 
 
 @pytest.mark.parametrize("kind", sorted(SAMPLES))
@@ -98,16 +141,7 @@ def test_unknown_fields_rejected(kind):
     data = SAMPLES[kind].to_dict()
     data["bogus_field"] = 1
     with pytest.raises(DomainParseError, match="unknown fields"):
-        DOMAIN_TYPES[kind].from_dict(data)
-    assert schemas.schema_validate(kind, data) != []
-
-
-def test_schema_completeness_every_field_present():
-    """Every dataclass field appears in the shipped schema's properties."""
-    for kind, value in SAMPLES.items():
-        schema = schemas.load_schema(kind)
-        declared = {f.name for f in dataclasses.fields(value)}
-        assert declared <= set(schema["properties"]), kind
+        type(SAMPLES[kind]).from_dict(data)
 
 
 def test_idea_empty_text_one_violation():
@@ -189,6 +223,40 @@ def test_tournament_result_conservation_violations():
     assert any("winner" in v for v in bad_winner.validate())
 
 
+@pytest.mark.parametrize(
+    "value, expected",
+    [
+        (TrendReport(""), "TrendReport.text: must be nonempty"),
+        (IdeaPool(0, (dataclasses.replace(SAMPLES["idea"], idea=""),)),
+         "IdeaPool.ideas[0]: Idea.idea: must be nonempty"),
+        (IterationRecords((IterationRecord(0, 1, 1, (), {}),)),
+         "IterationRecords.records[0]: IterationRecord.generation: must be positive"),
+        (IterationRecord(1, 1, 1, (SearchPlan("i1", ()),), {}),
+         "IterationRecord.plans[0]: SearchPlan.directions: at least one direction required"),
+        (Representatives(("i9",), {"i1": 0}),
+         "Representatives.idea_ids: i9 has no cluster assignment"),
+        (DecompositionPlan("t", ()), "DecompositionPlan.modules: at least one module required"),
+        (DecompositionPlan("t", (DecompositionModule("M", "p", "i", ()),)),
+         "DecompositionPlan.modules[0]: module needs a name and >=1 keyword"),
+        (dataclasses.replace(SAMPLES["run_metrics"], non_duplicate_fraction=1.5),
+         "RunMetrics.non_duplicate_fraction: must be in [0, 1]"),
+        (dataclasses.replace(SAMPLES["run_metrics"], unique_novel_per_generation={"0": -1}),
+         "RunMetrics.unique_novel_per_generation[0]: must be nonnegative"),
+        (dataclasses.replace(SAMPLES["run_state"], stage_cursor="later"),
+         "RunState.stage_cursor: 'later' not in"),
+        (dataclasses.replace(SAMPLES["run_state"], backend="cloud"),
+         "RunState.backend: 'cloud' not in"),
+        (dataclasses.replace(SAMPLES["run_state"], pools={"0": "ABC"}),
+         "RunState: 'ABC' is not a sha256 digest"),
+        (dataclasses.replace(SAMPLES["run_state"], config=PipelineConfig(keep_count=20)),
+         "PipelineConfig.keep_count: must be <= expand_count"),
+    ],
+)
+def test_stored_record_invariants(value, expected):
+    violations = value.validate()
+    assert len(violations) == 1 and violations[0].startswith(expected), violations
+
+
 def test_config_invariants():
     assert any("keep_count" in v for v in PipelineConfig(expand_count=2, keep_count=5).validate())
     assert any("[0, 1]" in v for v in PipelineConfig(dup_sim_threshold=1.5).validate())
@@ -254,6 +322,28 @@ GOLDEN_JSON = {
     "iteration_record": '{"generation": 1, "input_pool_size": 2, "output_pool_size": 3, "plans": '
     '[{"idea_id": "i1", "directions": [{"thinking": "d", "keywords": ["k"]}], '
     '"created_at_generation": 0}], "retrieved_counts": {"i1": 2}}',
+    "trend_report": '{"text": "Agents that plan retrieval are trending."}',
+    "idea_pool": '{"generation": 1, "ideas": [{"id": "i3", "thinking": "t", "idea": "x", "keywords": '
+    '["k"], "source": "iteration", "generation": 1, "parent_id": "i1", '
+    '"embedding": "AAAAAAAA8D8AAAAAAAAAAA=="}]}',
+    "iteration_records": '{"records": [{"generation": 1, "input_pool_size": 1, "output_pool_size": '
+    '2, "plans": [{"idea_id": "i1", "directions": [{"thinking": "d", "keywords": ["k"]}], '
+    '"created_at_generation": 0}], "retrieved_counts": {"i1": 0}}]}',
+    "representatives": '{"idea_ids": ["i1"], "assignments": {"i1": 0, "i2": 0}}',
+    "decomposition_plan": '{"thinking": "split", "modules": [{"name": "M1", "purpose": "p", '
+    '"implementation": "impl", "search_keywords": ["k1", "k2"]}]}',
+    "run_metrics": '{"unique_novel_per_generation": {"0": 3, "1": 5}, "non_duplicate_fraction": '
+    '0.75, "retained_count": 6, "score_histogram": {"0": 1, "1": 2}}',
+    # `*_ref` fields without a value are written as null, not omitted.
+    "run_state": '{"run_id": "run-1", "config": {"iterations_T": 3, "initial_seed_count": 15, '
+    '"expand_count": 10, "keep_count": 3, "retrieve_K": 5, "cluster_count": 100, '
+    '"tournament_rounds": 5, "novelty_topk": 10, "novelty_sim_threshold": 0.3, '
+    '"dup_sim_threshold": 0.8, "rng_seed": 0}, "stage_cursor": "proposed", "backend": "mock", '
+    f'"seed_paper_ref": "{"a" * 64}", "trend_report_ref": null, "pools": {{"0": "{"b" * 64}"}}, '
+    f'"iteration_records_ref": null, "representatives_ref": "{"c" * 64}", "proposals": '
+    f'{{"i1": {{"initial": "{"d" * 64}", "decomposition": "{"e" * 64}", "final": "{"f" * 64}"}}}}, '
+    '"failed_proposals": ["i2"], "tournament_ref": null, "metrics_ref": null, "id_counter": 4, '
+    '"event_seq": 3}',
 }
 
 
@@ -268,6 +358,7 @@ IDEA_DICT = SAMPLES["idea"].to_dict()
 DOC_DICT = SAMPLES["retrieved_doc"].to_dict()
 PROPOSAL_DICT = SAMPLES["proposal"].to_dict()
 RESULT_DICT = SAMPLES["tournament_result"].to_dict()
+STATE_DICT = SAMPLES["run_state"].to_dict()
 
 
 @pytest.mark.parametrize(
@@ -302,6 +393,18 @@ RESULT_DICT = SAMPLES["tournament_result"].to_dict()
          "SubModule: unknown fields \\['search_keywords'\\]"),
         (PipelineConfig, {}, "cluster_count", 2.0, "cluster_count must be an integer"),
         (PipelineConfig, {}, "dup_sim_threshold", "0.5", "dup_sim_threshold must be a number"),
+        (Reference, {"title": "R"}, "title", 5, "title must be a string"),
+        (Idea, IDEA_DICT, "id", 12345, "id must be a string"),
+        (Idea, IDEA_DICT, "parent_id", ["i0"], "parent_id must be a string"),
+        (RunState, STATE_DICT, "trend_report_ref", {"__wrong__": True},
+         "trend_report_ref must be a string"),
+        (RunState, STATE_DICT, "proposals", "x", "proposals must be an object"),
+        (RunState, STATE_DICT, "proposals", {"i1": "x"},
+         "proposals values must map strings to strings"),
+        (RunState, STATE_DICT, "proposals", {"i1": {"final": 1}},
+         "proposals values must map strings to strings"),
+        (RunState, STATE_DICT, "config", 12345, "PipelineConfig: expected object, got int"),
+        (RunState, STATE_DICT, "failed_proposals", [1], "failed_proposals must be a list of strings"),
     ],
 )
 def test_wrong_typed_field_rejected(cls, data, field_name, bad, message):
@@ -310,7 +413,6 @@ def test_wrong_typed_field_rejected(cls, data, field_name, bad, message):
 
 
 def test_scalar_coercions():
-    assert Reference.from_dict({"title": 5}).title == "5"
     doc = RetrievedDoc.from_dict({**DOC_DICT, "score": 1})
     assert doc.score == 1.0 and isinstance(doc.score, float)
     assert doc.embedding == (1.0, 0.0) and all(isinstance(v, float) for v in doc.embedding)
@@ -324,7 +426,9 @@ def test_scalar_coercions():
     )
 
 
-@pytest.mark.parametrize("cls", [Idea, SeedPaper, TournamentResult, PipelineConfig, IterationRecord])
+@pytest.mark.parametrize(
+    "cls", [Idea, SeedPaper, TournamentResult, PipelineConfig, IterationRecord, IdeaPool, RunState]
+)
 def test_non_object_rejected(cls):
     with pytest.raises(DomainParseError, match=f"{cls.__name__}: expected object, got list"):
         cls.from_dict([])
@@ -354,6 +458,9 @@ def test_missing_field_with_default_takes_default(cls, data, expected):
         (SeedPaper, {"title": "T"}, "\\['abstract', 'id'\\]"),
         (Match, {"round": 1, "a": "a", "b": "b"}, "\\['winner'\\]"),
         (Proposal, {"idea_id": "i", "stage": "final"}, "\\['sections'\\]"),
+        (RunState, {k: v for k, v in STATE_DICT.items() if not k.endswith("_ref")},
+         "\\['iteration_records_ref', 'metrics_ref', 'representatives_ref', 'seed_paper_ref', "
+         "'tournament_ref', 'trend_report_ref'\\]"),
     ],
 )
 def test_missing_field_without_default_rejected(cls, data, missing):

@@ -28,7 +28,7 @@ from nova.gateway import (
     TransientBackendError,
     extract_json,
 )
-from nova.domain import PipelineConfig
+from nova.domain import PipelineConfig, TrendReport
 from nova.literature import (
     DEFAULT_EMBED_MODEL,
     HashEmbedder,
@@ -337,18 +337,17 @@ def artifact_writer(root: Path):
     store = ArtifactStore(root)
 
     def target(text: str) -> Path:
-        digest = hashlib.sha256(_dump_bytes({"kind": "note", "data": text})).hexdigest()
-        return root / "artifacts" / f"{digest}.json"
+        envelope = {"kind": "trend_report", "data": {"text": text}}
+        return root / "artifacts" / f"{hashlib.sha256(_dump_bytes(envelope)).hexdigest()}.json"
 
-    return target, (lambda text: store.put("note", text))
+    return target, (lambda text: store.put(TrendReport(text)))
 
 
 def state_writer(root: Path):
     runner = Runner(root, PipelineConfig(), RunnerOptions())
 
     def write(text: str) -> None:
-        runner.state = RunState(run_id=text, config=runner.config, stage_cursor="seeded",
-                                backend="mock", seed_paper_ref="0" * 64)
+        runner.state = RunState.start(text, runner.config, "mock")
         runner._write_state()
 
     return (lambda text: root / "state.json"), write

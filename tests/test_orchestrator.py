@@ -11,11 +11,14 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nova import schemas
-from nova.domain import FINAL_SECTIONS, INITIAL_SECTIONS, PipelineConfig
+from nova.domain import (
+    FINAL_SECTIONS, INITIAL_SECTIONS, IdeaPool, PipelineConfig, Proposal, Representatives,
+    RunMetrics,
+)
 from nova.gateway import GatewayError, GatewayOptions, HttpChatBackend, TransientBackendError
 from nova.mockllm import MockBackend, prompt_digest
 from nova.orchestrator import (
+    ARTIFACT_TYPES,
     STAGES,
     ArtifactStore,
     EventLog,
@@ -25,6 +28,7 @@ from nova.orchestrator import (
     Runner,
     RunnerOptions,
     load_paper_input,
+    load_state,
     metrics_report,
     replay_events,
 )
@@ -190,25 +194,32 @@ def test_clamped_small_run_t0(tmp_path, corpus_dir, paper_input_file):
     runner = Runner(tmp_path / "t0", config, options_for(corpus_dir))
     state = runner.run(paper_input=str(paper_input_file))
     assert set(state.pools) == {"0"}
-    reps = runner.store.get_data(state.representatives_ref, "representatives")
-    assert len(reps["idea_ids"]) == 5
+    reps = runner.store.get(state.representatives_ref, Representatives)
+    assert len(reps.idea_ids) == 5
     assert len(state.proposals) == 5  # one initial+final pair per representative
     for refs in state.proposals.values():
         assert set(refs) == {"initial", "decomposition", "final"}
 
 
-def test_all_artifacts_validate_against_shipped_schemas(run_env, paper_input_file):
-    runner = run_env("schema_walk")
+def test_all_artifacts_decode_and_validate(run_env, paper_input_file):
+    """An uninterrupted run writes every kind of the store's map and no other.
+
+    So a new artifact cannot be stored without a `Record` type. Each artifact
+    and `state.json` decodes, re-encodes to what was written, and validates.
+    """
+    runner = run_env("record_walk")
     runner.run(paper_input=str(paper_input_file))
-    artifacts = list((runner.out_dir / "artifacts").glob("*.json"))
-    assert artifacts
-    for path in artifacts:
-        envelope = json.loads(path.read_text())
-        violations = schemas.validate_artifact(envelope["kind"], envelope["data"])
-        assert violations == [], (path.name, envelope["kind"], violations[:3])
-    state_data = json.loads((runner.out_dir / "state.json").read_text())
-    assert schemas.schema_validate("run_state", state_data) == []
-    assert schemas.schema_validate("pipeline_config", state_data["config"]) == []
+    envelopes = {p.stem: json.loads(p.read_text())
+                 for p in (runner.out_dir / "artifacts").glob("*.json")}
+    assert {envelope["kind"] for envelope in envelopes.values()} == set(ARTIFACT_TYPES)
+    for digest, envelope in envelopes.items():
+        record = runner.store.get(digest, ARTIFACT_TYPES[envelope["kind"]])
+        assert record.to_dict() == envelope["data"]
+        assert record.validate() == [], (digest, envelope["kind"], record.validate()[:3])
+    state = load_state(runner.out_dir)
+    assert state == runner.state
+    assert state.to_dict() == json.loads((runner.out_dir / "state.json").read_text())
+    assert state.validate() == []
 
 
 def test_report_on_partial_run_flags_gaps(run_env, paper_input_file):
@@ -228,7 +239,7 @@ def test_report_requires_existing_run(tmp_path):
 def test_metrics_threshold_only_counts_match_brute_force(run_env, paper_input_file):
     runner = run_env("novmetrics", threshold_only_novelty=True)
     state = runner.run(paper_input=str(paper_input_file))
-    metrics = runner.store.get_data(state.metrics_ref, "run_metrics")
+    metrics = runner.store.get(state.metrics_ref, RunMetrics)
     from nova.selector import non_duplicate_fraction
     from nova.tournament import unique_novel_count
 
@@ -237,12 +248,12 @@ def test_metrics_threshold_only_counts_match_brute_force(run_env, paper_input_fi
         expected = unique_novel_count(
             pool, runner.corpus, runner.config, threshold_only=True
         )
-        assert metrics["unique_novel_per_generation"][generation] == expected
+        assert metrics.unique_novel_per_generation[generation] == expected
     fraction, retained = non_duplicate_fraction(
         runner._load_pool(runner.config.iterations_T), runner.config.dup_sim_threshold
     )
-    assert metrics["non_duplicate_fraction"] == fraction
-    assert metrics["retained_count"] == len(retained)
+    assert metrics.non_duplicate_fraction == fraction
+    assert metrics.retained_count == len(retained)
 
 
 def test_run_without_paper_input_fails_cleanly(tmp_path, corpus_dir, small_config):
@@ -284,11 +295,10 @@ def pool_reads(monkeypatch):
     reads: list[str] = []
     original = ArtifactStore.get
 
-    def get(self, digest):
-        envelope = original(self, digest)
-        if envelope["kind"] == "idea_pool":
+    def get(self, digest, cls):
+        if cls is IdeaPool:
             reads.append(digest)
-        return envelope
+        return original(self, digest, cls)
 
     monkeypatch.setattr(ArtifactStore, "get", get)
     return reads
@@ -341,8 +351,8 @@ def test_runner_construction_creates_only_the_run_directory(
         if path.is_file() and path.name != "events.jsonl":
             assert stat.S_IMODE(path.stat().st_mode) == 0o600, path
     assert len(list((runner.out_dir / "proposals").iterdir())) == small_config.cluster_count
-    representatives = runner.store.get_data(runner.state.representatives_ref, "representatives")
-    assert sorted(representatives) == ["assignments", "idea_ids"]
+    path = runner.out_dir / "artifacts" / f"{runner.state.representatives_ref}.json"
+    assert sorted(json.loads(path.read_text())["data"]) == ["assignments", "idea_ids"]
 
 
 _json_values = st.recursive(
@@ -492,14 +502,14 @@ def test_run_without_corpus_counts_each_pools_dedup(tmp_path, paper_input_file, 
     runner = Runner(tmp_path / "nocorpus", config, RunnerOptions(backend="mock"))
     assert runner.corpus is None
     state = runner.advance_to("evaluated", paper_input=str(paper_input_file))
-    metrics = runner.store.get_data(state.metrics_ref, "run_metrics")
+    metrics = runner.store.get(state.metrics_ref, RunMetrics)
     pools = {g: runner._load_pool(int(g)) for g in state.pools}
     dedup = {g: non_duplicate_fraction(pool, 0.3) for g, pool in pools.items()}
-    assert metrics["unique_novel_per_generation"] == {g: len(d[1]) for g, d in dedup.items()}
+    assert metrics.unique_novel_per_generation == {g: len(d[1]) for g, d in dedup.items()}
     assert any(len(dedup[g][1]) < len(pool) for g, pool in pools.items())
     final = str(config.iterations_T)
-    assert metrics["non_duplicate_fraction"] == dedup[final][0]
-    assert metrics["retained_count"] == len(dedup[final][1])
+    assert metrics.non_duplicate_fraction == dedup[final][0]
+    assert metrics.retained_count == len(dedup[final][1])
 
 
 def test_aborted_seeding_attempts_log_no_run_start(
@@ -556,6 +566,6 @@ def test_proposal_sections_in_any_reply_order_are_stored_canonically(
     assert state.stage_cursor == "done"
     assert backend.reversed == 2 * small_config.cluster_count
     assert len(state.proposals) == small_config.cluster_count
-    for idea_id in state.proposals:
-        assert tuple(runner._load_proposal(idea_id, "initial").sections) == INITIAL_SECTIONS
-        assert tuple(runner._load_proposal(idea_id, "final").sections) == FINAL_SECTIONS
+    for refs in state.proposals.values():
+        assert tuple(runner.store.get(refs["initial"], Proposal).sections) == INITIAL_SECTIONS
+        assert tuple(runner.store.get(refs["final"], Proposal).sections) == FINAL_SECTIONS

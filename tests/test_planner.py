@@ -12,6 +12,7 @@ from nova.ids import IdFactory
 from nova.literature import HashEmbedder, LiteratureError, OfflineCorpus, SearchQuery
 from nova.mockllm import MockBackend
 from nova.orchestrator import Runner, RunnerOptions
+from nova.domain import IterationRecords
 from nova.planner import IterationRecord, PlannerLoop
 from nova.prompts import PromptLibrary
 from tests.conftest import (
@@ -370,8 +371,8 @@ def test_t_zero_identity(tmp_path, paper_input_file):
     state = runner.advance_to("iterated")
     assert set(state.pools) == {"0"}
     assert runner._load_pool(config.iterations_T) == pool_in
-    records = runner.store.get_data(state.iteration_records_ref, "iteration_records")
-    assert records == {"records": []}
+    records = runner.store.get(state.iteration_records_ref, IterationRecords)
+    assert records == IterationRecords(records=())
 
 
 def test_lineage_chain_reaches_generation_zero(make_gateway, sample_paper):

@@ -9,6 +9,7 @@ import pytest
 from nova.domain import (
     FINAL_SECTIONS,
     INITIAL_SECTIONS,
+    DecompositionPlan,
     PipelineConfig,
     Proposal,
     RetrievedDoc,
@@ -144,8 +145,8 @@ def test_decompose_six_modules(make_gateway, sample_paper):
     initial = builder.build_initial(sample_paper, idea(), [])
     plan = builder.decompose(initial)
     assert len(plan.modules) == 6
-    assert plan.modules[0].module_name == "Real-Time Dialogue Engine"
-    assert all(m.keywords for m in plan.modules)
+    assert plan.modules[0].name == "Real-Time Dialogue Engine"
+    assert all(m.search_keywords for m in plan.modules)
 
 
 def test_decompose_single_module_valid(make_gateway, sample_paper):
@@ -163,7 +164,7 @@ def test_decompose_drops_keywordless_modules(make_gateway, sample_paper):
                                  (DECOMPOSE_SIG, decompose_reply(modules))])
     builder = make_builder(backend, make_gateway)
     plan = builder.decompose(builder.build_initial(sample_paper, idea(), []))
-    assert [m.module_name for m in plan.modules] == ["Context Understanding Module"]
+    assert [m.name for m in plan.modules] == ["Context Understanding Module"]
 
 
 def test_decompose_all_dropped_is_failure(make_gateway, sample_paper):
@@ -212,7 +213,7 @@ def test_build_final_prompt_names_every_module(make_gateway, sample_paper):
     builder.build_final(sample_paper, the_idea, initial, plan)
     final_prompt = next(p for p in backend.prompts if FINAL_SIG in p)
     for module in plan.modules:
-        assert module.module_name in final_prompt
+        assert module.name in final_prompt
 
 
 def test_build_final_optional_blocks_omitted(make_gateway, sample_paper):
@@ -243,7 +244,7 @@ def test_build_final_two_module_decomposition_referenced(make_gateway, sample_pa
     plan = builder.decompose(initial)
     final = builder.build_final(sample_paper, the_idea, initial, plan)
     for module in plan.modules:
-        assert module.module_name in final.sections["Proposed Method"]
+        assert module.name in final.sections["Proposed Method"]
 
 
 def test_decomposition_plan_round_trip(make_gateway):
@@ -253,8 +254,9 @@ def test_decomposition_plan_round_trip(make_gateway):
     backend = RuleBackend(rules=[(DECOMPOSE_SIG, decompose_reply(modules))])
     builder = make_builder(backend, make_gateway)
     plan = builder.decompose(Proposal(idea_id="x", stage="initial", sections=AEDS_SECTIONS))
-    assert plan.modules[0].module_name == SIX_MODULES[0]["name"]
+    assert plan.modules[0].name == SIX_MODULES[0]["name"]
     assert plan.to_dict() == {"thinking": "split the method", "modules": SIX_MODULES[:2]}
+    assert DecompositionPlan.from_dict(plan.to_dict()) == plan
 
 
 def test_render_markdown_contains_both_stages():
@@ -273,4 +275,6 @@ def test_build_all_round_trip(make_gateway, sample_paper):
     assert initial.validate() == []
     assert final.validate() == []
     assert final.decomposition is not None
-    assert len(final.decomposition) == len(plan.modules)
+    assert [(m.module_name, m.keywords) for m in final.decomposition] == [
+        (m.name, m.search_keywords) for m in plan.modules
+    ]
