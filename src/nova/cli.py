@@ -8,6 +8,10 @@ Subcommands map 1:1 to pipeline stages so partial pipelines are scriptable:
     nova report   --out d/                         (metrics for whatever exists)
     nova validate --paper p.json                   (parse + invariant check)
 
+Only `run` and `seed` take the config flags (`--config`, `--seed`, `--set`):
+a run's config is fixed when it starts, and `iterate`, `select`, `propose`
+and `evaluate` resume with the config stored in its `state.json`.
+
 Exit codes: 0 success, 1 usage error, 2 pipeline abort or failed validation.
 Errors go to stderr with the machine-parsable prefix "nova-error:".
 """
@@ -61,27 +65,27 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"nova {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_run_flags(p, needs_paper: bool):
-        if needs_paper:
+    def add_run_flags(p, starts_run: bool):
+        if starts_run:
             p.add_argument("--paper", required=True, help="input paper JSON file")
+            p.add_argument("--config", help="config JSON file mirroring the pipeline config")
+            p.add_argument("--seed", type=int, help="override rng_seed")
+            p.add_argument(
+                "--set",
+                action="append",
+                default=[],
+                metavar="KEY=VALUE",
+                help="config override, repeatable (e.g. --set iterations_T=2)",
+            )
         p.add_argument("--out", required=True, help="run directory")
-        p.add_argument("--config", help="config JSON file mirroring the pipeline config")
         p.add_argument("--backend", choices=["live", "mock"], default="mock")
         p.add_argument("--mock-script", help="mock backend script (required with --backend mock)")
-        p.add_argument("--seed", type=int, help="override rng_seed")
-        p.add_argument(
-            "--set",
-            action="append",
-            default=[],
-            metavar="KEY=VALUE",
-            help="config override, repeatable (e.g. --set iterations_T=2)",
-        )
         p.add_argument("--corpus", help="offline retrieval corpus directory")
 
     for command in ("run", "seed"):
-        add_run_flags(sub.add_parser(command), needs_paper=True)
+        add_run_flags(sub.add_parser(command), starts_run=True)
     for command in ("iterate", "select", "propose", "evaluate"):
-        add_run_flags(sub.add_parser(command), needs_paper=False)
+        add_run_flags(sub.add_parser(command), starts_run=False)
 
     sub.add_parser("report").add_argument("--out", required=True, help="run directory")
 

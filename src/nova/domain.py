@@ -8,6 +8,7 @@ written down once, in its field list.
 
 Serialization is plain JSON with keys emitted in field-declaration order.
 Tuples become lists, nested records serialize through their own `to_dict`,
+a `dict` field maps strings to one scalar type (`str`, `int` or `float`),
 and a field whose default is None is omitted while it is None. A field
 annotated `Embedding` (`Idea.embedding`, `RetrievedDoc.embedding`) is one
 string: the base64 (RFC 4648, standard alphabet, padded) of its values as
@@ -80,13 +81,11 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-# Element annotation -> (accepts, converts, plural noun, the exact types
-# `accepts` takes, scalar problem). A list whose element types are all exact
-# skips the per-element `accepts` call: at 384-d that call dominates parsing.
+# Element annotation -> (accepts, converts, plural noun, scalar problem).
 _ELEMENTS = {
-    str: (_is_str, str, "strings", {str}, "must be a string"),
-    int: (_is_int, int, "integers", {int}, "must be an integer"),
-    float: (_is_number, float, "numbers", {int, float}, "must be a number"),
+    str: (_is_str, str, "strings", "must be a string"),
+    int: (_is_int, int, "integers", "must be an integer"),
+    float: (_is_number, float, "numbers", "must be a number"),
 }
 
 
@@ -138,18 +137,16 @@ def _converters(owner: str, name: str, hint):
                 return tuple(item.from_dict(x) for x in v)
 
             return (lambda v: [x.to_dict() for x in v]), decode_records
-        accepts, convert, noun, exact, _ = _ELEMENTS[item]
+        accepts, convert, noun, _ = _ELEMENTS[item]
 
         def decode_items(v):
-            if not isinstance(v, list) or not (
-                set(map(type, v)) <= exact or all(map(accepts, v))
-            ):
+            if not isinstance(v, list) or not all(map(accepts, v)):
                 fail(f"must be a list of {noun}")
             return tuple(map(convert, v))
 
         return list, decode_items
-    if origin is dict and args[1] in _ELEMENTS:
-        value_ok, _, noun, _, _ = _ELEMENTS[args[1]]
+    if origin is dict:
+        value_ok, _, noun, _ = _ELEMENTS[args[1]]
 
         def decode_map(v):
             if not isinstance(v, dict) or not all(
@@ -159,19 +156,9 @@ def _converters(owner: str, name: str, hint):
             return dict(v)
 
         return dict, decode_map
-    if origin is dict:
-        encode_value, decode_value = _converters(owner, f"{name} values", args[1])
-
-        def decode_nested(v):
-            if not isinstance(v, dict) or not all(map(_is_str, v)):
-                fail("must be an object")
-            return {k: decode_value(x) for k, x in v.items()}
-
-        encode_value = encode_value or (lambda x: x)
-        return (lambda v: {k: encode_value(x) for k, x in v.items()}), decode_nested
     if _is_record(hint):
         return (lambda v: v.to_dict()), hint.from_dict
-    accepts, convert, _, _, problem = _ELEMENTS[hint]
+    accepts, convert, _, problem = _ELEMENTS[hint]
 
     def decode_scalar(v):
         if not accepts(v):
@@ -374,16 +361,6 @@ class RetrievedDoc(Record):
 
 
 @dataclass(frozen=True)
-class SubModule(Record):
-    """One method submodule of a decomposed proposal."""
-
-    module_name: str
-    purpose: str
-    implementation: str
-    keywords: tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class DecompositionModule(Record):
     """One module of a method decomposition, under the field names of the reply."""
 
@@ -415,7 +392,6 @@ class Proposal(Record):
     idea_id: str
     stage: str
     sections: dict[str, str]
-    decomposition: tuple[SubModule, ...] | None = None
 
     def validate(self) -> list[str]:
         out: list[str] = []
@@ -431,13 +407,20 @@ class Proposal(Record):
         for name, body in self.sections.items():
             if not body:
                 out.append(f"Proposal.sections[{name}]: must be nonempty")
-        if self.decomposition is not None:
-            if not self.decomposition:
-                out.append("Proposal.decomposition: must have >=1 module when present")
-            for n, m in enumerate(self.decomposition):
-                if not m.keywords:
-                    out.append(f"Proposal.decomposition[{n}]: module needs >=1 keyword")
         return out
+
+
+@dataclass(frozen=True)
+class ProposalSet(Record):
+    """One idea's three proposal stages, stored as one artifact."""
+
+    initial: Proposal
+    decomposition: DecompositionPlan
+    final: Proposal
+
+    def validate(self) -> list[str]:
+        return [f"ProposalSet.{name}: {v}" for name in ("initial", "decomposition", "final")
+                for v in getattr(self, name).validate()]
 
 
 # ---------------------------------------------------------------------------

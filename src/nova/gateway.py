@@ -227,7 +227,7 @@ class _ThreadState(threading.local):
 class Gateway:
     def __init__(
         self,
-        backend: ChatBackend | None,
+        backend: ChatBackend,
         cache_dir: str | Path,
         options: GatewayOptions = GatewayOptions(),
         sleep: Callable[[float], None] = time.sleep,
@@ -299,10 +299,6 @@ class Gateway:
             if cached is not None:
                 self.stats._bump("cache_hits")
                 return cached
-            if self._backend is None:
-                raise BackendUnavailableError(
-                    f"cache miss for {key[:12]} and no backend configured (cache-only mode)"
-                )
             return self._send(request, key)
         finally:
             with self._flights_lock:

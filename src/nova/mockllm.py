@@ -56,7 +56,6 @@ class MockBackend:
         self._seed = seed
         self._lock = threading.Lock()
         self._remaining_failures: dict[str, int] = {}
-        self.calls = 0
 
     @classmethod
     def from_file(cls, path: str | Path, seed: int = 0) -> "MockBackend":
@@ -68,7 +67,6 @@ class MockBackend:
     def send(self, model_id: str, prompt: str, temperature: float, max_tokens: int) -> str:
         digest = prompt_digest(prompt)
         with self._lock:
-            self.calls += 1
             entry = self._script.get(digest)
             if isinstance(entry, dict):
                 if digest not in self._remaining_failures:

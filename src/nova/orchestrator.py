@@ -14,6 +14,10 @@ Every file but `events.jsonl` is written whole through `gateway.atomic_write`
 building a `Runner` creates no directory but the run's own. An artifact's data
 is one `domain.Record` of the type its kind names in `ARTIFACT_TYPES`, and
 `state.json` is a `RunState`: the `Record` codec is their only description.
+The eight kinds are seed_paper, trend_report, idea_pool, iteration_records,
+representatives, proposal_set (one per proposed idea: the initial proposal,
+the method decomposition and the final proposal), tournament_result and
+run_metrics; `RunState.proposals` maps each proposed idea to its proposal_set.
 `ArtifactStore.get` and `load_state` turn data that does not decode (a pool
 with list-of-numbers embeddings, say) into an `OrchestratorError` naming the
 artifact digest or the file, and the field.
@@ -52,8 +56,8 @@ from . import planner as planner_mod
 from . import proposals as proposals_mod
 from . import selector, tournament
 from .domain import (
-    DecompositionPlan, DomainParseError, Idea, IdeaPool, IterationRecords, PipelineConfig,
-    Proposal, Record, Representatives, RunMetrics, SeedPaper, TournamentResult, TrendReport,
+    DomainParseError, Idea, IdeaPool, IterationRecords, PipelineConfig, ProposalSet, Record,
+    Representatives, RunMetrics, SeedPaper, TournamentResult, TrendReport,
 )
 from .gateway import Gateway, GatewayError, GatewayOptions, HttpChatBackend, atomic_write
 from .ids import IdFactory
@@ -127,7 +131,7 @@ class RunState(Record):
     pools: dict[str, str] = field(default_factory=dict)
     iteration_records_ref: str | None
     representatives_ref: str | None
-    proposals: dict[str, dict[str, str]] = field(default_factory=dict)
+    proposals: dict[str, str] = field(default_factory=dict)  # idea id -> proposal_set digest
     failed_proposals: tuple[str, ...] = ()
     tournament_ref: str | None
     metrics_ref: str | None
@@ -147,7 +151,7 @@ class RunState(Record):
             if getattr(self, name) not in allowed:
                 out.append(f"RunState.{name}: {getattr(self, name)!r} not in {allowed}")
         refs = [v for k, v in vars(self).items() if k.endswith("_ref") and v is not None]
-        refs += [*self.pools.values(), *(d for p in self.proposals.values() for d in p.values())]
+        refs += [*self.pools.values(), *self.proposals.values()]
         return out + [f"RunState: {r!r} is not a sha256 digest" for r in refs
                       if not _DIGEST.fullmatch(r)]
 
@@ -189,8 +193,7 @@ ARTIFACT_TYPES: dict[str, type[Record]] = {
     "idea_pool": IdeaPool,
     "iteration_records": IterationRecords,
     "representatives": Representatives,
-    "proposal": Proposal,
-    "decomposition_plan": DecompositionPlan,
+    "proposal_set": ProposalSet,
     "tournament_result": TournamentResult,
     "run_metrics": RunMetrics,
 }
@@ -282,9 +285,8 @@ def load_paper_input(source: dict | str | Path, id_factory: IdFactory) -> tuple[
 
 def _parse_paper(raw, id_factory: IdFactory, where: str = "") -> SeedPaper:
     if not isinstance(raw, dict):
-        raise OrchestratorError(
-            f"{where}input paper must be a JSON object, got {type(raw).__name__}"
-        )
+        kind = type(raw).__name__
+        raise InvalidPaperError([f"{where}input paper must be a JSON object, got {kind}"])
     try:
         return SeedPaper.from_dict({"id": id_factory.new_id(), **raw})
     except DomainParseError as exc:
@@ -453,7 +455,7 @@ class Runner:
         pool = {i.id: i for i in self._load_pool(self.config.iterations_T)}
         ids = self.store.get(self.state.representatives_ref, Representatives).idea_ids
         representatives = [pool[idea_id] for idea_id in ids]
-        proposal_refs: dict[str, dict[str, str]] = {}
+        proposal_refs: dict[str, str] = {}
         failed: list[str] = []
         proposals_dir = self.out_dir / "proposals"
         proposals_dir.mkdir(exist_ok=True)
@@ -470,21 +472,14 @@ class Runner:
                 logger.warning("proposal failed, skipping idea downstream: %s", outcome)
                 failed.append(idea.id)
                 continue
-            initial, decomposition, final = outcome
-            proposal_refs[idea.id] = {
-                "initial": self.store.put(initial),
-                "decomposition": self.store.put(decomposition),
-                "final": self.store.put(final),
-            }
-            atomic_write(
-                proposals_dir / f"{idea.id}.md",
-                proposals_mod.render_markdown(idea, initial, final).encode("utf-8"),
-            )
+            proposal_refs[idea.id] = self.store.put(outcome)
+            markdown = proposals_mod.render_markdown(idea, outcome.initial, outcome.final)
+            atomic_write(proposals_dir / f"{idea.id}.md", markdown.encode("utf-8"))
         self._commit("proposed", {"proposals": proposal_refs, "failed_proposals": tuple(failed)})
 
     def _stage_evaluate(self) -> None:
         proposals = self.state.proposals
-        finals = [self.store.get(proposals[i]["final"], Proposal) for i in sorted(proposals)]
+        finals = [self.store.get(proposals[i], ProposalSet).final for i in sorted(proposals)]
         tournament_ref = None
         histogram: dict[str, int] = {}
         if len(finals) >= 2:

@@ -1,10 +1,12 @@
 """Proposal building: initial proposal, method decomposition, final proposal.
 
 The three stages for one idea run sequentially; the decomposition's per-module
-search keywords feed retrieved knowledge into the final stage. Conditional
-prompt content (relevant papers, self-reflection, method decomposition, new
-knowledge) is composed here as pre-rendered blocks so empty inputs simply
-vanish from the prompt.
+search keywords feed retrieved knowledge into the final stage. `build_all`
+returns the three as one `ProposalSet`, the one record a run stores per idea;
+the final `Proposal` holds only its sections, and the decomposition lives in
+the set. Conditional prompt content (relevant papers, self-reflection, method
+decomposition, new knowledge) is composed here as pre-rendered blocks so empty
+inputs simply vanish from the prompt.
 """
 
 from __future__ import annotations
@@ -19,9 +21,9 @@ from .domain import (
     DecompositionPlan,
     Idea,
     Proposal,
+    ProposalSet,
     RetrievedDoc,
     SeedPaper,
-    SubModule,
 )
 from .gateway import ExtractionFailedError, Gateway
 from .planner import PlannerLoop, format_docs
@@ -36,7 +38,7 @@ class ProposalFailure(Exception):
 
 
 class ProposalBuilder:
-    """Writes the three proposal stages for one idea (`build_all`).
+    """Writes the three proposal stages for one idea (`build_all`), as one `ProposalSet`.
 
     Retrieval goes through `PlannerLoop.execute_plan`: the idea's keywords for
     the initial proposal, one keyword group per decomposition module for the
@@ -164,27 +166,18 @@ class ProposalBuilder:
             parsed = self._gateway.ask(self._library, "final_proposal", bindings, self._model_id)
         except ExtractionFailedError as exc:
             raise ProposalFailure(f"final proposal failed for idea {idea.id}: {exc}") from exc
-        return Proposal(
-            idea_id=idea.id,
-            stage="final",
-            sections={key: parsed[key] for key in FINAL_SECTIONS},
-            decomposition=tuple(
-                SubModule(m.name, m.purpose, m.implementation, m.search_keywords)
-                for m in decomposition.modules
-            ),
-        )
+        sections = {key: parsed[key] for key in FINAL_SECTIONS}
+        return Proposal(idea_id=idea.id, stage="final", sections=sections)
 
     # -- whole pipeline for one idea ----------------------------------------------
 
-    def build_all(
-        self, paper: SeedPaper, idea: Idea
-    ) -> tuple[Proposal, DecompositionPlan, Proposal]:
+    def build_all(self, paper: SeedPaper, idea: Idea) -> ProposalSet:
         context = self.retrieve_context(idea)
         initial = self.build_initial(paper, idea, context)
         decomposition = self.decompose(initial)
         knowledge = self.module_knowledge(idea, decomposition)
         final = self.build_final(paper, idea, initial, decomposition, new_knowledge=knowledge)
-        return initial, decomposition, final
+        return ProposalSet(initial, decomposition, final)
 
 
 def render_markdown(idea: Idea, initial: Proposal, final: Proposal) -> str:

@@ -32,13 +32,13 @@ def cli_env(tmp_path, paper_input_file, corpus_dir, mock_script):
             return [command, "--out", str(tmp_path / out), *extra]
         argv = [command, "--out", str(tmp_path / out),
                 "--backend", "mock", "--mock-script", str(mock_script),
-                "--corpus", str(corpus_dir),
-                "--set", "iterations_T=1", "--set", "initial_seed_count=6",
-                "--set", "expand_count=4", "--set", "keep_count=2",
-                "--set", "cluster_count=3", "--set", "tournament_rounds=2",
-                "--seed", "5"]
-        if command in ("run", "seed"):
-            argv += ["--paper", str(paper_input_file)]
+                "--corpus", str(corpus_dir)]
+        if command in ("run", "seed"):  # the commands that start a run take its config
+            argv += ["--paper", str(paper_input_file),
+                     "--set", "iterations_T=1", "--set", "initial_seed_count=6",
+                     "--set", "expand_count=4", "--set", "keep_count=2",
+                     "--set", "cluster_count=3", "--set", "tournament_rounds=2",
+                     "--seed", "5"]
         return argv + list(extra)
 
     return _argv
@@ -163,14 +163,22 @@ def test_run_prints_stage_on_abort(cli_env, tmp_path, capsys, monkeypatch):
     assert "corpus" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("payload", [[{"title": "T", "abstract": "A"}], {"paper": ["T"]}, "T"])
+@pytest.mark.parametrize("payload", [
+    [{"title": "T", "abstract": "A"}], {"paper": ["T"]}, "T", [],
+    {"paper": {"title": "T", "abstract": "A"}, "trend_papers": [5]},
+])
 def test_validate_non_object_paper_is_reported(tmp_path, capsys, payload):
+    """A paper that is not an object is listed as a violation, like any other flaw."""
     path = tmp_path / "list.json"
     path.write_text(json.dumps(payload), encoding="utf-8")
     assert main(["validate", "--paper", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("nova-error:")
-    assert "JSON object" in err
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    [violation] = json.loads(captured.out)["violations"]
+    expected = "input paper must be a JSON object, got "
+    if isinstance(payload, dict) and "trend_papers" in payload:
+        expected = "trend_papers[0]: " + expected
+    assert violation.startswith(expected)
 
 
 @pytest.mark.parametrize(
@@ -342,3 +350,35 @@ def test_a_mock_run_needs_no_jsonschema(cli_env, tmp_path):
     assert done.returncode == 0, done.stderr
     assert "stage reached: done" in done.stdout
     assert read_state(tmp_path, "no-jsonschema")["stage_cursor"] == "done"
+
+
+@pytest.mark.parametrize("command", ["iterate", "select", "propose", "evaluate"])
+def test_resume_commands_refuse_config_flags(cli_env, tmp_path, capsys, command):
+    """The run's config is fixed at `seed`/`run`; a later stage refuses flags it would ignore."""
+    assert main(cli_env("seed", "fixed")) == 0
+    state = read_state(tmp_path, "fixed")
+    capsys.readouterr()
+    flags = ["--set", "iterations_T=0", "--seed", "99", "--config", "c.json"]
+    assert main(cli_env(command, "fixed", *flags)) == 1
+    assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
+    assert read_state(tmp_path, "fixed") == state
+
+
+def test_a_run_state_with_nested_proposals_exits_2(cli_env, tmp_path, capsys):
+    """A `state.json` that maps each idea to three digests is refused, naming `proposals`."""
+    for command in ("seed", "iterate", "select", "propose"):
+        assert main(cli_env(command, "nested")) == 0
+    path = tmp_path / "nested" / "state.json"
+    state = read_state(tmp_path, "nested")
+    assert state["proposals"]
+    state["proposals"] = {
+        idea_id: {"initial": digest, "decomposition": digest, "final": digest}
+        for idea_id, digest in state["proposals"].items()
+    }
+    path.write_text(json.dumps(state), encoding="utf-8")
+    capsys.readouterr()
+
+    assert main(cli_env("evaluate", "nested")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("nova-error:")
+    assert f"run state {path}: RunState: proposals must map strings to strings" in err

@@ -26,13 +26,13 @@ from nova.domain import (
     Match,
     PipelineConfig,
     Proposal,
+    ProposalSet,
     Reference,
     Representatives,
     RetrievedDoc,
     RunMetrics,
     SearchPlan,
     SeedPaper,
-    SubModule,
     TournamentResult,
     TrendReport,
 )
@@ -44,6 +44,15 @@ def unit(*values):
     norm = math.sqrt(sum(v * v for v in values))
     return tuple(v / norm for v in values)
 
+
+INITIAL_PROPOSAL = Proposal(
+    idea_id="i1",
+    stage="initial",
+    sections={name: f"body of {name}" for name in INITIAL_SECTIONS},
+)
+PLAN = DecompositionPlan(
+    thinking="split", modules=(DecompositionModule("M1", "p", "impl", ("k1", "k2")),)
+)
 
 SAMPLES = {
     "seed_paper": SeedPaper(
@@ -71,11 +80,12 @@ SAMPLES = {
     "retrieved_doc": RetrievedDoc(
         title="Doc", abstract="ab", source_query="q", score=0.42, embedding=unit(1.0, 0.0)
     ),
-    "proposal": Proposal(
-        idea_id="i1",
-        stage="initial",
-        sections={name: f"body of {name}" for name in INITIAL_SECTIONS},
-        decomposition=(SubModule("M1", "p", "impl", ("k",)),),
+    "proposal": INITIAL_PROPOSAL,
+    "proposal_set": ProposalSet(
+        initial=INITIAL_PROPOSAL,
+        decomposition=PLAN,
+        final=Proposal(idea_id="i1", stage="final",
+                       sections={name: f"body of {name}" for name in FINAL_SECTIONS}),
     ),
     "pipeline_config": PipelineConfig(),
     "tournament_result": TournamentResult(
@@ -101,9 +111,7 @@ SAMPLES = {
         )
     ),
     "representatives": Representatives(idea_ids=("i1",), assignments={"i1": 0, "i2": 0}),
-    "decomposition_plan": DecompositionPlan(
-        thinking="split", modules=(DecompositionModule("M1", "p", "impl", ("k1", "k2")),)
-    ),
+    "decomposition_plan": PLAN,
     "run_metrics": RunMetrics(
         unique_novel_per_generation={"0": 3, "1": 5},
         non_duplicate_fraction=0.75,
@@ -116,7 +124,7 @@ SAMPLES = {
         seed_paper_ref="a" * 64,
         pools={"0": "b" * 64},
         representatives_ref="c" * 64,
-        proposals={"i1": {"initial": "d" * 64, "decomposition": "e" * 64, "final": "f" * 64}},
+        proposals={"i1": "d" * 64},
         failed_proposals=("i2",),
         id_counter=4,
         event_seq=3,
@@ -250,6 +258,10 @@ def test_tournament_result_conservation_violations():
          "RunState: 'ABC' is not a sha256 digest"),
         (dataclasses.replace(SAMPLES["run_state"], config=PipelineConfig(keep_count=20)),
          "PipelineConfig.keep_count: must be <= expand_count"),
+        (dataclasses.replace(SAMPLES["proposal_set"], decomposition=DecompositionPlan("t", ())),
+         "ProposalSet.decomposition: DecompositionPlan.modules: at least one module required"),
+        (dataclasses.replace(SAMPLES["run_state"], proposals={"i1": "final"}),
+         "RunState: 'final' is not a sha256 digest"),
     ],
 )
 def test_stored_record_invariants(value, expected):
@@ -307,8 +319,16 @@ GOLDEN_JSON = {
     "proposal": '{"idea_id": "i1", "stage": "initial", "sections": {"Problem": "body of Problem", '
     '"Existing Methods": "body of Existing Methods", "Motivation": "body of Motivation", '
     '"Proposed Method": "body of Proposed Method", "Experiment Plan": "body of Experiment '
-    'Plan"}, "decomposition": [{"module_name": "M1", "purpose": "p", "implementation": "impl", '
-    '"keywords": ["k"]}]}',
+    'Plan"}}',
+    "proposal_set": '{"initial": {"idea_id": "i1", "stage": "initial", "sections": {"Problem": '
+    '"body of Problem", "Existing Methods": "body of Existing Methods", "Motivation": "body of '
+    'Motivation", "Proposed Method": "body of Proposed Method", "Experiment Plan": "body of '
+    'Experiment Plan"}}, "decomposition": {"thinking": "split", "modules": [{"name": "M1", '
+    '"purpose": "p", "implementation": "impl", "search_keywords": ["k1", "k2"]}]}, "final": '
+    '{"idea_id": "i1", "stage": "final", "sections": {"Title": "body of Title", "Problem '
+    'Statement": "body of Problem Statement", "Motivation": "body of Motivation", "Proposed '
+    'Method": "body of Proposed Method", "Step-by-Step Experiment Plan": "body of Step-by-Step '
+    'Experiment Plan"}}}',
     "pipeline_config": '{"iterations_T": 3, "initial_seed_count": 15, "expand_count": 10, '
     '"keep_count": 3, "retrieve_K": 5, "cluster_count": 100, "tournament_rounds": 5, '
     '"novelty_topk": 10, "novelty_sim_threshold": 0.3, "dup_sim_threshold": 0.8, "rng_seed": 0}',
@@ -341,7 +361,7 @@ GOLDEN_JSON = {
     '"dup_sim_threshold": 0.8, "rng_seed": 0}, "stage_cursor": "proposed", "backend": "mock", '
     f'"seed_paper_ref": "{"a" * 64}", "trend_report_ref": null, "pools": {{"0": "{"b" * 64}"}}, '
     f'"iteration_records_ref": null, "representatives_ref": "{"c" * 64}", "proposals": '
-    f'{{"i1": {{"initial": "{"d" * 64}", "decomposition": "{"e" * 64}", "final": "{"f" * 64}"}}}}, '
+    f'{{"i1": "{"d" * 64}"}}, '
     '"failed_proposals": ["i2"], "tournament_ref": null, "metrics_ref": null, "id_counter": 4, '
     '"event_seq": 3}',
 }
@@ -357,6 +377,7 @@ def test_golden_json_bytes(kind):
 IDEA_DICT = SAMPLES["idea"].to_dict()
 DOC_DICT = SAMPLES["retrieved_doc"].to_dict()
 PROPOSAL_DICT = SAMPLES["proposal"].to_dict()
+PROPOSAL_SET_DICT = SAMPLES["proposal_set"].to_dict()
 RESULT_DICT = SAMPLES["tournament_result"].to_dict()
 STATE_DICT = SAMPLES["run_state"].to_dict()
 
@@ -387,10 +408,12 @@ STATE_DICT = SAMPLES["run_state"].to_dict()
         (TournamentResult, RESULT_DICT, "matches", {"round": 1}, "matches must be a list"),
         (Proposal, PROPOSAL_DICT, "sections", {"Problem": 1}, "sections must map strings to strings"),
         (Proposal, PROPOSAL_DICT, "sections", {2: "x"}, "sections must map strings to strings"),
-        (Proposal, PROPOSAL_DICT, "decomposition", "M1", "decomposition must be a list"),
-        (Proposal, PROPOSAL_DICT, "decomposition",
-         [{"module_name": "M", "purpose": "p", "implementation": "i", "search_keywords": ["k"]}],
-         "SubModule: unknown fields \\['search_keywords'\\]"),
+        (ProposalSet, PROPOSAL_SET_DICT, "decomposition", "M1",
+         "DecompositionPlan: expected object, got str"),
+        (ProposalSet, PROPOSAL_SET_DICT, "decomposition",
+         {"thinking": "t", "modules": [{"module_name": "M", "purpose": "p",
+                                        "implementation": "i", "keywords": ["k"]}]},
+         "DecompositionModule: unknown fields \\['keywords', 'module_name'\\]"),
         (PipelineConfig, {}, "cluster_count", 2.0, "cluster_count must be an integer"),
         (PipelineConfig, {}, "dup_sim_threshold", "0.5", "dup_sim_threshold must be a number"),
         (Reference, {"title": "R"}, "title", 5, "title must be a string"),
@@ -398,11 +421,10 @@ STATE_DICT = SAMPLES["run_state"].to_dict()
         (Idea, IDEA_DICT, "parent_id", ["i0"], "parent_id must be a string"),
         (RunState, STATE_DICT, "trend_report_ref", {"__wrong__": True},
          "trend_report_ref must be a string"),
-        (RunState, STATE_DICT, "proposals", "x", "proposals must be an object"),
-        (RunState, STATE_DICT, "proposals", {"i1": "x"},
-         "proposals values must map strings to strings"),
-        (RunState, STATE_DICT, "proposals", {"i1": {"final": 1}},
-         "proposals values must map strings to strings"),
+        (RunState, STATE_DICT, "proposals", "x", "proposals must map strings to strings"),
+        (RunState, STATE_DICT, "proposals", {"i1": {"final": "f" * 64}},
+         "proposals must map strings to strings"),
+        (RunState, STATE_DICT, "proposals", {"i1": 1}, "proposals must map strings to strings"),
         (RunState, STATE_DICT, "config", 12345, "PipelineConfig: expected object, got int"),
         (RunState, STATE_DICT, "failed_proposals", [1], "failed_proposals must be a list of strings"),
     ],
@@ -461,6 +483,7 @@ def test_missing_field_with_default_takes_default(cls, data, expected):
         (RunState, {k: v for k, v in STATE_DICT.items() if not k.endswith("_ref")},
          "\\['iteration_records_ref', 'metrics_ref', 'representatives_ref', 'seed_paper_ref', "
          "'tournament_ref', 'trend_report_ref'\\]"),
+        (ProposalSet, {"initial": PROPOSAL_DICT}, "\\['decomposition', 'final'\\]"),
     ],
 )
 def test_missing_field_without_default_rejected(cls, data, missing):

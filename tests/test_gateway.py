@@ -95,12 +95,6 @@ def test_scripted_fault_injection_through_mock_script(make_gateway):
     assert gateway.stats.snapshot()["live_calls"] == 3
 
 
-def test_cache_only_mode_errors_on_miss(make_gateway):
-    gateway = make_gateway(None)
-    with pytest.raises(BackendUnavailableError, match="cache-only"):
-        gateway.complete(req("never seen"))
-
-
 def test_attempts_never_exceed_budget(make_gateway):
     options = GatewayOptions(retry_budget=3, backoff_base=0.0)
     gateway = make_gateway(FlakyBackend(1, MockBackend({prompt_digest("z"): "t"})),
@@ -240,9 +234,6 @@ def test_unreadable_cache_entry_is_a_miss_and_is_replaced(make_gateway, tmp_path
     path = entry_path(tmp_path / "cache", request.cache_key)
     path.parent.mkdir(parents=True)
     path.write_bytes(raw)
-
-    with pytest.raises(BackendUnavailableError, match="cache-only"):
-        make_gateway(None).complete(request)
 
     gateway = make_gateway(MockBackend({prompt_digest("hello"): "X"}))
     with caplog.at_level(logging.WARNING, logger="nova.gateway"):

@@ -12,6 +12,7 @@ from nova.domain import (
     DecompositionPlan,
     PipelineConfig,
     Proposal,
+    ProposalSet,
     RetrievedDoc,
 )
 from nova.gateway import GatewayOptions
@@ -271,10 +272,10 @@ def test_render_markdown_contains_both_stages():
 
 def test_build_all_round_trip(make_gateway, sample_paper):
     builder = make_builder(full_backend(), make_gateway)
-    initial, plan, final = builder.build_all(sample_paper, idea())
-    assert initial.validate() == []
-    assert final.validate() == []
-    assert final.decomposition is not None
-    assert [(m.module_name, m.keywords) for m in final.decomposition] == [
-        (m.name, m.search_keywords) for m in plan.modules
+    proposals = builder.build_all(sample_paper, idea())
+    assert (proposals.initial.stage, proposals.final.stage) == ("initial", "final")
+    assert [m.name for m in proposals.decomposition.modules] == [
+        m["name"] for m in SIX_MODULES
     ]
+    assert proposals.validate() == []
+    assert ProposalSet.from_dict(json.loads(json.dumps(proposals.to_dict()))) == proposals
