@@ -12,8 +12,10 @@ Only `run` and `seed` take the config flags (`--config`, `--seed`, `--set`):
 a run's config is fixed when it starts, and `iterate`, `select`, `propose`
 and `evaluate` resume with the config stored in its `state.json`.
 
-Exit codes: 0 success, 1 usage error, 2 pipeline abort or failed validation.
-Errors go to stderr with the machine-parsable prefix "nova-error:".
+Exit codes: 0 success, 1 usage error (a malformed `--config` file included),
+2 pipeline abort, failed validation, or a malformed paper, corpus doc or mock
+script. Errors go to stderr with the machine-parsable prefix "nova-error:",
+naming the file an input error comes from.
 """
 
 from __future__ import annotations
@@ -114,7 +116,10 @@ def load_config(args) -> PipelineConfig:
         path = Path(args.config)
         if not path.is_file():
             raise UsageError(f"config file {path} does not exist")
-        loaded = json.loads(path.read_text(encoding="utf-8"))
+        try:
+            loaded = json.loads(path.read_text(encoding="utf-8"))
+        except ValueError as exc:
+            raise UsageError(f"config file {path}: {exc}") from exc
         if not isinstance(loaded, dict):
             raise UsageError(f"config file {path} must hold a JSON object")
         data.update(loaded)
@@ -196,7 +201,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{ERROR_PREFIX} {exc}", file=sys.stderr)
         print(parser.format_usage(), file=sys.stderr, end="")
         return 1
-    except (OrchestratorError, LiteratureError, OSError, json.JSONDecodeError) as exc:
+    except (OrchestratorError, GatewayError, LiteratureError, OSError) as exc:
         print(f"{ERROR_PREFIX} {exc}", file=sys.stderr)
         return 2
 

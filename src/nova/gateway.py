@@ -2,8 +2,9 @@
 
 All prompt traffic flows through :class:`Gateway`: on-disk response caching,
 bounded retries with jittered exponential backoff, a concurrency bound, and
-structured-output extraction with bounded syntactic repair. Backends are
-pluggable; the deterministic mock lives in :mod:`nova.mockllm`.
+structured-output extraction with bounded syntactic repair and at most
+`REPROMPT_BUDGET` re-prompts. Backends are pluggable; the deterministic mock
+lives in :mod:`nova.mockllm`.
 
 Every pipeline call goes through :meth:`Gateway.ask`, which renders a
 template, appends an optional suffix (a seeding refill note), and checks the
@@ -121,7 +122,10 @@ class GatewayOptions:
     backoff_base: float = 0.5
     backoff_cap: float = 8.0
     parallelism: int = 8
-    reprompt_budget: int = 2
+
+
+# Re-prompts `Gateway.complete_json` sends after a reply without schema-valid JSON.
+REPROMPT_BUDGET = 2
 
 
 _OPEN_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_NOFOLLOW", 0)
@@ -365,11 +369,11 @@ class Gateway:
         """complete() plus extraction; re-prompts on invalid JSON up to budget.
 
         Returns the first JSON value in a reply that validates against the
-        named output schema. Raises ExtractionFailedError once the re-prompt
-        budget is spent.
+        named output schema. Raises ExtractionFailedError once `REPROMPT_BUDGET`
+        re-prompts are spent.
         """
         prompt = request.prompt
-        for attempt in range(self._options.reprompt_budget + 1):
+        for attempt in range(REPROMPT_BUDGET + 1):
             text = self.complete(replace(request, prompt=prompt))
             try:
                 return extract_json(text, schema_name)
@@ -378,7 +382,7 @@ class Gateway:
                     "no valid %s JSON (attempt %d/%d): %s",
                     schema_name,
                     attempt + 1,
-                    self._options.reprompt_budget + 1,
+                    REPROMPT_BUDGET + 1,
                     exc,
                 )
                 prompt = (
@@ -388,7 +392,7 @@ class Gateway:
                 )
         raise ExtractionFailedError(
             f"no schema-valid {schema_name!r} JSON after "
-            f"{self._options.reprompt_budget + 1} prompts"
+            f"{REPROMPT_BUDGET + 1} prompts"
         )
 
 

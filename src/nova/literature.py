@@ -109,17 +109,15 @@ class HttpEmbedder:
     ``{"embedding": [...]}`` row per text raises `LiteratureError`.
     """
 
-    def __init__(self, endpoint: str, model: str = DEFAULT_EMBED_MODEL, post=None,
-                 timeout: float = 60.0):
+    def __init__(self, endpoint: str, post=None, timeout: float = 60.0):
         self._endpoint = endpoint
-        self._model = model
         self._post = post
         self._timeout = timeout
 
     def embed(self, texts: list[str]) -> list[np.ndarray]:
         if not texts:
             raise LiteratureError("embed requires at least one text")
-        payload = {"model": self._model, "input": list(texts)}
+        payload = {"model": DEFAULT_EMBED_MODEL, "input": list(texts)}
         resp = post_json(self._endpoint, payload, EMBED_API_KEY_ENV, self._post, self._timeout)
         try:
             rows = resp.json()["data"]
@@ -136,8 +134,9 @@ class OfflineCorpus:
 
     Each doc file holds {"title", "abstract"} and optionally "embedding"; any
     other key is ignored. Docs without a stored embedding are embedded from
-    "<title>\\n<abstract>" at load time. A doc without a title, or stored
-    embeddings of different shapes, raise `LiteratureError`.
+    "<title>\\n<abstract>" at load time. A doc that is not a JSON object or has
+    no title, or stored embeddings of different shapes, raise `LiteratureError`
+    naming the doc.
 
     The normalized embeddings are stored once, as the rows of one matrix, and
     each doc's "embedding" is a view of its row. A query scores every row in
@@ -155,12 +154,17 @@ class OfflineCorpus:
         if not corpus_dir.is_dir():
             raise LiteratureError(f"corpus directory {corpus_dir} does not exist")
         for path in sorted(corpus_dir.glob("*.json")):
-            raw = json.loads(path.read_text(encoding="utf-8"))
+            try:
+                raw = json.loads(path.read_text(encoding="utf-8"))
+                if not isinstance(raw, dict):
+                    raise ValueError(f"must hold a JSON object, got {type(raw).__name__}")
+                if "embedding" in raw:
+                    # An array takes a quarter of the memory of a list of Python floats.
+                    raw["embedding"] = np.asarray(raw["embedding"], dtype=np.float64)
+            except (ValueError, TypeError) as exc:
+                raise LiteratureError(f"corpus doc {path.name}: {exc}") from exc
             if not raw.get("title"):
                 raise LiteratureError(f"corpus doc {path.name} has no title")
-            if "embedding" in raw:
-                # An array takes a quarter of the memory of a list of Python floats.
-                raw["embedding"] = np.asarray(raw["embedding"], dtype=np.float64)
             self._docs.append(raw)
         todo = [d for d in self._docs if "embedding" not in d]
         if todo:
@@ -322,13 +326,12 @@ def build_trend_report(
     gateway: Gateway,
     library: PromptLibrary,
     model_id: str,
-    top_n: int = DEFAULT_TREND_PAPER_COUNT,
 ) -> str:
-    """Summarize the highest-engagement recent papers into a trend report.
+    """Summarize the `DEFAULT_TREND_PAPER_COUNT` highest-engagement recent papers.
 
     `recent` is nonempty and every paper has engagement metrics; the run
     input's loader, `orchestrator.load_paper_input`, checks both.
     """
-    ranked = rank_by_engagement(recent)[:top_n]
+    ranked = rank_by_engagement(recent)[:DEFAULT_TREND_PAPER_COUNT]
     bindings = {"popular_paper_list": format_paper_list(ranked)}
     return gateway.ask(library, "trend_report", bindings, model_id)

@@ -16,7 +16,7 @@ import threading
 from pathlib import Path
 
 from .domain import FINAL_SECTIONS, INITIAL_SECTIONS
-from .gateway import TransientBackendError
+from .gateway import GatewayError, TransientBackendError
 
 # Distinctive template phrases, checked in order (most specific first).
 _SIGNATURES = (
@@ -59,9 +59,12 @@ class MockBackend:
 
     @classmethod
     def from_file(cls, path: str | Path, seed: int = 0) -> "MockBackend":
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        try:
+            data = json.loads(Path(path).read_text(encoding="utf-8"))
+        except ValueError as exc:
+            raise GatewayError(f"mock script {path}: {exc}") from exc
         if not isinstance(data, dict):
-            raise ValueError(f"mock script {path} must be a JSON object")
+            raise GatewayError(f"mock script {path} must hold a JSON object")
         return cls(script=data, seed=seed)
 
     def send(self, model_id: str, prompt: str, temperature: float, max_tokens: int) -> str:

@@ -76,6 +76,11 @@ logger = logging.getLogger(__name__)
 
 STAGES = ("seeded", "iterated", "selected", "proposed", "evaluated", "done")
 
+# The model every generation call names, and the one the tournament and the
+# novelty judge name; both are part of each request's cache key.
+MODEL_ID = "gpt-4o"
+RANKER_MODEL_ID = "claude-3.5-sonnet"
+
 
 class OrchestratorError(Exception):
     pass
@@ -103,16 +108,11 @@ class RunnerOptions:
     mock_script: str | Path | None = None
     corpus_dir: str | Path | None = None
     cache_dir: str | Path | None = None  # default: <out>/cache
-    template_dir: str | Path | None = None
-    model_id: str = "gpt-4o"
-    ranker_model_id: str = "claude-3.5-sonnet"
     llm_endpoint: str = "https://api.openai.com/v1/chat/completions"
     search_endpoint: str = ""
     embed_endpoint: str = ""
     embed_dim: int = 32
     gateway: GatewayOptions = field(default_factory=GatewayOptions)
-    threshold_only_novelty: bool = False
-    use_self_reflection: bool = False
 
 
 _DIGEST = re.compile("[0-9a-f]{64}")
@@ -257,33 +257,42 @@ def load_paper_input(source: dict | str | Path, id_factory: IdFactory) -> tuple[
     """Parse the run input: a bare paper object or {"paper", "trend_papers"}.
 
     Papers without an "id" get one from the factory, so the counter must be
-    fresh when a new run starts. A paper that does not parse or validate, or a
-    trend paper without engagement metrics (`source_meta`), raises
-    `InvalidPaperError`; each trend paper's violations start ``trend_papers[<n>]: ``.
+    fresh when a new run starts. A file that is not JSON raises
+    `OrchestratorError` naming it. Every paper that does not parse or
+    validate, and every trend paper without engagement metrics
+    (`source_meta`), adds its violations to one `InvalidPaperError`; each trend
+    paper's violations start ``trend_papers[<n>]: ``.
     """
     if not isinstance(source, dict):
-        source = json.loads(Path(source).read_text(encoding="utf-8"))
+        try:
+            source = json.loads(Path(source).read_text(encoding="utf-8"))
+        except ValueError as exc:
+            raise OrchestratorError(f"paper file {source}: {exc}") from exc
     if isinstance(source, dict) and "paper" in source:
         paper_raw, trend_raw = source["paper"], source.get("trend_papers", [])
     else:
         paper_raw, trend_raw = source, []
     if not isinstance(trend_raw, list):
         raise InvalidPaperError([f"trend_papers: must be a list, got {type(trend_raw).__name__}"])
-    paper = _parse_paper(paper_raw, id_factory)
-    problems = paper.validate()
-    trend_papers = [
-        _parse_paper(raw, id_factory, f"trend_papers[{n}]: ") for n, raw in enumerate(trend_raw)
-    ]
-    for n, trend in enumerate(trend_papers):
-        if not trend.source_meta:
-            problems.append(f"trend_papers[{n}]: SeedPaper.source_meta: must be nonempty")
-        problems += [f"trend_papers[{n}]: {problem}" for problem in trend.validate()]
+    problems: list[str] = []
+    papers: list[SeedPaper] = []
+    for n, raw in enumerate([paper_raw, *trend_raw]):
+        where = f"trend_papers[{n - 1}]: " if n else ""
+        try:
+            paper = _parse_paper(raw, id_factory, where)
+        except InvalidPaperError as exc:
+            problems += exc.violations
+            continue
+        if n and not paper.source_meta:
+            problems.append(f"{where}SeedPaper.source_meta: must be nonempty")
+        problems += [where + problem for problem in paper.validate()]
+        papers.append(paper)
     if problems:
         raise InvalidPaperError(problems)
-    return paper, trend_papers
+    return papers[0], papers[1:]
 
 
-def _parse_paper(raw, id_factory: IdFactory, where: str = "") -> SeedPaper:
+def _parse_paper(raw, id_factory: IdFactory, where: str) -> SeedPaper:
     if not isinstance(raw, dict):
         kind = type(raw).__name__
         raise InvalidPaperError([f"{where}input paper must be a JSON object, got {kind}"])
@@ -303,9 +312,10 @@ class Runner:
         self.state: RunState | None = load_state(self.out_dir)
         if self.state is not None:
             self.config = self.state.config
-        # A malformed corpus fails here, before the run directory is created.
+        # A malformed corpus or mock script fails here, before the run directory is created.
         self.embedder = self._make_embedder()
         self.corpus = self._make_corpus()
+        backend = self._make_backend()
 
         self.out_dir.mkdir(parents=True, exist_ok=True)
         self.store = ArtifactStore(self.out_dir)
@@ -315,19 +325,16 @@ class Runner:
             seed=self.config.rng_seed,
             counter=self.state.id_counter if self.state else 0,
         )
-        self.library = PromptLibrary(template_dir=options.template_dir)
+        self.library = PromptLibrary()
         cache_dir = Path(options.cache_dir) if options.cache_dir else self.out_dir / "cache"
-        self.gateway = Gateway(self._make_backend(), cache_dir, options.gateway)
-        self.seeder = SeedGenerator(
-            self.gateway, self.library, self.ids, self.config, options.model_id
-        )
+        self.gateway = Gateway(backend, cache_dir, options.gateway)
+        self.seeder = SeedGenerator(self.gateway, self.library, self.ids, self.config, MODEL_ID)
         self.planner = planner_mod.PlannerLoop(
             self.gateway, self.library, self.corpus, self.embedder, self.ids,
-            self.config, options.model_id,
+            self.config, MODEL_ID,
         )
         self.builder = proposals_mod.ProposalBuilder(
-            self.gateway, self.library, self.planner, options.model_id,
-            use_self_reflection=options.use_self_reflection,
+            self.gateway, self.library, self.planner, MODEL_ID
         )
 
     # -- component wiring ----------------------------------------------------
@@ -401,9 +408,7 @@ class Runner:
 
         trend_report = None
         if trend_papers:
-            trend_report = build_trend_report(
-                trend_papers, self.gateway, self.library, self.options.model_id
-            )
+            trend_report = build_trend_report(trend_papers, self.gateway, self.library, MODEL_ID)
         pool = self.seeder.generate_pool(paper, trend_report, trend_papers)
         if not pool:
             raise OrchestratorError(
@@ -483,9 +488,7 @@ class Runner:
         tournament_ref = None
         histogram: dict[str, int] = {}
         if len(finals) >= 2:
-            ranker = tournament.make_llm_ranker(
-                self.gateway, self.library, self.options.ranker_model_id
-            )
+            ranker = tournament.make_llm_ranker(self.gateway, self.library, RANKER_MODEL_ID)
             result = tournament.swiss_tournament(
                 finals, self.config.tournament_rounds, ranker, self.config.rng_seed,
                 fan_out=self.gateway.fan_out,
@@ -506,10 +509,7 @@ class Runner:
             for g, pool in pools.items()
         }
         unique_novel = tournament.unique_novel_counts(
-            retained, self.corpus, self.config,
-            gateway=self.gateway, library=self.library,
-            model_id=self.options.ranker_model_id,
-            threshold_only=self.options.threshold_only_novelty,
+            retained, self.corpus, self.config, self.gateway, self.library, RANKER_MODEL_ID
         )
         final = str(self.config.iterations_T)
         metrics = RunMetrics(

@@ -2,8 +2,7 @@
 
 Templates ship as plain-text files plus a JSON manifest (name, placeholders,
 expected output schema). Placeholder syntax is ``{name}`` with no nesting;
-literal braces are escaped by doubling. A user template directory can overlay
-any shipped file by name.
+literal braces are escaped by doubling.
 """
 
 from __future__ import annotations
@@ -94,20 +93,20 @@ def placeholders_in(body: str, template: str = "<inline>") -> set[str]:
 
 
 class PromptLibrary:
-    """Immutable after load; safe to share across tasks."""
+    """Immutable after load; safe to share across tasks.
+
+    Reads the shipped set, or with `template_dir` a whole set (manifest,
+    template files, defaults and theory catalog) from that one directory.
+    """
 
     def __init__(self, template_dir: str | Path | None = None):
-        self._user_dir = Path(template_dir) if template_dir is not None else None
+        self._dir = resources.files(_PACKAGE) if template_dir is None else Path(template_dir)
         self._templates = self._load_registry()
         self._theories = self._load_theories()
         self._defaults = json.loads(self._read("default_bindings.json"))
 
     def _read(self, filename: str) -> str:
-        if self._user_dir is not None:
-            candidate = self._user_dir / filename
-            if candidate.is_file():
-                return candidate.read_text(encoding="utf-8")
-        return (resources.files(_PACKAGE) / filename).read_text(encoding="utf-8")
+        return (self._dir / filename).read_text(encoding="utf-8")
 
     def _load_registry(self) -> dict[str, PromptTemplate]:
         manifest = json.loads(self._read("manifest.json"))

@@ -4,9 +4,10 @@ The three stages for one idea run sequentially; the decomposition's per-module
 search keywords feed retrieved knowledge into the final stage. `build_all`
 returns the three as one `ProposalSet`, the one record a run stores per idea;
 the final `Proposal` holds only its sections, and the decomposition lives in
-the set. Conditional prompt content (relevant papers, self-reflection, method
-decomposition, new knowledge) is composed here as pre-rendered blocks so empty
-inputs simply vanish from the prompt.
+the set. Conditional prompt content (relevant papers, method decomposition,
+new knowledge) is composed here as pre-rendered blocks so empty inputs simply
+vanish from the prompt. The initial proposal's self-reflection block always
+renders empty.
 """
 
 from __future__ import annotations
@@ -45,19 +46,12 @@ class ProposalBuilder:
     final one. Sections are stored in `INITIAL_SECTIONS`/`FINAL_SECTIONS` order.
     """
 
-    def __init__(
-        self,
-        gateway: Gateway,
-        library: PromptLibrary,
-        planner: PlannerLoop,
-        model_id: str,
-        use_self_reflection: bool = False,
-    ):
+    def __init__(self, gateway: Gateway, library: PromptLibrary, planner: PlannerLoop,
+                 model_id: str):
         self._gateway = gateway
         self._library = library
         self._planner = planner
         self._model_id = model_id
-        self._use_self_reflection = use_self_reflection
 
     # -- stage 1: initial proposal -------------------------------------------
 
@@ -74,19 +68,12 @@ class ProposalBuilder:
                 "Here are some relevant papers on this idea just for your background "
                 "knowledge:\n" + format_docs(context_docs)
             )
-        reflection_block = ""
-        if self._use_self_reflection:
-            reflection_block = (
-                "In the thinking step, you can first think of about 5 proposals and "
-                "analyze the advantages and disadvantages of each of them. Your final "
-                "proposal can absorb their advantages and discard their disadvantages."
-            )
         bindings = {
             "idea": format_idea(idea),
             "paper_title": paper.title,
             "paper_abstract": paper.abstract,
             "relevant_papers_block": relevant_block,
-            "self_reflection_block": reflection_block,
+            "self_reflection_block": "",
         }
         try:
             parsed = self._gateway.ask(self._library, "initial_proposal", bindings, self._model_id)

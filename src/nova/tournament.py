@@ -205,19 +205,17 @@ def novelty_judge(
     idea: Idea,
     corpus,
     config: PipelineConfig,
-    gateway: Gateway | None = None,
-    library: PromptLibrary | None = None,
-    model_id: str = "",
-    threshold_only: bool = False,
+    gateway: Gateway,
+    library: PromptLibrary,
+    model_id: str,
 ) -> NoveltyResult:
     """Two-stage novelty check: similarity prefilter, then per-candidate judge.
 
     Retrieves the novelty_topk most similar docs; docs with cosine strictly
-    above novelty_sim_threshold become candidates. In threshold-only mode any
-    candidate makes the idea non-novel with zero judge calls; otherwise each
-    candidate is judged individually and the idea is novel iff none is judged
-    similar. A judge reply with no valid verdict counts the candidate as
-    similar; any other gateway error propagates.
+    above novelty_sim_threshold become candidates. Each candidate is judged
+    individually and the idea is novel iff none is judged similar. A judge
+    reply with no valid verdict counts the candidate as similar; any other
+    gateway error propagates.
     """
     if idea.embedding is None:
         raise ValueError(f"idea {idea.id} has no embedding")
@@ -231,11 +229,6 @@ def novelty_judge(
         if sim <= config.novelty_sim_threshold:
             evidence.append(NoveltyEvidence(doc=doc, similarity=sim, verdict="not_candidate"))
             continue
-        if threshold_only:
-            evidence.append(NoveltyEvidence(doc=doc, similarity=sim, verdict="similar"))
-            continue
-        if gateway is None or library is None:
-            raise ValueError("judge mode requires a gateway and prompt library")
         bindings = {
             "idea_text": idea.idea, "paper_title": doc.title, "paper_abstract": doc.abstract
         }
@@ -279,10 +272,9 @@ def unique_novel_counts(
     retained_pools: dict[str, list[Idea]],
     corpus,
     config: PipelineConfig,
-    gateway: Gateway | None = None,
-    library: PromptLibrary | None = None,
-    model_id: str = "",
-    threshold_only: bool = False,
+    gateway: Gateway,
+    library: PromptLibrary,
+    model_id: str,
 ) -> dict[str, int]:
     """Per key, the number of ideas judged novel among already deduplicated ones.
 
@@ -291,8 +283,8 @@ def unique_novel_counts(
     prefilter counts an idea novel outright when no doc is close enough to be
     a candidate; with `corpus=None` no doc can be one, so every idea is novel.
     Each other idea goes to `novelty_judge`, all of them through one
-    `gateway.fan_out` (in order without a gateway). An idea retained by
-    several pools is judged once per pool, as a per-pool count would judge it.
+    `gateway.fan_out`. An idea retained by several pools is judged once per
+    pool, as a per-pool count would judge it.
     """
     owners = [key for key, ideas in retained_pools.items() for _ in ideas]
     retained = [idea for ideas in retained_pools.values() for idea in ideas]
@@ -300,14 +292,9 @@ def unique_novel_counts(
 
     def is_novel(idea: Idea) -> bool:
         # Only the flag crosses the join; the evidence is dropped in the worker.
-        return novelty_judge(
-            idea, corpus, config,
-            gateway=gateway, library=library, model_id=model_id,
-            threshold_only=threshold_only,
-        ).novel
+        return novelty_judge(idea, corpus, config, gateway, library, model_id).novel
 
-    fan_out = gateway.fan_out if gateway is not None else in_order
-    judged = iter(fan_out([i for i, c in zip(retained, cleared) if not c], is_novel))
+    judged = iter(gateway.fan_out([i for i, c in zip(retained, cleared) if not c], is_novel))
     counts = dict.fromkeys(retained_pools, 0)
     for key, skip in zip(owners, cleared):
         counts[key] += 1 if skip else int(next(judged))
@@ -318,13 +305,12 @@ def unique_novel_count(
     pool: list[Idea],
     corpus,
     config: PipelineConfig,
-    gateway: Gateway | None = None,
-    library: PromptLibrary | None = None,
-    model_id: str = "",
-    threshold_only: bool = False,
+    gateway: Gateway,
+    library: PromptLibrary,
+    model_id: str,
 ) -> int:
     """`unique_novel_counts` for a single pool, deduplicated here."""
     return unique_novel_counts(
         {"pool": retained_ideas(pool, config.dup_sim_threshold)}, corpus, config,
-        gateway=gateway, library=library, model_id=model_id, threshold_only=threshold_only,
+        gateway, library, model_id,
     )["pool"]

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -53,6 +55,29 @@ def make_gateway(tmp_path):
         return Gateway(backend, cache_dir, options, **kwargs)
 
     return _make
+
+
+@pytest.fixture
+def similar_judge(tmp_path) -> Gateway:
+    """A gateway whose novelty judge answers "similar" for every candidate doc.
+
+    Every doc above the similarity threshold then makes an idea non-novel, so
+    a count through it is the threshold rule alone, with one judge call per
+    candidate.
+    """
+    backend = RuleBackend(rules=[("contains the core", '{"verdict": "similar"}')])
+    return Gateway(backend, tmp_path / "similar-judge-cache", FAST_GATEWAY)
+
+
+@pytest.fixture
+def template_copy(tmp_path) -> Path:
+    """A copy of the shipped template set, for tests that edit one file of it."""
+    copy = tmp_path / "templates"
+    copy.mkdir()
+    for entry in resources.files("nova.templates").iterdir():
+        if entry.is_file():
+            (copy / entry.name).write_bytes(entry.read_bytes())
+    return copy
 
 
 @pytest.fixture

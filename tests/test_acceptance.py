@@ -174,7 +174,7 @@ def test_criterion_3_dedup_oracle():
 
 
 @criterion(4, "novelty 0.3 rule on planted sims; judge calls equal candidates")
-def test_criterion_4_novelty_threshold(tmp_path):
+def test_criterion_4_novelty_threshold(tmp_path, similar_judge):
     dim = 8
     e1, e2 = np.eye(dim)[0], np.eye(dim)[1]
     idea = embedded_idea(0, e1)
@@ -191,29 +191,27 @@ def test_criterion_4_novelty_threshold(tmp_path):
     ]
     corpus = PlantedCorpus(docs)
     config = PipelineConfig()
+    library = PromptLibrary()
 
-    threshold_result = novelty_judge(idea, corpus, config, threshold_only=True)
+    # A judge that finds every candidate similar leaves the threshold rule alone.
+    threshold_result = novelty_judge(idea, corpus, config, similar_judge, library, "m")
     verdicts = {round(e.similarity, 6): e.verdict for e in threshold_result.evidence}
     assert verdicts == {0.0: "not_candidate", 0.29: "not_candidate",
                         0.31: "similar", 1.0: "similar"}
     assert not threshold_result.novel
-    assert threshold_result.judge_calls == 0
+    assert threshold_result.judge_calls == 2  # exactly the >0.3 candidates
 
     backend = MockBackend()  # synthesizes {"verdict": "different"}
     gateway = Gateway(backend, tmp_path / "cache", GatewayOptions(backoff_base=0.0))
-    judged = novelty_judge(idea, corpus, config, gateway=gateway,
-                           library=PromptLibrary(), model_id="m")
-    assert judged.judge_calls == 2  # exactly the >0.3 candidates
+    judged = novelty_judge(idea, corpus, config, gateway, library, "m")
+    assert judged.novel
+    assert judged.judge_calls == 2
     assert gateway.stats.snapshot()["live_calls"] == 2  # mock ledger agrees
 
-    all_low = novelty_judge(
-        embedded_idea(1, e2),
-        PlantedCorpus(docs[:2]), config, threshold_only=True,
-    )
     # no candidate above threshold: novel with zero judge calls
-    assert novelty_judge(idea, PlantedCorpus(docs[:2]), config,
-                         threshold_only=True).novel
-    del all_low
+    all_low = novelty_judge(idea, PlantedCorpus(docs[:2]), config, similar_judge, library, "m")
+    assert all_low.novel
+    assert all_low.judge_calls == 0
 
 
 @criterion(5, "k-means determinism, k=1 and k=n exactness, 2-blob recovery")

@@ -252,6 +252,59 @@ def test_validate_checks_trend_papers_as_run_does(cli_env, tmp_path, capsys):
     assert "colour" in capsys.readouterr().err
 
 
+_TREND = {"title": "H", "abstract": "B", "source_meta": {"likes": 1}}
+
+
+@pytest.mark.parametrize("payload, violations", [
+    ({"paper": {"title": "", "abstract": "A"}, "trend_papers": [5]},
+     ["SeedPaper.title: must be nonempty",
+      "trend_papers[0]: input paper must be a JSON object, got int"]),
+    ({"paper": {"title": "T", "abstract": "A"},
+      "trend_papers": [_TREND, {"title": "", "abstract": "", "source_meta": {}}, 7]},
+     ["trend_papers[1]: SeedPaper.source_meta: must be nonempty",
+      "trend_papers[1]: SeedPaper.title: must be nonempty",
+      "trend_papers[1]: SeedPaper.abstract: must be nonempty",
+      "trend_papers[2]: input paper must be a JSON object, got int"]),
+], ids=["bad_paper_and_unparsed_trend", "bad_trend_then_unparsed_trend"])
+def test_validate_lists_every_bad_paper(tmp_path, capsys, payload, violations):
+    """A trend paper that does not parse hides no other paper's violations."""
+    path = tmp_path / "papers.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    assert main(["validate", "--paper", str(path)]) == 2
+    assert json.loads(capsys.readouterr().out)["violations"] == violations
+
+
+@pytest.mark.parametrize("flag, content, code", [
+    ("--paper", '{"title": "T",}', 2),
+    ("--config", "{iterations_T: 1}", 1),
+    ("--mock-script", '{"a": ', 2),
+    ("--mock-script", "[]", 2),
+    ("--corpus", '{"title": "T",', 2),
+    ("--corpus", "[1]", 2),
+], ids=["paper_json", "config_json", "mock_script_json", "mock_script_list", "corpus_doc_json",
+        "corpus_doc_list"])
+def test_a_malformed_input_file_is_named(cli_env, tmp_path, capsys, flag, content, code):
+    """One `nova-error:` line that names the file, with the exit code of its kind."""
+    path = tmp_path / "malformed.json"
+    path.write_text(content, encoding="utf-8")
+    argv = cli_env("run", "d12")
+    if flag == "--config":
+        argv += [flag, str(path)]
+    elif flag == "--corpus":
+        corpus = tmp_path / "bad_corpus"
+        corpus.mkdir()
+        path = path.rename(corpus / "doc0.json")
+        argv[argv.index(flag) + 1] = str(corpus)
+    else:
+        argv[argv.index(flag) + 1] = str(path)
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    named = path.name if flag == "--corpus" else str(path)  # corpus docs go by file name
+    assert err.startswith("nova-error:") and named in err.splitlines()[0]
+    if flag != "--paper":  # the paper is read only when seeding starts
+        assert not (tmp_path / "d12").exists()
+
+
 def test_run_refuses_a_pool_stored_as_a_list_of_numbers(cli_env, tmp_path, capsys):
     """A pool written with embeddings as JSON number lists is refused, naming the artifact."""
     assert main(cli_env("seed", "old")) == 0

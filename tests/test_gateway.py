@@ -10,12 +10,12 @@ import stat
 import sys
 import threading
 import time
-from importlib import resources
 from pathlib import Path
 
 import pytest
 
 from nova.gateway import (
+    REPROMPT_BUDGET,
     BackendUnavailableError,
     ChatRequest,
     ExtractionFailedError,
@@ -39,7 +39,7 @@ from nova.literature import (
 from nova.mockllm import MockBackend, prompt_digest
 from nova.orchestrator import ArtifactStore, Runner, RunnerOptions, RunState, _dump_bytes
 from nova.prompts import PromptLibrary
-from tests.conftest import FAST_GATEWAY, FlakyBackend, RuleBackend
+from tests.conftest import FlakyBackend, RuleBackend
 
 
 def req(prompt: str, model="m") -> ChatRequest:
@@ -553,8 +553,8 @@ def test_complete_json_reprompts_then_fails(make_gateway):
     gateway = make_gateway(backend)
     with pytest.raises(ExtractionFailedError):
         gateway.complete_json(req("give me json"), "idea_list")
-    # initial prompt plus reprompt_budget retries, each observed by the backend
-    assert len(backend.prompts) == FAST_GATEWAY.reprompt_budget + 1
+    # initial prompt plus REPROMPT_BUDGET retries, each observed by the backend
+    assert len(backend.prompts) == REPROMPT_BUDGET + 1
     assert "Retry 1" in backend.prompts[1]
 
 
@@ -592,15 +592,13 @@ def test_ask_sends_the_rendered_template_plus_suffix(make_gateway, tmp_path):
     assert gateway.stats.snapshot() == {"requests": 2, "cache_hits": 1, "live_calls": 1}
 
 
-def test_ask_validates_against_the_manifest_schema(make_gateway, tmp_path):
-    manifest = json.loads((resources.files("nova.templates") / "manifest.json").read_text())
+def test_ask_validates_against_the_manifest_schema(make_gateway, template_copy):
+    manifest = json.loads((template_copy / "manifest.json").read_text())
     for entry in manifest["templates"]:
         if entry["name"] == "pairwise_rank":
             entry["schema_name"] = "novelty_verdict"
-    user_dir = tmp_path / "templates"
-    user_dir.mkdir()
-    (user_dir / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
-    user_library = PromptLibrary(template_dir=user_dir)
+    (template_copy / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    user_library = PromptLibrary(template_dir=template_copy)
 
     backend = RuleBackend(rules=[("decide which one is better", '{"verdict": "similar"}')])
     gateway = make_gateway(backend)

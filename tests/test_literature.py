@@ -15,6 +15,7 @@ from nova.domain import SeedPaper
 from nova.ids import IdFactory
 from nova.literature import (
     DEFAULT_EMBED_MODEL,
+    DEFAULT_TREND_PAPER_COUNT,
     HashEmbedder,
     HttpEmbedder,
     HttpSearchClient,
@@ -423,13 +424,14 @@ def test_trend_prompt_takes_exactly_top_n(make_gateway):
     papers = [
         SeedPaper(id=f"p{i}", title=f"Trend Paper {i:02d}", abstract="x",
                   source_meta={"likes": i})
-        for i in range(20)
+        for i in range(25)
     ]
     backend = RuleBackend()
     gateway = make_gateway(backend)
-    build_trend_report(papers, gateway, LIBRARY, "m", top_n=8)
+    build_trend_report(papers, gateway, LIBRARY, "m")
     prompt = backend.prompts[0]
-    assert sum(1 for i in range(20) if f"Trend Paper {i:02d}" in prompt) == 8
+    listed = [i for i in range(25) if f"Trend Paper {i:02d}" in prompt]
+    assert listed == list(range(25 - DEFAULT_TREND_PAPER_COUNT, 25))  # the most liked
 
 
 def test_trend_report_preconditions(tmp_path, capsys):

@@ -240,19 +240,25 @@ def test_report_requires_existing_run(tmp_path):
         metrics_report(tmp_path / "nowhere")
 
 
-def test_metrics_threshold_only_counts_match_brute_force(run_env, paper_input_file):
-    runner = run_env("novmetrics", threshold_only_novelty=True)
+def test_metrics_counts_match_per_pool_replay(run_env, paper_input_file):
+    """Each generation's judged count, replayed one pool at a time, sends no call."""
+    runner = run_env("novmetrics")
     state = runner.run(paper_input=str(paper_input_file))
     metrics = runner.store.get(state.metrics_ref, RunMetrics)
+    from nova.orchestrator import RANKER_MODEL_ID
     from nova.selector import non_duplicate_fraction
     from nova.tournament import unique_novel_count
 
+    before = runner.gateway.stats.snapshot()
     for generation in state.pools:
         pool = runner._load_pool(int(generation))
         expected = unique_novel_count(
-            pool, runner.corpus, runner.config, threshold_only=True
+            pool, runner.corpus, runner.config, runner.gateway, runner.library, RANKER_MODEL_ID
         )
         assert metrics.unique_novel_per_generation[generation] == expected
+    after = runner.gateway.stats.snapshot()
+    assert after["requests"] > before["requests"]  # the replay asked the judge
+    assert after["live_calls"] == before["live_calls"]
     fraction, retained = non_duplicate_fraction(
         runner._load_pool(runner.config.iterations_T), runner.config.dup_sim_threshold
     )

@@ -131,25 +131,31 @@ def test_theories_catalog():
     assert [t.index for t in theories] == list(range(1, 11))
 
 
-def test_user_template_dir_overlays(tmp_path):
-    (tmp_path / "search_plan.txt").write_text(
+def test_user_template_dir_overlays(template_copy):
+    (template_copy / "search_plan.txt").write_text(
         "custom plan for {idea_info} with {few_shot_example} as {plan_json_format}",
         encoding="utf-8",
     )
-    library = PromptLibrary(template_dir=tmp_path)
+    library = PromptLibrary(template_dir=template_copy)
     rendered = library.render(
         "search_plan",
         {"idea_info": "Z", "few_shot_example": "E", "plan_json_format": "F"},
     )
     assert rendered.startswith("custom plan for Z")
-    # untouched templates still come from the shipped set
-    assert "brainstorm" in library.get("initial_proposal").body
+    # untouched templates read as shipped
+    assert library.get("initial_proposal").body == LIBRARY.get("initial_proposal").body
 
 
-def test_manifest_placeholder_mismatch_rejected(tmp_path):
-    (tmp_path / "search_plan.txt").write_text("no placeholders here", encoding="utf-8")
-    with pytest.raises(PromptError, match="manifest placeholders"):
+def test_user_template_dir_is_the_whole_set(tmp_path):
+    """No file falls back to the shipped set: a directory missing one fails to load."""
+    with pytest.raises(FileNotFoundError, match="manifest.json"):
         PromptLibrary(template_dir=tmp_path)
+
+
+def test_manifest_placeholder_mismatch_rejected(template_copy):
+    (template_copy / "search_plan.txt").write_text("no placeholders here", encoding="utf-8")
+    with pytest.raises(PromptError, match="manifest placeholders"):
+        PromptLibrary(template_dir=template_copy)
 
 
 @pytest.mark.parametrize("name", REGISTRY_NAMES)
@@ -186,19 +192,19 @@ def test_stray_braces_rejected_with_offset(body, message):
         placeholders_in(body, "inline")
 
 
-def test_stray_brace_rejected_at_load(tmp_path):
-    (tmp_path / "search_plan.txt").write_text(
+def test_stray_brace_rejected_at_load(template_copy):
+    (template_copy / "search_plan.txt").write_text(
         "{idea_info} {few_shot_example} {plan_json_format} }", encoding="utf-8"
     )
     with pytest.raises(PromptError, match=re.escape("unescaped '}' at offset 50")):
-        PromptLibrary(template_dir=tmp_path)
+        PromptLibrary(template_dir=template_copy)
 
 
-def test_tripled_braces_render_a_braced_value(tmp_path):
-    (tmp_path / "search_plan.txt").write_text(
+def test_tripled_braces_render_a_braced_value(template_copy):
+    (template_copy / "search_plan.txt").write_text(
         "{{{idea_info}}} {few_shot_example}{plan_json_format}", encoding="utf-8"
     )
-    library = PromptLibrary(template_dir=tmp_path)
+    library = PromptLibrary(template_dir=template_copy)
     assert placeholders_in(library.get("search_plan").body) == {
         "idea_info", "few_shot_example", "plan_json_format"
     }

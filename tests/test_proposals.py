@@ -30,12 +30,12 @@ DECOMPOSE_SIG = "break down the research method into multiple submodules"
 FINAL_SIG = "expand a brief project idea into a full project proposal"
 
 
-def make_builder(backend, make_gateway, config=None, **kwargs) -> ProposalBuilder:
+def make_builder(backend, make_gateway, config=None) -> ProposalBuilder:
     config = config or PipelineConfig()
     gateway = make_gateway(backend, options=GatewayOptions(backoff_base=0.0))
     planner = PlannerLoop(gateway, LIBRARY, None, HashEmbedder(dim=8, seed=1),
                           IdFactory(seed=5), config, "m")
-    return ProposalBuilder(gateway, LIBRARY, planner, "m", **kwargs)
+    return ProposalBuilder(gateway, LIBRARY, planner, "m")
 
 
 def idea(n=1, **kwargs):
@@ -125,13 +125,6 @@ def test_build_initial_context_block_conditional(make_gateway, sample_paper):
     with_docs = backend.prompts[-1]
     assert "Here are some relevant papers" in with_docs
     assert "Background Doc" in with_docs
-
-
-def test_build_initial_self_reflection_flag(make_gateway, sample_paper):
-    backend = RuleBackend(rules=[(INITIAL_SIG, initial_reply())])
-    builder = make_builder(backend, make_gateway, use_self_reflection=True)
-    builder.build_initial(sample_paper, idea(), [])
-    assert "think of about 5 proposals" in backend.prompts[-1]
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,12 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 from scipy.stats import spearmanr
 
 from nova.domain import FINAL_SECTIONS, PipelineConfig, Proposal, RetrievedDoc
 from nova.gateway import ChatRequest, GatewayError, GatewayOptions, TransientBackendError
-from nova.literature import HashEmbedder, LiteratureError, OfflineCorpus
+from nova.literature import HashEmbedder, LiteratureError, OfflineCorpus, cosine
 from nova.mockllm import MockBackend
 from nova.prompts import PromptLibrary
 from nova.selector import SelectorError, non_duplicate_fraction
@@ -321,20 +321,21 @@ def planted_corpus(similarities: list[float], dim: int = 8) -> tuple:
     return idea, PlantedCorpus(docs)
 
 
-def test_threshold_only_all_below_threshold_is_novel():
+def test_threshold_only_all_below_threshold_is_novel(similar_judge):
     idea, corpus = planted_corpus([0.0, 0.1, 0.29, 0.3])
     config = PipelineConfig(novelty_topk=10)
-    result = novelty_judge(idea, corpus, config, threshold_only=True)
+    result = novelty_judge(idea, corpus, config, similar_judge, LIBRARY, "m")
     assert result.novel
     assert result.judge_calls == 0
     assert all(e.verdict == "not_candidate" for e in result.evidence)
 
 
-def test_threshold_only_planted_rule():
+def test_threshold_only_planted_rule(similar_judge):
     idea, corpus = planted_corpus([0.0, 0.29, 0.31, 1.0])
     config = PipelineConfig(novelty_topk=10)
-    result = novelty_judge(idea, corpus, config, threshold_only=True)
+    result = novelty_judge(idea, corpus, config, similar_judge, LIBRARY, "m")
     assert not result.novel
+    assert result.judge_calls == 2
     verdicts = {round(e.similarity, 6): e.verdict for e in result.evidence}
     assert verdicts == {
         0.0: "not_candidate",
@@ -382,26 +383,26 @@ def test_judge_availability_failure_propagates(make_gateway):
                       library=LIBRARY, model_id="m")
 
 
-@settings(max_examples=30)
+# The judge's reply does not depend on the prompt, so examples may share its cache.
+@settings(max_examples=30, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
     st.floats(0.0, 0.98),
     st.floats(0.0, 0.98),
 )
-def test_threshold_monotonicity(similarities, t_low, t_high):
+def test_threshold_monotonicity(similar_judge, similarities, t_low, t_high):
     """Raising the threshold never turns a novel idea non-novel."""
     low, high = sorted((t_low, t_high))
     idea, corpus = planted_corpus(similarities)
-    novel_low = novelty_judge(
-        idea, corpus, PipelineConfig(novelty_sim_threshold=low), threshold_only=True
-    ).novel
-    novel_high = novelty_judge(
-        idea, corpus, PipelineConfig(novelty_sim_threshold=high), threshold_only=True
-    ).novel
+    novel_low, novel_high = (
+        novelty_judge(idea, corpus, PipelineConfig(novelty_sim_threshold=threshold),
+                      similar_judge, LIBRARY, "m").novel
+        for threshold in (low, high)
+    )
     assert not (novel_low and not novel_high)
 
 
-def test_unique_novel_count_dedup_precedes_novelty():
+def test_unique_novel_count_dedup_precedes_novelty(similar_judge):
     # two duplicates (cosine 1) of a novel idea count once; one non-novel idea
     e1 = np.eye(4)[0]
     e3 = np.eye(4)[2]
@@ -410,9 +411,10 @@ def test_unique_novel_count_dedup_precedes_novelty():
                        embedding=tuple(float(v) for v in e3))
     corpus = PlantedCorpus([doc])
     config = PipelineConfig()
-    count = unique_novel_count(ideas, corpus, config, threshold_only=True)
+    count = unique_novel_count(ideas, corpus, config, similar_judge, LIBRARY, "m")
     # idea0 retained+novel; idea1 deduped away; idea2 retained but sim 1.0 -> not novel
     assert count == 1
+    assert similar_judge.stats.snapshot()["requests"] == 1  # idea2's one candidate
 
 
 def test_unique_novel_count_same_under_gateway_pool(make_gateway, tmp_path):
@@ -449,8 +451,9 @@ def test_unique_novel_count_same_under_gateway_pool(make_gateway, tmp_path):
     assert 0 < count < len(pool)
 
 
-def test_unique_novel_count_empty_pool():
-    assert unique_novel_count([], PlantedCorpus([]), PipelineConfig()) == 0
+def test_unique_novel_count_empty_pool(similar_judge):
+    assert unique_novel_count([], PlantedCorpus([]), PipelineConfig(), similar_judge,
+                              LIBRARY, "m") == 0
 
 
 def test_retained_ideas_follow_the_dedup_scan():
@@ -476,18 +479,18 @@ def test_unique_novel_counts_without_corpus_counts_every_retained_idea(make_gate
                                  library=LIBRARY, model_id="m")
     assert counts == {"0": 4, "1": 0, "2": 3}
     assert backend.prompts == []
-    assert unique_novel_count(pools["0"], None, PipelineConfig()) == 4
+    assert unique_novel_count(pools["0"], None, PipelineConfig(), gateway, LIBRARY, "m") == 4
 
 
-def test_unembedded_idea_rejected(tmp_path):
+def test_unembedded_idea_rejected(tmp_path, similar_judge):
     with pytest.raises(ValueError, match="embedding"):
-        novelty_judge(make_idea(1), PlantedCorpus([]), PipelineConfig(),
-                      threshold_only=True)
+        novelty_judge(make_idea(1), PlantedCorpus([]), PipelineConfig(), similar_judge,
+                      LIBRARY, "m")
     # The count dedups first, so an unembedded idea fails there, before any prefilter.
     corpus = OfflineCorpus(write_corpus(tmp_path / "c", [np.eye(4)[0]]), HashEmbedder(dim=4))
     pool = [embedded_idea(0, np.eye(4)[1]), make_idea(1)]
     with pytest.raises(SelectorError, match="without embeddings"):
-        unique_novel_count(pool, corpus, PipelineConfig(), threshold_only=True)
+        unique_novel_count(pool, corpus, PipelineConfig(), similar_judge, LIBRARY, "m")
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +521,7 @@ def write_corpus(path, vectors):
 @pytest.mark.parametrize("offset, cleared", [
     (1e-12, False), (0.0, False), (-1e-12, False), (-2e-9, True), (-0.2, True),
 ])
-def test_prefilter_at_threshold(tmp_path, offset, cleared):
+def test_prefilter_at_threshold(tmp_path, similar_judge, offset, cleared):
     """Only a doc at least the rounding margin below the threshold clears an idea."""
     threshold = 0.3
     sim = threshold + offset
@@ -528,33 +531,37 @@ def test_prefilter_at_threshold(tmp_path, offset, cleared):
     idea = embedded_idea(0, e1)
     config = PipelineConfig(novelty_sim_threshold=threshold)
     assert abs(corpus.max_similarity([idea.embedding])[0] - sim) < 1e-15
-    expected = novelty_judge(idea, corpus, config, threshold_only=True).novel
+    result = novelty_judge(idea, corpus, config, similar_judge, LIBRARY, "m")
+    expected = result.novel
     assert expected == (offset <= 0.0)
+    assert result.judge_calls == int(not expected)
     corpus.nearest_calls = 0
-    counts = unique_novel_counts({"0": [idea]}, corpus, config, threshold_only=True)
+    counts = unique_novel_counts({"0": [idea]}, corpus, config, similar_judge, LIBRARY, "m")
     assert counts == {"0": int(expected)}
     assert corpus.nearest_calls == (0 if cleared else 1)
 
 
-def test_prefilter_empty_corpus_clears_every_idea(tmp_path):
+def test_prefilter_empty_corpus_clears_every_idea(tmp_path, similar_judge):
     (tmp_path / "empty").mkdir()
     corpus = CountingCorpus(tmp_path / "empty", HashEmbedder(dim=4))
     pool = [embedded_idea(n, np.eye(4)[n]) for n in range(4)]
     assert corpus.max_similarity([i.embedding for i in pool]).tolist() == [-np.inf] * 4
     # No dimension check without docs, as `nearest` returns [] for any query.
     assert corpus.max_similarity([[1.0, 0.0]]).tolist() == [-np.inf]
-    counts = unique_novel_counts({"0": pool, "1": pool[:1], "2": []}, corpus, PipelineConfig())
+    counts = unique_novel_counts({"0": pool, "1": pool[:1], "2": []}, corpus, PipelineConfig(),
+                                 similar_judge, LIBRARY, "m")
     assert counts == {"0": 4, "1": 1, "2": 0}
     assert corpus.nearest_calls == 0
+    assert similar_judge.stats.snapshot()["requests"] == 0
 
 
-def test_prefilter_dimension_mismatch(tmp_path):
+def test_prefilter_dimension_mismatch(tmp_path, similar_judge):
     corpus = OfflineCorpus(write_corpus(tmp_path / "c", [np.eye(8)[0]]), HashEmbedder(dim=8))
     pool = [embedded_idea(0, np.eye(4)[0])]
     with pytest.raises(LiteratureError, match="dimension mismatch"):
         corpus.max_similarity([pool[0].embedding])
     with pytest.raises(LiteratureError, match="dimension mismatch"):
-        unique_novel_counts({"0": pool}, corpus, PipelineConfig(), threshold_only=True)
+        unique_novel_counts({"0": pool}, corpus, PipelineConfig(), similar_judge, LIBRARY, "m")
 
 
 def test_max_similarity_equals_best_nearest_score(tmp_path):
@@ -570,7 +577,7 @@ def test_max_similarity_equals_best_nearest_score(tmp_path):
         assert abs(value - corpus.nearest(query, 1)[0].score) < 1e-12
 
 
-def per_pool_reference(pools, corpus, config, gateway=None, **kwargs):
+def per_pool_reference(pools, corpus, config, gateway):
     """The count before the batched pass: per pool, every retained idea judged in order."""
     counts = {}
     for key, pool in pools.items():
@@ -579,7 +586,7 @@ def per_pool_reference(pools, corpus, config, gateway=None, **kwargs):
             _, retained = non_duplicate_fraction(pool, config.dup_sim_threshold)
             by_id = {i.id: i for i in pool}
             counts[key] = sum(
-                novelty_judge(by_id[i], corpus, config, gateway=gateway, **kwargs).novel
+                novelty_judge(by_id[i], corpus, config, gateway, LIBRARY, "m").novel
                 for i in retained
             )
     return counts
@@ -596,9 +603,9 @@ def novelty_pools(rng, dim: int) -> tuple[dict, list]:
 
 
 @pytest.mark.parametrize("corpus_kind", ["offline", "planted"])
-@pytest.mark.parametrize("threshold_only", [False, True])
+@pytest.mark.parametrize("always_similar", [False, True])
 def test_unique_novel_counts_equal_per_pool_counts(make_gateway, tmp_path, corpus_kind,
-                                                   threshold_only):
+                                                   always_similar):
     rng = np.random.Generator(np.random.PCG64(21))
     pools, doc_vectors = novelty_pools(rng, 24)
     corpus = CountingCorpus(write_corpus(tmp_path / "c", doc_vectors), HashEmbedder(dim=24))
@@ -611,8 +618,10 @@ def test_unique_novel_counts_equal_per_pool_counts(make_gateway, tmp_path, corpu
     config = PipelineConfig(novelty_topk=3, novelty_sim_threshold=0.25)
 
     def verdict(prompt: str) -> str:
-        # A third similar, a fifth failing outright (counted similar).
+        # A third similar, a fifth failing outright (counted similar); or all similar.
         h = stable_hash(prompt)
+        if always_similar:
+            return json.dumps({"verdict": "similar"})
         if h % 5 == 0:
             return "not json at all"
         return json.dumps({"verdict": "similar" if h % 3 == 0 else "different"})
@@ -624,22 +633,29 @@ def test_unique_novel_counts_equal_per_pool_counts(make_gateway, tmp_path, corpu
             cache_dir=tmp_path / name,
         )
 
-    kwargs = dict(library=LIBRARY, model_id="m", threshold_only=threshold_only)
     sequential = gateway(1, "sequential")
-    expected = per_pool_reference(pools, corpus, config, gateway=sequential, **kwargs)
+    expected = per_pool_reference(pools, corpus, config, sequential)
     if isinstance(corpus, CountingCorpus):
         corpus.nearest_calls = 0
     pooled = gateway(8, "pooled")
     deduped = {key: retained_ideas(pool, config.dup_sim_threshold) for key, pool in pools.items()}
-    assert unique_novel_counts(deduped, corpus, config, gateway=pooled, **kwargs) == expected
+    assert unique_novel_counts(deduped, corpus, config, pooled, LIBRARY, "m") == expected
     assert pooled.stats.snapshot() == sequential.stats.snapshot()
     retained = sum(map(len, deduped.values()))
     assert 0 < sum(expected.values()) < retained
     if isinstance(corpus, CountingCorpus):  # the prefilter cleared some ideas, not all
         assert 0 < corpus.nearest_calls < retained
-    if threshold_only:
-        assert unique_novel_counts(deduped, corpus, config, threshold_only=True) == expected
-    else:
-        assert sequential.stats.snapshot()["live_calls"] > 0
+    assert sequential.stats.snapshot()["live_calls"] > 0
+    if always_similar:  # the threshold rule alone, one judge call per candidate doc
+        candidates = {
+            idea.id: sum(cosine(idea.embedding, doc.embedding) > config.novelty_sim_threshold
+                         for doc in corpus.nearest(idea.embedding, config.novelty_topk))
+            for ideas in deduped.values() for idea in ideas
+        }
+        assert expected == {key: sum(candidates[i.id] == 0 for i in ideas)
+                            for key, ideas in deduped.items()}
+        assert sequential.stats.snapshot()["requests"] == sum(
+            candidates[i.id] for ideas in deduped.values() for i in ideas
+        )
     for key, pool in pools.items():
-        assert unique_novel_count(pool, corpus, config, gateway=pooled, **kwargs) == expected[key]
+        assert unique_novel_count(pool, corpus, config, pooled, LIBRARY, "m") == expected[key]
