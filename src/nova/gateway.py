@@ -24,14 +24,16 @@ cached and offline work never pays for threads. Concurrent requests for one
 cache key make a single live call; the others wait for it and count as cache
 hits, exactly as if they had been issued one after another.
 
-Cache entries, artifacts, ``state.json``, the proposal Markdown and the
-report files are written by :func:`atomic_write`: a temporary file private to
-the writing thread, renamed over the target with `os.replace`, so readers and
-other processes see the old file or the new one, never part of one. The
-response cache takes no lock: single-flight gives each key one writer per
-gateway. A cache entry that cannot be read back (cut-off JSON, not an object,
-no string ``"text"``) is logged and treated as a miss; the reply sent in its
-place overwrites it.
+Artifacts, ``state.json``, the proposal Markdown, the report files and the
+response cache's entries file are written by :func:`atomic_write`: a
+temporary file private to the writing thread, renamed over the target with
+`os.replace`, so readers and other processes see the old file or the new one,
+never part of one. A live reply is cached by appending one line to the
+cache's journal, which :meth:`Gateway.compact_cache` folds into the entries
+file at each stage commit; :class:`ResponseCache` says what a cut-off line, a
+compaction and a second process sharing the directory cost. A cached line
+that cannot be read back is logged and treated as a miss, and the reply sent
+in its place is appended.
 Structured output is checked with the compiled checkers of
 :func:`nova.schemas.output_schema_check`.
 
@@ -45,6 +47,7 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import io
 import json
 import logging
 import os
@@ -129,6 +132,22 @@ REPROMPT_BUDGET = 2
 
 
 _OPEN_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_NOFOLLOW", 0)
+_JOURNAL_FLAGS = os.O_WRONLY | os.O_APPEND | os.O_CREAT | getattr(os, "O_NOFOLLOW", 0)
+
+
+def _create(path: str | os.PathLike, flags: int) -> int:
+    """`os.open(path, flags, 0o600)`, making the directory only when the open finds it missing."""
+    try:
+        return os.open(path, flags, 0o600)
+    except FileNotFoundError:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        return os.open(path, flags, 0o600)
+
+
+def _write_all(fd: int, data: bytes) -> None:
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view) :]
 
 
 def atomic_write(path: str | os.PathLike, data: bytes) -> None:
@@ -141,17 +160,11 @@ def atomic_write(path: str | os.PathLike, data: bytes) -> None:
     removed and the previous file left as it was.
     """
     tmp = f"{os.fspath(path)}.{os.getpid()}.{threading.get_ident()}.tmp"
-    try:
-        fd = os.open(tmp, _OPEN_FLAGS, 0o600)
-    except FileNotFoundError:
-        os.makedirs(os.path.dirname(tmp), exist_ok=True)
-        fd = os.open(tmp, _OPEN_FLAGS, 0o600)
+    fd = _create(tmp, _OPEN_FLAGS)
     try:
         try:
             os.fchmod(fd, 0o600)
-            view = memoryview(data)
-            while view:
-                view = view[os.write(fd, view) :]
+            _write_all(fd, data)
         finally:
             os.close(fd)
         os.replace(tmp, path)
@@ -161,42 +174,154 @@ def atomic_write(path: str | os.PathLike, data: bytes) -> None:
         raise
 
 
-class ResponseCache:
-    """Content-addressed on-disk store of reply texts; no eviction, no lock.
+ENTRIES_FILE = "entries.jsonl"
+JOURNAL_FILE = "journal.jsonl"
+_LINE_START = b'{"key": '
 
-    An entry is the JSON object ``{"text": ...}`` at ``<dir>/<key[:2]>/<key>.json``.
-    `put` writes it with `atomic_write`, so concurrent writers and readers need
-    no lock: a reader sees a whole old or a whole new entry, and a failed write
-    leaves any previous entry as it was. `get` treats an entry that does not
-    decode to an object with a string ``"text"`` as a miss and logs a warning
-    naming the key; the next `put` for that key replaces it.
+
+def _entry_line(key: str, text: str) -> bytes:
+    return json.dumps({"key": key, "text": text}, ensure_ascii=False).encode("utf-8") + b"\n"
+
+
+def _signature(file: Path | int) -> tuple | None:
+    """(inode, size, mtime) of a path or an open descriptor; None if there is no file."""
+    try:
+        st = os.stat(file)
+    except FileNotFoundError:
+        return None
+    return st.st_ino, st.st_size, st.st_mtime_ns
+
+
+def _parse_entry(data: bytes) -> tuple[str, str] | None:
+    try:
+        entry = json.loads(data)
+    except ValueError:
+        return None
+    if not isinstance(entry, dict):
+        return None
+    key, text = entry.get("key"), entry.get("text")
+    return (key, text) if isinstance(key, str) and isinstance(text, str) else None
+
+
+def _read_entries(path: Path, into: dict[str, str]) -> tuple | None:
+    """Add the entries of a cache file to `into`, later lines winning.
+
+    Returns the file's `_signature`, or None if there is no file. Each line is
+    parsed from its last `_LINE_START`; bytes before it, and a line that does
+    not parse, are skipped with a warning naming the file.
+    """
+    try:
+        fh = open(path, "rb")
+    except FileNotFoundError:
+        return None
+    with fh:
+        signature = _signature(fh.fileno())
+        for number, line in enumerate(fh, 1):
+            start = line.rfind(_LINE_START)
+            entry = _parse_entry(line[start:]) if start >= 0 else None
+            if entry is not None:
+                into[entry[0]] = entry[1]
+            if start != 0 or entry is None:
+                logger.warning("unreadable data in line %d of response cache %s skipped",
+                               number, path)
+    return signature
+
+
+class ResponseCache:
+    """Reply texts by request key, kept in two files of one directory; no eviction.
+
+    ``journal.jsonl`` takes each `put` as one line ``{"key": ..., "text": ...}``,
+    appended by one write through an ``O_APPEND`` descriptor that the put
+    opens and closes, so a put creates no file once the journal exists and no
+    descriptor outlives it. `compact` folds the journal into
+    ``entries.jsonl``, one such line per entry sorted by key and written whole by
+    `atomic_write`, and then deletes the journal: after a compaction the
+    directory is a function of its set of entries. Building a cache touches no
+    file. The first `get` or `put` reads both files into an index that holds
+    every text; the first `put` makes the journal, and the directory if it is
+    missing. A key that was put more than once keeps its last text.
+
+    **Torn tail.** A line that is not an object with a string ``"key"`` and
+    ``"text"`` (a write cut off by a crash, say) is skipped with a warning
+    naming the file, so its key is a miss and the reply sent in its place is
+    appended. A line appended after a cut-off one is still read: a line is
+    parsed from its last ``{"key": ``, which an encoded text cannot contain.
+
+    **Compaction cost.** `compact` rewrites the whole file, O(cache) per stage
+    commit, and returns at once when nothing was put since the last one, so a
+    replay writes nothing. That suits a per-run cache. A long-lived shared
+    cache that grows large would want one sorted segment per commit instead,
+    merged in the background: the log-structured design of Bitcask (Sheehy and
+    Smith, 2010) and of the LSM-tree (O'Neil et al., 1996).
+
+    **Concurrent processes.** Caches in several processes may share a
+    directory with no lock between them: their puts append whole lines to the
+    one journal, and `compact` merges what is on disk (the journal, and the
+    entries file if another cache rewrote it since) into its own index before
+    it writes. So compactions that do not overlap lose no entry. Two that
+    overlap may: the later rename drops entries only the earlier one had read,
+    and a line appended between one compaction's read of the journal and its
+    delete is only in its writer's index until that writer compacts. A cache
+    also misses entries put by others after it loaded. Each key names one
+    request, so any such loss costs a re-sent request, never a wrong reply.
     """
 
     def __init__(self, cache_dir: str | Path):
         self._dir = Path(cache_dir)
+        self._lock = threading.Lock()
+        self._index: dict[str, str] | None = None
+        self._seen: tuple | None = None  # the entries file the index last merged or wrote
+        self._dirty = False  # the entries file may lack a line of the journal
 
-    def _path(self, key: str) -> str:
-        return os.path.join(self._dir, key[:2], f"{key}.json")
+    def _load(self) -> dict[str, str]:
+        """The index, read from disk on first use; the caller holds the lock."""
+        if self._index is None:
+            index: dict[str, str] = {}
+            self._seen = _read_entries(self._dir / ENTRIES_FILE, index)
+            self._dirty = _read_entries(self._dir / JOURNAL_FILE, index) is not None
+            self._index = index
+        return self._index
 
     def get(self, key: str) -> str | None:
-        try:
-            with open(self._path(key), "rb") as fh:
-                data = fh.read()
-        except FileNotFoundError:
-            return None
-        try:
-            entry = json.loads(data)
-        except ValueError:
-            entry = None
-        text = entry.get("text") if isinstance(entry, dict) else None
-        if not isinstance(text, str):
-            logger.warning("unreadable response cache entry %s; treating it as a miss", key)
-            return None
-        return text
+        with self._lock:
+            return self._load().get(key)
 
     def put(self, key: str, text: str) -> None:
-        data = json.dumps({"text": text}, ensure_ascii=False).encode("utf-8")
-        atomic_write(self._path(key), data)
+        line = _entry_line(key, text)
+        with self._lock:
+            index = self._load()
+            fd = _create(self._dir / JOURNAL_FILE, _JOURNAL_FLAGS)
+            try:
+                _write_all(fd, line)
+            finally:
+                os.close(fd)
+            index[key] = text
+            self._dirty = True
+
+    def compact(self) -> None:
+        """Rewrite the entries file with every entry and delete the journal.
+
+        Returns at once if nothing was put since the last compaction and no
+        journal was there when the index loaded. If the write fails, the
+        entries file and the journal are left as they were.
+        """
+        with self._lock:
+            if not self._dirty:
+                return
+            entries, journal = self._dir / ENTRIES_FILE, self._dir / JOURNAL_FILE
+            merged: dict[str, str] = {}
+            if _signature(entries) != self._seen:
+                _read_entries(entries, merged)
+            _read_entries(journal, merged)
+            merged.update(self._index)
+            buf = io.BytesIO()
+            for key in sorted(merged):
+                buf.write(_entry_line(key, merged[key]))
+            atomic_write(entries, buf.getvalue())
+            self._seen = _signature(entries)
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(journal)
+            self._index, self._dirty = merged, False
 
 
 class GatewayStats:
@@ -246,6 +371,13 @@ class Gateway:
         self._flights_lock = threading.Lock()
         self._thread = _ThreadState()
         self.stats = GatewayStats()
+
+    def compact_cache(self) -> None:
+        """Fold the replies cached since the last call into the cache's entries file.
+
+        Called at each stage commit; see `ResponseCache.compact`.
+        """
+        self._cache.compact()
 
     def fan_out(self, items: Iterable[T], fn: Callable[[T], R]) -> list[R]:
         """`[fn(item) for item in items]`, run concurrently once calls go live.

@@ -134,9 +134,10 @@ class OfflineCorpus:
 
     Each doc file holds {"title", "abstract"} and optionally "embedding"; any
     other key is ignored. Docs without a stored embedding are embedded from
-    "<title>\\n<abstract>" at load time. A doc that is not a JSON object or has
-    no title, or stored embeddings of different shapes, raise `LiteratureError`
-    naming the doc.
+    "<title>\\n<abstract>" at load time. A doc that is not a JSON object, whose
+    title is not a nonempty string, or whose stored embedding is zero, not
+    finite or of another shape than the first doc's raises `LiteratureError`
+    naming the doc file.
 
     The normalized embeddings are stored once, as the rows of one matrix, and
     each doc's "embedding" is a view of its row. A query scores every row in
@@ -150,6 +151,7 @@ class OfflineCorpus:
     def __init__(self, corpus_dir: str | Path, embedder: Embedder):
         self._embedder = embedder
         self._docs: list[dict] = []
+        names: list[str] = []  # each doc's file name, for load errors
         corpus_dir = Path(corpus_dir)
         if not corpus_dir.is_dir():
             raise LiteratureError(f"corpus directory {corpus_dir} does not exist")
@@ -163,9 +165,12 @@ class OfflineCorpus:
                     raw["embedding"] = np.asarray(raw["embedding"], dtype=np.float64)
             except (ValueError, TypeError) as exc:
                 raise LiteratureError(f"corpus doc {path.name}: {exc}") from exc
-            if not raw.get("title"):
-                raise LiteratureError(f"corpus doc {path.name} has no title")
+            if not isinstance(raw.get("title"), str) or not raw["title"]:
+                raise LiteratureError(
+                    f'corpus doc {path.name} has no title: "title" must be a nonempty string'
+                )
             self._docs.append(raw)
+            names.append(path.name)
         todo = [d for d in self._docs if "embedding" not in d]
         if todo:
             vectors = self._embedder.embed(
@@ -174,13 +179,16 @@ class OfflineCorpus:
             for doc, vec in zip(todo, vectors):
                 doc["embedding"] = vec
         self._matrix = np.empty((0, 0))
-        for row, doc in enumerate(self._docs):
-            vec = normalize(doc["embedding"])
+        for row, (doc, name) in enumerate(zip(self._docs, names)):
+            try:
+                vec = normalize(doc["embedding"])
+            except LiteratureError as exc:
+                raise LiteratureError(f"corpus doc {name} ({doc['title']!r}): {exc}") from exc
             if row == 0:
                 self._matrix = np.empty((len(self._docs), vec.size))
             if vec.shape != self._matrix.shape[1:]:
                 raise LiteratureError(
-                    f"corpus doc {doc['title']!r} has embedding shape {vec.shape}, "
+                    f"corpus doc {name} ({doc['title']!r}) has embedding shape {vec.shape}, "
                     f"expected {self._matrix.shape[1:]}"
                 )
             # Each doc's own array is freed as soon as its row is filled.

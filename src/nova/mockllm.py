@@ -48,7 +48,8 @@ class MockBackend:
 
     Script format: {"<sha256 of prompt>": reply} where reply is either the
     reply string or {"text": str, "transient_failures": int} to fault-inject
-    that many retryable failures before succeeding.
+    that many retryable failures before succeeding. `from_file` refuses any
+    other entry with a `GatewayError`.
     """
 
     def __init__(self, script: dict | None = None, seed: int = 0):
@@ -65,6 +66,20 @@ class MockBackend:
             raise GatewayError(f"mock script {path}: {exc}") from exc
         if not isinstance(data, dict):
             raise GatewayError(f"mock script {path} must hold a JSON object")
+        for digest, entry in data.items():
+            if isinstance(entry, dict):
+                failures = entry.get("transient_failures", 0)
+                if not isinstance(entry.get("text"), str):
+                    problem = 'an object entry needs a string "text"'
+                elif type(failures) is not int or failures < 0:
+                    problem = f'"transient_failures" must be a non-negative int, not {failures!r}'
+                else:
+                    continue
+            elif isinstance(entry, str):
+                continue
+            else:
+                problem = f"must be a reply string or an object, got {type(entry).__name__}"
+            raise GatewayError(f"mock script {path}: entry {digest}: {problem}")
         return cls(script=data, seed=seed)
 
     def send(self, model_id: str, prompt: str, temperature: float, max_tokens: int) -> str:

@@ -7,17 +7,23 @@ One directory per run:
     artifacts/      content-addressed typed envelopes {"kind", "data"}
     proposals/      rendered Markdown, one file per surviving idea
     report/         metric CSVs and the JSON summary
-    cache/          gateway response cache (unless redirected)
+    cache/          gateway response cache (unless redirected): entries.jsonl,
+                    and journal.jsonl between stage commits
 
-Every file but `events.jsonl` is written whole through `gateway.atomic_write`
-(mode 0o600), and `artifacts/` and `cache/` are made by their first write, so
-building a `Runner` creates no directory but the run's own. An artifact's data
-is one `domain.Record` of the type its kind names in `ARTIFACT_TYPES`, and
-`state.json` is a `RunState`: the `Record` codec is their only description.
-The eight kinds are seed_paper, trend_report, idea_pool, iteration_records,
-representatives, proposal_set (one per proposed idea: the initial proposal,
-the method decomposition and the final proposal), tournament_result and
-run_metrics; `RunState.proposals` maps each proposed idea to its proposal_set.
+Every file but `events.jsonl` and the cache journal is written whole through
+`gateway.atomic_write` (mode 0o600). `artifacts/` is made by the first
+artifact write and `cache/` by the first cached reply, so building a `Runner`
+creates no directory but the run's own and touches no file of a shared cache.
+Each stage commit first folds the cache journal into the entries file
+(`Gateway.compact_cache`), so a committed run directory holds no journal.
+
+An artifact's data is one `domain.Record` of the type its kind names in
+`ARTIFACT_TYPES`, and `state.json` is a `RunState`: the `Record` codec is
+their only description. The eight kinds are seed_paper, trend_report,
+idea_pool, iteration_records, representatives, proposal_set (one per proposed
+idea: the initial proposal, the method decomposition and the final
+proposal), tournament_result and run_metrics; `RunState.proposals` maps each
+proposed idea to its proposal_set.
 `ArtifactStore.get` and `load_state` turn data that does not decode (a pool
 with list-of-numbers embeddings, say) into an `OrchestratorError` naming the
 artifact digest or the file, and the field.
@@ -364,6 +370,7 @@ class Runner:
         atomic_write(self.out_dir / "state.json", _dump_bytes(self.state.to_dict()))
 
     def _commit(self, stage: str, delta: dict) -> None:
+        self.gateway.compact_cache()
         for key, value in delta.items():
             setattr(self.state, key, value)
         self.state.stage_cursor = stage

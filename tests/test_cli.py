@@ -218,8 +218,16 @@ def test_missing_paper_file_creates_no_run_directory(cli_env, tmp_path, capsys):
         ([{"title": "ok", "abstract": "a"}, {"abstract": "no title"}], "has no title"),
         ([{"title": "flat", "embedding": [1.0, 0.0]},
           {"title": "deep", "embedding": [1.0, 0.0, 0.0]}], "has embedding shape"),
+        ([{"title": "ok", "embedding": [1.0, 0.0]}, {"title": "z", "embedding": [0.0, 0.0]}],
+         "corpus doc doc1.json ('z'): cannot normalize the zero vector"),
+        ([{"title": "ok", "embedding": [1.0, 0.0]},
+          {"title": "n", "embedding": [1.0, float("nan")]}],
+         "corpus doc doc1.json ('n'): embedding entries must be finite"),
+        ([{"title": "ok", "abstract": "a"}, {"title": 5, "abstract": "a"}],
+         'corpus doc doc1.json has no title: "title" must be a nonempty string'),
     ],
-    ids=["untitled_doc", "mixed_embedding_shapes"],
+    ids=["untitled_doc", "mixed_embedding_shapes", "zero_embedding", "non_finite_embedding",
+         "non_string_title"],
 )
 def test_malformed_corpus_exits_2_before_creating_the_run_dir(cli_env, tmp_path, capsys,
                                                               docs, message):

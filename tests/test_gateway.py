@@ -6,6 +6,7 @@ import hashlib
 import json
 import logging
 import os
+import random
 import stat
 import sys
 import threading
@@ -14,7 +15,10 @@ from pathlib import Path
 
 import pytest
 
+from nova import gateway as gateway_mod
 from nova.gateway import (
+    ENTRIES_FILE,
+    JOURNAL_FILE,
     REPROMPT_BUDGET,
     BackendUnavailableError,
     ChatRequest,
@@ -93,6 +97,29 @@ def test_scripted_fault_injection_through_mock_script(make_gateway):
     gateway = make_gateway(MockBackend(script))
     assert gateway.complete(req("flaky")) == "fine"
     assert gateway.stats.snapshot()["live_calls"] == 3
+
+
+MALFORMED_SCRIPT_ENTRIES = {
+    "no_text": ({"transient_failures": 0}, 'needs a string "text"'),
+    "non_string_text": ({"text": 7}, 'needs a string "text"'),
+    "negative_failures": ({"text": "t", "transient_failures": -1}, "non-negative int"),
+    "fractional_failures": ({"text": "t", "transient_failures": 1.5}, "non-negative int"),
+    "bool_failures": ({"text": "t", "transient_failures": True}, "non-negative int"),
+    "number": (5, "a reply string or an object, got int"),
+    "list": (["t"], "a reply string or an object, got list"),
+}
+
+
+@pytest.mark.parametrize("entry, problem", MALFORMED_SCRIPT_ENTRIES.values(),
+                         ids=MALFORMED_SCRIPT_ENTRIES)
+def test_mock_script_refuses_a_malformed_entry(tmp_path, entry, problem):
+    path = tmp_path / "script.json"
+    digest = prompt_digest("p")
+    path.write_text(json.dumps({prompt_digest("ok"): "fine", digest: entry}), encoding="utf-8")
+    with pytest.raises(GatewayError) as info:
+        MockBackend.from_file(path)
+    assert str(info.value).startswith(f"mock script {path}: entry {digest}: ")
+    assert problem in str(info.value)
 
 
 def test_attempts_never_exceed_budget(make_gateway):
@@ -213,56 +240,87 @@ def test_single_flight_stress_counts_match_sequential(make_gateway):
 # ---------------------------------------------------------------------------
 
 
-def entry_path(cache_dir, key: str):
-    return cache_dir / key[:2] / f"{key}.json"
+def entry_line(key: str, text: str) -> bytes:
+    """One cache line, as the journal and the entries file hold it."""
+    return json.dumps({"key": key, "text": text}, ensure_ascii=False).encode() + b"\n"
 
 
 UNREADABLE_ENTRIES = {
-    "truncated": b'{"text": "half a rep',
-    "non_object": b'["text", "a reply"]',
-    "string": b'"a reply"',
-    "no_text": b'{"reply": "a reply"}',
-    "non_string_text": b'{"text": 42}',
-    "null_text": b'{"text": null}',
-    "not_utf8": b'{"text": "\xff\xfe"}',
+    "truncated": b'{"key": "%s", "text": "half a rep',
+    "non_object": b'["%s", "a reply"]\n',
+    "string": b'"%s: a reply"\n',
+    "no_text": b'{"key": "%s", "reply": "a reply"}\n',
+    "non_string_text": b'{"key": "%s", "text": 42}\n',
+    "null_text": b'{"key": "%s", "text": null}\n',
+    "not_utf8": b'{"key": "%s", "text": "\xff\xfe"}\n',
 }
 
 
 @pytest.mark.parametrize("raw", UNREADABLE_ENTRIES.values(), ids=UNREADABLE_ENTRIES)
 def test_unreadable_cache_entry_is_a_miss_and_is_replaced(make_gateway, tmp_path, caplog, raw):
+    """A journal line that is cut off or not an entry is skipped and named in a
+    warning; the reply sent in its place is appended, and a compaction keeps it."""
     request = req("hello")
-    path = entry_path(tmp_path / "cache", request.cache_key)
-    path.parent.mkdir(parents=True)
-    path.write_bytes(raw)
+    journal = tmp_path / "cache" / JOURNAL_FILE
+    journal.parent.mkdir(parents=True)
+    journal.write_bytes(raw % request.cache_key.encode())
 
     gateway = make_gateway(MockBackend({prompt_digest("hello"): "X"}))
     with caplog.at_level(logging.WARNING, logger="nova.gateway"):
         assert gateway.complete(request) == "X"
     assert gateway.stats.snapshot() == {"requests": 1, "cache_hits": 0, "live_calls": 1}
-    assert request.cache_key in caplog.text
-    assert json.loads(path.read_bytes()) == {"text": "X"}
+    assert str(journal) in caplog.text
+    assert journal.read_bytes().endswith(entry_line(request.cache_key, "X"))
     assert gateway.complete(request) == "X"
     assert gateway.stats.snapshot() == {"requests": 2, "cache_hits": 1, "live_calls": 1}
+    assert ResponseCache(tmp_path / "cache").get(request.cache_key) == "X"
+
+    gateway.compact_cache()
+    assert os.listdir(tmp_path / "cache") == [ENTRIES_FILE]
+    assert (tmp_path / "cache" / ENTRIES_FILE).read_bytes() == entry_line(request.cache_key, "X")
+
+
+def test_unreadable_line_of_the_entries_file_is_a_miss(make_gateway, tmp_path, caplog):
+    request = req("hello")
+    entries = tmp_path / "cache" / ENTRIES_FILE
+    entries.parent.mkdir(parents=True)
+    entries.write_bytes(b'{"key": "%s", "text": 42}\n' % request.cache_key.encode()
+                        + entry_line("0" * 64, "kept"))
+    gateway = make_gateway(MockBackend({prompt_digest("hello"): "X"}))
+    with caplog.at_level(logging.WARNING, logger="nova.gateway"):
+        assert gateway.complete(request) == "X"
+    assert f"line 1 of response cache {entries}" in caplog.text
+    gateway.compact_cache()
+    kept, sent = entry_line("0" * 64, "kept"), entry_line(request.cache_key, "X")
+    assert entries.read_bytes() == kept + sent
 
 
 def test_cache_entry_bytes_are_unchanged(tmp_path):
-    """Existing caches keep replaying: the entry layout and encoding are fixed."""
+    """Existing caches keep replaying: the line layout and encoding are fixed,
+    and a compaction writes the lines sorted by key."""
     cache = ResponseCache(tmp_path)
-    key = "ab" + "0" * 62
-    cache.put(key, "caf\u00e9 \"q\"\n")
-    assert entry_path(tmp_path, key).read_bytes() == '{"text": "caf\u00e9 \\"q\\"\\n"}'.encode()
-    assert cache.get(key) == "caf\u00e9 \"q\"\n"
+    first, second = "ab" + "0" * 62, "0c" + "1" * 62
+    cache.put(first, "caf\u00e9 \"q\"\n")
+    line = f'{{"key": "{first}", "text": "caf\u00e9 \\"q\\"\\n"}}\n'.encode()
+    assert (tmp_path / JOURNAL_FILE).read_bytes() == line
+    cache.put(second, "two")
+    cache.compact()
+    assert os.listdir(tmp_path) == [ENTRIES_FILE]
+    assert (tmp_path / ENTRIES_FILE).read_bytes() == entry_line(second, "two") + line
+    assert ResponseCache(tmp_path).get(first) == "caf\u00e9 \"q\"\n"
 
 
 def cache_files(cache_dir):
     return [p for p in cache_dir.rglob("*") if p.is_file()]
 
 
-def test_cache_stress_without_a_lock(tmp_path):
+def test_cache_stress_without_a_lock(tmp_path, caplog):
     """16 threads put and get overlapping keys in lock-step rounds.
 
     Within a round a get sees the entry of this round or the previous one,
-    never a partial one; after each round every entry holds that round's value.
+    never a partial one. After each round every entry holds that round's
+    value, both in the cache and on disk as a fresh reader sees it; every
+    third round ends with a compaction.
     """
     cache = ResponseCache(tmp_path)
     keys = [f"{n:02x}" + "f" * 62 for n in range(8)]
@@ -276,8 +334,11 @@ def test_cache_stress_without_a_lock(tmp_path):
 
     def end_of_round():
         rnd = rounds["done"]
+        if rnd % 3 == 2:
+            cache.compact()
+        fresh = ResponseCache(tmp_path)
         for key in keys:
-            if cache.get(key) != value(key, rnd):
+            if cache.get(key) != value(key, rnd) or fresh.get(key) != value(key, rnd):
                 errors.append(f"round {rnd}: {key[:2]} does not hold its last value")
         leftovers = [p.name for p in cache_files(tmp_path) if p.name.endswith(".tmp")]
         if leftovers:
@@ -309,19 +370,129 @@ def test_cache_stress_without_a_lock(tmp_path):
     old_interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        run_threads(worker, 16)
+        with caplog.at_level(logging.WARNING, logger="nova.gateway"):
+            run_threads(worker, 16)
     finally:
         sys.setswitchinterval(old_interval)
     assert errors == []
+    assert "unreadable" not in caplog.text  # no line was ever torn
     assert rounds["done"] >= 2
+    cache.compact()
     files = cache_files(tmp_path)
-    assert sorted(p.name for p in files) == sorted(f"{key}.json" for key in keys)
-    assert {stat.S_IMODE(p.stat().st_mode) for p in files} == {0o600}
+    assert [p.name for p in files] == [ENTRIES_FILE]
+    assert stat.S_IMODE(files[0].stat().st_mode) == 0o600
+    last = rounds["done"] - 1
+    assert files[0].read_bytes() == b"".join(entry_line(k, value(k, last)) for k in keys)
+
+
+def test_a_line_after_a_torn_tail_is_read(tmp_path, caplog):
+    key, other = "a" * 64, "b" * 64
+    (tmp_path / JOURNAL_FILE).write_bytes(entry_line(other, "whole")[:-9])
+    cache = ResponseCache(tmp_path)
+    cache.put(key, "after")
+    with caplog.at_level(logging.WARNING, logger="nova.gateway"):
+        fresh = ResponseCache(tmp_path)
+        assert (fresh.get(key), fresh.get(other)) == ("after", None)
+    assert f"line 1 of response cache {tmp_path / JOURNAL_FILE}" in caplog.text
+
+
+def test_failed_compaction_leaves_the_entries_file_and_the_journal(tmp_path, monkeypatch):
+    cache = ResponseCache(tmp_path)
+    cache.put("a" * 64, "old")
+    cache.compact()
+    cache.put("b" * 64, "new")
+    before = file_bytes(tmp_path)
+    assert sorted(p.name for p in before) == [ENTRIES_FILE, JOURNAL_FILE]
+
+    def refuse(src, dst):
+        raise OSError("disk said no")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="disk said no"):
+        cache.compact()
+    monkeypatch.undo()
+    assert file_bytes(tmp_path) == before
+    cache.put("c" * 64, "later")  # the journal reopens after a failed compaction
+    cache.compact()
+    assert (tmp_path / ENTRIES_FILE).read_bytes() == b"".join(
+        entry_line(k * 64, t) for k, t in (("a", "old"), ("b", "new"), ("c", "later"))
+    )
+    assert os.listdir(tmp_path) == [ENTRIES_FILE]
+
+
+def test_two_gateways_with_interleaved_compactions_lose_no_entry(make_gateway, tmp_path):
+    """Two gateways put and compact in a random interleaving; a third reader
+    sees every reply either of them was given."""
+    rnd = random.Random(5)
+    gateways = [make_gateway(MockBackend(seed=1), cache_dir=tmp_path) for _ in range(2)]
+    given: dict[str, str] = {}
+    for n in range(120):
+        gateway = rnd.choice(gateways)
+        if rnd.random() < 0.2:
+            gateway.compact_cache()
+        else:
+            request = req(f"prompt {n}")
+            given[request.cache_key] = gateway.complete(request)
+    for gateway in gateways:
+        gateway.compact_cache()
+    reader = ResponseCache(tmp_path)
+    assert {key: reader.get(key) for key in given} == given
+    assert os.listdir(tmp_path) == [ENTRIES_FILE]
+
+
+def test_a_compaction_keeps_the_uncommitted_lines_of_another_cache(tmp_path):
+    """A cache that compacts folds in the journal lines another cache appended
+    after it loaded, so they survive that cache dying before its own commit."""
+    survivor, doomed = ResponseCache(tmp_path), ResponseCache(tmp_path)
+    assert survivor.get("a" * 64) is None  # loads the (empty) index
+    doomed.put("a" * 64, "from the cache that dies")
+    survivor.put("b" * 64, "from the survivor")
+    survivor.compact()
+    del doomed
+    reader = ResponseCache(tmp_path)
+    assert reader.get("a" * 64) == "from the cache that dies"
+    assert reader.get("b" * 64) == "from the survivor"
+
+
+def test_overlapping_compactions_cost_a_resend_never_a_wrong_reply(
+    make_gateway, tmp_path, monkeypatch
+):
+    """A compaction that renames its entries file over one written while it
+    merged drops the entries only the other had; a later gateway re-sends
+    those requests and gets the same replies."""
+    first, second = (make_gateway(MockBackend(seed=1), cache_dir=tmp_path) for _ in range(2))
+    given = {}
+    for n, gateway in enumerate((first, second, first)):
+        request = req(f"prompt {n}")
+        given[request.cache_key] = gateway.complete(request)
+    overlapping = req("put while the first gateway compacts")
+    write = gateway_mod.atomic_write
+
+    def write_after_the_other(path, data):
+        monkeypatch.setattr(gateway_mod, "atomic_write", write)
+        given[overlapping.cache_key] = second.complete(overlapping)
+        second.compact_cache()
+        write(path, data)
+
+    monkeypatch.setattr(gateway_mod, "atomic_write", write_after_the_other)
+    first.compact_cache()
+    reader = ResponseCache(tmp_path)
+    assert reader.get(overlapping.cache_key) is None  # lost: the cost is one re-send
+    assert all(reader.get(key) in (None, text) for key, text in given.items())
+
+    third = make_gateway(MockBackend(seed=1), cache_dir=tmp_path)
+    assert third.complete(overlapping) == given[overlapping.cache_key]
+    assert third.stats.snapshot()["live_calls"] == 1
 
 
 def cache_writer(root: Path):
-    cache, key = ResponseCache(root), "cd" + "1" * 62
-    return (lambda text: entry_path(root, key)), (lambda text: cache.put(key, text))
+    cache = ResponseCache(root)
+
+    def write(text: str) -> None:
+        cache.put("cd" + "1" * 62, text)
+        cache.compact()
+
+    return (lambda text: root / ENTRIES_FILE), write
 
 
 def artifact_writer(root: Path):
@@ -345,7 +516,8 @@ def state_writer(root: Path):
 
 
 # Every file the run directory and the response cache replace goes through
-# `atomic_write`; each case writes through one of its callers.
+# `atomic_write`; each case writes through one of its callers (for the cache,
+# a put and a compaction).
 WRITERS = {"cache": cache_writer, "artifact": artifact_writer, "state": state_writer}
 
 
@@ -367,7 +539,11 @@ def test_failed_rename_leaves_no_temp_file_and_the_old_entry(tmp_path, monkeypat
     with pytest.raises(OSError, match="disk said no"):
         write("new")
     monkeypatch.undo()
-    assert file_bytes(tmp_path) == before
+    after = file_bytes(tmp_path)
+    # The cache keeps the new reply in its journal until a compaction succeeds
+    # (`test_failed_compaction_leaves_the_entries_file_and_the_journal`).
+    after.pop(tmp_path / JOURNAL_FILE, None)
+    assert after == before
 
 
 @pytest.mark.parametrize("make_writer", WRITERS.values(), ids=WRITERS)
@@ -586,8 +762,8 @@ def test_ask_sends_the_rendered_template_plus_suffix(make_gateway, tmp_path):
     assert backend.prompts == [request.prompt]
     # Pinned: caches written before `ask` existed keep replaying.
     assert request.cache_key == "abd95c9e2cda82b2c633a8ae528657717fd6eb1b885a8c29e1e32a17f1fc5fee"
-    entry = entry_path(tmp_path / "cache", request.cache_key)
-    assert entry.read_bytes() == json.dumps({"text": reply}).encode()
+    journal = tmp_path / "cache" / JOURNAL_FILE
+    assert journal.read_bytes() == entry_line(request.cache_key, reply)
     assert gateway.ask(LIBRARY, "pairwise_rank", PAIR, "judge-model", suffix) == {"winner": "B"}
     assert gateway.stats.snapshot() == {"requests": 2, "cache_hits": 1, "live_calls": 1}
 

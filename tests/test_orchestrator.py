@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import builtins
 import dataclasses
+import io
 import json
 import logging
+import os
 import stat
 from pathlib import Path
 
@@ -580,3 +583,74 @@ def test_proposal_sections_in_any_reply_order_are_stored_canonically(
         proposals = runner.store.get(digest, ProposalSet)
         assert tuple(proposals.initial.sections) == INITIAL_SECTIONS
         assert tuple(proposals.final.sections) == FINAL_SECTIONS
+
+
+def cache_listing(cache_dir: Path) -> dict[str, tuple[int, int, bytes]]:
+    return {
+        p.name: (p.stat().st_ino, p.stat().st_mtime_ns, p.read_bytes())
+        for p in sorted(cache_dir.iterdir())
+    }
+
+
+def test_runner_over_a_filled_shared_cache_touches_no_cache_file(
+    run_env, paper_input_file, tmp_path, monkeypatch
+):
+    """Building a `Runner` opens, stats and lists nothing under the cache
+    directory, and a replay that hits every request writes nothing there."""
+    shared_cache = tmp_path / "shared_cache"
+    run_env("fill", cache_dir=shared_cache).run(paper_input=str(paper_input_file))
+    before = cache_listing(shared_cache)
+    assert list(before) == ["entries.jsonl"]
+
+    touched: list[str] = []
+
+    def spy(module, name):
+        original = getattr(module, name)
+
+        def call(path, *args, **kwargs):
+            if isinstance(path, (str, Path)) and str(path).startswith(str(shared_cache)):
+                touched.append(f"{name}({path})")
+            return original(path, *args, **kwargs)
+
+        monkeypatch.setattr(module, name, call)
+
+    for module, name in [(os, "open"), (builtins, "open"), (io, "open"), (os, "stat"),
+                         (os, "lstat"), (os, "listdir"), (os, "scandir"), (os, "mkdir")]:
+        spy(module, name)
+    runner = run_env("replay", cache_dir=shared_cache)
+    monkeypatch.undo()
+    assert touched == []
+    assert cache_listing(shared_cache) == before
+
+    runner.run(paper_input=str(paper_input_file))
+    stats = runner.gateway.stats.snapshot()
+    assert stats["live_calls"] == 0 and stats["cache_hits"] == stats["requests"]
+    assert cache_listing(shared_cache) == before
+
+
+def test_a_crash_before_the_commit_leaves_the_journal_for_the_resume(
+    run_env, paper_input_file, tmp_path, monkeypatch
+):
+    """Replies cached after the last commit stay in the journal, so the resume
+    sends none of them again, and its commit folds them into the entries file."""
+    run_env("clean").run(paper_input=str(paper_input_file))
+    runner = run_env("crash")
+    runner.advance_to("seeded", paper_input=str(paper_input_file))
+
+    def crash(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(Runner, "_commit", crash)
+    with pytest.raises(KeyboardInterrupt):
+        runner.advance_to("iterated")
+    monkeypatch.undo()
+    cache = runner.out_dir / "cache"
+    assert sorted(os.listdir(cache)) == ["entries.jsonl", "journal.jsonl"]
+    assert runner.gateway.stats.snapshot()["live_calls"] > 0
+
+    resumed = run_env("crash")
+    resumed.advance_to("iterated")
+    assert resumed.gateway.stats.snapshot()["live_calls"] == 0
+    assert os.listdir(cache) == ["entries.jsonl"]
+    resumed.run()
+    assert tree_bytes(runner.out_dir) == tree_bytes(tmp_path / "clean")

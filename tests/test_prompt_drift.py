@@ -37,7 +37,10 @@ def _digest(root: Path) -> str:
 def snapshot(run_dir: Path) -> dict:
     """Sorted response-cache keys and one digest per top-level entry of the run."""
     return {
-        "cache_keys": sorted(p.stem for p in (run_dir / "cache").rglob("*.json")),
+        "cache_keys": sorted(
+            json.loads(line)["key"]
+            for line in (run_dir / "cache" / "entries.jsonl").read_bytes().splitlines()
+        ),
         "tree": {p.name: _digest(p) for p in sorted(run_dir.iterdir())},
     }
 
