@@ -16,13 +16,19 @@ the required shape, and the caller takes its documented fallback. Every other
 reply) is an availability failure that no caller catches, so the stage fails
 and `Runner.advance_to` aborts the run at its last checkpoint.
 
-Concurrency has one setting, ``GatewayOptions.parallelism``, and one place
-that starts threads, :meth:`Gateway.fan_out`, which every LLM-bound stage maps
-its per-item work through. It runs items on the calling thread until one of
-them makes a live backend call and only then hands the rest to a pool, so
-cached and offline work never pays for threads. Concurrent requests for one
-cache key make a single live call; the others wait for it and count as cache
-hits, exactly as if they had been issued one after another.
+Concurrency has one setting, ``GatewayOptions.parallelism``, which caps live
+sends run-wide, and two entry points: :meth:`Gateway.fan_out`, which every
+LLM-bound stage maps its per-item work through, and
+:meth:`Gateway.concurrently`, which runs a few independent thunks together
+(the evaluate stage's novelty count and Swiss tournament). Both follow one
+launch rule, held in `Gateway._launching`, the only code that starts threads:
+work runs on the calling thread, in order, until that thread gets its first
+successful live reply; the items or thunks not yet begun then start on new
+threads while the calling thread finishes the one it is in. So cached and
+offline work never pays for threads, and a dead backend starts none.
+Concurrent requests for one cache key make a single live call; the others
+wait for it and count as cache hits, exactly as if they had been issued one
+after another.
 
 Artifacts, ``state.json``, the proposal Markdown, the report files and the
 response cache's entries file are written by :func:`atomic_write`: a
@@ -46,6 +52,7 @@ status rule: a transport error (`OSError`) or HTTP 429/500/502/503/504 raises
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -347,10 +354,13 @@ class GatewayStats:
 
 
 class _ThreadState(threading.local):
-    """Per-thread facts `Gateway.fan_out` decides on; class attributes are the defaults."""
+    """Per-thread facts the launch rule decides on."""
 
-    live_sends = 0  # live backend calls this thread has started
-    in_worker = False  # this thread is a fan_out pool worker
+    def __init__(self):
+        self.in_worker = False  # this thread is a fan_out pool worker
+        # Launches of the `_launching` calls running on this thread, waiting
+        # for its first successful live reply; `_send` fires them.
+        self.launches: list[Callable[[], None]] = []
 
 
 class Gateway:
@@ -382,31 +392,72 @@ class Gateway:
     def fan_out(self, items: Iterable[T], fn: Callable[[T], R]) -> list[R]:
         """`[fn(item) for item in items]`, run concurrently once calls go live.
 
-        Items run on the calling thread, in order, until one of them makes a
-        live backend call; the remaining items then go to a pool of at most
-        `parallelism` threads. Results are joined in input order, and an
-        exception from `fn` propagates from the first failing item in that
-        order. A fan_out called from a pool worker runs inline, so pools never
-        nest. `fn` should return only what the caller's join needs: results
-        are held until every item is done.
+        The launch rule (`_launching`) starts the items not yet begun on a
+        pool of at most `parallelism` threads. Results are joined in input
+        order, and an exception from `fn` propagates from the first failing
+        item in that order, after the running items finish; items not yet
+        begun are dropped. A fan_out called from a pool worker runs inline, so
+        pools never nest. `fn` should return only what the caller's join needs:
+        results are held until every item is done.
         """
-        items = list(items)
+        thunks = [functools.partial(fn, item) for item in items]
+        if self._thread.in_worker or self._options.parallelism <= 1:
+            return [thunk() for thunk in thunks]
+        return self._launching(thunks, self._options.parallelism, self._enter_worker)
+
+    def concurrently(self, *thunks: Callable[[], R]) -> list[R]:
+        """`[thunk() for thunk in thunks]`, the thunks run together once calls go live.
+
+        The launch rule (`_launching`) starts the thunks not yet begun on as
+        many threads. Those threads are not fan_out pool workers, so a fan_out
+        inside a thunk still uses a pool. Results come back in
+        argument order. The call waits for every thunk it started and then
+        re-raises the first failure in argument order: a structured-concurrency
+        scope, like a Trio nursery or `asyncio.TaskGroup`.
+        """
+        return self._launching(list(thunks), len(thunks))
+
+    def _launching(
+        self,
+        thunks: list[Callable[[], R]],
+        max_threads: int,
+        initializer: Callable[[], None] | None = None,
+    ) -> list[R]:
+        """Run `thunks` under the launch rule; results in order.
+
+        Thunks run on the calling thread, in order, until that thread gets its
+        first successful live reply (`_send` fires the launch). The thunks not
+        yet begun then go to a pool of at most `max_threads` threads, while the
+        calling thread finishes the thunk it is in. The first failure in
+        thunk order is raised once the running thunks have finished; pool
+        thunks not yet begun are cancelled.
+        """
         results: list[R] = []
-        workers = 1 if self._thread.in_worker else max(1, self._options.parallelism)
-        for pos, item in enumerate(items):
-            live_before = self._thread.live_sends
-            results.append(fn(item))
-            remaining = len(items) - pos - 1
-            if remaining and workers > 1 and self._thread.live_sends > live_before:
+        futures: list = []
+        pool: ThreadPoolExecutor | None = None
+
+        def launch() -> None:
+            nonlocal pool
+            rest = thunks[len(results) + 1 :]
+            if rest:
                 pool = ThreadPoolExecutor(
-                    max_workers=min(workers, remaining), initializer=self._enter_worker
+                    max_workers=min(max_threads, len(rest)), initializer=initializer
                 )
-                try:
-                    results.extend(pool.map(fn, items[pos + 1 :]))
-                finally:
-                    pool.shutdown(cancel_futures=True)
-                break
-        return results
+                futures.extend(pool.submit(thunk) for thunk in rest)
+
+        launches = self._thread.launches
+        launches.append(launch)
+        try:
+            for thunk in thunks:
+                results.append(thunk())
+                if pool is not None:
+                    break
+            return results + [future.result() for future in futures]
+        finally:
+            if launch in launches:
+                launches.remove(launch)
+            if pool is not None:
+                pool.shutdown(cancel_futures=True)
 
     def _enter_worker(self) -> None:
         self._thread.in_worker = True
@@ -442,8 +493,7 @@ class Gateway:
             flight.set()
 
     def _send(self, request: ChatRequest, key: str) -> str:
-        """Live call with retries; caches the reply."""
-        self._thread.live_sends += 1
+        """Live call with retries; caches the reply, then fires this thread's launches."""
         last_error: Exception | None = None
         for attempt in range(1, self._options.retry_budget + 1):
             try:
@@ -452,12 +502,11 @@ class Gateway:
                     text = self._backend.send(
                         request.model_id, request.prompt, request.temperature, request.max_tokens
                     )
-                self._cache.put(key, text)
-                return text
+                break
             except TransientBackendError as exc:
                 last_error = exc
                 if attempt == self._options.retry_budget:
-                    break
+                    continue  # no backoff after the last attempt
                 delay = min(
                     self._options.backoff_cap,
                     self._options.backoff_base * (2 ** (attempt - 1)),
@@ -472,9 +521,15 @@ class Gateway:
                 )
                 if delay > 0:
                     self._sleep(delay)
-        raise BackendUnavailableError(
-            f"backend failed after {self._options.retry_budget} attempts: {last_error}"
-        )
+        else:
+            raise BackendUnavailableError(
+                f"backend failed after {self._options.retry_budget} attempts: {last_error}"
+            )
+        self._cache.put(key, text)
+        launches = self._thread.launches
+        while launches:
+            launches.pop(0)()
+        return text
 
     def ask(
         self,

@@ -35,10 +35,13 @@ run reproduces the artifact tree of an uninterrupted one byte for byte.
 
 The LLM-bound stages (iterate, propose, evaluate) map their per-item work
 through `Gateway.fan_out`, bounded by `GatewayOptions.parallelism`; work runs
-inline until a call goes live. The evaluate stage dedups each generation's
-pool once and judges the novelty of every retained idea through one fan-out
-(`tournament.unique_novel_counts`); without a corpus each count is the pool's
-dedup count. Results are written at the join, in input order, so the artifact
+inline until a call goes live. The evaluate stage runs two branches that share
+no data through `Gateway.concurrently`: the novelty branch dedups each
+generation's pool once and judges the novelty of every retained idea through
+one fan-out (`tournament.unique_novel_counts`; without a corpus each count is
+the pool's dedup count), and the Swiss branch plays the tournament round by
+round. So the judge calls fill the send slots the tournament's round barriers
+leave idle. Results are written at the join, in input order, so the artifact
 tree does not depend on scheduling or parallelism.
 
 A `Runner` keeps each idea pool it writes or reads, keyed by artifact digest,
@@ -492,14 +495,37 @@ class Runner:
     def _stage_evaluate(self) -> None:
         proposals = self.state.proposals
         finals = [self.store.get(proposals[i], ProposalSet).final for i in sorted(proposals)]
-        tournament_ref = None
-        histogram: dict[str, int] = {}
-        if len(finals) >= 2:
+        pools = {g: self._load_pool(int(g)) for g in sorted(self.state.pools, key=int)}
+
+        def novelty():
+            retained = {
+                g: tournament.retained_ideas(pool, self.config.dup_sim_threshold)
+                for g, pool in pools.items()
+            }
+            counts = tournament.unique_novel_counts(
+                retained, self.corpus, self.config, self.gateway, self.library, RANKER_MODEL_ID
+            )
+            return retained, counts
+
+        def swiss():
+            if len(finals) < 2:
+                logger.warning("fewer than 2 final proposals; skipping tournament")
+                return None
             ranker = tournament.make_llm_ranker(self.gateway, self.library, RANKER_MODEL_ID)
-            result = tournament.swiss_tournament(
+            return tournament.swiss_tournament(
                 finals, self.config.tournament_rounds, ranker, self.config.rng_seed,
                 fan_out=self.gateway.fan_out,
             )
+
+        # Novelty goes first, so its prefilter (`OfflineCorpus.max_similarity`,
+        # a BLAS product) runs on this thread: OpenBLAS allocates a buffer for
+        # each new thread that calls it, which on a 2,000-doc corpus raised
+        # the run's peak RSS by a quarter when the prefilter ran on a second
+        # thread.
+        (retained, unique_novel), result = self.gateway.concurrently(novelty, swiss)
+        tournament_ref = None
+        histogram: dict[str, int] = {}
+        if result is not None:
             tournament_ref = self.store.put(result)
             histogram = {
                 str(score): count
@@ -507,17 +533,6 @@ class Runner:
                     result, self.config.tournament_rounds
                 ).items()
             }
-        else:
-            logger.warning("fewer than 2 final proposals; skipping tournament")
-
-        pools = {g: self._load_pool(int(g)) for g in sorted(self.state.pools, key=int)}
-        retained = {
-            g: tournament.retained_ideas(pool, self.config.dup_sim_threshold)
-            for g, pool in pools.items()
-        }
-        unique_novel = tournament.unique_novel_counts(
-            retained, self.corpus, self.config, self.gateway, self.library, RANKER_MODEL_ID
-        )
         final = str(self.config.iterations_T)
         metrics = RunMetrics(
             unique_novel_per_generation=unique_novel,

@@ -176,7 +176,7 @@ class PlannerLoop:
             return ideas
         vectors = self._embedder.embed([i.idea for i in missing])
         replacements = {
-            i.id: tuple(float(v) for v in vec) for i, vec in zip(missing, vectors)
+            i.id: tuple(vec.tolist()) for i, vec in zip(missing, vectors)
         }
         return [
             i if i.embedding is not None else replace(i, embedding=replacements[i.id])

@@ -12,6 +12,7 @@ import re
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+from types import MappingProxyType
 
 _PACKAGE = "nova.templates"
 
@@ -97,13 +98,27 @@ class PromptLibrary:
 
     Reads the shipped set, or with `template_dir` a whole set (manifest,
     template files, defaults and theory catalog) from that one directory.
+    The shipped set does not change while a process runs, so it is read and
+    checked once per process; every library without a `template_dir` shares
+    that one parsed set. A `template_dir` library reads its directory anew.
     """
 
+    # (templates, theories, defaults) of the shipped set, once it was read.
+    _shipped: tuple | None = None
+
     def __init__(self, template_dir: str | Path | None = None):
+        if template_dir is None and PromptLibrary._shipped is not None:
+            self._templates, self._theories, self._defaults = PromptLibrary._shipped
+            return
         self._dir = resources.files(_PACKAGE) if template_dir is None else Path(template_dir)
-        self._templates = self._load_registry()
-        self._theories = self._load_theories()
-        self._defaults = json.loads(self._read("default_bindings.json"))
+        loaded = (
+            MappingProxyType(self._load_registry()),
+            self._load_theories(),
+            MappingProxyType(json.loads(self._read("default_bindings.json"))),
+        )
+        if template_dir is None:
+            PromptLibrary._shipped = loaded
+        self._templates, self._theories, self._defaults = loaded
 
     def _read(self, filename: str) -> str:
         return (self._dir / filename).read_text(encoding="utf-8")

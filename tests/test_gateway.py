@@ -43,11 +43,19 @@ from nova.literature import (
 from nova.mockllm import MockBackend, prompt_digest
 from nova.orchestrator import ArtifactStore, Runner, RunnerOptions, RunState, _dump_bytes
 from nova.prompts import PromptLibrary
-from tests.conftest import FlakyBackend, RuleBackend
+from tests.conftest import FAST_GATEWAY, FlakyBackend, RuleBackend
 
 
 def req(prompt: str, model="m") -> ChatRequest:
     return ChatRequest(model_id=model, prompt=prompt)
+
+
+@pytest.fixture(autouse=True)
+def no_thread_outlives_its_test():
+    """Every thread a test starts, through the gateway or itself, is joined by its end."""
+    before = threading.active_count()
+    yield
+    assert threading.active_count() == before
 
 
 # ---------------------------------------------------------------------------
@@ -661,6 +669,191 @@ def test_fan_out_raises_the_first_failure_in_input_order(make_gateway):
 
     with pytest.raises(ValueError, match="item 3"):
         gateway.fan_out(range(8), fn)
+
+
+def test_fan_out_drops_the_items_not_begun_after_a_failure(make_gateway):
+    gateway = make_gateway(SlowBackend(delay=0.01),
+                           options=GatewayOptions(parallelism=2, backoff_base=0.0))
+    begun: list[int] = []
+
+    def fn(n: int) -> int:
+        begun.append(n)
+        gateway.complete(req(f"p{n}"))
+        if n == 1:
+            raise ValueError("item 1")
+        time.sleep(0.05 if n else 0.0)
+        return n
+
+    with pytest.raises(ValueError, match="item 1"):
+        gateway.fan_out(range(20), fn)
+    assert len(begun) < 10
+
+
+class OrderBackend:
+    """Sleeps `delay` per send and logs ("start" | "end", prompt) in order."""
+
+    def __init__(self, delay: float):
+        self.delay = delay
+        self.log: list[tuple[str, str]] = []
+        self._lock = threading.Lock()
+
+    def send(self, model_id, prompt, temperature, max_tokens):
+        with self._lock:
+            self.log.append(("start", prompt))
+        time.sleep(self.delay)
+        with self._lock:
+            self.log.append(("end", prompt))
+        return f"reply to {prompt}"
+
+
+def test_fan_out_starts_the_rest_at_the_first_reply_not_the_first_item(make_gateway):
+    """The pool starts while item 0 is still between its live calls."""
+    backend = OrderBackend(delay=0.1)
+    gateway = make_gateway(backend, options=GatewayOptions(parallelism=4, backoff_base=0.0))
+
+    def fn(n: int) -> list[str]:
+        calls = ("a", "b", "c") if n == 0 else ("a",)
+        return [gateway.complete(req(f"p{n}.{c}")) for c in calls]
+
+    results = gateway.fan_out(range(4), fn)
+    assert results[0] == ["reply to p0.a", "reply to p0.b", "reply to p0.c"]
+    assert results[1:] == [[f"reply to p{n}.a"] for n in range(1, 4)]
+    assert backend.log.index(("start", "p1.a")) < backend.log.index(("end", "p0.b"))
+
+
+# ---------------------------------------------------------------------------
+# concurrently()
+# ---------------------------------------------------------------------------
+
+
+def live(gateway: Gateway, prompt: str, then=lambda: None):
+    """A thunk: one live call, then `then()`."""
+
+    def thunk():
+        gateway.complete(req(prompt))
+        return then()
+
+    return thunk
+
+
+def test_concurrently_returns_results_in_argument_order(make_gateway):
+    gateway = make_gateway(SlowBackend(delay=0.01))
+    finished: list[int] = []
+
+    def after(n: int, pause: float):
+        def then():
+            time.sleep(pause)
+            finished.append(n)
+            return n
+
+        return then
+
+    thunks = [live(gateway, f"p{n}", after(n, pause))
+              for n, pause in enumerate((0.3, 0.15, 0.0))]
+    assert gateway.concurrently(*thunks) == [0, 1, 2]
+    assert finished == [2, 1, 0]  # they ran together and ended in reverse
+
+
+@pytest.mark.parametrize("failing", [(0, 1), (1, 2)], ids=["caller_thunk", "thread_thunk"])
+def test_concurrently_raises_the_first_failure_after_every_started_thunk(make_gateway, failing):
+    gateway = make_gateway(SlowBackend(delay=0.01))
+    pauses = (0.10, 0.05, 0.0)  # the last thunk fails first, the first one last
+    finished: list[int] = []
+
+    def after(n: int):
+        def then():
+            time.sleep(pauses[n])
+            finished.append(n)
+            if n in failing:
+                raise ValueError(f"thunk {n}")
+            return n
+
+        return then
+
+    with pytest.raises(ValueError, match=f"thunk {failing[0]}"):
+        gateway.concurrently(*(live(gateway, f"p{n}", after(n)) for n in range(3)))
+    assert sorted(finished) == [0, 1, 2]
+
+
+@pytest.mark.parametrize("fails", [False, True], ids=["success", "failure"])
+def test_concurrently_joins_every_thread_it_starts(make_gateway, fails):
+    gateway = make_gateway(SlowBackend(delay=0.01))
+    before = threading.active_count()
+    during: list[int] = []
+
+    def count_then_maybe_fail():
+        time.sleep(0.05)  # the sibling's thread is up by now
+        during.append(threading.active_count())
+        if fails:
+            raise ValueError("boom")
+
+    thunks = (live(gateway, "a", count_then_maybe_fail), live(gateway, "b"))
+    if fails:
+        with pytest.raises(ValueError, match="boom"):
+            gateway.concurrently(*thunks)
+    else:
+        gateway.concurrently(*thunks)
+    assert during[0] > before
+    assert threading.active_count() == before
+
+
+def test_concurrently_over_cached_thunks_starts_no_thread(make_gateway):
+    backend = SlowBackend(delay=0.0)
+    gateway = make_gateway(backend)
+    for n in range(3):
+        gateway.complete(req(f"p{n}"))
+    threads: list[int] = []
+
+    def thunk(n: int):
+        def run():
+            threads.append(threading.get_ident())
+            return gateway.complete(req(f"p{n}"))
+
+        return run
+
+    assert gateway.concurrently(*(thunk(n) for n in range(3))) == [
+        f"reply to p{n}" for n in range(3)
+    ]
+    assert threads == [threading.get_ident()] * 3
+    assert len(backend.sends) == 3  # only the cache fills
+
+
+def test_concurrently_launches_on_a_reply_not_an_attempt(make_gateway):
+    """A dead backend starts nothing: the first thunk spends its retry budget
+    inline and its failure ends the call before the others begin."""
+    backend = SlowBackend(delay=0.0, fail=True)
+    gateway = make_gateway(backend)
+    started: list[int] = []
+
+    def thunk(n: int):
+        def run():
+            started.append(n)
+            return gateway.complete(req(f"p{n}"))
+
+        return run
+
+    with pytest.raises(BackendUnavailableError):
+        gateway.concurrently(thunk(0), thunk(1))
+    assert started == [0]
+    assert len(backend.sends) == FAST_GATEWAY.retry_budget
+
+
+def test_fan_out_inside_a_concurrently_thunk_uses_a_pool(make_gateway):
+    gateway = make_gateway(SlowBackend(delay=0.02),
+                           options=GatewayOptions(parallelism=4, backoff_base=0.0))
+
+    def sibling():
+        here = threading.get_ident()
+        threads = gateway.fan_out(
+            range(4),
+            lambda m: (gateway.complete(req(f"inner {m}")), threading.get_ident())[1],
+        )
+        return here, threads
+
+    _, (here, threads) = gateway.concurrently(live(gateway, "outer"), sibling)
+    assert here != threading.get_ident()  # the sibling ran on a thread of its own
+    assert threads[0] == here
+    assert here not in threads[1:]  # the rest of its items went to a pool
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import json
 import logging
 import os
 import stat
+import threading
 from pathlib import Path
 
 import pytest
@@ -470,6 +471,38 @@ def test_availability_failure_aborts_then_resume_matches_clean_run(
     assert state["stage_cursor"] == "proposed"
 
     assert run_env("outage").run().stage_cursor == "done"
+    assert tree_bytes(tmp_path / "outage") == reference
+
+
+def test_a_tournament_abort_keeps_the_novelty_replies_for_the_resume(
+    run_env, tmp_path, corpus_dir, paper_input_file, small_config
+):
+    """The novelty branch runs to its end beside the failing Swiss branch, and
+    its replies stay in the journal, so the resume sends no judge prompt."""
+    run_env("clean").run(paper_input=str(paper_input_file))
+    reference = tree_bytes(tmp_path / "clean")
+    run_env("outage").advance_to("proposed", paper_input=str(paper_input_file))
+    backend = FailingBackend(GatewayError("HTTP 400: bad request"), PAIR_SIG,
+                             small_config.rng_seed)
+    backend.inner = RuleBackend(fallback=MockBackend(seed=small_config.rng_seed))
+    failing = BackendRunner(
+        tmp_path / "outage", small_config, options_for(corpus_dir, gateway=FAST_GATEWAY), backend
+    )
+    threads = threading.active_count()
+    with pytest.raises(PipelineAborted) as aborted:
+        failing.run()
+    assert aborted.value.stage == "proposed"
+    assert threading.active_count() == threads
+    assert backend.failures == 1
+    assert any(JUDGE_SIG in prompt for prompt in backend.inner.prompts)
+    assert (tmp_path / "outage" / "cache" / "journal.jsonl").is_file()
+
+    resumed_backend = RuleBackend(fallback=MockBackend(seed=small_config.rng_seed))
+    resumed = BackendRunner(tmp_path / "outage", small_config, options_for(corpus_dir),
+                            resumed_backend)
+    assert resumed.run().stage_cursor == "done"
+    assert not any(JUDGE_SIG in prompt for prompt in resumed_backend.prompts)
+    assert any(PAIR_SIG in prompt for prompt in resumed_backend.prompts)
     assert tree_bytes(tmp_path / "outage") == reference
 
 

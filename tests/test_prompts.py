@@ -146,6 +146,22 @@ def test_user_template_dir_overlays(template_copy):
     assert library.get("initial_proposal").body == LIBRARY.get("initial_proposal").body
 
 
+def test_the_shipped_set_is_read_once_per_process(monkeypatch, template_copy):
+    """A second default library reads no file; a `template_dir` library reads its own."""
+    reads: list[str] = []
+    read = PromptLibrary._read
+    monkeypatch.setattr(PromptLibrary, "_read",
+                        lambda self, filename: reads.append(filename) or read(self, filename))
+    library = PromptLibrary()
+    assert reads == []
+    assert library.render("search_plan", bindings_for("search_plan")) == LIBRARY.render(
+        "search_plan", bindings_for("search_plan"))
+    library.default_bindings()["plan_json_format"] = "changed"  # a copy, not the shared set
+    assert PromptLibrary().default_bindings() == LIBRARY.default_bindings()
+    PromptLibrary(template_dir=template_copy)
+    assert "manifest.json" in reads and "search_plan.txt" in reads
+
+
 def test_user_template_dir_is_the_whole_set(tmp_path):
     """No file falls back to the shipped set: a directory missing one fails to load."""
     with pytest.raises(FileNotFoundError, match="manifest.json"):
