@@ -10,12 +10,16 @@ Subcommands map 1:1 to pipeline stages so partial pipelines are scriptable:
 
 Only `run` and `seed` take the config flags (`--config`, `--seed`, `--set`):
 a run's config is fixed when it starts, and `iterate`, `select`, `propose`
-and `evaluate` resume with the config stored in its `state.json`.
+and `evaluate` resume with the config stored in its `state.json`. A `run` or
+`seed` on a directory that holds a run resumes it too: every field its flags
+set (`--seed` sets `rng_seed`) must equal the stored one, or the command exits
+2, naming each field that differs, and leaves the run as it was.
 
 Exit codes: 0 success, 1 usage error (a malformed `--config` file included),
-2 pipeline abort, failed validation, or a malformed paper, corpus doc or mock
-script. Errors go to stderr with the machine-parsable prefix "nova-error:",
-naming the file an input error comes from.
+2 pipeline abort, failed validation, a config that differs from the run's
+stored one, or a malformed paper, corpus doc or mock script. Errors go to
+stderr with the machine-parsable prefix "nova-error:", naming the file an input
+error comes from.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from .orchestrator import (
     Runner,
     RunnerOptions,
     load_paper_input,
+    load_state,
     metrics_report,
 )
 
@@ -110,7 +115,8 @@ def _parse_override(item: str) -> tuple[str, object]:
         raise UsageError(f"--set {key}: cannot parse {raw!r} as {caster.__name__}") from None
 
 
-def load_config(args) -> PipelineConfig:
+def load_config(args) -> tuple[PipelineConfig, set[str]]:
+    """The run config the flags ask for, and the fields they set explicitly."""
     data: dict = {}
     if getattr(args, "config", None):
         path = Path(args.config)
@@ -135,7 +141,18 @@ def load_config(args) -> PipelineConfig:
     problems = config.validate()
     if problems:
         raise UsageError("invalid config: " + "; ".join(problems))
-    return config
+    return config, set(data)
+
+
+def check_resumed_config(out: Path, config: PipelineConfig, asked: set[str]) -> None:
+    """Refuse fields in `asked` whose value in `config` differs from the run's in `out`."""
+    state = load_state(out)
+    stored = config if state is None else state.config
+    differ = [f"{key} is {getattr(stored, key)!r}, asked {getattr(config, key)!r}"
+              for key in sorted(asked) if getattr(config, key) != getattr(stored, key)]
+    if differ:
+        raise OrchestratorError(f"run directory {out} holds a run with another config "
+                                f"(a run's config is fixed when it starts): {'; '.join(differ)}")
 
 
 def build_options(args) -> RunnerOptions:
@@ -153,11 +170,13 @@ def build_options(args) -> RunnerOptions:
 
 
 def _run_command(args, target_stage: str) -> int:
-    config = load_config(args)
+    config, asked = load_config(args)
     options = build_options(args)
     paper_input = getattr(args, "paper", None)
     if paper_input is not None and not Path(paper_input).is_file():
         raise UsageError(f"paper file {paper_input} does not exist")
+    if asked:
+        check_resumed_config(Path(args.out), config, asked)
     runner = Runner(args.out, config, options)
     try:
         state = runner.advance_to(target_stage, paper_input=paper_input)

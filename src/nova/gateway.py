@@ -6,10 +6,13 @@ structured-output extraction with bounded syntactic repair and at most
 `REPROMPT_BUDGET` re-prompts. Backends are pluggable; the deterministic mock
 lives in :mod:`nova.mockllm`.
 
-Every pipeline call goes through :meth:`Gateway.ask`, which renders a
-template, appends an optional suffix (a seeding refill note), and checks the
-reply against the output schema the template's manifest entry names; no other
-module builds a `ChatRequest` or names a schema. Failures follow one rule.
+A `Gateway` holds the run's prompt set, one :class:`nova.prompts.PromptLibrary`,
+and every pipeline call goes through :meth:`Gateway.ask` by template name. It
+renders the template, appends an optional suffix (a seeding refill note), sends
+it to the model the template's manifest entry names, and checks the reply
+against the output schema the entry names; no other module holds the prompt
+set, builds a `ChatRequest`, names a model or names a schema. Failures follow
+one rule.
 `ExtractionFailedError` is a content failure: the model answered, but not in
 the required shape, and the caller takes its documented fallback. Every other
 `GatewayError` (a dead or refusing backend, a missing key, a malformed HTTP
@@ -370,8 +373,10 @@ class Gateway:
         cache_dir: str | Path,
         options: GatewayOptions = GatewayOptions(),
         sleep: Callable[[float], None] = time.sleep,
+        library: PromptLibrary | None = None,
     ):
         self._backend = backend
+        self._library = PromptLibrary() if library is None else library
         self._cache = ResponseCache(cache_dir)
         self._options = options
         self._sleep = sleep
@@ -531,26 +536,20 @@ class Gateway:
             launches.pop(0)()
         return text
 
-    def ask(
-        self,
-        library: PromptLibrary,
-        template: str,
-        bindings: dict[str, str],
-        model_id: str,
-        suffix: str = "",
-    ):
+    def ask(self, template: str, bindings: dict[str, str], suffix: str = ""):
         """Send the rendered `template` plus `suffix`; return the checked reply.
 
-        With an output schema in the template's manifest entry the parsed JSON
-        value is returned (`complete_json`, which may raise
-        `ExtractionFailedError`); without one, the reply text.
+        The request names the model of the template's manifest entry. With an
+        output schema in that entry the parsed JSON value is returned
+        (`complete_json`, which may raise `ExtractionFailedError`); without one,
+        the reply text.
         """
-        prompt = library.render(template, bindings) + suffix
-        request = ChatRequest(model_id=model_id, prompt=prompt)
-        schema_name = library.get(template).schema_name
-        if schema_name is None:
+        entry = self._library.get(template)
+        prompt = self._library.render(template, bindings) + suffix
+        request = ChatRequest(model_id=entry.model, prompt=prompt)
+        if entry.schema_name is None:
             return self.complete(request)
-        return self.complete_json(request, schema_name)
+        return self.complete_json(request, entry.schema_name)
 
     def complete_json(self, request: ChatRequest, schema_name: str):
         """complete() plus extraction; re-prompts on invalid JSON up to budget.

@@ -20,7 +20,6 @@ import numpy as np
 
 from .domain import RetrievedDoc, SeedPaper
 from .gateway import Gateway, post_json
-from .prompts import PromptLibrary
 
 SEARCH_API_KEY_ENV = "NOVA_SEARCH_API_KEY"
 EMBED_API_KEY_ENV = "NOVA_EMBED_API_KEY"
@@ -73,6 +72,8 @@ class SearchQuery:
 
 
 class Embedder(Protocol):
+    dim: int  # the width of every vector `embed` returns
+
     def embed(self, texts: list[str]) -> list[np.ndarray]: ...
 
 
@@ -106,11 +107,13 @@ class HttpEmbedder:
     """Embeddings client over `gateway.post_json`: POST {model, input} -> {data: [...]}.
 
     The key comes from NOVA_EMBED_API_KEY, empty if unset. A reply without one
-    ``{"embedding": [...]}`` row per text raises `LiteratureError`.
+    ``{"embedding": [...]}`` row of `dim` numbers per text raises
+    `LiteratureError`.
     """
 
-    def __init__(self, endpoint: str, post=None, timeout: float = 60.0):
+    def __init__(self, endpoint: str, dim: int, post=None, timeout: float = 60.0):
         self._endpoint = endpoint
+        self.dim = dim
         self._post = post
         self._timeout = timeout
 
@@ -120,13 +123,17 @@ class HttpEmbedder:
         payload = {"model": DEFAULT_EMBED_MODEL, "input": list(texts)}
         resp = post_json(self._endpoint, payload, EMBED_API_KEY_ENV, self._post, self._timeout)
         try:
-            rows = resp.json()["data"]
-            vectors = [row["embedding"] for row in rows]
+            vectors = [normalize(row["embedding"]) for row in resp.json()["data"]]
         except (ValueError, LookupError, TypeError) as exc:
             raise LiteratureError(f"malformed embedding reply: {exc!r}") from exc
         if len(vectors) != len(texts):
             raise LiteratureError("embedding response length mismatch")
-        return [normalize(vec) for vec in vectors]
+        for vec in vectors:
+            if vec.shape != (self.dim,):
+                raise LiteratureError(
+                    f"embedding reply row has shape {vec.shape}, expected ({self.dim},)"
+                )
+        return vectors
 
 
 class OfflineCorpus:
@@ -134,13 +141,16 @@ class OfflineCorpus:
 
     Each doc file holds {"title", "abstract"} and optionally "embedding"; any
     other key is ignored. Docs without a stored embedding are embedded from
-    "<title>\\n<abstract>" at load time. A doc that is not a JSON object, whose
-    title is not a nonempty string, or whose stored embedding is zero, not
-    finite or of another shape than the first doc's raises `LiteratureError`
-    naming the doc file.
+    "<title>\\n<abstract>" at load time. Every embedding must be in the
+    embedder's space, so of shape ``(embedder.dim,)``. A doc that is not a JSON
+    object, whose title is not a nonempty string, or whose stored embedding is
+    zero, not finite or of another shape raises `LiteratureError` naming the
+    doc file; a shape error also names the title and both widths. A `Runner`
+    loads its corpus before it creates the run directory.
 
-    The normalized embeddings are stored once, as the rows of one matrix, and
-    each doc's "embedding" is a view of its row. A query scores every row in
+    The normalized embeddings are stored once, as the rows of one
+    ``(docs, embedder.dim)`` matrix allocated up front, and each doc's
+    "embedding" is a view of its row. A query scores every row in
     one `np.einsum` pass, which calls no BLAS and so stays fast when many
     threads search at once: `search` and `nearest` are BLAS-free.
     `max_similarity`, the novelty prefilter, scores many embeddings at once on
@@ -150,12 +160,14 @@ class OfflineCorpus:
 
     def __init__(self, corpus_dir: str | Path, embedder: Embedder):
         self._embedder = embedder
-        self._docs: list[dict] = []
-        names: list[str] = []  # each doc's file name, for load errors
         corpus_dir = Path(corpus_dir)
         if not corpus_dir.is_dir():
             raise LiteratureError(f"corpus directory {corpus_dir} does not exist")
-        for path in sorted(corpus_dir.glob("*.json")):
+        paths = sorted(corpus_dir.glob("*.json"))
+        self._matrix = np.empty((len(paths), embedder.dim))
+        self._docs: list[dict] = []
+        todo: list[int] = []  # rows of the docs without a stored embedding
+        for row, path in enumerate(paths):
             try:
                 raw = json.loads(path.read_text(encoding="utf-8"))
                 if not isinstance(raw, dict):
@@ -170,30 +182,31 @@ class OfflineCorpus:
                     f'corpus doc {path.name} has no title: "title" must be a nonempty string'
                 )
             self._docs.append(raw)
-            names.append(path.name)
-        todo = [d for d in self._docs if "embedding" not in d]
+            if "embedding" in raw:
+                self._fill(row, path.name)
+            else:
+                todo.append(row)
         if todo:
-            vectors = self._embedder.embed(
-                [f"{d['title']}\n{d.get('abstract', '')}" for d in todo]
+            docs = [self._docs[row] for row in todo]
+            vectors = self._embedder.embed([f"{d['title']}\n{d.get('abstract', '')}" for d in docs])
+            for row, vec in zip(todo, vectors):
+                self._docs[row]["embedding"] = vec
+                self._fill(row, paths[row].name)
+
+    def _fill(self, row: int, name: str) -> None:
+        """Normalize doc `row`'s embedding into its matrix row; the doc then views the row."""
+        doc = self._docs[row]
+        vec = np.asarray(doc["embedding"], dtype=np.float64)
+        if vec.shape != self._matrix.shape[1:]:
+            raise LiteratureError(
+                f"corpus doc {name} ({doc['title']!r}) has embedding shape {vec.shape}, "
+                f"but the embedder makes vectors of shape {self._matrix.shape[1:]}"
             )
-            for doc, vec in zip(todo, vectors):
-                doc["embedding"] = vec
-        self._matrix = np.empty((0, 0))
-        for row, (doc, name) in enumerate(zip(self._docs, names)):
-            try:
-                vec = normalize(doc["embedding"])
-            except LiteratureError as exc:
-                raise LiteratureError(f"corpus doc {name} ({doc['title']!r}): {exc}") from exc
-            if row == 0:
-                self._matrix = np.empty((len(self._docs), vec.size))
-            if vec.shape != self._matrix.shape[1:]:
-                raise LiteratureError(
-                    f"corpus doc {name} ({doc['title']!r}) has embedding shape {vec.shape}, "
-                    f"expected {self._matrix.shape[1:]}"
-                )
-            # Each doc's own array is freed as soon as its row is filled.
-            self._matrix[row] = vec
-            doc["embedding"] = self._matrix[row]
+        try:
+            self._matrix[row] = normalize(vec)
+        except LiteratureError as exc:
+            raise LiteratureError(f"corpus doc {name} ({doc['title']!r}): {exc}") from exc
+        doc["embedding"] = self._matrix[row]  # frees the doc's own array
 
     def __len__(self) -> int:
         return len(self._docs)
@@ -300,7 +313,7 @@ class HttpSearchClient:
                 abstract=row.get("abstract", ""),
                 source_query=query.text,
                 score=float(row.get("score", 0.0)),
-                embedding=tuple(float(v) for v in vec),
+                embedding=tuple(vec.tolist()),
             )
             for row, vec in zip(rows, vectors)
         ]
@@ -329,12 +342,7 @@ def format_paper_list(papers: list[SeedPaper]) -> str:
     return "\n".join(lines)
 
 
-def build_trend_report(
-    recent: list[SeedPaper],
-    gateway: Gateway,
-    library: PromptLibrary,
-    model_id: str,
-) -> str:
+def build_trend_report(recent: list[SeedPaper], gateway: Gateway) -> str:
     """Summarize the `DEFAULT_TREND_PAPER_COUNT` highest-engagement recent papers.
 
     `recent` is nonempty and every paper has engagement metrics; the run
@@ -342,4 +350,4 @@ def build_trend_report(
     """
     ranked = rank_by_engagement(recent)[:DEFAULT_TREND_PAPER_COUNT]
     bindings = {"popular_paper_list": format_paper_list(ranked)}
-    return gateway.ask(library, "trend_report", bindings, model_id)
+    return gateway.ask("trend_report", bindings)

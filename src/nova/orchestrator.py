@@ -30,8 +30,14 @@ artifact digest or the file, and the field.
 
 Stages commit atomically in order seeded -> iterated -> selected -> proposed
 -> evaluated -> done; a crash between stages leaves a resumable checkpoint.
+A `GatewayError` or `LiteratureError` out of a stage aborts the run with
+`PipelineAborted`, naming the last committed stage, from which it resumes.
 Nothing written under the run directory carries wall-clock time, so a resumed
 run reproduces the artifact tree of an uninterrupted one byte for byte.
+
+The `Runner` builds one `Gateway`, which holds the prompt set: the manifest
+entry of each template names its model, the generator or the judge (the Swiss
+tournament and the novelty check).
 
 The LLM-bound stages (iterate, propose, evaluate) map their per-item work
 through `Gateway.fan_out`, bounded by `GatewayOptions.parallelism`; work runs
@@ -74,21 +80,16 @@ from .literature import (
     HashEmbedder,
     HttpEmbedder,
     HttpSearchClient,
+    LiteratureError,
     OfflineCorpus,
     build_trend_report,
 )
 from .mockllm import MockBackend
-from .prompts import PromptLibrary
 from .seeding import SeedGenerator
 
 logger = logging.getLogger(__name__)
 
 STAGES = ("seeded", "iterated", "selected", "proposed", "evaluated", "done")
-
-# The model every generation call names, and the one the tournament and the
-# novelty judge name; both are part of each request's cache key.
-MODEL_ID = "gpt-4o"
-RANKER_MODEL_ID = "claude-3.5-sonnet"
 
 
 class OrchestratorError(Exception):
@@ -334,17 +335,13 @@ class Runner:
             seed=self.config.rng_seed,
             counter=self.state.id_counter if self.state else 0,
         )
-        self.library = PromptLibrary()
         cache_dir = Path(options.cache_dir) if options.cache_dir else self.out_dir / "cache"
         self.gateway = Gateway(backend, cache_dir, options.gateway)
-        self.seeder = SeedGenerator(self.gateway, self.library, self.ids, self.config, MODEL_ID)
+        self.seeder = SeedGenerator(self.gateway, self.ids, self.config)
         self.planner = planner_mod.PlannerLoop(
-            self.gateway, self.library, self.corpus, self.embedder, self.ids,
-            self.config, MODEL_ID,
+            self.gateway, self.corpus, self.embedder, self.ids, self.config
         )
-        self.builder = proposals_mod.ProposalBuilder(
-            self.gateway, self.library, self.planner, MODEL_ID
-        )
+        self.builder = proposals_mod.ProposalBuilder(self.gateway, self.planner)
 
     # -- component wiring ----------------------------------------------------
 
@@ -358,7 +355,7 @@ class Runner:
     def _make_embedder(self):
         if self.options.backend == "mock" or not self.options.embed_endpoint:
             return HashEmbedder(dim=self.options.embed_dim, seed=self.config.rng_seed)
-        return HttpEmbedder(self.options.embed_endpoint)
+        return HttpEmbedder(self.options.embed_endpoint, self.options.embed_dim)
 
     def _make_corpus(self):
         if self.options.corpus_dir is not None:
@@ -418,7 +415,7 @@ class Runner:
 
         trend_report = None
         if trend_papers:
-            trend_report = build_trend_report(trend_papers, self.gateway, self.library, MODEL_ID)
+            trend_report = build_trend_report(trend_papers, self.gateway)
         pool = self.seeder.generate_pool(paper, trend_report, trend_papers)
         if not pool:
             raise OrchestratorError(
@@ -502,16 +499,15 @@ class Runner:
                 g: tournament.retained_ideas(pool, self.config.dup_sim_threshold)
                 for g, pool in pools.items()
             }
-            counts = tournament.unique_novel_counts(
-                retained, self.corpus, self.config, self.gateway, self.library, RANKER_MODEL_ID
+            return retained, tournament.unique_novel_counts(
+                retained, self.corpus, self.config, self.gateway
             )
-            return retained, counts
 
         def swiss():
             if len(finals) < 2:
                 logger.warning("fewer than 2 final proposals; skipping tournament")
                 return None
-            ranker = tournament.make_llm_ranker(self.gateway, self.library, RANKER_MODEL_ID)
+            ranker = tournament.make_llm_ranker(self.gateway)
             return tournament.swiss_tournament(
                 finals, self.config.tournament_rounds, ranker, self.config.rng_seed,
                 fan_out=self.gateway.fan_out,
@@ -555,8 +551,9 @@ class Runner:
         """Run stages in order until the cursor reaches `target`.
 
         A `GatewayError` out of a stage, which by the gateway's failure rule is
-        an availability failure, raises `PipelineAborted` naming the last
-        committed stage; the run resumes from there.
+        an availability failure, or a `LiteratureError` (a failed search or
+        embedding call) raises `PipelineAborted` naming the last committed
+        stage; the run resumes from there.
         """
         if target not in STAGES:
             raise OrchestratorError(f"unknown stage {target!r}")
@@ -573,7 +570,7 @@ class Runner:
             committed = self.state.stage_cursor if self.state else "(fresh)"
             try:
                 runners[stage]()
-            except GatewayError as exc:
+            except (GatewayError, LiteratureError) as exc:
                 raise PipelineAborted(committed, str(exc)) from exc
         return self.state
 

@@ -20,7 +20,6 @@ from .domain import (
 from .gateway import ExtractionFailedError, Gateway, GatewayError
 from .ids import IdFactory
 from .literature import Embedder, LiteratureError, SearchQuery, cosine
-from .prompts import PromptLibrary
 from .seeding import format_idea, new_ideas, reflect
 
 logger = logging.getLogger(__name__)
@@ -48,34 +47,24 @@ class PlannerLoop:
     def __init__(
         self,
         gateway: Gateway,
-        library: PromptLibrary,
         search_backend,
         embedder: Embedder,
         id_factory: IdFactory,
         config: PipelineConfig,
-        model_id: str,
     ):
         self._gateway = gateway
-        self._library = library
         self._search = search_backend
         self._embedder = embedder
         self._ids = id_factory
         self._config = config
-        self._model_id = model_id
 
     # -- planning ------------------------------------------------------------
 
     def make_plan(self, idea: Idea) -> SearchPlan:
         """Search plan for one idea; falls back to its own keywords on failure."""
-        defaults = self._library.default_bindings()
-        bindings = {
-            "few_shot_example": defaults["few_shot_example"],
-            "plan_json_format": defaults["plan_json_format"],
-            "idea_info": format_idea(idea),
-        }
         directions: list[Direction] = []
         try:
-            parsed = self._gateway.ask(self._library, "search_plan", bindings, self._model_id)
+            parsed = self._gateway.ask("search_plan", {"idea_info": format_idea(idea)})
             for raw in parsed["directions"]:
                 keywords = tuple(k for k in raw["keywords"] if k.strip())
                 if not keywords:
@@ -143,7 +132,7 @@ class PlannerLoop:
             "new_knowledge": format_docs(docs),
         }
         try:
-            raw = self._gateway.ask(self._library, "expand_ideas", bindings, self._model_id)
+            raw = self._gateway.ask("expand_ideas", bindings)
         except ExtractionFailedError as exc:
             logger.warning("expansion failed for idea %s: %s", old.id, exc)
             return None
@@ -153,9 +142,7 @@ class PlannerLoop:
         """Self-reflection cut: drop unsound candidates, keep the top-scored."""
         if len(candidates) <= keep:
             return list(candidates)
-        evaluations = reflect(
-            self._gateway, self._library, self._model_id, [c["idea"] for c in candidates]
-        )
+        evaluations = reflect(self._gateway, [c["idea"] for c in candidates])
         sound = [n for n, ev in enumerate(evaluations) if ev["sound"]]
         if not sound:
             sound = list(range(len(candidates)))

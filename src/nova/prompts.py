@@ -1,8 +1,16 @@
-"""Versioned catalog of prompt templates and the discovery-theory catalog.
+"""The prompt set: the templates and the discovery-theory catalog.
 
-Templates ship as plain-text files plus a JSON manifest (name, placeholders,
-expected output schema). Placeholder syntax is ``{name}`` with no nesting;
-literal braces are escaped by doubling.
+The shipped set is package data: ``manifest.json``, one body per template at
+``<name>.txt``, ``default_bindings.json`` and ``discovery_theories.json``. A
+manifest entry is ``{"name", "schema_name", "model"}``: the output schema a
+reply must match (null for free text) and the model the template's requests
+name. A template's placeholders are the ones its body holds, ``{name}`` with no
+nesting; literal braces are escaped by doubling.
+
+Four placeholders are set constants, bound by `render` itself when the caller
+does not bind them: the three texts of ``default_bindings.json`` and
+``scientific_discovery_theory``, the rendered theory catalog. A template's
+`required_placeholders` are its other placeholders.
 """
 
 from __future__ import annotations
@@ -55,6 +63,7 @@ class PromptTemplate:
     body: str
     required_placeholders: frozenset[str]
     schema_name: str | None
+    model: str
 
 
 @dataclass(frozen=True)
@@ -98,73 +107,66 @@ class PromptLibrary:
 
     Reads the shipped set, or with `template_dir` a whole set (manifest,
     template files, defaults and theory catalog) from that one directory.
-    The shipped set does not change while a process runs, so it is read and
-    checked once per process; every library without a `template_dir` shares
-    that one parsed set. A `template_dir` library reads its directory anew.
+    The shipped set does not change while a process runs, so it is read,
+    checked and its set constants computed once per process, and every
+    library without a `template_dir` shares it.
     """
 
-    # (templates, theories, defaults) of the shipped set, once it was read.
+    # (templates, theories, set constants) of the shipped set, once it was read.
     _shipped: tuple | None = None
 
     def __init__(self, template_dir: str | Path | None = None):
         if template_dir is None and PromptLibrary._shipped is not None:
-            self._templates, self._theories, self._defaults = PromptLibrary._shipped
+            self._templates, self._theories, self._constants = PromptLibrary._shipped
             return
         self._dir = resources.files(_PACKAGE) if template_dir is None else Path(template_dir)
+        manifest = json.loads(self._read("manifest.json"))
+        theories = self._load_theories()
+        constants = json.loads(self._read("default_bindings.json"))
+        constants["scientific_discovery_theory"] = "\n\n".join(
+            f"{t.index}. {t.name}\nTheoretical Basis: {t.theoretical_basis}\nMethod: {t.method}"
+            for t in theories
+        )
         loaded = (
-            MappingProxyType(self._load_registry()),
-            self._load_theories(),
-            MappingProxyType(json.loads(self._read("default_bindings.json"))),
+            MappingProxyType(self._load_registry(manifest["templates"], constants.keys())),
+            theories,
+            MappingProxyType(constants),
         )
         if template_dir is None:
             PromptLibrary._shipped = loaded
-        self._templates, self._theories, self._defaults = loaded
+        self._templates, self._theories, self._constants = loaded
 
     def _read(self, filename: str) -> str:
         return (self._dir / filename).read_text(encoding="utf-8")
 
-    def _load_registry(self) -> dict[str, PromptTemplate]:
-        manifest = json.loads(self._read("manifest.json"))
+    def _load_registry(self, entries: list[dict], constants) -> dict[str, PromptTemplate]:
+        names = [entry["name"] for entry in entries]
+        if set(names) != set(REGISTRY_NAMES):
+            raise PromptError(f"manifest names {sorted(names)} do not match the fixed registry")
         templates: dict[str, PromptTemplate] = {}
-        for entry in manifest["templates"]:
-            name = entry["name"]
-            body = self._read(entry["file"])
-            declared = set(entry["placeholders"])
-            found = placeholders_in(body, name)
-            if found != declared:
-                raise PromptError(
-                    f"template {name!r}: manifest placeholders {sorted(declared)} "
-                    f"do not match body placeholders {sorted(found)}"
-                )
+        for entry in entries:
+            name, model = entry["name"], entry.get("model")
+            if not isinstance(model, str) or not model:
+                raise PromptError(f"template {name!r}: manifest entry has no model name")
+            try:
+                body = self._read(f"{name}.txt")
+            except FileNotFoundError:
+                raise PromptError(f"template {name!r}: no body file {name}.txt") from None
             templates[name] = PromptTemplate(
                 name=name,
                 body=body,
-                required_placeholders=frozenset(declared),
+                required_placeholders=frozenset(placeholders_in(body, name) - constants),
                 schema_name=entry["schema_name"],
-            )
-        if set(templates) != set(REGISTRY_NAMES):
-            raise PromptError(
-                f"manifest names {sorted(templates)} do not match the fixed registry"
+                model=model,
             )
         return templates
 
     def _load_theories(self) -> tuple[DiscoveryTheory, ...]:
         data = json.loads(self._read("discovery_theories.json"))
-        theories = tuple(
-            DiscoveryTheory(
-                index=t["index"],
-                name=t["name"],
-                theoretical_basis=t["theoretical_basis"],
-                method=t["method"],
-            )
-            for t in data["theories"]
-        )
+        theories = tuple(DiscoveryTheory(**t) for t in data["theories"])
         if [t.index for t in theories] != list(range(1, 11)):
             raise PromptError("discovery-theory catalog must hold entries 1..10 in order")
         return theories
-
-    def names(self) -> tuple[str, ...]:
-        return REGISTRY_NAMES
 
     def get(self, name: str) -> PromptTemplate:
         try:
@@ -175,29 +177,18 @@ class PromptLibrary:
     def render(self, name: str, bindings: dict[str, str]) -> str:
         """Substitute every placeholder; raises if any required binding is absent.
 
-        Bindings the template does not name are ignored.
+        A placeholder takes the caller's binding if there is one, else its set
+        constant. Bindings the template does not name are ignored.
         """
         template = self.get(name)
-        missing = sorted(template.required_placeholders - set(bindings))
+        missing = sorted(template.required_placeholders.difference(bindings))
         if missing:
             raise MissingPlaceholderError(name, missing)
-        return _scan(template.body, name, lambda placeholder: str(bindings[placeholder]))
+        constants = self._constants
+        return _scan(
+            template.body, name, lambda p: str(bindings[p] if p in bindings else constants[p])
+        )
 
     def theories(self) -> list[DiscoveryTheory]:
         """The 10 catalog entries in index order."""
         return list(self._theories)
-
-    def default_bindings(self) -> dict[str, str]:
-        """Shipped defaults for format/example placeholders (user-overridable)."""
-        return dict(self._defaults)
-
-    def theory_catalog_text(self) -> str:
-        """The full catalog rendered for embedding into prompts."""
-        blocks = []
-        for t in self._theories:
-            blocks.append(
-                f"{t.index}. {t.name}\n"
-                f"Theoretical Basis: {t.theoretical_basis}\n"
-                f"Method: {t.method}"
-            )
-        return "\n\n".join(blocks)

@@ -28,7 +28,6 @@ from .domain import (
 )
 from .gateway import ExtractionFailedError, Gateway
 from .planner import PlannerLoop, format_docs
-from .prompts import PromptLibrary
 from .seeding import format_idea
 
 logger = logging.getLogger(__name__)
@@ -46,12 +45,9 @@ class ProposalBuilder:
     final one. Sections are stored in `INITIAL_SECTIONS`/`FINAL_SECTIONS` order.
     """
 
-    def __init__(self, gateway: Gateway, library: PromptLibrary, planner: PlannerLoop,
-                 model_id: str):
+    def __init__(self, gateway: Gateway, planner: PlannerLoop):
         self._gateway = gateway
-        self._library = library
         self._planner = planner
-        self._model_id = model_id
 
     # -- stage 1: initial proposal -------------------------------------------
 
@@ -76,7 +72,7 @@ class ProposalBuilder:
             "self_reflection_block": "",
         }
         try:
-            parsed = self._gateway.ask(self._library, "initial_proposal", bindings, self._model_id)
+            parsed = self._gateway.ask("initial_proposal", bindings)
         except ExtractionFailedError as exc:
             raise ProposalFailure(f"initial proposal failed for idea {idea.id}: {exc}") from exc
         name, sections = next(iter(parsed.items()))
@@ -92,7 +88,7 @@ class ProposalBuilder:
             "initial_idea_json": json.dumps(proposal.sections, ensure_ascii=False, indent=2),
         }
         try:
-            parsed = self._gateway.ask(self._library, "method_decompose", bindings, self._model_id)
+            parsed = self._gateway.ask("method_decompose", bindings)
         except ExtractionFailedError as exc:
             raise ProposalFailure(
                 f"decomposition failed for idea {proposal.idea_id}: {exc}"
@@ -150,7 +146,7 @@ class ProposalBuilder:
             "new_knowledge_block": knowledge_block,
         }
         try:
-            parsed = self._gateway.ask(self._library, "final_proposal", bindings, self._model_id)
+            parsed = self._gateway.ask("final_proposal", bindings)
         except ExtractionFailedError as exc:
             raise ProposalFailure(f"final proposal failed for idea {idea.id}: {exc}") from exc
         sections = {key: parsed[key] for key in FINAL_SECTIONS}

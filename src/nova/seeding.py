@@ -17,7 +17,6 @@ import logging
 from .domain import Idea, PipelineConfig, SeedPaper
 from .gateway import ExtractionFailedError, Gateway
 from .ids import IdFactory
-from .prompts import PromptLibrary
 
 logger = logging.getLogger(__name__)
 
@@ -72,9 +71,7 @@ def format_idea(idea: Idea) -> str:
     )
 
 
-def reflect(
-    gateway: Gateway, library: PromptLibrary, model_id: str, texts: list[str]
-) -> list[dict]:
+def reflect(gateway: Gateway, texts: list[str]) -> list[dict]:
     """One self-reflection review of candidate idea texts: per text, its
     ``{"sound", "score"}`` evaluation.
 
@@ -83,7 +80,7 @@ def reflect(
     """
     listing = "\n".join(f"{n}. {text}" for n, text in enumerate(texts, 1))
     try:
-        parsed = gateway.ask(library, "self_reflect_cut", {"candidate_list": listing}, model_id)
+        parsed = gateway.ask("self_reflect_cut", {"candidate_list": listing})
     except ExtractionFailedError as exc:
         logger.warning("self-reflection failed, counting %d candidates sound: %s", len(texts), exc)
         parsed = {"evaluations": []}
@@ -94,36 +91,24 @@ def reflect(
 
 
 class SeedGenerator:
-    def __init__(
-        self,
-        gateway: Gateway,
-        library: PromptLibrary,
-        id_factory: IdFactory,
-        config: PipelineConfig,
-        model_id: str,
-    ):
+    def __init__(self, gateway: Gateway, id_factory: IdFactory, config: PipelineConfig):
         self._gateway = gateway
-        self._library = library
         self._ids = id_factory
         self._config = config
-        self._model_id = model_id
 
     # -- self-correction -----------------------------------------------------
 
     def self_correct(self, candidates: list[Idea], keep: int) -> list[Idea]:
         """Soundness check, then reflection-ranked cut to at most `keep` ideas."""
-        checked = self._reflect(candidates)
+        checked = reflect(self._gateway, [c.idea for c in candidates])
         sound = [idea for idea, ev in zip(candidates, checked) if ev["sound"]]
         if not sound:
             return []
-        scored = self._reflect(sound)
+        scored = reflect(self._gateway, [idea.idea for idea in sound])
         ranked = sorted(
             range(len(sound)), key=lambda n: (-scored[n]["score"], n)
         )
         return [sound[n] for n in ranked[:keep]]
-
-    def _reflect(self, candidates: list[Idea]) -> list[dict]:
-        return reflect(self._gateway, self._library, self._model_id, [c.idea for c in candidates])
 
     # -- pool assembly -------------------------------------------------------
 
@@ -136,9 +121,7 @@ class SeedGenerator:
         inputs are supplied.
         """
         titles, abstracts = format_references(paper)
-        defaults = self._library.default_bindings()
         bindings = {
-            "qa_info_with_idea_json_format": defaults["qa_info_with_idea_json_format"],
             "paper_title": paper.title,
             "paper_abstract": paper.abstract,
             "related_paper_titles": titles,
@@ -148,7 +131,6 @@ class SeedGenerator:
             "high_quality_paper_list": "\n".join(
                 f"{n}. {p.title}: {p.abstract}" for n, p in enumerate(hot_papers, 1)
             ),
-            "scientific_discovery_theory": self._library.theory_catalog_text(),
         }
         pool: list[Idea] = []
         quotas = source_quotas(self._config.initial_seed_count)
@@ -174,7 +156,7 @@ class SeedGenerator:
         if quota == 0:
             return []
         try:
-            raw = self._gateway.ask(self._library, template, bindings, self._model_id)
+            raw = self._gateway.ask(template, bindings)
         except ExtractionFailedError as exc:
             logger.warning("%s generation failed: %s", source, exc)
             raw = []
@@ -189,7 +171,7 @@ class SeedGenerator:
                 f"already-accepted ones.)\nAccepted so far:\n{have}"
             )
             try:
-                raw = self._gateway.ask(self._library, template, bindings, self._model_id, suffix)
+                raw = self._gateway.ask(template, bindings, suffix)
             except ExtractionFailedError as exc:
                 logger.warning("%s refill %d failed: %s", source, refills, exc)
                 continue

@@ -36,7 +36,6 @@ from typing import Callable, Iterable
 from .domain import Bye, Idea, Match, PipelineConfig, Proposal, RetrievedDoc, TournamentResult
 from .gateway import ExtractionFailedError, Gateway
 from .literature import ROUNDING_MARGIN, cosine
-from .prompts import PromptLibrary
 from .selector import non_duplicate_fraction
 
 logger = logging.getLogger(__name__)
@@ -74,7 +73,7 @@ def proposal_text(proposal: Proposal) -> str:
     return "\n".join(f"{name}: {body}" for name, body in proposal.sections.items())
 
 
-def make_llm_ranker(gateway: Gateway, library: PromptLibrary, model_id: str) -> RankerFn:
+def make_llm_ranker(gateway: Gateway) -> RankerFn:
     """Zero-shot pairwise judge over the gateway.
 
     Returns None when no valid verdict arrives; any other gateway error
@@ -84,7 +83,7 @@ def make_llm_ranker(gateway: Gateway, library: PromptLibrary, model_id: str) -> 
     def ranker(a: Proposal, b: Proposal) -> str | None:
         bindings = {"proposal_a": proposal_text(a), "proposal_b": proposal_text(b)}
         try:
-            return gateway.ask(library, "pairwise_rank", bindings, model_id)["winner"]
+            return gateway.ask("pairwise_rank", bindings)["winner"]
         except ExtractionFailedError as exc:
             logger.warning("no verdict for (%s, %s): %s", a.idea_id, b.idea_id, exc)
             return None
@@ -202,12 +201,7 @@ def _top_docs(idea: Idea, corpus, k: int) -> list[RetrievedDoc]:
 
 
 def novelty_judge(
-    idea: Idea,
-    corpus,
-    config: PipelineConfig,
-    gateway: Gateway,
-    library: PromptLibrary,
-    model_id: str,
+    idea: Idea, corpus, config: PipelineConfig, gateway: Gateway
 ) -> NoveltyResult:
     """Two-stage novelty check: similarity prefilter, then per-candidate judge.
 
@@ -234,7 +228,7 @@ def novelty_judge(
         }
         judge_calls += 1
         try:
-            verdict = gateway.ask(library, "novelty_judge", bindings, model_id)["verdict"]
+            verdict = gateway.ask("novelty_judge", bindings)["verdict"]
         except ExtractionFailedError as exc:
             logger.warning("novelty judge failed for %s, treating as similar: %s", idea.id, exc)
             verdict = "similar"
@@ -269,12 +263,7 @@ def _cleared_by_prefilter(ideas: list[Idea], corpus, threshold: float) -> list[b
 
 
 def unique_novel_counts(
-    retained_pools: dict[str, list[Idea]],
-    corpus,
-    config: PipelineConfig,
-    gateway: Gateway,
-    library: PromptLibrary,
-    model_id: str,
+    retained_pools: dict[str, list[Idea]], corpus, config: PipelineConfig, gateway: Gateway
 ) -> dict[str, int]:
     """Per key, the number of ideas judged novel among already deduplicated ones.
 
@@ -292,7 +281,7 @@ def unique_novel_counts(
 
     def is_novel(idea: Idea) -> bool:
         # Only the flag crosses the join; the evidence is dropped in the worker.
-        return novelty_judge(idea, corpus, config, gateway, library, model_id).novel
+        return novelty_judge(idea, corpus, config, gateway).novel
 
     judged = iter(gateway.fan_out([i for i, c in zip(retained, cleared) if not c], is_novel))
     counts = dict.fromkeys(retained_pools, 0)
@@ -302,15 +291,8 @@ def unique_novel_counts(
 
 
 def unique_novel_count(
-    pool: list[Idea],
-    corpus,
-    config: PipelineConfig,
-    gateway: Gateway,
-    library: PromptLibrary,
-    model_id: str,
+    pool: list[Idea], corpus, config: PipelineConfig, gateway: Gateway
 ) -> int:
     """`unique_novel_counts` for a single pool, deduplicated here."""
-    return unique_novel_counts(
-        {"pool": retained_ideas(pool, config.dup_sim_threshold)}, corpus, config,
-        gateway, library, model_id,
-    )["pool"]
+    retained = {"pool": retained_ideas(pool, config.dup_sim_threshold)}
+    return unique_novel_counts(retained, corpus, config, gateway)["pool"]

@@ -191,10 +191,9 @@ def test_criterion_4_novelty_threshold(tmp_path, similar_judge):
     ]
     corpus = PlantedCorpus(docs)
     config = PipelineConfig()
-    library = PromptLibrary()
 
     # A judge that finds every candidate similar leaves the threshold rule alone.
-    threshold_result = novelty_judge(idea, corpus, config, similar_judge, library, "m")
+    threshold_result = novelty_judge(idea, corpus, config, similar_judge)
     verdicts = {round(e.similarity, 6): e.verdict for e in threshold_result.evidence}
     assert verdicts == {0.0: "not_candidate", 0.29: "not_candidate",
                         0.31: "similar", 1.0: "similar"}
@@ -203,13 +202,13 @@ def test_criterion_4_novelty_threshold(tmp_path, similar_judge):
 
     backend = MockBackend()  # synthesizes {"verdict": "different"}
     gateway = Gateway(backend, tmp_path / "cache", GatewayOptions(backoff_base=0.0))
-    judged = novelty_judge(idea, corpus, config, gateway, library, "m")
+    judged = novelty_judge(idea, corpus, config, gateway)
     assert judged.novel
     assert judged.judge_calls == 2
     assert gateway.stats.snapshot()["live_calls"] == 2  # mock ledger agrees
 
     # no candidate above threshold: novel with zero judge calls
-    all_low = novelty_judge(idea, PlantedCorpus(docs[:2]), config, similar_judge, library, "m")
+    all_low = novelty_judge(idea, PlantedCorpus(docs[:2]), config, similar_judge)
     assert all_low.novel
     assert all_low.judge_calls == 0
 

@@ -44,6 +44,11 @@ def cli_env(tmp_path, paper_input_file, corpus_dir, mock_script):
     return _argv
 
 
+def wide(*head: float) -> list[float]:
+    """A 32-d embedding, the width of the CLI's embedder, that starts with `head`."""
+    return [*head] + [0.0] * (32 - len(head))
+
+
 def read_state(tmp_path, out):
     return json.loads((tmp_path / out / "state.json").read_text(encoding="utf-8"))
 
@@ -218,10 +223,10 @@ def test_missing_paper_file_creates_no_run_directory(cli_env, tmp_path, capsys):
         ([{"title": "ok", "abstract": "a"}, {"abstract": "no title"}], "has no title"),
         ([{"title": "flat", "embedding": [1.0, 0.0]},
           {"title": "deep", "embedding": [1.0, 0.0, 0.0]}], "has embedding shape"),
-        ([{"title": "ok", "embedding": [1.0, 0.0]}, {"title": "z", "embedding": [0.0, 0.0]}],
+        ([{"title": "ok", "embedding": wide(1.0)}, {"title": "z", "embedding": wide()}],
          "corpus doc doc1.json ('z'): cannot normalize the zero vector"),
-        ([{"title": "ok", "embedding": [1.0, 0.0]},
-          {"title": "n", "embedding": [1.0, float("nan")]}],
+        ([{"title": "ok", "embedding": wide(1.0)},
+          {"title": "n", "embedding": wide(1.0, float("nan"))}],
          "corpus doc doc1.json ('n'): embedding entries must be finite"),
         ([{"title": "ok", "abstract": "a"}, {"title": 5, "abstract": "a"}],
          'corpus doc doc1.json has no title: "title" must be a nonempty string'),
@@ -242,6 +247,53 @@ def test_malformed_corpus_exits_2_before_creating_the_run_dir(cli_env, tmp_path,
     assert err.startswith("nova-error:") and message in err
     assert "Traceback" not in err
     assert not (tmp_path / "bad").exists()
+
+
+def test_a_corpus_in_another_embedding_space_exits_2_at_load(cli_env, tmp_path, capsys):
+    """200 docs with stored 384-d embeddings against the run's 32-d embedder."""
+    corpus = tmp_path / "wide_corpus"
+    corpus.mkdir()
+    vectors = np.random.default_rng(0).standard_normal((200, 384))
+    for n, vec in enumerate(vectors):
+        doc = {"title": f"Paper {n}", "abstract": "a", "embedding": vec.tolist()}
+        (corpus / f"doc{n:03d}.json").write_text(json.dumps(doc), encoding="utf-8")
+    argv = cli_env("run", "wide")
+    argv[argv.index("--corpus") + 1] = str(corpus)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("nova-error: corpus doc doc000.json ('Paper 0')")
+    assert "embedding shape (384,)" in err and "shape (32,)" in err
+    assert not (tmp_path / "wide").exists()
+
+
+def test_a_resume_with_another_config_exits_2(cli_env, tmp_path, capsys):
+    """Explicit config flags that differ from the stored run's are refused, by field."""
+    assert main(cli_env("seed", "fixed")) == 0
+    state_path = tmp_path / "fixed" / "state.json"
+    before = state_path.read_bytes()
+    capsys.readouterr()
+
+    argv = cli_env("run", "fixed", "--set", "iterations_T=0", "--set", "keep_count=1",
+                   "--seed", "99")
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("nova-error:")
+    for field in ("iterations_T is 1, asked 0", "keep_count is 2, asked 1",
+                  "rng_seed is 5, asked 99"):
+        assert field in err
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"novelty_sim_threshold": 0.5}), encoding="utf-8")
+    assert main(cli_env("run", "fixed", "--config", str(config))) == 2
+    assert "novelty_sim_threshold is 0.3, asked 0.5" in capsys.readouterr().err
+    assert state_path.read_bytes() == before
+
+    # Without config flags, or with the ones the run started with, it resumes.
+    argv = cli_env("run", "fixed")
+    bare = [a for n, a in enumerate(argv)
+            if a not in ("--set", "--seed") and argv[n - 1] not in ("--set", "--seed")]
+    assert main(bare) == 0
+    assert read_state(tmp_path, "fixed")["stage_cursor"] == "done"
+    assert main(argv) == 0
 
 
 def test_validate_checks_trend_papers_as_run_does(cli_env, tmp_path, capsys):

@@ -44,6 +44,7 @@ from nova.mockllm import MockBackend, prompt_digest
 from nova.orchestrator import ArtifactStore, Runner, RunnerOptions, RunState, _dump_bytes
 from nova.prompts import PromptLibrary
 from tests.conftest import FAST_GATEWAY, FlakyBackend, RuleBackend
+from tests.test_prompts import edit_manifest
 
 
 def req(prompt: str, model="m") -> ChatRequest:
@@ -944,12 +945,43 @@ LIBRARY = PromptLibrary()
 PAIR = {"proposal_a": "first proposal", "proposal_b": "second proposal"}
 
 
-def test_ask_sends_the_rendered_template_plus_suffix(make_gateway, tmp_path):
+def edited_library(template_copy, name: str, **fields) -> PromptLibrary:
+    """The template set in `template_copy`, with `fields` set on `name`'s manifest entry."""
+    edit_manifest(template_copy, name, **fields)
+    return PromptLibrary(template_dir=template_copy)
+
+
+class ModelRecorder(RuleBackend):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.models: list[str] = []
+
+    def send(self, model_id, prompt, temperature, max_tokens):
+        self.models.append(model_id)
+        return super().send(model_id, prompt, temperature, max_tokens)
+
+
+def test_ask_names_the_model_of_the_template_manifest_entry(make_gateway, tmp_path,
+                                                            template_copy):
+    backend = ModelRecorder(rules=[("decide which one is better", '{"winner": "A"}')])
+    make_gateway(backend).ask("pairwise_rank", PAIR)
+    make_gateway(backend).ask("trend_report", {"popular_paper_list": "1. Title: t"})
+    assert backend.models == ["claude-3.5-sonnet", "gpt-4o"]
+
+    edited = edited_library(template_copy, "pairwise_rank", model="judge-v2")
+    gateway = make_gateway(backend, cache_dir=tmp_path / "edited", library=edited)
+    assert gateway.ask("pairwise_rank", PAIR) == {"winner": "A"}
+    assert backend.models[-1] == "judge-v2"
+
+
+def test_ask_sends_the_rendered_template_plus_suffix(make_gateway, tmp_path, template_copy):
     reply = 'Verdict: {"winner": "B"}'
     backend = RuleBackend(rules=[("decide which one is better", reply)])
-    gateway = make_gateway(backend)
+    gateway = make_gateway(
+        backend, library=edited_library(template_copy, "pairwise_rank", model="judge-model")
+    )
     suffix = "\n\n(Refill attempt 1)"
-    assert gateway.ask(LIBRARY, "pairwise_rank", PAIR, "judge-model", suffix) == {"winner": "B"}
+    assert gateway.ask("pairwise_rank", PAIR, suffix) == {"winner": "B"}
 
     request = ChatRequest("judge-model", LIBRARY.render("pairwise_rank", PAIR) + suffix)
     assert backend.prompts == [request.prompt]
@@ -957,30 +989,25 @@ def test_ask_sends_the_rendered_template_plus_suffix(make_gateway, tmp_path):
     assert request.cache_key == "abd95c9e2cda82b2c633a8ae528657717fd6eb1b885a8c29e1e32a17f1fc5fee"
     journal = tmp_path / "cache" / JOURNAL_FILE
     assert journal.read_bytes() == entry_line(request.cache_key, reply)
-    assert gateway.ask(LIBRARY, "pairwise_rank", PAIR, "judge-model", suffix) == {"winner": "B"}
+    assert gateway.ask("pairwise_rank", PAIR, suffix) == {"winner": "B"}
     assert gateway.stats.snapshot() == {"requests": 2, "cache_hits": 1, "live_calls": 1}
 
 
 def test_ask_validates_against_the_manifest_schema(make_gateway, template_copy):
-    manifest = json.loads((template_copy / "manifest.json").read_text())
-    for entry in manifest["templates"]:
-        if entry["name"] == "pairwise_rank":
-            entry["schema_name"] = "novelty_verdict"
-    (template_copy / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
-    user_library = PromptLibrary(template_dir=template_copy)
+    user_library = edited_library(template_copy, "pairwise_rank", schema_name="novelty_verdict")
 
     backend = RuleBackend(rules=[("decide which one is better", '{"verdict": "similar"}')])
-    gateway = make_gateway(backend)
-    assert gateway.ask(user_library, "pairwise_rank", PAIR, "m") == {"verdict": "similar"}
+    gateway = make_gateway(backend, library=user_library)
+    assert gateway.ask("pairwise_rank", PAIR) == {"verdict": "similar"}
     with pytest.raises(ExtractionFailedError, match="pair_verdict"):
-        gateway.ask(LIBRARY, "pairwise_rank", PAIR, "m")
+        make_gateway(backend).ask("pairwise_rank", PAIR)
 
 
 def test_ask_without_a_schema_returns_the_reply_text(make_gateway):
     backend = RuleBackend(rules=[("", "Prose, {not JSON")])
     gateway = make_gateway(backend)
     bindings = {"popular_paper_list": "1. Title: t"}
-    assert gateway.ask(LIBRARY, "trend_report", bindings, "m") == "Prose, {not JSON"
+    assert gateway.ask("trend_report", bindings) == "Prose, {not JSON"
     assert len(backend.prompts) == 1  # no re-prompt
 
 
@@ -1079,7 +1106,7 @@ HTTP_CLIENTS = {
         {"choices": [{"message": {"content": "hi"}}]},
     ),
     "embed": (
-        lambda post: HttpEmbedder("https://embed.test", post=post).embed(["a", "b"]),
+        lambda post: HttpEmbedder("https://embed.test", 2, post=post).embed(["a", "b"]),
         "https://embed.test",
         {"model": DEFAULT_EMBED_MODEL, "input": ["a", "b"]},
         "NOVA_EMBED_API_KEY",

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -30,12 +31,10 @@ from nova.literature import (
 )
 from nova.mockllm import MockBackend
 from nova.orchestrator import InvalidPaperError, load_paper_input
-from nova.prompts import PromptLibrary
 from tests.conftest import RuleBackend
 
 GOLDEN = Path(__file__).parent / "golden" / "hash_embedder.json"
 
-LIBRARY = PromptLibrary()
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +274,16 @@ def test_corpus_rejects_zero_nonfinite_and_mismatched_embeddings(tmp_path, hash_
         (cdir / "z.json").write_text(json.dumps({"title": "bad", "embedding": embedding}))
         with pytest.raises(LiteratureError):
             OfflineCorpus(cdir, hash_embedder)
+    # A corpus wholly in another embedding space: every doc is 384-d, the embedder 16-d.
+    cdir = tmp_path / "wide"
+    cdir.mkdir()
+    for n in range(3):
+        (cdir / f"d{n}.json").write_text(json.dumps({"title": f"w{n}", "embedding": [1.0] * 384}))
+    with pytest.raises(LiteratureError, match=re.escape(
+        "corpus doc d0.json ('w0') has embedding shape (384,), "
+        "but the embedder makes vectors of shape (16,)"
+    )):
+        OfflineCorpus(cdir, hash_embedder)
 
 
 def test_corpus_query_dimension_mismatch(corpus_dir, hash_embedder):
@@ -299,9 +308,17 @@ class _FakeResponse:
 
 def test_http_embedder_normalizes(monkeypatch):
     body = {"data": [{"embedding": [3.0, 4.0]}]}
-    embedder = HttpEmbedder("https://e.test", post=lambda url, **k: _FakeResponse(200, body))
+    embedder = HttpEmbedder("https://e.test", 2, post=lambda url, **k: _FakeResponse(200, body))
     vec = embedder.embed(["x"])[0]
     assert np.allclose(vec, [0.6, 0.8])
+
+
+def test_http_embedder_refuses_a_row_of_another_width():
+    body = {"data": [{"embedding": [3.0, 4.0]}, {"embedding": [1.0, 2.0, 2.0]}]}
+    embedder = HttpEmbedder("https://e.test", 2, post=lambda url, **k: _FakeResponse(200, body))
+    assert embedder.dim == 2
+    with pytest.raises(LiteratureError, match=re.escape("row has shape (3,), expected (2,)")):
+        embedder.embed(["x", "y"])
 
 
 def test_http_search_client_limits_and_embeds(hash_embedder):
@@ -334,7 +351,7 @@ class _CountingPost:
 def test_http_search_client_embeds_rows_in_one_request(count):
     rows = [{"title": f"t{i}", "abstract": f"a{i}", "score": i} for i in range(count)]
     post = _CountingPost(rows)
-    embedder = HttpEmbedder("https://e.test", post=post)
+    embedder = HttpEmbedder("https://e.test", 6, post=post)
     client = HttpSearchClient("https://s.test", embedder=embedder, post=post)
     docs = client.search(SearchQuery(text="q", limit=10))
 
@@ -379,9 +396,11 @@ def test_http_search_client_malformed_reply_is_literature_error(hash_embedder, r
     _FakeResponse(200, {"data": [{"vector": [1.0, 0.0]}]}),
     _FakeResponse(200, {"data": ["not a row"]}),
     _FakeResponse(200, {"data": [{"embedding": [1.0, 0.0]}, {"embedding": [0.0, 1.0]}]}),
+    _FakeResponse(200, {"data": [{"embedding": ["a", "b"]}]}),
+    _FakeResponse(200, {"data": [{"embedding": [[1.0, 0.0], [1.0]]}]}),
 ])
 def test_http_embedder_malformed_reply_is_literature_error(response):
-    embedder = HttpEmbedder("https://e.test", post=lambda url, **k: response)
+    embedder = HttpEmbedder("https://e.test", 2, post=lambda url, **k: response)
     with pytest.raises(LiteratureError):
         embedder.embed(["x"])
 
@@ -404,7 +423,7 @@ def test_trend_prompt_lists_higher_engagement_first(make_gateway):
     ]
     backend = RuleBackend()
     gateway = make_gateway(backend)
-    build_trend_report(papers, gateway, LIBRARY, "m")
+    build_trend_report(papers, gateway)
     prompt = backend.prompts[0]
     assert prompt.index("High Paper") < prompt.index("Low Paper")
 
@@ -416,7 +435,7 @@ def test_trend_report_echo_contains_both_titles(make_gateway):
     ]
     backend = RuleBackend(rules=[("research trending report", lambda p: p)])
     gateway = make_gateway(backend)
-    report = build_trend_report(papers, gateway, LIBRARY, "m")
+    report = build_trend_report(papers, gateway)
     assert "Title Alpha" in report and "Title Beta" in report
 
 
@@ -428,7 +447,7 @@ def test_trend_prompt_takes_exactly_top_n(make_gateway):
     ]
     backend = RuleBackend()
     gateway = make_gateway(backend)
-    build_trend_report(papers, gateway, LIBRARY, "m")
+    build_trend_report(papers, gateway)
     prompt = backend.prompts[0]
     listed = [i for i in range(25) if f"Trend Paper {i:02d}" in prompt]
     assert listed == list(range(25 - DEFAULT_TREND_PAPER_COUNT, 25))  # the most liked

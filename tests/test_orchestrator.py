@@ -19,7 +19,9 @@ from nova.domain import (
     FINAL_SECTIONS, INITIAL_SECTIONS, IdeaPool, PipelineConfig, ProposalSet, Representatives,
     RunMetrics,
 )
+from nova import orchestrator
 from nova.gateway import GatewayError, GatewayOptions, HttpChatBackend, TransientBackendError
+from nova.literature import HashEmbedder, LiteratureError
 from nova.mockllm import MockBackend, prompt_digest
 from nova.orchestrator import (
     ARTIFACT_TYPES,
@@ -249,16 +251,13 @@ def test_metrics_counts_match_per_pool_replay(run_env, paper_input_file):
     runner = run_env("novmetrics")
     state = runner.run(paper_input=str(paper_input_file))
     metrics = runner.store.get(state.metrics_ref, RunMetrics)
-    from nova.orchestrator import RANKER_MODEL_ID
     from nova.selector import non_duplicate_fraction
     from nova.tournament import unique_novel_count
 
     before = runner.gateway.stats.snapshot()
     for generation in state.pools:
         pool = runner._load_pool(int(generation))
-        expected = unique_novel_count(
-            pool, runner.corpus, runner.config, runner.gateway, runner.library, RANKER_MODEL_ID
-        )
+        expected = unique_novel_count(pool, runner.corpus, runner.config, runner.gateway)
         assert metrics.unique_novel_per_generation[generation] == expected
     after = runner.gateway.stats.snapshot()
     assert after["requests"] > before["requests"]  # the replay asked the judge
@@ -472,6 +471,33 @@ def test_availability_failure_aborts_then_resume_matches_clean_run(
 
     assert run_env("outage").run().stage_cursor == "done"
     assert tree_bytes(tmp_path / "outage") == reference
+
+
+class BrokenEmbedder(HashEmbedder):
+    """An embedding service whose every reply is malformed."""
+
+    def embed(self, texts):
+        raise LiteratureError("malformed embedding reply: KeyError('data')")
+
+
+def test_an_embedding_failure_aborts_then_resumes(tmp_path, paper_input_file, small_config,
+                                                   monkeypatch):
+    """A `LiteratureError` out of a stage takes the abort path a `GatewayError` takes."""
+    options = RunnerOptions(backend="mock")
+    clean = Runner(tmp_path / "clean", small_config, options)
+    clean.run(paper_input=str(paper_input_file))
+    Runner(tmp_path / "broken", small_config, options).advance_to(
+        "seeded", paper_input=str(paper_input_file)
+    )
+    monkeypatch.setattr(orchestrator, "HashEmbedder", BrokenEmbedder)
+    with pytest.raises(PipelineAborted, match="malformed embedding reply") as aborted:
+        Runner(tmp_path / "broken", small_config, options).run()
+    assert aborted.value.stage == "seeded"
+    assert load_state(tmp_path / "broken").stage_cursor == "seeded"
+
+    monkeypatch.setattr(orchestrator, "HashEmbedder", HashEmbedder)
+    assert Runner(tmp_path / "broken", small_config, options).run().stage_cursor == "done"
+    assert tree_bytes(tmp_path / "broken") == tree_bytes(clean.out_dir)
 
 
 def test_a_tournament_abort_keeps_the_novelty_replies_for_the_resume(

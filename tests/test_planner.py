@@ -14,12 +14,10 @@ from nova.mockllm import MockBackend
 from nova.orchestrator import Runner, RunnerOptions
 from nova.domain import IterationRecords
 from nova.planner import IterationRecord, PlannerLoop
-from nova.prompts import PromptLibrary
 from tests.conftest import (
     FAST_GATEWAY, RuleBackend, embedded_idea, make_idea, validate_lineage,
 )
 
-LIBRARY = PromptLibrary()
 
 PLAN_SIG = "develop a detailed paper search plan"
 EXPAND_SIG = "learn from new knowledge and provide some impactful and creative"
@@ -32,7 +30,7 @@ def make_planner(backend, make_gateway, corpus=None, config=None,
     options = GatewayOptions(backoff_base=0.0, backoff_cap=0.0, parallelism=parallelism)
     gateway = make_gateway(backend, options=options)
     embedder = embedder or HashEmbedder(dim=8, seed=1)
-    return PlannerLoop(gateway, LIBRARY, corpus, embedder, IdFactory(seed=2), config, "m")
+    return PlannerLoop(gateway, corpus, embedder, IdFactory(seed=2), config)
 
 
 def plan_json(directions):
@@ -425,8 +423,8 @@ def test_parallel_iterate_reproducible(make_gateway, sample_paper, tmp_path):
     def build(parallelism, cache_name):
         options = GatewayOptions(backoff_base=0.0, parallelism=parallelism)
         gateway = Gateway(MockBackend(seed=3), tmp_path / cache_name, options)
-        planner = PlannerLoop(gateway, LIBRARY, None, HashEmbedder(dim=8, seed=1),
-                              IdFactory(seed=2), config, "m")
+        planner = PlannerLoop(gateway, None, HashEmbedder(dim=8, seed=1), IdFactory(seed=2),
+                              config)
         pool, _ = run_generations(planner, sample_paper, small_pool(4), config.iterations_T)
         return [(i.id, i.idea, i.parent_id) for i in pool]
 

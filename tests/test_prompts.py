@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import ast
+import json
 import re
+from importlib import resources
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import nova
 from nova.prompts import (
     REGISTRY_NAMES,
     MissingPlaceholderError,
@@ -21,12 +25,15 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 
 LIBRARY = PromptLibrary()
 
-# Fixed bindings used for the golden-file renders; one entry per placeholder
-# that appears anywhere in the registry.
+# The placeholders `render` binds itself: the three default texts and the catalog.
+SET_CONSTANTS = {
+    "qa_info_with_idea_json_format", "plan_json_format", "few_shot_example",
+    "scientific_discovery_theory",
+}
+
+# Fixed bindings used for the golden-file renders; one entry per required
+# placeholder that appears anywhere in the registry.
 GOLDEN_BINDINGS = {
-    "qa_info_with_idea_json_format": LIBRARY.default_bindings()["qa_info_with_idea_json_format"],
-    "plan_json_format": LIBRARY.default_bindings()["plan_json_format"],
-    "few_shot_example": LIBRARY.default_bindings()["few_shot_example"],
     "idea_count": "5",
     "expand_count": "10",
     "paper_title": "Golden Target Paper",
@@ -37,7 +44,6 @@ GOLDEN_BINDINGS = {
     "research_trending_info": "Golden trend report.",
     "high_quality_paper_list": "1. Golden Hot Paper: hot abstract",
     "exist_idea": "- an existing golden idea",
-    "scientific_discovery_theory": LIBRARY.theory_catalog_text(),
     "old_idea": "Thinking: old\nIdea: old idea\nKeywords: old-kw",
     "new_knowledge": "Title: Known Doc\nAbstract: known abstract",
     "idea": "Thinking: golden\nIdea: golden idea\nKeywords: gk",
@@ -63,7 +69,6 @@ def bindings_for(name: str) -> dict[str, str]:
 
 
 def test_registry_is_exactly_the_fixed_set():
-    assert LIBRARY.names() == REGISTRY_NAMES
     assert len(REGISTRY_NAMES) == 12
     with pytest.raises(UnknownTemplateError):
         LIBRARY.get("not_a_template")
@@ -72,7 +77,8 @@ def test_registry_is_exactly_the_fixed_set():
 def test_every_body_placeholder_is_declared():
     for name in REGISTRY_NAMES:
         template = LIBRARY.get(name)
-        assert placeholders_in(template.body, name) == set(template.required_placeholders)
+        found = placeholders_in(template.body, name)
+        assert found - SET_CONSTANTS == template.required_placeholders
 
 
 def test_render_substitutes_paper_title_verbatim(sample_paper):
@@ -113,8 +119,8 @@ def test_theory_ideas_render_contains_all_ten_theory_names():
 
 def test_missing_placeholder_names_the_gap():
     with pytest.raises(MissingPlaceholderError) as err:
-        LIBRARY.render("search_plan", {"idea_info": "X"})
-    assert "few_shot_example" in str(err.value)
+        LIBRARY.render("search_plan", {})
+    assert "idea_info" in str(err.value)
 
 
 def test_doubled_braces_escape():
@@ -156,8 +162,6 @@ def test_the_shipped_set_is_read_once_per_process(monkeypatch, template_copy):
     assert reads == []
     assert library.render("search_plan", bindings_for("search_plan")) == LIBRARY.render(
         "search_plan", bindings_for("search_plan"))
-    library.default_bindings()["plan_json_format"] = "changed"  # a copy, not the shared set
-    assert PromptLibrary().default_bindings() == LIBRARY.default_bindings()
     PromptLibrary(template_dir=template_copy)
     assert "manifest.json" in reads and "search_plan.txt" in reads
 
@@ -168,10 +172,56 @@ def test_user_template_dir_is_the_whole_set(tmp_path):
         PromptLibrary(template_dir=tmp_path)
 
 
-def test_manifest_placeholder_mismatch_rejected(template_copy):
-    (template_copy / "search_plan.txt").write_text("no placeholders here", encoding="utf-8")
-    with pytest.raises(PromptError, match="manifest placeholders"):
+def edit_manifest(template_copy: Path, name: str, **fields) -> None:
+    """Set `fields` on template `name`'s manifest entry; a None value removes the field."""
+    path = template_copy / "manifest.json"
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    for entry in manifest["templates"]:
+        if entry["name"] == name:
+            entry.update(fields)
+            for key in [k for k, v in fields.items() if v is None]:
+                del entry[key]
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+
+
+def test_manifest_names_the_model_of_each_template():
+    judge = {"pairwise_rank", "novelty_judge"}
+    for name in REGISTRY_NAMES:
+        assert LIBRARY.get(name).model == ("claude-3.5-sonnet" if name in judge else "gpt-4o")
+
+
+@pytest.mark.parametrize("model", [None, "", 5])
+def test_a_manifest_entry_without_a_model_is_refused(template_copy, model):
+    edit_manifest(template_copy, "novelty_judge", model=model)
+    with pytest.raises(PromptError, match="template 'novelty_judge': manifest entry has no model"):
         PromptLibrary(template_dir=template_copy)
+
+
+def test_a_missing_body_file_is_refused(template_copy):
+    (template_copy / "trend_ideas.txt").unlink()
+    with pytest.raises(PromptError, match="template 'trend_ideas': no body file trend_ideas.txt"):
+        PromptLibrary(template_dir=template_copy)
+
+
+def test_package_bodies_and_manifest_entries_agree():
+    """Every shipped `*.txt` is a manifest entry, and every entry has its `<name>.txt`."""
+    shipped = resources.files("nova.templates")
+    bodies = {p.name[:-4] for p in shipped.iterdir() if p.name.endswith(".txt")}
+    manifest = json.loads((shipped / "manifest.json").read_text(encoding="utf-8"))
+    assert bodies == {entry["name"] for entry in manifest["templates"]} == set(REGISTRY_NAMES)
+    assert all(set(entry) == {"name", "schema_name", "model"} for entry in manifest["templates"])
+
+
+def test_only_the_gateway_holds_the_prompt_set():
+    """No module of the package but `gateway` and `prompts` imports `PromptLibrary`."""
+    users = set()
+    for path in Path(nova.__file__).parent.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.alias) and node.name == "PromptLibrary") or (
+                isinstance(node, ast.Attribute) and node.attr == "PromptLibrary"
+            ):
+                users.add(path.stem)
+    assert users == {"gateway"}  # `prompts` defines it
 
 
 @pytest.mark.parametrize("name", REGISTRY_NAMES)

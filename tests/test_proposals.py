@@ -19,11 +19,9 @@ from nova.gateway import GatewayOptions
 from nova.ids import IdFactory
 from nova.literature import HashEmbedder
 from nova.planner import PlannerLoop
-from nova.prompts import PromptLibrary
 from nova.proposals import ProposalBuilder, ProposalFailure, render_markdown
 from tests.conftest import RuleBackend, embedded_idea, make_idea
 
-LIBRARY = PromptLibrary()
 
 INITIAL_SIG = "brainstorm the detailed research project proposal"
 DECOMPOSE_SIG = "break down the research method into multiple submodules"
@@ -33,9 +31,8 @@ FINAL_SIG = "expand a brief project idea into a full project proposal"
 def make_builder(backend, make_gateway, config=None) -> ProposalBuilder:
     config = config or PipelineConfig()
     gateway = make_gateway(backend, options=GatewayOptions(backoff_base=0.0))
-    planner = PlannerLoop(gateway, LIBRARY, None, HashEmbedder(dim=8, seed=1),
-                          IdFactory(seed=5), config, "m")
-    return ProposalBuilder(gateway, LIBRARY, planner, "m")
+    planner = PlannerLoop(gateway, None, HashEmbedder(dim=8, seed=1), IdFactory(seed=5), config)
+    return ProposalBuilder(gateway, planner)
 
 
 def idea(n=1, **kwargs):

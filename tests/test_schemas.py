@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nova import schemas
-from nova.prompts import PromptLibrary
+from nova.prompts import REGISTRY_NAMES, PromptLibrary
 
 # The shipped output schemas, by file name.
 OUTPUT_SCHEMAS = tuple(sorted(
@@ -27,7 +27,7 @@ def reference_valid(schema, value) -> bool:
 
 def test_every_manifest_schema_name_compiles():
     library = PromptLibrary()
-    names = {library.get(t).schema_name for t in library.names()} - {None}
+    names = {library.get(t).schema_name for t in REGISTRY_NAMES} - {None}
     assert names == set(OUTPUT_SCHEMAS)
     for name in names:
         assert callable(schemas.output_schema_check(name))

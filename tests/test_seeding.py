@@ -11,12 +11,10 @@ import pytest
 
 from nova.domain import PipelineConfig
 from nova.ids import IdFactory
-from nova.prompts import PromptLibrary
 from nova.gateway import BackendUnavailableError, TransientBackendError
 from nova.seeding import SeedGenerator, reflect, source_quotas
 from tests.conftest import RuleBackend, make_idea
 
-LIBRARY = PromptLibrary()
 
 
 def idea_list_json(ideas):
@@ -34,7 +32,7 @@ def reflect_json(evaluations):
 
 def make_seeder(backend, make_gateway, config=None) -> SeedGenerator:
     config = config or PipelineConfig()
-    return SeedGenerator(make_gateway(backend), LIBRARY, IdFactory(seed=0), config, "m")
+    return SeedGenerator(make_gateway(backend), IdFactory(seed=0), config)
 
 
 INTERNAL_SIG = "propose some innovative and valuable research ideas based on the target paper."
@@ -179,7 +177,7 @@ def test_reflect_defaults_unreviewed_candidates_to_sound_score_one(make_gateway)
     backend = RuleBackend(
         rules=[(REFLECT_SIG, reflect_json([{"index": 2, "sound": False, "score": 7}]))]
     )
-    evaluations = reflect(make_gateway(backend), LIBRARY, "m", ["a", "b", "c"])
+    evaluations = reflect(make_gateway(backend), ["a", "b", "c"])
     assert evaluations == [
         {"sound": True, "score": 1},
         {"sound": False, "score": 7},
@@ -243,7 +241,7 @@ def test_pool_reproducible_modulo_ids(make_gateway, sample_paper, trend_papers, 
         from nova.gateway import Gateway
 
         gateway = Gateway(RuleBackend(), tmp_path / cache)
-        seeder = SeedGenerator(gateway, LIBRARY, IdFactory(seed=0), PipelineConfig(), "m")
+        seeder = SeedGenerator(gateway, IdFactory(seed=0), PipelineConfig())
         return seeder.generate_pool(sample_paper, "report", trend_papers)
 
     first = build("c1")

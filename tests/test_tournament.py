@@ -17,7 +17,6 @@ from nova.domain import FINAL_SECTIONS, PipelineConfig, Proposal, RetrievedDoc
 from nova.gateway import ChatRequest, GatewayError, GatewayOptions, TransientBackendError
 from nova.literature import HashEmbedder, LiteratureError, OfflineCorpus, cosine
 from nova.mockllm import MockBackend
-from nova.prompts import PromptLibrary
 from nova.selector import SelectorError, non_duplicate_fraction
 from nova.tournament import (
     NoveltyResult,
@@ -32,7 +31,6 @@ from nova.tournament import (
 )
 from tests.conftest import PlantedCorpus, RuleBackend, embedded_idea, make_idea
 
-LIBRARY = PromptLibrary()
 
 
 def proposal(idea_id: str) -> Proposal:
@@ -162,7 +160,7 @@ def test_requires_two_proposals():
 def test_llm_ranker_round_trip(make_gateway):
     backend = RuleBackend(rules=[("decide which one is better", '{"winner": "B"}')])
     gateway = make_gateway(backend)
-    ranker = make_llm_ranker(gateway, LIBRARY, "judge-model")
+    ranker = make_llm_ranker(gateway)
     assert ranker(proposal("x"), proposal("y")) == "B"
     assert "Title for x" in backend.prompts[0]
 
@@ -173,7 +171,7 @@ def refuse(prompt):
 
 def test_llm_ranker_content_failure_returns_none(make_gateway, caplog):
     backend = RuleBackend(rules=[("decide which one is better", "Both are lovely.")])
-    ranker = make_llm_ranker(make_gateway(backend), LIBRARY, "m")
+    ranker = make_llm_ranker(make_gateway(backend))
     with caplog.at_level("WARNING", logger="nova.tournament"):
         assert ranker(proposal("x"), proposal("y")) is None
     assert "no verdict for (x, y)" in caplog.text and "pair_verdict" in caplog.text
@@ -189,7 +187,7 @@ def test_llm_ranker_availability_failure_propagates(make_gateway, error):
         raise error
 
     gateway = make_gateway(RuleBackend(rules=[("decide which one is better", send)]))
-    ranker = make_llm_ranker(gateway, LIBRARY, "m")
+    ranker = make_llm_ranker(gateway)
     with pytest.raises(GatewayError):  # no coin flip
         swiss_tournament([proposal("a"), proposal("b")], 1, ranker, seed=9)
 
@@ -276,7 +274,7 @@ def test_llm_ranker_rounds_through_gateway_fan_out(make_gateway, tmp_path):
             options=GatewayOptions(parallelism=parallelism, backoff_base=0.0),
             cache_dir=tmp_path / name,
         )
-        ranker = make_llm_ranker(gateway, LIBRARY, "judge-model")
+        ranker = make_llm_ranker(gateway)
         result = swiss_tournament([proposal(f"p{n}") for n in range(12)], 4, ranker,
                                   seed=21, fan_out=gateway.fan_out)
         return result.to_dict(), gateway.stats.snapshot()
@@ -324,7 +322,7 @@ def planted_corpus(similarities: list[float], dim: int = 8) -> tuple:
 def test_threshold_only_all_below_threshold_is_novel(similar_judge):
     idea, corpus = planted_corpus([0.0, 0.1, 0.29, 0.3])
     config = PipelineConfig(novelty_topk=10)
-    result = novelty_judge(idea, corpus, config, similar_judge, LIBRARY, "m")
+    result = novelty_judge(idea, corpus, config, similar_judge)
     assert result.novel
     assert result.judge_calls == 0
     assert all(e.verdict == "not_candidate" for e in result.evidence)
@@ -333,7 +331,7 @@ def test_threshold_only_all_below_threshold_is_novel(similar_judge):
 def test_threshold_only_planted_rule(similar_judge):
     idea, corpus = planted_corpus([0.0, 0.29, 0.31, 1.0])
     config = PipelineConfig(novelty_topk=10)
-    result = novelty_judge(idea, corpus, config, similar_judge, LIBRARY, "m")
+    result = novelty_judge(idea, corpus, config, similar_judge)
     assert not result.novel
     assert result.judge_calls == 2
     verdicts = {round(e.similarity, 6): e.verdict for e in result.evidence}
@@ -350,8 +348,7 @@ def test_judge_called_once_per_candidate(make_gateway):
     config = PipelineConfig(novelty_topk=10)
     backend = RuleBackend(rules=[("contains the core", '{"verdict": "different"}')])
     gateway = make_gateway(backend)
-    result = novelty_judge(idea, corpus, config, gateway=gateway, library=LIBRARY,
-                           model_id="m")
+    result = novelty_judge(idea, corpus, config, gateway=gateway)
     assert result.judge_calls == 2  # exactly the >0.3 candidates
     assert gateway.stats.snapshot()["requests"] == 2
     assert result.novel  # both judged different
@@ -361,8 +358,7 @@ def test_identical_doc_judged_similar_is_not_novel(make_gateway):
     idea, corpus = planted_corpus([1.0])
     backend = RuleBackend(rules=[("contains the core", '{"verdict": "similar"}')])
     gateway = make_gateway(backend)
-    result = novelty_judge(idea, corpus, PipelineConfig(), gateway=gateway,
-                           library=LIBRARY, model_id="m")
+    result = novelty_judge(idea, corpus, PipelineConfig(), gateway=gateway)
     assert not result.novel
 
 
@@ -370,8 +366,7 @@ def test_judge_failure_is_conservative(make_gateway):
     idea, corpus = planted_corpus([0.9])
     backend = RuleBackend(rules=[("contains the core", "never json")])
     gateway = make_gateway(backend)
-    result = novelty_judge(idea, corpus, PipelineConfig(), gateway=gateway,
-                           library=LIBRARY, model_id="m")
+    result = novelty_judge(idea, corpus, PipelineConfig(), gateway=gateway)
     assert not result.novel  # extraction failure counts as similar
 
 
@@ -379,8 +374,7 @@ def test_judge_availability_failure_propagates(make_gateway):
     idea, corpus = planted_corpus([0.9])
     gateway = make_gateway(RuleBackend(rules=[("contains the core", refuse)]))
     with pytest.raises(GatewayError, match="HTTP 400"):
-        novelty_judge(idea, corpus, PipelineConfig(), gateway=gateway,
-                      library=LIBRARY, model_id="m")
+        novelty_judge(idea, corpus, PipelineConfig(), gateway=gateway)
 
 
 # The judge's reply does not depend on the prompt, so examples may share its cache.
@@ -396,7 +390,7 @@ def test_threshold_monotonicity(similar_judge, similarities, t_low, t_high):
     idea, corpus = planted_corpus(similarities)
     novel_low, novel_high = (
         novelty_judge(idea, corpus, PipelineConfig(novelty_sim_threshold=threshold),
-                      similar_judge, LIBRARY, "m").novel
+                      similar_judge).novel
         for threshold in (low, high)
     )
     assert not (novel_low and not novel_high)
@@ -411,7 +405,7 @@ def test_unique_novel_count_dedup_precedes_novelty(similar_judge):
                        embedding=tuple(float(v) for v in e3))
     corpus = PlantedCorpus([doc])
     config = PipelineConfig()
-    count = unique_novel_count(ideas, corpus, config, similar_judge, LIBRARY, "m")
+    count = unique_novel_count(ideas, corpus, config, similar_judge)
     # idea0 retained+novel; idea1 deduped away; idea2 retained but sim 1.0 -> not novel
     assert count == 1
     assert similar_judge.stats.snapshot()["requests"] == 1  # idea2's one candidate
@@ -441,8 +435,7 @@ def test_unique_novel_count_same_under_gateway_pool(make_gateway, tmp_path):
             options=GatewayOptions(parallelism=parallelism, backoff_base=0.0),
             cache_dir=tmp_path / name,
         )
-        count = unique_novel_count(pool, corpus, config, gateway=gateway, library=LIBRARY,
-                                   model_id="m")
+        count = unique_novel_count(pool, corpus, config, gateway=gateway)
         return count, gateway.stats.snapshot()
 
     (count, stats), pooled_run = run(1, "one"), run(8, "eight")
@@ -452,8 +445,7 @@ def test_unique_novel_count_same_under_gateway_pool(make_gateway, tmp_path):
 
 
 def test_unique_novel_count_empty_pool(similar_judge):
-    assert unique_novel_count([], PlantedCorpus([]), PipelineConfig(), similar_judge,
-                              LIBRARY, "m") == 0
+    assert unique_novel_count([], PlantedCorpus([]), PipelineConfig(), similar_judge) == 0
 
 
 def test_retained_ideas_follow_the_dedup_scan():
@@ -475,22 +467,20 @@ def test_unique_novel_counts_without_corpus_counts_every_retained_idea(make_gate
     gateway = make_gateway(backend)
     pools = {"0": [embedded_idea(n, np.eye(4)[n]) for n in range(4)], "1": [], "2": []}
     pools["2"] = pools["0"][1:]
-    counts = unique_novel_counts(pools, None, PipelineConfig(), gateway=gateway,
-                                 library=LIBRARY, model_id="m")
+    counts = unique_novel_counts(pools, None, PipelineConfig(), gateway=gateway)
     assert counts == {"0": 4, "1": 0, "2": 3}
     assert backend.prompts == []
-    assert unique_novel_count(pools["0"], None, PipelineConfig(), gateway, LIBRARY, "m") == 4
+    assert unique_novel_count(pools["0"], None, PipelineConfig(), gateway) == 4
 
 
 def test_unembedded_idea_rejected(tmp_path, similar_judge):
     with pytest.raises(ValueError, match="embedding"):
-        novelty_judge(make_idea(1), PlantedCorpus([]), PipelineConfig(), similar_judge,
-                      LIBRARY, "m")
+        novelty_judge(make_idea(1), PlantedCorpus([]), PipelineConfig(), similar_judge)
     # The count dedups first, so an unembedded idea fails there, before any prefilter.
     corpus = OfflineCorpus(write_corpus(tmp_path / "c", [np.eye(4)[0]]), HashEmbedder(dim=4))
     pool = [embedded_idea(0, np.eye(4)[1]), make_idea(1)]
     with pytest.raises(SelectorError, match="without embeddings"):
-        unique_novel_count(pool, corpus, PipelineConfig(), similar_judge, LIBRARY, "m")
+        unique_novel_count(pool, corpus, PipelineConfig(), similar_judge)
 
 
 # ---------------------------------------------------------------------------
@@ -531,12 +521,12 @@ def test_prefilter_at_threshold(tmp_path, similar_judge, offset, cleared):
     idea = embedded_idea(0, e1)
     config = PipelineConfig(novelty_sim_threshold=threshold)
     assert abs(corpus.max_similarity([idea.embedding])[0] - sim) < 1e-15
-    result = novelty_judge(idea, corpus, config, similar_judge, LIBRARY, "m")
+    result = novelty_judge(idea, corpus, config, similar_judge)
     expected = result.novel
     assert expected == (offset <= 0.0)
     assert result.judge_calls == int(not expected)
     corpus.nearest_calls = 0
-    counts = unique_novel_counts({"0": [idea]}, corpus, config, similar_judge, LIBRARY, "m")
+    counts = unique_novel_counts({"0": [idea]}, corpus, config, similar_judge)
     assert counts == {"0": int(expected)}
     assert corpus.nearest_calls == (0 if cleared else 1)
 
@@ -549,7 +539,7 @@ def test_prefilter_empty_corpus_clears_every_idea(tmp_path, similar_judge):
     # No dimension check without docs, as `nearest` returns [] for any query.
     assert corpus.max_similarity([[1.0, 0.0]]).tolist() == [-np.inf]
     counts = unique_novel_counts({"0": pool, "1": pool[:1], "2": []}, corpus, PipelineConfig(),
-                                 similar_judge, LIBRARY, "m")
+                                 similar_judge)
     assert counts == {"0": 4, "1": 1, "2": 0}
     assert corpus.nearest_calls == 0
     assert similar_judge.stats.snapshot()["requests"] == 0
@@ -561,7 +551,7 @@ def test_prefilter_dimension_mismatch(tmp_path, similar_judge):
     with pytest.raises(LiteratureError, match="dimension mismatch"):
         corpus.max_similarity([pool[0].embedding])
     with pytest.raises(LiteratureError, match="dimension mismatch"):
-        unique_novel_counts({"0": pool}, corpus, PipelineConfig(), similar_judge, LIBRARY, "m")
+        unique_novel_counts({"0": pool}, corpus, PipelineConfig(), similar_judge)
 
 
 def test_max_similarity_equals_best_nearest_score(tmp_path):
@@ -586,7 +576,7 @@ def per_pool_reference(pools, corpus, config, gateway):
             _, retained = non_duplicate_fraction(pool, config.dup_sim_threshold)
             by_id = {i.id: i for i in pool}
             counts[key] = sum(
-                novelty_judge(by_id[i], corpus, config, gateway, LIBRARY, "m").novel
+                novelty_judge(by_id[i], corpus, config, gateway).novel
                 for i in retained
             )
     return counts
@@ -639,7 +629,7 @@ def test_unique_novel_counts_equal_per_pool_counts(make_gateway, tmp_path, corpu
         corpus.nearest_calls = 0
     pooled = gateway(8, "pooled")
     deduped = {key: retained_ideas(pool, config.dup_sim_threshold) for key, pool in pools.items()}
-    assert unique_novel_counts(deduped, corpus, config, pooled, LIBRARY, "m") == expected
+    assert unique_novel_counts(deduped, corpus, config, pooled) == expected
     assert pooled.stats.snapshot() == sequential.stats.snapshot()
     retained = sum(map(len, deduped.values()))
     assert 0 < sum(expected.values()) < retained
@@ -658,4 +648,4 @@ def test_unique_novel_counts_equal_per_pool_counts(make_gateway, tmp_path, corpu
             candidates[i.id] for ideas in deduped.values() for i in ideas
         )
     for key, pool in pools.items():
-        assert unique_novel_count(pool, corpus, config, pooled, LIBRARY, "m") == expected[key]
+        assert unique_novel_count(pool, corpus, config, pooled) == expected[key]

@@ -6,7 +6,6 @@ from pathlib import Path
 
 from nova import tournament
 from nova.orchestrator import Runner, RunnerOptions
-from nova.prompts import PromptLibrary
 from tests.conftest import RuleBackend
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
@@ -32,7 +31,7 @@ def test_ask_with_a_suffix_is_attributed_to_its_template(monkeypatch, make_gatew
     bindings = {"proposal_a": "first", "proposal_b": "second"}
     suffix = "\n\n(Refill attempt 1: propose ideas different from these.)\nAccepted so far:\n- x"
     with Tracing() as tracing:
-        assert gateway.ask(PromptLibrary(), "pairwise_rank", bindings, "m", suffix) == {
+        assert gateway.ask("pairwise_rank", bindings, suffix) == {
             "winner": "A"
         }
     calls = {k: n for k, n in tracing.recorder.counts.items() if k.startswith("gateway.calls.")}
