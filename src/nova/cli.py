@@ -135,13 +135,9 @@ def load_config(args) -> tuple[PipelineConfig, set[str]]:
     if getattr(args, "seed", None) is not None:
         data["rng_seed"] = args.seed
     try:
-        config = PipelineConfig.from_dict(data)
+        return PipelineConfig.from_dict(data), set(data)
     except DomainParseError as exc:
-        raise UsageError(str(exc)) from exc
-    problems = config.validate()
-    if problems:
-        raise UsageError("invalid config: " + "; ".join(problems))
-    return config, set(data)
+        raise UsageError(f"invalid config: {exc}") from exc
 
 
 def check_resumed_config(out: Path, config: PipelineConfig, asked: set[str]) -> None:
@@ -180,7 +176,7 @@ def _run_command(args, target_stage: str) -> int:
     runner = Runner(args.out, config, options)
     try:
         state = runner.advance_to(target_stage, paper_input=paper_input)
-    except (PipelineAborted, GatewayError) as exc:
+    except PipelineAborted as exc:
         print(f"{ERROR_PREFIX} {exc}", file=sys.stderr)
         cursor = runner.state.stage_cursor if runner.state else "(none)"
         print(f"run directory: {args.out}\nstage reached: {cursor}")

@@ -21,7 +21,10 @@ a default; an absent field takes that default. `str` fields take only
 strings; `int` fields reject bools; `float` fields accept ints.
 
 The `validate()` methods hold the semantic invariants that the types alone
-cannot express.
+cannot express. `from_dict` runs them, and nothing else does: a record that
+decodes but breaks an invariant raises a `DomainParseError` listing each
+problem. A `validate()` checks only its own fields, since a nested record was
+checked by its own decode; a record built in memory relies on its producer.
 """
 
 from __future__ import annotations
@@ -61,7 +64,11 @@ EMBEDDING_NORM_TOL = 1e-6
 
 
 class DomainParseError(ValueError):
-    """Raised when a dict cannot be parsed into a domain value at all."""
+    """A dict that does not decode into a domain value; the message joins `problems`."""
+
+    def __init__(self, *problems: str):
+        super().__init__("; ".join(problems))
+        self.problems = list(problems)
 
 
 # ---------------------------------------------------------------------------
@@ -213,20 +220,14 @@ class Record:
         missing = codec.required - data.keys()
         if missing:
             raise DomainParseError(f"{kind}: missing fields {sorted(missing)}")
-        return cls(**{name: decoders[name](value) for name, value in data.items()})
+        record = cls(**{name: decoders[name](value) for name, value in data.items()})
+        if problems := record.validate():
+            raise DomainParseError(*problems)
+        return record
 
-
-def embedding_norm(values) -> float:
-    return math.sqrt(math.fsum(float(v) * float(v) for v in values))
-
-
-def _check_embedding(kind: str, values, out: list[str]) -> None:
-    if any(not math.isfinite(v) for v in values):
-        out.append(f"{kind}.embedding: entries must be finite")
-        return
-    norm = embedding_norm(values)
-    if abs(norm - 1.0) > EMBEDDING_NORM_TOL:
-        out.append(f"{kind}.embedding: norm {norm:.6g} is not 1 within {EMBEDDING_NORM_TOL}")
+    def validate(self) -> list[str]:
+        """The invariants this record's own fields break; run by `from_dict` only."""
+        return []
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +299,10 @@ class Idea(Record):
         if self.generation < 0:
             out.append("Idea.generation: must be nonnegative")
         if self.embedding is not None:
-            _check_embedding("Idea", self.embedding, out)
+            if not all(map(math.isfinite, self.embedding)):
+                out.append("Idea.embedding: entries must be finite")
+            elif abs((norm := math.hypot(*self.embedding)) - 1.0) > EMBEDDING_NORM_TOL:
+                out.append(f"Idea.embedding: norm {norm:.6g} is not 1 within {EMBEDDING_NORM_TOL}")
         return out
 
 
@@ -345,14 +349,6 @@ class RetrievedDoc(Record):
     source_query: str = ""
     score: float = 0.0
     embedding: Embedding | None = None
-
-    def validate(self) -> list[str]:
-        out: list[str] = []
-        if not self.title:
-            out.append("RetrievedDoc.title: must be nonempty")
-        if self.embedding is not None:
-            _check_embedding("RetrievedDoc", self.embedding, out)
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -417,10 +413,6 @@ class ProposalSet(Record):
     initial: Proposal
     decomposition: DecompositionPlan
     final: Proposal
-
-    def validate(self) -> list[str]:
-        return [f"ProposalSet.{name}: {v}" for name in ("initial", "decomposition", "final")
-                for v in getattr(self, name).validate()]
 
 
 # ---------------------------------------------------------------------------
@@ -495,16 +487,12 @@ class TournamentResult(Record):
     matches: tuple[Match, ...] = ()
     byes: tuple[Bye, ...] = ()
 
-    def rounds_played(self) -> int:
-        rounds = {m.round for m in self.matches} | {b.round for b in self.byes}
-        return len(rounds)
-
     def validate(self) -> list[str]:
         out: list[str] = []
         for idea_id, score in self.scores.items():
             if score < 0:
                 out.append(f"TournamentResult.scores[{idea_id}]: must be nonnegative")
-        rounds = self.rounds_played()
+        rounds = len({m.round for m in self.matches} | {b.round for b in self.byes})
         if rounds:
             for idea_id, score in self.scores.items():
                 if score > rounds:
@@ -529,10 +517,6 @@ class TournamentResult(Record):
 # ---------------------------------------------------------------------------
 
 
-def _each(where: str, records) -> list[str]:
-    return [f"{where}[{n}]: {v}" for n, r in enumerate(records) for v in r.validate()]
-
-
 @dataclass(frozen=True)
 class TrendReport(Record):
     text: str
@@ -547,8 +531,7 @@ class IdeaPool(Record):
     ideas: tuple[Idea, ...]
 
     def validate(self) -> list[str]:
-        out = [] if self.generation >= 0 else ["IdeaPool.generation: must be nonnegative"]
-        return out + _each("IdeaPool.ideas", self.ideas)
+        return [] if self.generation >= 0 else ["IdeaPool.generation: must be nonnegative"]
 
 
 @dataclass(frozen=True)
@@ -560,16 +543,12 @@ class IterationRecord(Record):
     retrieved_counts: dict[str, int]
 
     def validate(self) -> list[str]:
-        out = [] if self.generation >= 1 else ["IterationRecord.generation: must be positive"]
-        return out + _each("IterationRecord.plans", self.plans)
+        return [] if self.generation >= 1 else ["IterationRecord.generation: must be positive"]
 
 
 @dataclass(frozen=True)
 class IterationRecords(Record):
     records: tuple[IterationRecord, ...]
-
-    def validate(self) -> list[str]:
-        return _each("IterationRecords.records", self.records)
 
 
 @dataclass(frozen=True)

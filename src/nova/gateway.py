@@ -20,15 +20,15 @@ reply) is an availability failure that no caller catches, so the stage fails
 and `Runner.advance_to` aborts the run at its last checkpoint.
 
 Concurrency has one setting, ``GatewayOptions.parallelism``, which caps live
-sends run-wide, and two entry points: :meth:`Gateway.fan_out`, which every
-LLM-bound stage maps its per-item work through, and
-:meth:`Gateway.concurrently`, which runs a few independent thunks together
-(the evaluate stage's novelty count and Swiss tournament). Both follow one
-launch rule, held in `Gateway._launching`, the only code that starts threads:
-work runs on the calling thread, in order, until that thread gets its first
-successful live reply; the items or thunks not yet begun then start on new
-threads while the calling thread finishes the one it is in. So cached and
-offline work never pays for threads, and a dead backend starts none.
+sends run-wide, and one entry point, :meth:`Gateway.fan_out`, which every
+LLM-bound stage maps its per-item work through (the evaluate stage maps its
+two branches, the novelty count and the Swiss tournament, through one). It
+follows one launch rule, held in `Gateway._launching`, the only code that
+starts threads: items run on the calling thread, in order, until that thread
+gets its first successful live reply; the items not yet begun then start on a
+pool while the calling thread finishes the one it is in. So cached and
+offline work never pays for threads, and a dead backend starts none. A
+fan_out inside a fan_out item follows the same rule on its own pool.
 Concurrent requests for one cache key make a single live call; the others
 wait for it and count as cache hits, exactly as if they had been issued one
 after another.
@@ -360,7 +360,6 @@ class _ThreadState(threading.local):
     """Per-thread facts the launch rule decides on."""
 
     def __init__(self):
-        self.in_worker = False  # this thread is a fan_out pool worker
         # Launches of the `_launching` calls running on this thread, waiting
         # for its first successful live reply; `_send` fires them.
         self.launches: list[Callable[[], None]] = []
@@ -398,41 +397,27 @@ class Gateway:
         """`[fn(item) for item in items]`, run concurrently once calls go live.
 
         The launch rule (`_launching`) starts the items not yet begun on a
-        pool of at most `parallelism` threads. Results are joined in input
-        order, and an exception from `fn` propagates from the first failing
-        item in that order, after the running items finish; items not yet
-        begun are dropped. A fan_out called from a pool worker runs inline, so
-        pools never nest. `fn` should return only what the caller's join needs:
-        results are held until every item is done.
+        pool of at most `parallelism` threads; at `parallelism` 1 every item
+        runs inline. Results are joined in input order, and an exception from
+        `fn` propagates from the first failing item in that order, after the
+        running items finish; items not yet begun are dropped. A fan_out
+        inside an item gets a pool of its own by the same rule, and the
+        semaphore still caps live sends at `parallelism`. `fn` should return
+        only what the caller's join needs: results are held until every item
+        is done.
         """
         thunks = [functools.partial(fn, item) for item in items]
-        if self._thread.in_worker or self._options.parallelism <= 1:
+        if self._options.parallelism <= 1:
             return [thunk() for thunk in thunks]
-        return self._launching(thunks, self._options.parallelism, self._enter_worker)
+        return self._launching(thunks, self._options.parallelism)
 
-    def concurrently(self, *thunks: Callable[[], R]) -> list[R]:
-        """`[thunk() for thunk in thunks]`, the thunks run together once calls go live.
-
-        The launch rule (`_launching`) starts the thunks not yet begun on as
-        many threads. Those threads are not fan_out pool workers, so a fan_out
-        inside a thunk still uses a pool. Results come back in
-        argument order. The call waits for every thunk it started and then
-        re-raises the first failure in argument order: a structured-concurrency
-        scope, like a Trio nursery or `asyncio.TaskGroup`.
-        """
-        return self._launching(list(thunks), len(thunks))
-
-    def _launching(
-        self,
-        thunks: list[Callable[[], R]],
-        max_threads: int,
-        initializer: Callable[[], None] | None = None,
-    ) -> list[R]:
+    def _launching(self, thunks: list[Callable[[], R]], max_threads: int) -> list[R]:
         """Run `thunks` under the launch rule; results in order.
 
         Thunks run on the calling thread, in order, until that thread gets its
-        first successful live reply (`_send` fires the launch). The thunks not
-        yet begun then go to a pool of at most `max_threads` threads, while the
+        first successful live reply (`_send` fires the launch, and the launch
+        of every `_launching` call nested on that thread). The thunks not yet
+        begun then go to a pool of at most `max_threads` threads, while the
         calling thread finishes the thunk it is in. The first failure in
         thunk order is raised once the running thunks have finished; pool
         thunks not yet begun are cancelled.
@@ -445,9 +430,7 @@ class Gateway:
             nonlocal pool
             rest = thunks[len(results) + 1 :]
             if rest:
-                pool = ThreadPoolExecutor(
-                    max_workers=min(max_threads, len(rest)), initializer=initializer
-                )
+                pool = ThreadPoolExecutor(max_workers=min(max_threads, len(rest)))
                 futures.extend(pool.submit(thunk) for thunk in rest)
 
         launches = self._thread.launches
@@ -463,9 +446,6 @@ class Gateway:
                 launches.remove(launch)
             if pool is not None:
                 pool.shutdown(cancel_futures=True)
-
-    def _enter_worker(self) -> None:
-        self._thread.in_worker = True
 
     def complete(self, request: ChatRequest) -> str:
         """Return the reply text for this request: cached, or sent with retries.

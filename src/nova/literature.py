@@ -278,7 +278,8 @@ class HttpSearchClient:
     """Paper-search client over `gateway.post_json`: POST {query, limit} -> {results: [...]}.
 
     The key comes from NOVA_SEARCH_API_KEY, empty if unset. A reply that is not
-    an object with a list of titled results raises `LiteratureError`. Returned
+    an object with a list of results, each an object with a nonempty string
+    title, raises `LiteratureError` naming the first bad result. Returned
     docs are embedded from "<title>\\n<abstract>" with `embedder`, in one call.
     """
 
@@ -300,7 +301,8 @@ class HttpSearchClient:
             raise LiteratureError("search reply has no list of results")
         rows = rows[: query.limit]
         for n, row in enumerate(rows):
-            if not isinstance(row, dict) or not isinstance(row.get("title"), str):
+            title = row.get("title") if isinstance(row, dict) else None
+            if not isinstance(title, str) or not title:
                 raise LiteratureError(f"search result {n} has no title")
         if not rows:
             return []

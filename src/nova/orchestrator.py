@@ -3,7 +3,7 @@
 One directory per run:
 
     state.json      atomic snapshot of RunState (write-temp-then-rename)
-    events.jsonl    append-only log; replaying it reconstructs RunState
+    events.jsonl    append-only log: run_started, then one stage_completed per commit
     artifacts/      content-addressed typed envelopes {"kind", "data"}
     proposals/      rendered Markdown, one file per surviving idea
     report/         metric CSVs and the JSON summary
@@ -25,8 +25,11 @@ idea: the initial proposal, the method decomposition and the final
 proposal), tournament_result and run_metrics; `RunState.proposals` maps each
 proposed idea to its proposal_set.
 `ArtifactStore.get` and `load_state` turn data that does not decode (a pool
-with list-of-numbers embeddings, say) into an `OrchestratorError` naming the
-artifact digest or the file, and the field.
+with list-of-numbers embeddings, say), or that breaks an invariant of its
+`Record` (an empty proposal section, say), into an `OrchestratorError` naming
+the kind, the artifact digest or the file, and the field. `put` checks
+nothing: a stored record is built from schema-checked replies or by code that
+holds its invariants.
 
 Stages commit atomically in order seeded -> iterated -> selected -> proposed
 -> evaluated -> done; a crash between stages leaves a resumable checkpoint.
@@ -42,7 +45,7 @@ tournament and the novelty check).
 The LLM-bound stages (iterate, propose, evaluate) map their per-item work
 through `Gateway.fan_out`, bounded by `GatewayOptions.parallelism`; work runs
 inline until a call goes live. The evaluate stage runs two branches that share
-no data through `Gateway.concurrently`: the novelty branch dedups each
+no data as the two items of one `fan_out`: the novelty branch dedups each
 generation's pool once and judges the novelty of every retained idea through
 one fan-out (`tournament.unique_novel_counts`; without a corpus each count is
 the pool's dedup count), and the Swiss branch plays the tournament round by
@@ -156,7 +159,7 @@ class RunState(Record):
                    representatives_ref=None, tournament_ref=None, metrics_ref=None)
 
     def validate(self) -> list[str]:
-        out = self.config.validate()
+        out = []
         for name, allowed in (("stage_cursor", STAGES), ("backend", ("live", "mock"))):
             if getattr(self, name) not in allowed:
                 out.append(f"RunState.{name}: {getattr(self, name)!r} not in {allowed}")
@@ -172,12 +175,9 @@ def load_state(out_dir: Path) -> RunState | None:
     if not path.is_file():
         return None
     try:
-        state = RunState.from_dict(json.loads(path.read_text(encoding="utf-8")))
+        return RunState.from_dict(json.loads(path.read_text(encoding="utf-8")))
     except ValueError as exc:  # not JSON, or a DomainParseError
         raise OrchestratorError(f"run state {path}: {exc}") from exc
-    if problems := state.validate():
-        raise OrchestratorError(f"run state {path}: {'; '.join(problems)}")
-    return state
 
 
 _ENCODER = json.JSONEncoder(ensure_ascii=False, indent=2)
@@ -252,16 +252,6 @@ class EventLog:
         with open(self._path, "a", encoding="utf-8") as fh:
             fh.write(line)
 
-    def read_all(self) -> list[dict]:
-        if not self._path.is_file():
-            return []
-        events = []
-        with open(self._path, encoding="utf-8") as fh:
-            for line in fh:
-                if line.strip():
-                    events.append(json.loads(line))
-        return events
-
 
 def load_paper_input(source: dict | str | Path, id_factory: IdFactory) -> tuple[SeedPaper, list[SeedPaper]]:
     """Parse the run input: a bare paper object or {"paper", "trend_papers"}.
@@ -287,29 +277,30 @@ def load_paper_input(source: dict | str | Path, id_factory: IdFactory) -> tuple[
     problems: list[str] = []
     papers: list[SeedPaper] = []
     for n, raw in enumerate([paper_raw, *trend_raw]):
-        where = f"trend_papers[{n - 1}]: " if n else ""
         try:
-            paper = _parse_paper(raw, id_factory, where)
+            papers.append(_parse_paper(raw, id_factory, f"trend_papers[{n - 1}]: " if n else ""))
         except InvalidPaperError as exc:
             problems += exc.violations
-            continue
-        if n and not paper.source_meta:
-            problems.append(f"{where}SeedPaper.source_meta: must be nonempty")
-        problems += [where + problem for problem in paper.validate()]
-        papers.append(paper)
     if problems:
         raise InvalidPaperError(problems)
     return papers[0], papers[1:]
 
 
 def _parse_paper(raw, id_factory: IdFactory, where: str) -> SeedPaper:
+    """Decode one input paper; `where` is empty for the seed paper, else its trend prefix."""
     if not isinstance(raw, dict):
         kind = type(raw).__name__
         raise InvalidPaperError([f"{where}input paper must be a JSON object, got {kind}"])
+    problems = []
+    if where and not raw.get("source_meta"):
+        problems.append(f"{where}SeedPaper.source_meta: must be nonempty")
     try:
-        return SeedPaper.from_dict({"id": id_factory.new_id(), **raw})
+        paper = SeedPaper.from_dict({"id": id_factory.new_id(), **raw})
     except DomainParseError as exc:
-        raise InvalidPaperError([f"{where}{exc}"]) from exc
+        problems += [where + problem for problem in exc.problems]
+    if problems:
+        raise InvalidPaperError(problems)
+    return paper
 
 
 class Runner:
@@ -518,7 +509,9 @@ class Runner:
         # each new thread that calls it, which on a 2,000-doc corpus raised
         # the run's peak RSS by a quarter when the prefilter ran on a second
         # thread.
-        (retained, unique_novel), result = self.gateway.concurrently(novelty, swiss)
+        (retained, unique_novel), result = self.gateway.fan_out(
+            (novelty, swiss), lambda branch: branch()
+        )
         tournament_ref = None
         histogram: dict[str, int] = {}
         if result is not None:
@@ -644,23 +637,3 @@ def metrics_report(out_dir: str | Path) -> dict:
     store = ArtifactStore(out_dir)
     pool_sizes = {g: len(store.get(digest, IdeaPool).ideas) for g, digest in state.pools.items()}
     return write_report(out_dir, state, store, pool_sizes)
-
-
-def replay_events(out_dir: str | Path) -> dict | None:
-    """Fold the event log into the state dict it implies (None if no events)."""
-    out_dir = Path(out_dir)
-    events = EventLog(out_dir).read_all()
-    state: dict | None = None
-    for event in events:
-        if event["type"] == "run_started":
-            config = PipelineConfig.from_dict(event["config"])
-            state = RunState.start(event["run_id"], config, event["backend"]).to_dict()
-            state["stage_cursor"] = None
-        elif event["type"] == "stage_completed":
-            assert state is not None, "stage_completed before run_started"
-            for key, value in event["delta"].items():
-                state[key] = value
-            state["stage_cursor"] = event["stage"]
-            state["id_counter"] = event["id_counter"]
-            state["event_seq"] = event["seq"]
-    return state

@@ -3,9 +3,10 @@
 The shipped set is package data: ``manifest.json``, one body per template at
 ``<name>.txt``, ``default_bindings.json`` and ``discovery_theories.json``. A
 manifest entry is ``{"name", "schema_name", "model"}``: the output schema a
-reply must match (null for free text) and the model the template's requests
-name. A template's placeholders are the ones its body holds, ``{name}`` with no
-nesting; literal braces are escaped by doubling.
+reply must match (a file under ``nova/schemas/outputs``, or null for free
+text) and the model the template's requests name. A template's placeholders
+are the ones its body holds, ``{name}`` with no nesting; literal braces are
+escaped by doubling.
 
 Four placeholders are set constants, bound by `render` itself when the caller
 does not bind them: the three texts of ``default_bindings.json`` and
@@ -21,6 +22,8 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from types import MappingProxyType
+
+from . import schemas
 
 _PACKAGE = "nova.templates"
 
@@ -148,6 +151,16 @@ class PromptLibrary:
             name, model = entry["name"], entry.get("model")
             if not isinstance(model, str) or not model:
                 raise PromptError(f"template {name!r}: manifest entry has no model name")
+            if "schema_name" not in entry:
+                raise PromptError(f"template {name!r}: manifest entry has no schema_name")
+            schema_name = entry["schema_name"]
+            try:
+                if schema_name is not None:
+                    schemas.load_output_schema(schema_name)
+            except (KeyError, TypeError):
+                raise PromptError(
+                    f"template {name!r}: schema_name {schema_name!r} names no output schema"
+                ) from None
             try:
                 body = self._read(f"{name}.txt")
             except FileNotFoundError:
@@ -156,7 +169,7 @@ class PromptLibrary:
                 name=name,
                 body=body,
                 required_placeholders=frozenset(placeholders_in(body, name) - constants),
-                schema_name=entry["schema_name"],
+                schema_name=schema_name,
                 model=model,
             )
         return templates

@@ -388,13 +388,35 @@ def test_run_refuses_a_pool_stored_as_a_list_of_numbers(cli_env, tmp_path, capsy
     assert read_state(tmp_path, "old")["stage_cursor"] == "seeded"
 
 
+def test_evaluate_refuses_a_proposal_set_with_an_empty_section(cli_env, tmp_path, capsys):
+    """A hand-edited proposal set that still decodes is refused by the resume that reads it."""
+    assert main(cli_env("seed", "motivation")) == 0
+    assert main(cli_env("propose", "motivation")) == 0
+    run_dir = tmp_path / "motivation"
+    digest = sorted(read_state(tmp_path, "motivation")["proposals"].values())[0]
+    path = run_dir / "artifacts" / f"{digest}.json"
+    envelope = json.loads(path.read_text(encoding="utf-8"))
+    envelope["data"]["final"]["sections"]["Motivation"] = ""
+    path.write_bytes(_dump_bytes(envelope))
+    state = (run_dir / "state.json").read_bytes()
+    capsys.readouterr()
+
+    assert main(cli_env("evaluate", "motivation")) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"nova-error: proposal set artifact {digest}: "
+        "Proposal.sections[Motivation]: must be nonempty"
+    ]
+    assert (run_dir / "state.json").read_bytes() == state
+
+
 @pytest.mark.parametrize(
     "damage, reason",
     [
         ({"surprise": 1}, "RunState: unknown fields ['surprise']"),
         ({"stage_cursor": "bogus"}, "RunState.stage_cursor: 'bogus' not in"),
+        ({"config": {"keep_count": 20}}, "PipelineConfig.keep_count: must be <= expand_count"),
     ],
-    ids=["unknown_field", "unknown_stage"],
+    ids=["unknown_field", "unknown_stage", "config_invariant"],
 )
 def test_a_damaged_run_state_exits_2(cli_env, tmp_path, capsys, damage, reason):
     """A damaged `state.json` is named with the field at fault, not a traceback."""

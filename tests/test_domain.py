@@ -236,11 +236,11 @@ def test_tournament_result_conservation_violations():
     [
         (TrendReport(""), "TrendReport.text: must be nonempty"),
         (IdeaPool(0, (dataclasses.replace(SAMPLES["idea"], idea=""),)),
-         "IdeaPool.ideas[0]: Idea.idea: must be nonempty"),
+         "Idea.idea: must be nonempty"),
         (IterationRecords((IterationRecord(0, 1, 1, (), {}),)),
-         "IterationRecords.records[0]: IterationRecord.generation: must be positive"),
+         "IterationRecord.generation: must be positive"),
         (IterationRecord(1, 1, 1, (SearchPlan("i1", ()),), {}),
-         "IterationRecord.plans[0]: SearchPlan.directions: at least one direction required"),
+         "SearchPlan.directions: at least one direction required"),
         (Representatives(("i9",), {"i1": 0}),
          "Representatives.idea_ids: i9 has no cluster assignment"),
         (DecompositionPlan("t", ()), "DecompositionPlan.modules: at least one module required"),
@@ -259,14 +259,35 @@ def test_tournament_result_conservation_violations():
         (dataclasses.replace(SAMPLES["run_state"], config=PipelineConfig(keep_count=20)),
          "PipelineConfig.keep_count: must be <= expand_count"),
         (dataclasses.replace(SAMPLES["proposal_set"], decomposition=DecompositionPlan("t", ())),
-         "ProposalSet.decomposition: DecompositionPlan.modules: at least one module required"),
+         "DecompositionPlan.modules: at least one module required"),
         (dataclasses.replace(SAMPLES["run_state"], proposals={"i1": "final"}),
          "RunState: 'final' is not a sha256 digest"),
+        (dataclasses.replace(SAMPLES["idea"], embedding=(1.3e154, 1.3e154)),
+         "Idea.embedding: norm 1.83848e+154 is not 1"),  # its squares overflow a float
     ],
 )
 def test_stored_record_invariants(value, expected):
-    violations = value.validate()
-    assert len(violations) == 1 and violations[0].startswith(expected), violations
+    """One broken invariant fails the record's decode with one problem naming the field.
+
+    A broken nested record (a pool's idea, a run state's config) fails its own
+    decode inside its parent's, so the parent's `validate()` does not repeat it.
+    """
+    with pytest.raises(DomainParseError) as info:
+        type(value).from_dict(value.to_dict())
+    problems = info.value.problems
+    assert len(problems) == 1 and problems[0].startswith(expected), problems
+
+
+def test_a_decode_lists_every_broken_invariant():
+    data = {**SAMPLES["idea"].to_dict(), "idea": "", "source": "dream"}
+    with pytest.raises(DomainParseError) as info:
+        Idea.from_dict(data)
+    assert info.value.problems == [
+        "Idea.idea: must be nonempty",
+        "Idea.source: 'dream' not in ('internal_knowledge', 'trend', 'discovery_theory', "
+        "'iteration')",
+    ]
+    assert str(info.value) == "; ".join(info.value.problems)
 
 
 def test_config_invariants():
@@ -463,7 +484,8 @@ def test_non_object_rejected(cls):
          SeedPaper(id="p", title="T", abstract="A", references=(), source_meta=None)),
         (Idea, {"id": "i", "thinking": "t", "idea": "x", "keywords": ["k"], "source": "trend"},
          Idea(id="i", thinking="t", idea="x", keywords=("k",), source="trend", generation=0)),
-        (SearchPlan, {"idea_id": "i", "directions": []}, SearchPlan("i", (), 0)),
+        (SearchPlan, {"idea_id": "i", "directions": [{"thinking": "d", "keywords": ["k"]}]},
+         SearchPlan("i", (Direction("d", ("k",)),), 0)),
         (RetrievedDoc, {"title": "D"}, RetrievedDoc("D", "", "", 0.0, None)),
         (TournamentResult, {}, TournamentResult({}, (), ())),
         (PipelineConfig, {"rng_seed": 7}, dataclasses.replace(PipelineConfig(), rng_seed=7)),
@@ -520,8 +542,8 @@ FLOAT64 = st.one_of(
 
 @given(st.lists(FLOAT64, min_size=1, max_size=384))
 def test_embedding_round_trips_bit_exactly(values):
-    idea = dataclasses.replace(SAMPLES["idea"], embedding=tuple(values))
-    decoded = Idea.from_dict(json.loads(json.dumps(idea.to_dict()))).embedding
+    doc = RetrievedDoc(title="Doc", embedding=tuple(values))
+    decoded = RetrievedDoc.from_dict(json.loads(json.dumps(doc.to_dict()))).embedding
     assert isinstance(decoded, tuple) and all(type(v) is float for v in decoded)
     layout = f"<{len(values)}d"
     assert struct.pack(layout, *decoded) == struct.pack(layout, *values)

@@ -639,23 +639,28 @@ def test_fan_out_parallelism_one_runs_inline(make_gateway):
     assert backend.threads == {threading.get_ident()}
 
 
-def test_fan_out_nested_in_a_worker_runs_inline(make_gateway):
-    backend = SlowBackend(delay=0.01)
+def test_fan_out_inside_a_fan_out_item_pools(make_gateway):
+    """A nested fan_out, on the calling thread or a pool worker, starts a pool of
+    its own under the same launch rule, and live sends stay capped at `parallelism`."""
+    backend = SlowBackend(delay=0.02)
     gateway = make_gateway(backend, options=GatewayOptions(parallelism=4, backoff_base=0.0))
 
     def outer(n: int):
         gateway.complete(req(f"outer {n}"))
         here = threading.get_ident()
         inner_threads = gateway.fan_out(
-            range(3),
+            range(4),
             lambda m: (gateway.complete(req(f"inner {n}.{m}")), threading.get_ident())[1],
         )
         return here, inner_threads
 
-    results = gateway.fan_out(range(6), outer)
-    for here, inner_threads in results[1:]:  # items 1.. ran on pool workers
-        assert here != threading.get_ident()
-        assert inner_threads == [here] * 3
+    results = gateway.fan_out(range(3), outer)
+    assert results[0][0] == threading.get_ident()
+    assert threading.get_ident() not in {here for here, _ in results[1:]}
+    for here, inner_threads in results:
+        assert inner_threads[0] == here  # the nested fan_out starts inline
+        assert here not in inner_threads[1:]  # and pools the rest of its items
+    assert 1 < backend.peak <= 4
 
 
 def test_fan_out_raises_the_first_failure_in_input_order(make_gateway):
@@ -722,139 +727,63 @@ def test_fan_out_starts_the_rest_at_the_first_reply_not_the_first_item(make_gate
     assert backend.log.index(("start", "p1.a")) < backend.log.index(("end", "p0.b"))
 
 
-# ---------------------------------------------------------------------------
-# concurrently()
-# ---------------------------------------------------------------------------
-
-
-def live(gateway: Gateway, prompt: str, then=lambda: None):
-    """A thunk: one live call, then `then()`."""
-
-    def thunk():
-        gateway.complete(req(prompt))
-        return then()
-
-    return thunk
-
-
-def test_concurrently_returns_results_in_argument_order(make_gateway):
+@pytest.mark.parametrize("failing", [(0, 1), (1, 2)], ids=["caller_item", "worker_item"])
+def test_fan_out_raises_the_first_failure_after_every_started_item(make_gateway, failing):
     gateway = make_gateway(SlowBackend(delay=0.01))
+    pauses = (0.10, 0.05, 0.0)  # the last item fails first, the first one last
     finished: list[int] = []
 
-    def after(n: int, pause: float):
-        def then():
-            time.sleep(pause)
-            finished.append(n)
-            return n
+    def fn(n: int) -> int:
+        gateway.complete(req(f"p{n}"))
+        time.sleep(pauses[n])
+        finished.append(n)
+        if n in failing:
+            raise ValueError(f"item {n}")
+        return n
 
-        return then
-
-    thunks = [live(gateway, f"p{n}", after(n, pause))
-              for n, pause in enumerate((0.3, 0.15, 0.0))]
-    assert gateway.concurrently(*thunks) == [0, 1, 2]
-    assert finished == [2, 1, 0]  # they ran together and ended in reverse
-
-
-@pytest.mark.parametrize("failing", [(0, 1), (1, 2)], ids=["caller_thunk", "thread_thunk"])
-def test_concurrently_raises_the_first_failure_after_every_started_thunk(make_gateway, failing):
-    gateway = make_gateway(SlowBackend(delay=0.01))
-    pauses = (0.10, 0.05, 0.0)  # the last thunk fails first, the first one last
-    finished: list[int] = []
-
-    def after(n: int):
-        def then():
-            time.sleep(pauses[n])
-            finished.append(n)
-            if n in failing:
-                raise ValueError(f"thunk {n}")
-            return n
-
-        return then
-
-    with pytest.raises(ValueError, match=f"thunk {failing[0]}"):
-        gateway.concurrently(*(live(gateway, f"p{n}", after(n)) for n in range(3)))
+    with pytest.raises(ValueError, match=f"item {failing[0]}"):
+        gateway.fan_out(range(3), fn)
     assert sorted(finished) == [0, 1, 2]
 
 
 @pytest.mark.parametrize("fails", [False, True], ids=["success", "failure"])
-def test_concurrently_joins_every_thread_it_starts(make_gateway, fails):
+def test_fan_out_joins_every_thread_it_starts(make_gateway, fails):
     gateway = make_gateway(SlowBackend(delay=0.01))
     before = threading.active_count()
     during: list[int] = []
 
-    def count_then_maybe_fail():
-        time.sleep(0.05)  # the sibling's thread is up by now
-        during.append(threading.active_count())
-        if fails:
-            raise ValueError("boom")
+    def fn(n: int) -> None:
+        gateway.complete(req(f"p{n}"))
+        if n == 0:
+            time.sleep(0.05)  # item 1's thread is up by now
+            during.append(threading.active_count())
+            if fails:
+                raise ValueError("boom")
 
-    thunks = (live(gateway, "a", count_then_maybe_fail), live(gateway, "b"))
     if fails:
         with pytest.raises(ValueError, match="boom"):
-            gateway.concurrently(*thunks)
+            gateway.fan_out(range(2), fn)
     else:
-        gateway.concurrently(*thunks)
+        gateway.fan_out(range(2), fn)
     assert during[0] > before
     assert threading.active_count() == before
 
 
-def test_concurrently_over_cached_thunks_starts_no_thread(make_gateway):
-    backend = SlowBackend(delay=0.0)
-    gateway = make_gateway(backend)
-    for n in range(3):
-        gateway.complete(req(f"p{n}"))
-    threads: list[int] = []
-
-    def thunk(n: int):
-        def run():
-            threads.append(threading.get_ident())
-            return gateway.complete(req(f"p{n}"))
-
-        return run
-
-    assert gateway.concurrently(*(thunk(n) for n in range(3))) == [
-        f"reply to p{n}" for n in range(3)
-    ]
-    assert threads == [threading.get_ident()] * 3
-    assert len(backend.sends) == 3  # only the cache fills
-
-
-def test_concurrently_launches_on_a_reply_not_an_attempt(make_gateway):
-    """A dead backend starts nothing: the first thunk spends its retry budget
+def test_fan_out_launches_on_a_reply_not_an_attempt(make_gateway):
+    """A dead backend starts nothing: the first item spends its retry budget
     inline and its failure ends the call before the others begin."""
     backend = SlowBackend(delay=0.0, fail=True)
     gateway = make_gateway(backend)
     started: list[int] = []
 
-    def thunk(n: int):
-        def run():
-            started.append(n)
-            return gateway.complete(req(f"p{n}"))
-
-        return run
+    def fn(n: int) -> str:
+        started.append(n)
+        return gateway.complete(req(f"p{n}"))
 
     with pytest.raises(BackendUnavailableError):
-        gateway.concurrently(thunk(0), thunk(1))
+        gateway.fan_out(range(2), fn)
     assert started == [0]
     assert len(backend.sends) == FAST_GATEWAY.retry_budget
-
-
-def test_fan_out_inside_a_concurrently_thunk_uses_a_pool(make_gateway):
-    gateway = make_gateway(SlowBackend(delay=0.02),
-                           options=GatewayOptions(parallelism=4, backoff_base=0.0))
-
-    def sibling():
-        here = threading.get_ident()
-        threads = gateway.fan_out(
-            range(4),
-            lambda m: (gateway.complete(req(f"inner {m}")), threading.get_ident())[1],
-        )
-        return here, threads
-
-    _, (here, threads) = gateway.concurrently(live(gateway, "outer"), sibling)
-    assert here != threading.get_ident()  # the sibling ran on a thread of its own
-    assert threads[0] == here
-    assert here not in threads[1:]  # the rest of its items went to a pool
 
 
 # ---------------------------------------------------------------------------

@@ -390,6 +390,15 @@ def test_http_search_client_malformed_reply_is_literature_error(hash_embedder, r
         client.search(SearchQuery(text="q", limit=4))
 
 
+def test_http_search_client_refuses_an_untitled_result(hash_embedder):
+    """Two untitled results would merge into one doc by title; the index is named instead."""
+    rows = {"results": [{"title": "ok"}, {"title": ""}, {"title": ""}]}
+    client = HttpSearchClient("https://s.test", embedder=hash_embedder,
+                              post=lambda url, **k: _FakeResponse(200, rows))
+    with pytest.raises(LiteratureError, match="^search result 1 has no title$"):
+        client.search(SearchQuery(text="q", limit=4))
+
+
 @pytest.mark.parametrize("response", [
     _NotJson(200, None),
     _FakeResponse(200, {"rows": []}),

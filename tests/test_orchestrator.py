@@ -16,8 +16,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nova.domain import (
-    FINAL_SECTIONS, INITIAL_SECTIONS, IdeaPool, PipelineConfig, ProposalSet, Representatives,
-    RunMetrics,
+    FINAL_SECTIONS, INITIAL_SECTIONS, DecompositionModule, DecompositionPlan, Idea, IdeaPool,
+    PipelineConfig, Proposal, ProposalSet, Representatives, RunMetrics, SeedPaper,
 )
 from nova import orchestrator
 from nova.gateway import GatewayError, GatewayOptions, HttpChatBackend, TransientBackendError
@@ -27,7 +27,6 @@ from nova.orchestrator import (
     ARTIFACT_TYPES,
     STAGES,
     ArtifactStore,
-    EventLog,
     _dump_bytes,
     OrchestratorError,
     PipelineAborted,
@@ -36,7 +35,6 @@ from nova.orchestrator import (
     load_paper_input,
     load_state,
     metrics_report,
-    replay_events,
 )
 from nova.ids import IdFactory
 from nova.selector import non_duplicate_fraction
@@ -114,13 +112,6 @@ def test_abort_then_resume_matches_clean_run(run_env, paper_input_file, tmp_path
         run_env(name).run(paper_input=str(paper_input_file))
         resumed = tree_bytes(tmp_path / name)
         assert resumed == reference, f"tree mismatch after abort at {stage}"
-
-
-def test_replay_events_reconstructs_state(run_env, paper_input_file):
-    runner = run_env("replay")
-    runner.run(paper_input=str(paper_input_file))
-    snapshot = json.loads((runner.out_dir / "state.json").read_text())
-    assert replay_events(runner.out_dir) == snapshot
 
 
 def test_event_log_is_append_only_across_stages(run_env, paper_input_file):
@@ -230,6 +221,44 @@ def test_all_artifacts_decode_and_validate(run_env, paper_input_file):
     assert state == runner.state
     assert state.to_dict() == json.loads((runner.out_dir / "state.json").read_text())
     assert state.validate() == []
+
+
+# A record of each kind the runner reads back, with one invariant broken, and
+# the problem its decode names.
+BROKEN_ARTIFACTS = {
+    "seed_paper": (SeedPaper(id="p", title="T", abstract=""),
+                   "SeedPaper.abstract: must be nonempty"),
+    "idea_pool": (
+        IdeaPool(0, (Idea(id="i", thinking="t", idea="x", keywords=("k",), source="trend",
+                          embedding=(0.3, 0.4)),)),
+        "Idea.embedding: norm 0.5 is not 1",
+    ),
+    "representatives": (Representatives(("i9",), {"i1": 0}),
+                        "Representatives.idea_ids: i9 has no cluster assignment"),
+    "proposal_set": (
+        ProposalSet(
+            Proposal("i", "initial", {name: "x" for name in INITIAL_SECTIONS}),
+            DecompositionPlan("t", (DecompositionModule("M", "p", "i", ("k",)),)),
+            Proposal("i", "final", {name: "" if name == "Motivation" else "x"
+                                    for name in FINAL_SECTIONS}),
+        ),
+        "Proposal.sections[Motivation]: must be nonempty",
+    ),
+    "run_metrics": (RunMetrics({"0": 1}, 1.5, 1, {}),
+                    "RunMetrics.non_duplicate_fraction: must be in [0, 1]"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BROKEN_ARTIFACTS))
+def test_get_refuses_an_artifact_that_breaks_an_invariant(tmp_path, kind):
+    """`put` stores the record as given; `get` decodes it, naming the kind, digest and field."""
+    record, problem = BROKEN_ARTIFACTS[kind]
+    assert ARTIFACT_TYPES[kind] is type(record)
+    store = ArtifactStore(tmp_path)
+    digest = store.put(record)
+    with pytest.raises(OrchestratorError) as info:
+        store.get(digest, type(record))
+    assert str(info.value).startswith(f"{kind.replace('_', ' ')} artifact {digest}: {problem}")
 
 
 def test_report_on_partial_run_flags_gaps(run_env, paper_input_file):
@@ -596,11 +625,12 @@ def test_aborted_seeding_attempts_log_no_run_start(
         )
         with pytest.raises(PipelineAborted):
             runner.run(paper_input=str(paper_input_file))
-        assert replay_events(out) is None
+        assert not (out / "events.jsonl").exists()
     assert not (out / "state.json").exists()
 
     Runner(out, small_config, options_for(corpus_dir)).run(paper_input=str(paper_input_file))
-    types = [event["type"] for event in EventLog(out).read_all()]
+    lines = (out / "events.jsonl").read_text(encoding="utf-8").splitlines()
+    types = [json.loads(line)["type"] for line in lines]
     assert types.count("run_started") == 1
     assert types[0] == "run_started"
 

@@ -197,6 +197,18 @@ def test_a_manifest_entry_without_a_model_is_refused(template_copy, model):
         PromptLibrary(template_dir=template_copy)
 
 
+@pytest.mark.parametrize("schema_name, problem", [
+    (None, "manifest entry has no schema_name"),
+    ("no_such_schema", "schema_name 'no_such_schema' names no output schema"),
+    (5, "schema_name 5 names no output schema"),
+], ids=["missing", "unknown", "not_a_string"])
+def test_a_manifest_entry_without_a_known_schema_is_refused(template_copy, schema_name, problem):
+    """A schema name is checked at load, not at the template's first request."""
+    edit_manifest(template_copy, "initial_seed", schema_name=schema_name)
+    with pytest.raises(PromptError, match=re.escape(f"template 'initial_seed': {problem}")):
+        PromptLibrary(template_dir=template_copy)
+
+
 def test_a_missing_body_file_is_refused(template_copy):
     (template_copy / "trend_ideas.txt").unlink()
     with pytest.raises(PromptError, match="template 'trend_ideas': no body file trend_ideas.txt"):
