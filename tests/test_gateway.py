@@ -786,6 +786,81 @@ def test_fan_out_launches_on_a_reply_not_an_attempt(make_gateway):
     assert len(backend.sends) == FAST_GATEWAY.retry_budget
 
 
+# Thunks run concurrently the way evaluate runs its two branches:
+# `gateway.fan_out(thunks, lambda thunk: thunk())`.
+
+
+def live(gateway: Gateway, prompt: str, then=lambda: None):
+    """A thunk: one live call, then `then()`."""
+
+    def thunk():
+        gateway.complete(req(prompt))
+        return then()
+
+    return thunk
+
+
+def run_thunks(gateway: Gateway, *thunks):
+    return gateway.fan_out(thunks, lambda thunk: thunk())
+
+
+def test_concurrently_returns_results_in_argument_order(make_gateway):
+    gateway = make_gateway(SlowBackend(delay=0.01))
+    finished: list[int] = []
+
+    def after(n: int, pause: float):
+        def then():
+            time.sleep(pause)
+            finished.append(n)
+            return n
+
+        return then
+
+    thunks = [live(gateway, f"p{n}", after(n, pause))
+              for n, pause in enumerate((0.3, 0.15, 0.0))]
+    assert run_thunks(gateway, *thunks) == [0, 1, 2]
+    assert finished == [2, 1, 0]  # they ran together and ended in reverse
+
+
+def test_concurrently_over_cached_thunks_starts_no_thread(make_gateway):
+    backend = SlowBackend(delay=0.0)
+    gateway = make_gateway(backend)
+    for n in range(3):
+        gateway.complete(req(f"p{n}"))
+    threads: list[int] = []
+
+    def thunk(n: int):
+        def run():
+            threads.append(threading.get_ident())
+            return gateway.complete(req(f"p{n}"))
+
+        return run
+
+    assert run_thunks(gateway, *(thunk(n) for n in range(3))) == [
+        f"reply to p{n}" for n in range(3)
+    ]
+    assert threads == [threading.get_ident()] * 3
+    assert len(backend.sends) == 3  # only the cache fills
+
+
+def test_fan_out_inside_a_concurrently_thunk_uses_a_pool(make_gateway):
+    gateway = make_gateway(SlowBackend(delay=0.02),
+                           options=GatewayOptions(parallelism=4, backoff_base=0.0))
+
+    def sibling():
+        here = threading.get_ident()
+        threads = gateway.fan_out(
+            range(4),
+            lambda m: (gateway.complete(req(f"inner {m}")), threading.get_ident())[1],
+        )
+        return here, threads
+
+    _, (here, threads) = run_thunks(gateway, live(gateway, "outer"), sibling)
+    assert here != threading.get_ident()  # the sibling ran on a pool worker
+    assert threads[0] == here
+    assert here not in threads[1:]  # the rest of its items went to a pool
+
+
 # ---------------------------------------------------------------------------
 # extract_json
 # ---------------------------------------------------------------------------
