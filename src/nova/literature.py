@@ -2,7 +2,10 @@
 
 Two backends exist for each contract: an HTTP client for live use and a
 deterministic offline variant (hash-to-sphere embedder, JSON corpus directory)
-for desk-scale and replay runs. The HTTP clients send through
+for desk-scale and replay runs. Corpus docs are parsed by orjson, whose floats
+are the correctly rounded ones the stdlib parser gives, and by the stdlib `json`
+when orjson refuses a doc, so every doc loads or is refused exactly as the
+stdlib alone would. The HTTP clients send through
 `gateway.post_json`, so they classify HTTP failures exactly as the chat
 backend does. All embeddings are unit-normalized at write time so cosine
 similarity reduces to a dot product.
@@ -12,11 +15,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol
 
 import numpy as np
+import orjson
 
 from .domain import RetrievedDoc, SeedPaper
 from .gateway import Gateway, post_json
@@ -50,6 +55,16 @@ def normalize(values) -> np.ndarray:
     if norm == 0.0:
         raise LiteratureError("cannot normalize the zero vector")
     return vec / norm
+
+
+def _finite_number(value) -> bool:
+    """True for a finite int or float; False for a bool, a non-number or an overflow."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int past the float range
+        return False
 
 
 def cosine(a, b) -> float:
@@ -143,10 +158,16 @@ class OfflineCorpus:
     other key is ignored. Docs without a stored embedding are embedded from
     "<title>\\n<abstract>" at load time. Every embedding must be in the
     embedder's space, so of shape ``(embedder.dim,)``. A doc that is not a JSON
-    object, whose title is not a nonempty string, or whose stored embedding is
-    zero, not finite or of another shape raises `LiteratureError` naming the
-    doc file; a shape error also names the title and both widths. A `Runner`
-    loads its corpus before it creates the run directory.
+    object, whose title is not a nonempty string, whose abstract is not a
+    string, or whose stored embedding is zero, not finite or of another shape
+    raises `LiteratureError` naming the doc file; a shape error also names the
+    title and both widths. A `Runner` loads its corpus before it creates the
+    run directory.
+
+    Each doc is parsed by `orjson.loads` from its bytes. A doc orjson refuses
+    (NaN or Infinity literals, a lone surrogate, a BOM, bytes that are not
+    UTF-8) is parsed again by `json.loads` from its UTF-8 text, which loads it
+    or refuses it with the stdlib's message.
 
     The normalized embeddings are stored once, as the rows of one
     ``(docs, embedder.dim)`` matrix allocated up front, and each doc's
@@ -169,7 +190,13 @@ class OfflineCorpus:
         todo: list[int] = []  # rows of the docs without a stored embedding
         for row, path in enumerate(paths):
             try:
-                raw = json.loads(path.read_text(encoding="utf-8"))
+                try:
+                    raw = orjson.loads(path.read_bytes())
+                except orjson.JSONDecodeError:
+                    # orjson refuses some docs the stdlib reads (NaN, lone surrogates) and
+                    # words its refusals otherwise, so the stdlib decides those. It reads
+                    # text, not decoded bytes: its messages count a CRLF as one character.
+                    raw = json.loads(path.read_text(encoding="utf-8"))
                 if not isinstance(raw, dict):
                     raise ValueError(f"must hold a JSON object, got {type(raw).__name__}")
                 if "embedding" in raw:
@@ -180,6 +207,10 @@ class OfflineCorpus:
             if not isinstance(raw.get("title"), str) or not raw["title"]:
                 raise LiteratureError(
                     f'corpus doc {path.name} has no title: "title" must be a nonempty string'
+                )
+            if not isinstance(raw.get("abstract", ""), str):
+                raise LiteratureError(
+                    f'corpus doc {path.name} ({raw["title"]!r}): "abstract" must be a string'
                 )
             self._docs.append(raw)
             if "embedding" in raw:
@@ -279,7 +310,8 @@ class HttpSearchClient:
 
     The key comes from NOVA_SEARCH_API_KEY, empty if unset. A reply that is not
     an object with a list of results, each an object with a nonempty string
-    title, raises `LiteratureError` naming the first bad result. Returned
+    title, an abstract (if any) that is a string and a score (if any) that is a
+    finite number, raises `LiteratureError` naming the first bad result. Returned
     docs are embedded from "<title>\\n<abstract>" with `embedder`, in one call.
     """
 
@@ -304,6 +336,12 @@ class HttpSearchClient:
             title = row.get("title") if isinstance(row, dict) else None
             if not isinstance(title, str) or not title:
                 raise LiteratureError(f"search result {n} has no title")
+            if not isinstance(row.get("abstract", ""), str):
+                raise LiteratureError(f"search result {n} has an abstract that is not a string")
+            if "score" in row and not _finite_number(row["score"]):
+                raise LiteratureError(
+                    f"search result {n} has a score that is not a finite number: {row['score']!r}"
+                )
         if not rows:
             return []
         vectors = self._embedder.embed(

@@ -226,19 +226,29 @@ class ArtifactStore:
         return digest
 
     def get(self, digest: str, cls: type[R]) -> R:
-        """Artifact `digest` decoded as `cls`; a missing, foreign or malformed one raises."""
+        """Artifact `digest` decoded as `cls`; a missing, malformed, foreign or edited one raises.
+
+        The file is read once. Its bytes are decoded first, so an edit that breaks an
+        invariant is named by that invariant, and then hashed: an edit that keeps every
+        invariant still fails the digest.
+        """
         path = self._dir / f"{digest}.json"
         if not path.is_file():
             raise OrchestratorError(f"missing artifact {digest}")
         kind = _KINDS[cls]
+        label = f"{kind.replace('_', ' ')} artifact {digest}"
+        data = path.read_bytes()
         try:
-            envelope = json.loads(path.read_text(encoding="utf-8"))
+            envelope = json.loads(data.decode("utf-8"))
             found = envelope.get("kind") if isinstance(envelope, dict) else None
             if found != kind:
                 raise OrchestratorError(f"artifact {digest} has kind {found!r}, expected {kind!r}")
-            return cls.from_dict(envelope.get("data"))
-        except ValueError as exc:  # not JSON, or a DomainParseError
-            raise OrchestratorError(f"{kind.replace('_', ' ')} artifact {digest}: {exc}") from exc
+            record = cls.from_dict(envelope.get("data"))
+        except ValueError as exc:  # not UTF-8 or not JSON, or a DomainParseError
+            raise OrchestratorError(f"{label}: {exc}") from exc
+        if hashlib.sha256(data).hexdigest() != digest:
+            raise OrchestratorError(f"{label}: content does not match its digest")
+        return record
 
 
 class EventLog:

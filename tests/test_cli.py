@@ -230,9 +230,11 @@ def test_missing_paper_file_creates_no_run_directory(cli_env, tmp_path, capsys):
          "corpus doc doc1.json ('n'): embedding entries must be finite"),
         ([{"title": "ok", "abstract": "a"}, {"title": 5, "abstract": "a"}],
          'corpus doc doc1.json has no title: "title" must be a nonempty string'),
+        ([{"title": "ok", "abstract": "a"}, {"title": "odd", "abstract": 7}],
+         """corpus doc doc1.json ('odd'): "abstract" must be a string"""),
     ],
     ids=["untitled_doc", "mixed_embedding_shapes", "zero_embedding", "non_finite_embedding",
-         "non_string_title"],
+         "non_string_title", "non_string_abstract"],
 )
 def test_malformed_corpus_exits_2_before_creating_the_run_dir(cli_env, tmp_path, capsys,
                                                               docs, message):
@@ -405,6 +407,27 @@ def test_evaluate_refuses_a_proposal_set_with_an_empty_section(cli_env, tmp_path
     assert capsys.readouterr().err.splitlines() == [
         f"nova-error: proposal set artifact {digest}: "
         "Proposal.sections[Motivation]: must be nonempty"
+    ]
+    assert (run_dir / "state.json").read_bytes() == state
+
+
+def test_evaluate_refuses_an_artifact_whose_bytes_no_longer_match_its_digest(cli_env, tmp_path,
+                                                                           capsys):
+    """An edit that keeps every invariant is still refused: the bytes must hash to the name."""
+    assert main(cli_env("seed", "edited")) == 0
+    assert main(cli_env("propose", "edited")) == 0
+    run_dir = tmp_path / "edited"
+    digest = sorted(read_state(tmp_path, "edited")["proposals"].values())[0]
+    path = run_dir / "artifacts" / f"{digest}.json"
+    envelope = json.loads(path.read_text(encoding="utf-8"))
+    envelope["data"]["final"]["sections"]["Motivation"] = "Another motivation."
+    path.write_bytes(_dump_bytes(envelope))
+    state = (run_dir / "state.json").read_bytes()
+    capsys.readouterr()
+
+    assert main(cli_env("evaluate", "edited")) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"nova-error: proposal set artifact {digest}: content does not match its digest"
     ]
     assert (run_dir / "state.json").read_bytes() == state
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -293,6 +294,103 @@ def test_corpus_query_dimension_mismatch(corpus_dir, hash_embedder):
 
 
 # ---------------------------------------------------------------------------
+# Corpus doc parsing: orjson first, the stdlib for what orjson refuses
+# ---------------------------------------------------------------------------
+
+PARSE_DIM = 4
+EDGE_FLOATS = [
+    5e-324, -5e-324, 2.2250738585072014e-308, 2.225073858507201e-308, -0.0, 0.0,
+    1.7976931348623157e308, -1.7976931348623157e308, 1.7976931348623155e308,
+    0.1, 1e-05, 123456789012345678.0, 9007199254740993.0,
+]
+# One number as JSON text: the shortest repr (what json.dumps writes), 17 significant
+# digits, 17-digit and short exponent forms (a short form may round past the float
+# range, to a value both parsers must refuse alike), or an integer of up to 81 bits.
+_NUMBER_TEXT = st.one_of(
+    st.builds(json.dumps, st.floats(allow_nan=False, allow_infinity=False)),
+    st.builds(lambda form, x: format(x, form),
+              st.sampled_from([".17g", ".17e", ".16e", ".3e"]),
+              st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                        st.sampled_from(EDGE_FLOATS))),
+    st.builds(str, st.integers(-2**80, 2**80)),
+)
+
+
+def _reference_rows(texts: list[str]) -> tuple[dict[str, list[int]], str | None]:
+    """Per title, the bits of `normalize(json.loads(...))`; or the first refusal's message."""
+    rows = {}
+    for n, text in enumerate(texts):
+        title = f"d{n}"
+        try:
+            vec = normalize(np.asarray(json.loads(text)["embedding"], dtype=np.float64))
+        except LiteratureError as exc:
+            return {}, f"corpus doc {title}.json ({title!r}): {exc}"
+        rows[title] = vec.view(np.uint64).tolist()
+    return rows, None
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # norms past 1.8e308
+@given(st.lists(st.lists(_NUMBER_TEXT, min_size=PARSE_DIM, max_size=PARSE_DIM),
+                min_size=1, max_size=4))
+def test_corpus_matrix_equals_the_stdlib_parse_bit_for_bit(docs):
+    texts = [f'{{"title": "d{n}", "embedding": [{", ".join(numbers)}]}}'
+             for n, numbers in enumerate(docs)]
+    expected, refusal = _reference_rows(texts)
+    with tempfile.TemporaryDirectory() as tmp:
+        for n, text in enumerate(texts):
+            (Path(tmp) / f"d{n}.json").write_text(text, encoding="utf-8")
+        if refusal is not None:
+            with pytest.raises(LiteratureError) as info:
+                OfflineCorpus(tmp, HashEmbedder(dim=PARSE_DIM))
+            assert str(info.value) == refusal
+            return
+        corpus = OfflineCorpus(tmp, HashEmbedder(dim=PARSE_DIM))
+    hits = corpus.nearest([1.0] + [0.0] * (PARSE_DIM - 1), len(texts))
+    loaded = {h.title: np.asarray(h.embedding).view(np.uint64).tolist() for h in hits}
+    assert loaded == expected
+
+
+_UNIT = b"[0.6, 0.8]"
+
+
+# Each outcome was pinned on the stdlib-only load that orjson replaced: the loaded
+# title and the bits of its row, or the exact refusal.
+@pytest.mark.parametrize("data, outcome", [
+    (b'{"title": "n", "embedding": [1.0, NaN]}',
+     "corpus doc doc.json ('n'): embedding entries must be finite"),
+    (b'{"title": "i", "embedding": [-Infinity, 1.0]}',
+     "corpus doc doc.json ('i'): embedding entries must be finite"),
+    (b'{"title": "s\\ud800", "embedding": ' + _UNIT + b"}",
+     ("s\ud800", [4603579539098121011, 4605380978949069210])),
+    (b'{"title": "big", "embedding": [1180591620717411303424, 0]}',
+     ("big", [4607182418800017408, 0])),
+    (b'\xef\xbb\xbf{"title": "b", "embedding": ' + _UNIT + b"}",
+     "corpus doc doc.json: Unexpected UTF-8 BOM (decode using utf-8-sig): "
+     "line 1 column 1 (char 0)"),
+    (b'{"title": "\xff", "embedding": ' + _UNIT + b"}",
+     "corpus doc doc.json: 'utf-8' codec can't decode byte 0xff in position 11: "
+     "invalid start byte"),
+    ('{"title": "u", "embedding": [0.6, 0.8]}'.encode("utf-16"),
+     "corpus doc doc.json: 'utf-8' codec can't decode byte 0xff in position 0: "
+     "invalid start byte"),
+    # The stdlib reads the doc as text, so "\r\n" counts as one character.
+    (b'{"title": "c",\r\n"embedding": [0.6, 0.8],\r\n"x": nope}',
+     "corpus doc doc.json: Expecting value: line 3 column 6 (char 45)"),
+], ids=["nan", "infinity", "lone_surrogate", "int_past_64_bits", "bom", "invalid_utf8",
+        "utf16", "crlf_then_error"])
+def test_a_doc_orjson_refuses_loads_as_the_stdlib_decides(tmp_path, data, outcome):
+    (tmp_path / "doc.json").write_bytes(data)
+    if isinstance(outcome, str):
+        with pytest.raises(LiteratureError) as info:
+            OfflineCorpus(tmp_path, HashEmbedder(dim=2))
+        assert str(info.value) == outcome
+        return
+    title, bits = outcome
+    [hit] = OfflineCorpus(tmp_path, HashEmbedder(dim=2)).nearest([1.0, 0.0], 1)
+    assert (hit.title, np.asarray(hit.embedding).view(np.uint64).tolist()) == (title, bits)
+
+
+# ---------------------------------------------------------------------------
 # HTTP clients (transport injected)
 # ---------------------------------------------------------------------------
 
@@ -397,6 +495,37 @@ def test_http_search_client_refuses_an_untitled_result(hash_embedder):
                               post=lambda url, **k: _FakeResponse(200, rows))
     with pytest.raises(LiteratureError, match="^search result 1 has no title$"):
         client.search(SearchQuery(text="q", limit=4))
+
+
+_BAD_SCORE = "search result 1 has a score that is not a finite number: "
+
+
+@pytest.mark.parametrize("row, message", [
+    ({"title": "x", "score": "high"}, _BAD_SCORE + "'high'"),
+    ({"title": "x", "score": None}, _BAD_SCORE + "None"),
+    ({"title": "x", "score": float("nan")}, _BAD_SCORE + "nan"),
+    ({"title": "x", "score": float("inf")}, _BAD_SCORE + "inf"),
+    ({"title": "x", "score": True}, _BAD_SCORE + "True"),
+    ({"title": "x", "score": 10**400}, _BAD_SCORE + repr(10**400)),
+    ({"title": "x", "abstract": 7}, "search result 1 has an abstract that is not a string"),
+    ({"title": "x", "abstract": None}, "search result 1 has an abstract that is not a string"),
+], ids=["text_score", "null_score", "nan_score", "inf_score", "bool_score", "huge_int_score",
+        "int_abstract", "null_abstract"])
+def test_http_search_client_refuses_a_malformed_field(hash_embedder, row, message):
+    rows = {"results": [{"title": "ok", "abstract": "a", "score": 0.5}, row]}
+    client = HttpSearchClient("https://s.test", embedder=hash_embedder,
+                              post=lambda url, **k: _FakeResponse(200, rows))
+    with pytest.raises(LiteratureError) as info:
+        client.search(SearchQuery(text="q", limit=4))
+    assert str(info.value) == message
+
+
+def test_http_search_client_takes_integer_and_absent_scores(hash_embedder):
+    rows = {"results": [{"title": "a", "score": 3}, {"title": "b"}]}
+    client = HttpSearchClient("https://s.test", embedder=hash_embedder,
+                              post=lambda url, **k: _FakeResponse(200, rows))
+    docs = client.search(SearchQuery(text="q", limit=4))
+    assert [(d.title, d.abstract, d.score) for d in docs] == [("a", "", 3.0), ("b", "", 0.0)]
 
 
 @pytest.mark.parametrize("response", [

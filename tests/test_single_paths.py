@@ -5,6 +5,10 @@
 - `Gateway.fan_out` is the one way to run work concurrently: threads are
   started (`ThreadPoolExecutor(`, `threading.Thread(`) only inside
   `Gateway._launching`, and no `concurrently` exists.
+- orjson parses corpus docs and nothing else: `orjson` is imported once, by
+  name, and `orjson.loads` is used only inside `OfflineCorpus.__init__`.
+  `orjson.dumps` is never used, since it writes some floats otherwise than
+  `json.dumps` (`1e-05` as `0.00001`), which would change artifact bytes.
 """
 
 from __future__ import annotations
@@ -18,31 +22,54 @@ from nova.gateway import Gateway
 SOURCES = sorted(Path(nova.__file__).parent.rglob("*.py"))
 
 
-def _calls(attr_names: set[str]) -> list[tuple[str, str, str]]:
-    """(file, enclosing qualified name, called name) of each call to one of `attr_names`."""
+def _find(match) -> list[tuple[str, str, str]]:
+    """(file, enclosing qualified name, label) of each node for which `match` gives a label."""
     found = []
 
     class Visitor(ast.NodeVisitor):
         def __init__(self, path: Path):
             self.path, self.scope = path, []
 
-        def _enter(self, node):
-            self.scope.append(node.name)
-            self.generic_visit(node)
-            self.scope.pop()
-
-        visit_ClassDef = visit_FunctionDef = visit_AsyncFunctionDef = _enter
-
-        def visit_Call(self, node: ast.Call):
-            func = node.func
-            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-            if name in attr_names:
-                found.append((self.path.name, ".".join(self.scope), name))
-            self.generic_visit(node)
+        def visit(self, node):
+            label = match(node)
+            if label is not None:
+                found.append((self.path.name, ".".join(self.scope), label))
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                self.scope.append(node.name)
+                self.generic_visit(node)
+                self.scope.pop()
+            else:
+                self.generic_visit(node)
 
     for path in SOURCES:
         Visitor(path).visit(ast.parse(path.read_text(encoding="utf-8")))
     return found
+
+
+def _calls(attr_names: set[str]) -> list[tuple[str, str, str]]:
+    """(file, enclosing qualified name, called name) of each call to one of `attr_names`."""
+
+    def called(node):
+        if not isinstance(node, ast.Call):
+            return None
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        return name if name in attr_names else None
+
+    return _find(called)
+
+
+def _orjson_use(node) -> str | None:
+    """How `node` imports or reads orjson: the import written out, or the attribute read."""
+    if isinstance(node, ast.Import):
+        names = [a for a in node.names if a.name.split(".")[0] == "orjson"]
+        return "; ".join(f"import {a.name}" + (f" as {a.asname}" if a.asname else "")
+                         for a in names) or None
+    if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "orjson":
+        return f"from {node.module} import ..."
+    if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "orjson":
+        return node.attr
+    return None
 
 
 def test_validate_is_called_only_by_the_decode():
@@ -64,3 +91,11 @@ def test_no_second_concurrency_entry_point():
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             name = getattr(node, "name", None) or getattr(node, "attr", None)
             assert name != "concurrently", path.name
+
+
+def test_orjson_parses_corpus_docs_only():
+    assert sorted(set(_find(_orjson_use))) == [
+        ("literature.py", "", "import orjson"),
+        ("literature.py", "OfflineCorpus.__init__", "JSONDecodeError"),
+        ("literature.py", "OfflineCorpus.__init__", "loads"),
+    ]
