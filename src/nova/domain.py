@@ -531,7 +531,9 @@ class IdeaPool(Record):
     ideas: tuple[Idea, ...]
 
     def validate(self) -> list[str]:
-        return [] if self.generation >= 0 else ["IdeaPool.generation: must be nonnegative"]
+        out = [] if self.generation >= 0 else ["IdeaPool.generation: must be nonnegative"]
+        return out + [f"IdeaPool.ideas[{n}]: has no embedding"
+                      for n, idea in enumerate(self.ideas) if idea.embedding is None]
 
 
 @dataclass(frozen=True)

@@ -11,10 +11,11 @@ and every pipeline call goes through :meth:`Gateway.ask` by template name. It
 renders the template, appends an optional suffix (a seeding refill note), sends
 it to the model the template's manifest entry names, and checks the reply
 against the output schema the entry names; no other module holds the prompt
-set, builds a `ChatRequest`, names a model or names a schema. Failures follow
-one rule.
-`ExtractionFailedError` is a content failure: the model answered, but not in
-the required shape, and the caller takes its documented fallback. Every other
+set, builds a `ChatRequest`, names a model or names a schema. Each failure
+kind has one handler. `ExtractionFailedError` is a content failure: the model
+answered, but not in the required shape. `ask` handles it, and only `ask`:
+the caller names its fallback value, and `ask` logs the template and the
+request's cache key and returns that value in place of the reply. Every other
 `GatewayError` (a dead or refusing backend, a missing key, a malformed HTTP
 reply) is an availability failure that no caller catches, so the stage fails
 and `Runner.advance_to` aborts the run at its last checkpoint.
@@ -139,6 +140,9 @@ class GatewayOptions:
 
 # Re-prompts `Gateway.complete_json` sends after a reply without schema-valid JSON.
 REPROMPT_BUDGET = 2
+
+# `Gateway.ask`'s default fallback: a content failure propagates.
+_RAISE = object()
 
 
 _OPEN_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_NOFOLLOW", 0)
@@ -516,20 +520,29 @@ class Gateway:
             launches.pop(0)()
         return text
 
-    def ask(self, template: str, bindings: dict[str, str], suffix: str = ""):
+    def ask(self, template: str, bindings: dict[str, str], suffix: str = "", *,
+            fallback=_RAISE):
         """Send the rendered `template` plus `suffix`; return the checked reply.
 
-        The request names the model of the template's manifest entry. With an
-        output schema in that entry the parsed JSON value is returned
-        (`complete_json`, which may raise `ExtractionFailedError`); without one,
-        the reply text.
+        The request names the model of the template's manifest entry. Without
+        an output schema in that entry the reply text is returned; with one,
+        the JSON value `complete_json` returns. When that raises
+        `ExtractionFailedError`, `ask` logs the template, the request's cache
+        key and `fallback`, and returns `fallback`; without one it re-raises.
         """
         entry = self._library.get(template)
         prompt = self._library.render(template, bindings) + suffix
         request = ChatRequest(model_id=entry.model, prompt=prompt)
         if entry.schema_name is None:
             return self.complete(request)
-        return self.complete_json(request, entry.schema_name)
+        try:
+            return self.complete_json(request, entry.schema_name)
+        except ExtractionFailedError:
+            if fallback is _RAISE:
+                raise
+            logger.warning("%s: no schema-valid reply to request %s, using fallback %r",
+                           template, request.cache_key[:12], fallback)
+            return fallback
 
     def complete_json(self, request: ChatRequest, schema_name: str):
         """complete() plus extraction; re-prompts on invalid JSON up to budget.

@@ -202,7 +202,7 @@ class OfflineCorpus:
                 if "embedding" in raw:
                     # An array takes a quarter of the memory of a list of Python floats.
                     raw["embedding"] = np.asarray(raw["embedding"], dtype=np.float64)
-            except (ValueError, TypeError) as exc:
+            except (ValueError, TypeError, OverflowError) as exc:
                 raise LiteratureError(f"corpus doc {path.name}: {exc}") from exc
             if not isinstance(raw.get("title"), str) or not raw["title"]:
                 raise LiteratureError(

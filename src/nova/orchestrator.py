@@ -163,6 +163,8 @@ class RunState(Record):
         for name, allowed in (("stage_cursor", STAGES), ("backend", ("live", "mock"))):
             if getattr(self, name) not in allowed:
                 out.append(f"RunState.{name}: {getattr(self, name)!r} not in {allowed}")
+        out += [f"RunState.{name}: must be nonnegative"
+                for name in ("id_counter", "event_seq") if getattr(self, name) < 0]
         refs = [v for k, v in vars(self).items() if k.endswith("_ref") and v is not None]
         refs += [*self.pools.values(), *self.proposals.values()]
         return out + [f"RunState: {r!r} is not a sha256 digest" for r in refs

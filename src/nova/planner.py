@@ -17,9 +17,9 @@ from dataclasses import dataclass, replace
 from .domain import (
     Direction, Idea, IterationRecord, PipelineConfig, RetrievedDoc, SearchPlan, SeedPaper,
 )
-from .gateway import ExtractionFailedError, Gateway, GatewayError
+from .gateway import Gateway
 from .ids import IdFactory
-from .literature import Embedder, LiteratureError, SearchQuery, cosine
+from .literature import Embedder, SearchQuery, cosine
 from .seeding import format_idea, new_ideas, reflect
 
 logger = logging.getLogger(__name__)
@@ -63,16 +63,15 @@ class PlannerLoop:
     def make_plan(self, idea: Idea) -> SearchPlan:
         """Search plan for one idea; falls back to its own keywords on failure."""
         directions: list[Direction] = []
-        try:
-            parsed = self._gateway.ask("search_plan", {"idea_info": format_idea(idea)})
-            for raw in parsed["directions"]:
-                keywords = tuple(k for k in raw["keywords"] if k.strip())
-                if not keywords:
-                    logger.info("dropping keywordless direction for idea %s", idea.id)
-                    continue
-                directions.append(Direction(thinking=raw["thinking"], keywords=keywords))
-        except ExtractionFailedError as exc:
-            logger.warning("search plan failed for idea %s, using fallback: %s", idea.id, exc)
+        parsed = self._gateway.ask(
+            "search_plan", {"idea_info": format_idea(idea)}, fallback={"directions": []}
+        )
+        for raw in parsed["directions"]:
+            keywords = tuple(k for k in raw["keywords"] if k.strip())
+            if not keywords:
+                logger.info("dropping keywordless direction for idea %s", idea.id)
+                continue
+            directions.append(Direction(thinking=raw["thinking"], keywords=keywords))
         if not directions:
             directions = [Direction(thinking="fallback: idea keywords", keywords=idea.keywords)]
         return SearchPlan(
@@ -88,30 +87,20 @@ class PlannerLoop:
         The planner passes one group per search-plan direction; proposals pass
         the idea's own keywords, or one group per decomposition module. Every
         doc a search returns carries its embedding: the search backend embeds
-        it (`OfflineCorpus` stores them, `HttpSearchClient` embeds each reply),
-        and a doc without one raises ValueError. A search that fails with a
-        gateway or literature error is logged and skipped; any other exception
-        propagates.
+        it (`OfflineCorpus` stores them, `HttpSearchClient` embeds each reply).
+        A failed search raises out of here, so the stage aborts at its last
+        checkpoint rather than go on without retrieval.
         """
         if self._search is None:
             return []
         K = self._config.retrieve_K
         merged: dict[str, RetrievedDoc] = {}
         for keywords in keyword_groups:
-            query = SearchQuery(text=" ".join(keywords), limit=K)
-            try:
-                results = self._search.search(query)
-            except (GatewayError, LiteratureError) as exc:
-                logger.warning("search failed for %r: %s", query.text, exc)
-                continue
-            for doc in results:
+            for doc in self._search.search(SearchQuery(text=" ".join(keywords), limit=K)):
                 merged.setdefault(doc.title, doc)
         if not merged:
             logger.info("search for idea %s retrieved nothing", idea.id)
             return []
-        for doc in merged.values():
-            if doc.embedding is None:
-                raise ValueError(f"retrieved doc {doc.title!r} has no embedding")
         ranked = sorted(
             ((cosine(idea.embedding, doc.embedding), doc) for doc in merged.values()),
             key=lambda pair: (-pair[0], pair[1].title),
@@ -131,10 +120,8 @@ class PlannerLoop:
             "old_idea": format_idea(old),
             "new_knowledge": format_docs(docs),
         }
-        try:
-            raw = self._gateway.ask("expand_ideas", bindings)
-        except ExtractionFailedError as exc:
-            logger.warning("expansion failed for idea %s: %s", old.id, exc)
+        raw = self._gateway.ask("expand_ideas", bindings, fallback=None)
+        if raw is None:
             return None
         return tuple(self._reflect_cut(raw, self._config.keep_count))
 

@@ -26,7 +26,7 @@ from .domain import (
     RetrievedDoc,
     SeedPaper,
 )
-from .gateway import ExtractionFailedError, Gateway
+from .gateway import Gateway
 from .planner import PlannerLoop, format_docs
 from .seeding import format_idea
 
@@ -71,10 +71,9 @@ class ProposalBuilder:
             "relevant_papers_block": relevant_block,
             "self_reflection_block": "",
         }
-        try:
-            parsed = self._gateway.ask("initial_proposal", bindings)
-        except ExtractionFailedError as exc:
-            raise ProposalFailure(f"initial proposal failed for idea {idea.id}: {exc}") from exc
+        parsed = self._gateway.ask("initial_proposal", bindings, fallback=None)
+        if parsed is None:
+            raise ProposalFailure(f"initial proposal failed for idea {idea.id}")
         name, sections = next(iter(parsed.items()))
         logger.debug("initial proposal %r for idea %s", name, idea.id)
         sections = {key: sections[key] for key in INITIAL_SECTIONS}
@@ -87,12 +86,9 @@ class ProposalBuilder:
         bindings = {
             "initial_idea_json": json.dumps(proposal.sections, ensure_ascii=False, indent=2),
         }
-        try:
-            parsed = self._gateway.ask("method_decompose", bindings)
-        except ExtractionFailedError as exc:
-            raise ProposalFailure(
-                f"decomposition failed for idea {proposal.idea_id}: {exc}"
-            ) from exc
+        parsed = self._gateway.ask("method_decompose", bindings, fallback=None)
+        if parsed is None:
+            raise ProposalFailure(f"decomposition failed for idea {proposal.idea_id}")
         modules = []
         for raw in parsed["modules"]:
             keywords = tuple(k for k in raw["search_keywords"] if k.strip())
@@ -145,10 +141,9 @@ class ProposalBuilder:
             "method_decomposition_block": decomposition_block,
             "new_knowledge_block": knowledge_block,
         }
-        try:
-            parsed = self._gateway.ask("final_proposal", bindings)
-        except ExtractionFailedError as exc:
-            raise ProposalFailure(f"final proposal failed for idea {idea.id}: {exc}") from exc
+        parsed = self._gateway.ask("final_proposal", bindings, fallback=None)
+        if parsed is None:
+            raise ProposalFailure(f"final proposal failed for idea {idea.id}")
         sections = {key: parsed[key] for key in FINAL_SECTIONS}
         return Proposal(idea_id=idea.id, stage="final", sections=sections)
 

@@ -7,7 +7,8 @@ trend source lists the ideas kept so far, and is skipped when the run has no
 trend inputs. Self-correction runs a binary soundness pass followed by a
 reflection-scoring pass (two judge calls over the same review template). When a
 cut drops a source below quota, the prompt is re-issued with the surviving ideas
-appended, up to two refills; remaining shortfall is tolerated and logged.
+appended, up to two refills. A reply without a valid idea list adds no ideas
+(its `Gateway.ask` fallback); remaining shortfall is tolerated and logged.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import logging
 
 from .domain import Idea, PipelineConfig, SeedPaper
-from .gateway import ExtractionFailedError, Gateway
+from .gateway import Gateway
 from .ids import IdFactory
 
 logger = logging.getLogger(__name__)
@@ -79,11 +80,9 @@ def reflect(gateway: Gateway, texts: list[str]) -> list[dict]:
     arrives, counts as sound with the lowest score, 1.
     """
     listing = "\n".join(f"{n}. {text}" for n, text in enumerate(texts, 1))
-    try:
-        parsed = gateway.ask("self_reflect_cut", {"candidate_list": listing})
-    except ExtractionFailedError as exc:
-        logger.warning("self-reflection failed, counting %d candidates sound: %s", len(texts), exc)
-        parsed = {"evaluations": []}
+    parsed = gateway.ask(
+        "self_reflect_cut", {"candidate_list": listing}, fallback={"evaluations": []}
+    )
     by_index = {
         e["index"]: {"sound": e["sound"], "score": e["score"]} for e in parsed["evaluations"]
     }
@@ -155,11 +154,7 @@ class SeedGenerator:
     def _generate(self, source: str, template: str, bindings: dict, quota: int) -> list[Idea]:
         if quota == 0:
             return []
-        try:
-            raw = self._gateway.ask(template, bindings)
-        except ExtractionFailedError as exc:
-            logger.warning("%s generation failed: %s", source, exc)
-            raw = []
+        raw = self._gateway.ask(template, bindings, fallback=[])
         candidates = new_ideas(self._ids, raw, source)
         kept = self.self_correct(candidates, quota) if candidates else []
         refills = 0
@@ -170,10 +165,8 @@ class SeedGenerator:
                 f"\n\n(Refill attempt {refills}: propose ideas different from these "
                 f"already-accepted ones.)\nAccepted so far:\n{have}"
             )
-            try:
-                raw = self._gateway.ask(template, bindings, suffix)
-            except ExtractionFailedError as exc:
-                logger.warning("%s refill %d failed: %s", source, refills, exc)
+            raw = self._gateway.ask(template, bindings, suffix, fallback=None)
+            if raw is None:
                 continue
             candidates = kept + new_ideas(self._ids, raw, source)
             if candidates:

@@ -153,9 +153,6 @@ def kmeans(vectors, k: int, seed: int, ids: list[str] | None = None) -> ClusterA
 
 
 def _embedded_matrix(pool: list[Idea]) -> np.ndarray:
-    missing = [i.id for i in pool if i.embedding is None]
-    if missing:
-        raise SelectorError(f"ideas without embeddings: {missing[:5]}")
     return np.asarray([i.embedding for i in pool], dtype=np.float64)
 
 

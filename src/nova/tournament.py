@@ -7,8 +7,8 @@ the lowest-sorted idea without a prior bye sits out for 1 point. Each match
 presents the pair to the judge in seed-randomized order.
 
 A match fails in one way: the ranker returns anything but "A" or "B" (the LLM
-ranker returns None when no valid verdict arrives), and the match is decided
-by a seeded coin flip. Any exception from the ranker propagates.
+ranker's `Gateway.ask` fallback is None), and the match is decided by a
+seeded coin flip. Any exception from the ranker propagates.
 
 The matches of one round depend only on earlier rounds, so a round is paired
 first and its matches are judged through one fan-out. The presentation swap
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .domain import Bye, Idea, Match, PipelineConfig, Proposal, RetrievedDoc, TournamentResult
-from .gateway import ExtractionFailedError, Gateway
+from .gateway import Gateway
 from .literature import ROUNDING_MARGIN, cosine
 from .selector import non_duplicate_fraction
 
@@ -82,11 +82,7 @@ def make_llm_ranker(gateway: Gateway) -> RankerFn:
 
     def ranker(a: Proposal, b: Proposal) -> str | None:
         bindings = {"proposal_a": proposal_text(a), "proposal_b": proposal_text(b)}
-        try:
-            return gateway.ask("pairwise_rank", bindings)["winner"]
-        except ExtractionFailedError as exc:
-            logger.warning("no verdict for (%s, %s): %s", a.idea_id, b.idea_id, exc)
-            return None
+        return gateway.ask("pairwise_rank", bindings, fallback={"winner": None})["winner"]
 
     return ranker
 
@@ -211,14 +207,10 @@ def novelty_judge(
     reply with no valid verdict counts the candidate as similar; any other
     gateway error propagates.
     """
-    if idea.embedding is None:
-        raise ValueError(f"idea {idea.id} has no embedding")
     docs = _top_docs(idea, corpus, config.novelty_topk)
     evidence: list[NoveltyEvidence] = []
     judge_calls = 0
     for doc in docs:
-        if doc.embedding is None:
-            raise ValueError(f"retrieved doc {doc.title!r} has no embedding")
         sim = cosine(idea.embedding, doc.embedding)
         if sim <= config.novelty_sim_threshold:
             evidence.append(NoveltyEvidence(doc=doc, similarity=sim, verdict="not_candidate"))
@@ -227,11 +219,7 @@ def novelty_judge(
             "idea_text": idea.idea, "paper_title": doc.title, "paper_abstract": doc.abstract
         }
         judge_calls += 1
-        try:
-            verdict = gateway.ask("novelty_judge", bindings)["verdict"]
-        except ExtractionFailedError as exc:
-            logger.warning("novelty judge failed for %s, treating as similar: %s", idea.id, exc)
-            verdict = "similar"
+        verdict = gateway.ask("novelty_judge", bindings, fallback={"verdict": "similar"})["verdict"]
         evidence.append(NoveltyEvidence(doc=doc, similarity=sim, verdict=verdict))
     novel = not any(e.verdict == "similar" for e in evidence)
     return NoveltyResult(novel=novel, evidence=tuple(evidence), judge_calls=judge_calls)

@@ -232,9 +232,11 @@ def test_missing_paper_file_creates_no_run_directory(cli_env, tmp_path, capsys):
          'corpus doc doc1.json has no title: "title" must be a nonempty string'),
         ([{"title": "ok", "abstract": "a"}, {"title": "odd", "abstract": 7}],
          """corpus doc doc1.json ('odd'): "abstract" must be a string"""),
+        ([{"title": "ok", "abstract": "a"}, {"title": "big", "embedding": [10**400, 1]}],
+         "corpus doc doc1.json: int too large to convert to float"),
     ],
     ids=["untitled_doc", "mixed_embedding_shapes", "zero_embedding", "non_finite_embedding",
-         "non_string_title", "non_string_abstract"],
+         "non_string_title", "non_string_abstract", "overflowing_embedding"],
 )
 def test_malformed_corpus_exits_2_before_creating_the_run_dir(cli_env, tmp_path, capsys,
                                                               docs, message):
@@ -438,8 +440,9 @@ def test_evaluate_refuses_an_artifact_whose_bytes_no_longer_match_its_digest(cli
         ({"surprise": 1}, "RunState: unknown fields ['surprise']"),
         ({"stage_cursor": "bogus"}, "RunState.stage_cursor: 'bogus' not in"),
         ({"config": {"keep_count": 20}}, "PipelineConfig.keep_count: must be <= expand_count"),
+        ({"id_counter": -1}, "RunState.id_counter: must be nonnegative"),
     ],
-    ids=["unknown_field", "unknown_stage", "config_invariant"],
+    ids=["unknown_field", "unknown_stage", "config_invariant", "negative_id_counter"],
 )
 def test_a_damaged_run_state_exits_2(cli_env, tmp_path, capsys, damage, reason):
     """A damaged `state.json` is named with the field at fault, not a traceback."""

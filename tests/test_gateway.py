@@ -42,7 +42,7 @@ from nova.literature import (
 )
 from nova.mockllm import MockBackend, prompt_digest
 from nova.orchestrator import ArtifactStore, Runner, RunnerOptions, RunState, _dump_bytes
-from nova.prompts import PromptLibrary
+from nova.prompts import REGISTRY_NAMES, PromptLibrary
 from tests.conftest import FAST_GATEWAY, FlakyBackend, RuleBackend
 from tests.test_prompts import edit_manifest
 
@@ -1005,6 +1005,27 @@ def test_ask_validates_against_the_manifest_schema(make_gateway, template_copy):
     assert gateway.ask("pairwise_rank", PAIR) == {"verdict": "similar"}
     with pytest.raises(ExtractionFailedError, match="pair_verdict"):
         make_gateway(backend).ask("pairwise_rank", PAIR)
+
+
+@pytest.mark.parametrize(
+    "template", [name for name in REGISTRY_NAMES if LIBRARY.get(name).schema_name is not None]
+)
+def test_a_content_failure_takes_the_fallback_in_ask(make_gateway, caplog, template):
+    """Prose replies spend the re-prompt budget; `ask` then logs one warning naming the
+    template and the request's cache key, and returns the fallback, or without one raises."""
+    entry = LIBRARY.get(template)
+    bindings = dict.fromkeys(entry.required_placeholders, "x")
+    fallback = {"fallback of": template}
+    backend = RuleBackend(rules=[("", "Prose, with no JSON in it.")])
+    with caplog.at_level(logging.WARNING, logger="nova.gateway"):
+        assert make_gateway(backend).ask(template, bindings, fallback=fallback) is fallback
+    assert len(backend.prompts) == REPROMPT_BUDGET + 1
+    key = ChatRequest(entry.model, LIBRARY.render(template, bindings)).cache_key
+    assert [r.getMessage() for r in caplog.records if "fallback" in r.getMessage()] == [
+        f"{template}: no schema-valid reply to request {key[:12]}, using fallback {fallback!r}"
+    ]
+    with pytest.raises(ExtractionFailedError, match=repr(entry.schema_name)):
+        make_gateway(backend).ask(template, bindings)
 
 
 def test_ask_without_a_schema_returns_the_reply_text(make_gateway):

@@ -21,7 +21,7 @@ from nova.domain import (
 )
 from nova import orchestrator
 from nova.gateway import GatewayError, GatewayOptions, HttpChatBackend, TransientBackendError
-from nova.literature import HashEmbedder, LiteratureError
+from nova.literature import HashEmbedder, LiteratureError, OfflineCorpus
 from nova.mockllm import MockBackend, prompt_digest
 from nova.orchestrator import (
     ARTIFACT_TYPES,
@@ -261,6 +261,16 @@ def test_get_refuses_an_artifact_that_breaks_an_invariant(tmp_path, kind):
     assert str(info.value).startswith(f"{kind.replace('_', ' ')} artifact {digest}: {problem}")
 
 
+def test_get_refuses_an_idea_pool_with_an_unembedded_idea(tmp_path):
+    """A run embeds each pool before it stores it; the decode refuses one that is not."""
+    idea = Idea(id="i", thinking="t", idea="x", keywords=("k",), source="trend")
+    store = ArtifactStore(tmp_path)
+    digest = store.put(IdeaPool(1, (idea,)))
+    with pytest.raises(OrchestratorError) as info:
+        store.get(digest, IdeaPool)
+    assert str(info.value) == f"idea pool artifact {digest}: IdeaPool.ideas[0]: has no embedding"
+
+
 def test_report_on_partial_run_flags_gaps(run_env, paper_input_file):
     runner = run_env("partial")
     runner.advance_to("seeded", paper_input=str(paper_input_file))
@@ -461,7 +471,8 @@ def test_prose_reflection_replies_do_not_abort_the_run(
         state = runner.run(paper_input=str(paper_input_file))
     assert state.stage_cursor == "done"
     assert any(REFLECT_SIG in prompt for prompt in backend.prompts)
-    assert "self-reflection failed" in caplog.text
+    assert "self_reflect_cut: no schema-valid reply" in caplog.text
+    assert "using fallback {'evaluations': []}" in caplog.text
     # every candidate counts as sound with score 1, so each source keeps its first ideas
     assert len(runner._load_pool(0)) == small_config.initial_seed_count
 
@@ -494,7 +505,7 @@ def test_availability_failure_aborts_then_resume_matches_clean_run(
     retried = isinstance(error, TransientBackendError)
     assert backend.failures == (FAST_GATEWAY.retry_budget if retried else 1)
     assert "coin-flipping" not in caplog.text
-    assert "treating as similar" not in caplog.text
+    assert "novelty_judge: no schema-valid reply" not in caplog.text
     state = json.loads((tmp_path / "outage" / "state.json").read_text())
     assert state["stage_cursor"] == "proposed"
 
@@ -527,6 +538,29 @@ def test_an_embedding_failure_aborts_then_resumes(tmp_path, paper_input_file, sm
     monkeypatch.setattr(orchestrator, "HashEmbedder", HashEmbedder)
     assert Runner(tmp_path / "broken", small_config, options).run().stage_cursor == "done"
     assert tree_bytes(tmp_path / "broken") == tree_bytes(clean.out_dir)
+
+
+class DownSearchCorpus(OfflineCorpus):
+    """A corpus whose search service is down."""
+
+    def search(self, query):
+        raise TransientBackendError("search endpoint: HTTP 503")
+
+
+def test_a_search_failure_aborts_then_resumes(run_env, tmp_path, paper_input_file,
+                                               monkeypatch):
+    """A failed search aborts the iterate stage; the run never goes on without retrieval."""
+    run_env("clean").run(paper_input=str(paper_input_file))
+    run_env("outage").advance_to("seeded", paper_input=str(paper_input_file))
+    monkeypatch.setattr(orchestrator, "OfflineCorpus", DownSearchCorpus)
+    with pytest.raises(PipelineAborted, match="search endpoint: HTTP 503") as aborted:
+        run_env("outage").run()
+    assert aborted.value.stage == "seeded"
+    assert load_state(tmp_path / "outage").stage_cursor == "seeded"
+
+    monkeypatch.setattr(orchestrator, "OfflineCorpus", OfflineCorpus)
+    assert run_env("outage").run().stage_cursor == "done"
+    assert tree_bytes(tmp_path / "outage") == tree_bytes(tmp_path / "clean")
 
 
 def test_a_tournament_abort_keeps_the_novelty_replies_for_the_resume(

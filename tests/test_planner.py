@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -196,21 +197,27 @@ def test_execute_plan_no_backend_returns_empty(make_gateway):
     assert planner.execute_plan(idea, [("kw",)]) == []
 
 
-def test_execute_plan_search_failures_tolerated(make_gateway, caplog):
+def test_execute_plan_search_failures_propagate(make_gateway):
+    """A failed search is an availability failure: it leaves the plan at once,
+    so the stage aborts instead of going on without retrieval."""
     class BrokenCorpus:
+        def __init__(self):
+            self.queries = []
+
         def search(self, query):
+            self.queries.append(query.text)
             if query.text == "down":
                 raise TransientBackendError("backend down")
             raise LiteratureError("malformed reply")
 
-    planner = make_planner(RuleBackend(), make_gateway, corpus=BrokenCorpus())
+    corpus = BrokenCorpus()
+    planner = make_planner(RuleBackend(), make_gateway, corpus=corpus)
     idea = embedded(5)
-    with caplog.at_level("WARNING", logger="nova.planner"):
-        assert planner.execute_plan(idea, [("down",), ("bad",)]) == []
-    assert [r.getMessage() for r in caplog.records] == [
-        "search failed for 'down': backend down",
-        "search failed for 'bad': malformed reply",
-    ]
+    with pytest.raises(TransientBackendError, match="backend down"):
+        planner.execute_plan(idea, [("down",), ("bad",)])
+    with pytest.raises(LiteratureError, match="malformed reply"):
+        planner.execute_plan(idea, [("bad",), ("down",)])
+    assert corpus.queries == ["down", "bad"]
 
 
 @pytest.mark.parametrize("error", [TypeError, AttributeError, KeyError])
@@ -233,22 +240,6 @@ class CountingEmbedder(HashEmbedder):
     def embed(self, texts):
         self.batches.append(list(texts))
         return super().embed(texts)
-
-
-def test_execute_plan_rejects_unembedded_doc(make_gateway):
-    """The search backend embeds what it returns; a doc without an embedding is a bug."""
-    stored = tuple(HashEmbedder(dim=8, seed=9).embed(["stored"])[0])
-    docs = [
-        RetrievedDoc(title="doc 0", abstract="", source_query="q", embedding=stored),
-        RetrievedDoc(title="doc 1", abstract="", source_query="q"),
-    ]
-    embedder = CountingEmbedder(dim=8, seed=1)
-    planner = make_planner(RuleBackend(), make_gateway, corpus=StaticSearch(docs),
-                           embedder=embedder)
-    idea = embedded(5)
-    with pytest.raises(ValueError, match="'doc 1' has no embedding"):
-        planner.execute_plan(idea, [("kw",)])
-    assert embedder.batches == []
 
 
 def test_execute_plan_all_embedded_sends_no_embed_call(make_gateway):
@@ -299,7 +290,8 @@ def test_expand_failure_returns_old_unchanged(make_gateway, sample_paper, caplog
     out = expand_one(planner, sample_paper, old)
     assert out == [old]
     assert out[0].generation == 2
-    assert any("expansion failed" in r.message for r in caplog.records)
+    assert re.search(r"expand_ideas: no schema-valid reply to request [0-9a-f]{12}, "
+                     r"using fallback None", caplog.text)
 
 
 def test_expand_ten_candidates_top_three_survive(make_gateway, sample_paper):

@@ -15,7 +15,7 @@ from nova.domain import (
     ProposalSet,
     RetrievedDoc,
 )
-from nova.gateway import GatewayOptions
+from nova.gateway import REPROMPT_BUDGET, GatewayOptions
 from nova.ids import IdFactory
 from nova.literature import HashEmbedder
 from nova.planner import PlannerLoop
@@ -269,3 +269,19 @@ def test_build_all_round_trip(make_gateway, sample_paper):
     ]
     assert proposals.validate() == []
     assert ProposalSet.from_dict(json.loads(json.dumps(proposals.to_dict()))) == proposals
+
+
+@pytest.mark.parametrize(
+    "signature, message",
+    [(DECOMPOSE_SIG, "decomposition failed for idea"), (FINAL_SIG, "final proposal failed")],
+    ids=["method_decompose", "final_proposal"],
+)
+def test_build_all_raises_on_a_content_failure_of_a_later_stage(make_gateway, sample_paper,
+                                                                signature, message):
+    """The stage's `ask` fallback is None, which `build_all` turns into a `ProposalFailure`."""
+    backend = full_backend()
+    backend.rules.insert(0, (signature, "I would rather describe it in prose."))
+    builder = make_builder(backend, make_gateway)
+    with pytest.raises(ProposalFailure, match=message):
+        builder.build_all(sample_paper, idea())
+    assert sum(signature in prompt for prompt in backend.prompts) == REPROMPT_BUDGET + 1

@@ -191,7 +191,8 @@ def test_self_correct_prose_reflection_keeps_the_first_ideas(make_gateway, caplo
     backend = RuleBackend(rules=[(REFLECT_SIG, "They all seem fine.")])
     seeder = make_seeder(backend, make_gateway)
     assert seeder.self_correct(candidates, keep=2) == candidates[:2]
-    assert "self-reflection failed" in caplog.text
+    assert "self_reflect_cut: no schema-valid reply" in caplog.text
+    assert "using fallback {'evaluations': []}" in caplog.text
 
 
 def test_self_correct_backend_outage_propagates(make_gateway):

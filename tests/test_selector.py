@@ -150,15 +150,6 @@ def test_duplicate_embedding_representative_is_earlier_id():
     assert pool[1].id not in rep_ids
 
 
-def test_unembedded_idea_rejected():
-    pool = _pool_from_rows([[1.0, 0.0]])
-    from tests.conftest import make_idea
-
-    pool.append(make_idea(99))
-    with pytest.raises(SelectorError, match="without embeddings"):
-        cluster_pool(pool, 2, seed=0)
-
-
 def test_cluster_pool_assignment_keys_are_idea_ids():
     rng = np.random.Generator(np.random.PCG64(21))
     pool = _pool_from_rows(rng.standard_normal((8, 4)))

@@ -5,6 +5,12 @@
 - `Gateway.fan_out` is the one way to run work concurrently: threads are
   started (`ThreadPoolExecutor(`, `threading.Thread(`) only inside
   `Gateway._launching`, and no `concurrently` exists.
+- Each failure kind has one handler. A content failure
+  (`ExtractionFailedError`) is caught only inside `Gateway.ask`, which returns
+  the caller's fallback. The stage modules (`planner`, `seeding`, `proposals`,
+  `tournament`) catch no `GatewayError`, `LiteratureError` or
+  `ExtractionFailedError`, nor anything broader, so an availability failure
+  aborts the stage.
 - orjson parses corpus docs and nothing else: `orjson` is imported once, by
   name, and `orjson.loads` is used only inside `OfflineCorpus.__init__`.
   `orjson.dumps` is never used, since it writes some floats otherwise than
@@ -70,6 +76,31 @@ def _orjson_use(node) -> str | None:
     if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "orjson":
         return node.attr
     return None
+
+
+def _caught(node) -> tuple[str, ...] | None:
+    """The last name of each exception type an `except` clause catches; () for a bare one."""
+    if not isinstance(node, ast.ExceptHandler):
+        return None
+    if node.type is None:
+        return ()
+    types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+    return tuple(ast.unparse(t).split(".")[-1] for t in types)
+
+
+def test_a_content_failure_is_caught_only_in_ask():
+    handlers = [(path, scope) for path, scope, caught in _find(_caught)
+                if "ExtractionFailedError" in caught]
+    assert handlers == [("gateway.py", "Gateway.ask")]
+
+
+def test_the_stage_modules_catch_no_gateway_or_literature_error():
+    stages = {"planner.py", "seeding.py", "proposals.py", "tournament.py"}
+    banned = {"GatewayError", "LiteratureError", "ExtractionFailedError", "Exception",
+              "BaseException"}
+    found = [(path, scope, caught) for path, scope, caught in _find(_caught)
+             if path in stages and (not caught or banned.intersection(caught))]
+    assert found == []
 
 
 def test_validate_is_called_only_by_the_decode():
