@@ -18,7 +18,9 @@ little-endian float64, so every value round-trips bit for bit.
 a `DomainParseError` naming the type and the field, so artifacts written by
 other tools fail loudly instead of silently. A field may be absent iff it has
 a default; an absent field takes that default. `str` fields take only
-strings; `int` fields reject bools; `float` fields accept ints.
+strings; `int` fields reject bools and floats; `float` fields accept ints.
+A `JsonInt` field, used only by the LLM replies of `nova.replies`, also takes
+an integral float such as ``1.0`` and decodes it to an int.
 
 The `validate()` methods hold the semantic invariants that the types alone
 cannot express. `from_dict` runs them, and nothing else does: a record that
@@ -88,11 +90,26 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-# Element annotation -> (accepts, converts, plural noun, scalar problem).
+def _is_bool(v) -> bool:
+    return isinstance(v, bool)
+
+
+def _is_json_int(v) -> bool:
+    if isinstance(v, float):
+        return v.is_integer()
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+# An integer as JSON Schema has it: never a bool, NaN or an infinity, but 1.0 is one.
+JsonInt = typing.Annotated[int, "json integer"]
+
+# Element annotation -> (accepts, converts or None for identity, plural noun, scalar problem).
 _ELEMENTS = {
-    str: (_is_str, str, "strings", "must be a string"),
-    int: (_is_int, int, "integers", "must be an integer"),
+    str: (_is_str, None, "strings", "must be a string"),
+    int: (_is_int, None, "integers", "must be an integer"),
     float: (_is_number, float, "numbers", "must be a number"),
+    bool: (_is_bool, None, "booleans", "must be a boolean"),
+    JsonInt: (_is_json_int, int, "integers", "must be an integer"),
 }
 
 
@@ -141,7 +158,7 @@ def _converters(owner: str, name: str, hint):
             def decode_records(v):
                 if not isinstance(v, list):
                     fail("must be a list")
-                return tuple(item.from_dict(x) for x in v)
+                return tuple(map(item.from_dict, v))
 
             return (lambda v: [x.to_dict() for x in v]), decode_records
         accepts, convert, noun, _ = _ELEMENTS[item]
@@ -149,7 +166,7 @@ def _converters(owner: str, name: str, hint):
         def decode_items(v):
             if not isinstance(v, list) or not all(map(accepts, v)):
                 fail(f"must be a list of {noun}")
-            return tuple(map(convert, v))
+            return tuple(v) if convert is None else tuple(map(convert, v))
 
         return list, decode_items
     if origin is dict:
@@ -170,7 +187,7 @@ def _converters(owner: str, name: str, hint):
     def decode_scalar(v):
         if not accepts(v):
             fail(problem)
-        return convert(v)
+        return v if convert is None else convert(v)
 
     return None, decode_scalar
 
@@ -180,6 +197,7 @@ class _Codec:
     encoders: tuple  # (name, encode or None, omit while None) in field order
     decoders: dict  # name -> decode
     required: frozenset  # fields without a default
+    validates: bool  # the class overrides `Record.validate`
 
 
 @functools.cache
@@ -192,7 +210,8 @@ def _codec(cls) -> _Codec:
         decoders[f.name] = decode
         if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
             required.add(f.name)
-    return _Codec(tuple(encoders), decoders, frozenset(required))
+    return _Codec(tuple(encoders), decoders, frozenset(required),
+                  cls.validate is not Record.validate)
 
 
 class Record:
@@ -210,18 +229,16 @@ class Record:
     @classmethod
     def from_dict(cls, data: dict) -> typing.Self:
         codec = _codec(cls)
-        kind = cls.__name__
         if not isinstance(data, dict):
-            raise DomainParseError(f"{kind}: expected object, got {type(data).__name__}")
+            raise DomainParseError(f"{cls.__name__}: expected object, got {type(data).__name__}")
         decoders = codec.decoders
-        unknown = data.keys() - decoders.keys()
-        if unknown:
-            raise DomainParseError(f"{kind}: unknown fields {sorted(unknown)}")
-        missing = codec.required - data.keys()
-        if missing:
-            raise DomainParseError(f"{kind}: missing fields {sorted(missing)}")
+        if data.keys() != decoders.keys():  # else every field is there, and no other
+            if unknown := data.keys() - decoders.keys():
+                raise DomainParseError(f"{cls.__name__}: unknown fields {sorted(unknown)}")
+            if missing := codec.required - data.keys():
+                raise DomainParseError(f"{cls.__name__}: missing fields {sorted(missing)}")
         record = cls(**{name: decoders[name](value) for name, value in data.items()})
-        if problems := record.validate():
+        if codec.validates and (problems := record.validate()):
             raise DomainParseError(*problems)
         return record
 

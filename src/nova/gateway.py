@@ -9,13 +9,14 @@ lives in :mod:`nova.mockllm`.
 A `Gateway` holds the run's prompt set, one :class:`nova.prompts.PromptLibrary`,
 and every pipeline call goes through :meth:`Gateway.ask` by template name. It
 renders the template, appends an optional suffix (a seeding refill note), sends
-it to the model the template's manifest entry names, and checks the reply
-against the output schema the entry names; no other module holds the prompt
-set, builds a `ChatRequest`, names a model or names a schema. Each failure
-kind has one handler. `ExtractionFailedError` is a content failure: the model
-answered, but not in the required shape. `ask` handles it, and only `ask`:
-the caller names its fallback value, and `ask` logs the template and the
-request's cache key and returns that value in place of the reply. Every other
+it to the model the template's manifest entry names, and decodes the reply
+with the `nova.replies` decoder of the reply shape the entry names; no other
+module holds the prompt set, builds a `ChatRequest`, names a model or names a
+reply shape. Each failure kind has one handler. `ExtractionFailedError` is a
+content failure: the model answered, but not in the required shape. `ask`
+handles it, and only `ask`: the caller names its fallback value, and `ask`
+logs the template and the request's cache key and returns that value in place
+of the reply. Every other
 `GatewayError` (a dead or refusing backend, a missing key, a malformed HTTP
 reply) is an availability failure that no caller catches, so the stage fails
 and `Runner.advance_to` aborts the run at its last checkpoint.
@@ -44,8 +45,6 @@ file at each stage commit; :class:`ResponseCache` says what a cut-off line, a
 compaction and a second process sharing the directory cost. A cached line
 that cannot be read back is logged and treated as a miss, and the reply sent
 in its place is appended.
-Structured output is checked with the compiled checkers of
-:func:`nova.schemas.output_schema_check`.
 
 The live HTTP clients (chat here; paper search and embeddings in
 :mod:`nova.literature`) all send through :func:`post_json`, which holds the one
@@ -71,8 +70,9 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterable, Protocol, TypeVar
 
-from . import schemas
+from .domain import DomainParseError
 from .prompts import PromptLibrary
+from .replies import DECODERS
 
 logger = logging.getLogger(__name__)
 
@@ -186,6 +186,15 @@ def atomic_write(path: str | os.PathLike, data: bytes) -> None:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
+
+
+def append_bytes(path: str | os.PathLike, data: bytes) -> None:
+    """Append `data` to `path` through one ``O_APPEND`` descriptor; a new file gets mode 0o600."""
+    fd = _create(path, _JOURNAL_FLAGS)
+    try:
+        _write_all(fd, data)
+    finally:
+        os.close(fd)
 
 
 ENTRIES_FILE = "entries.jsonl"
@@ -304,11 +313,7 @@ class ResponseCache:
         line = _entry_line(key, text)
         with self._lock:
             index = self._load()
-            fd = _create(self._dir / JOURNAL_FILE, _JOURNAL_FLAGS)
-            try:
-                _write_all(fd, line)
-            finally:
-                os.close(fd)
+            append_bytes(self._dir / JOURNAL_FILE, line)
             index[key] = text
             self._dirty = True
 
@@ -522,11 +527,11 @@ class Gateway:
 
     def ask(self, template: str, bindings: dict[str, str], suffix: str = "", *,
             fallback=_RAISE):
-        """Send the rendered `template` plus `suffix`; return the checked reply.
+        """Send the rendered `template` plus `suffix`; return the decoded reply.
 
         The request names the model of the template's manifest entry. Without
-        an output schema in that entry the reply text is returned; with one,
-        the JSON value `complete_json` returns. When that raises
+        a reply shape in that entry the reply text is returned; with one, the
+        decoded reply `complete_json` returns. When that raises
         `ExtractionFailedError`, `ask` logs the template, the request's cache
         key and `fallback`, and returns `fallback`; without one it re-raises.
         """
@@ -547,9 +552,9 @@ class Gateway:
     def complete_json(self, request: ChatRequest, schema_name: str):
         """complete() plus extraction; re-prompts on invalid JSON up to budget.
 
-        Returns the first JSON value in a reply that validates against the
-        named output schema. Raises ExtractionFailedError once `REPROMPT_BUDGET`
-        re-prompts are spent.
+        Returns the decoded reply of the first JSON value in a reply that the
+        `schema_name` decoder accepts (see `extract_json`). Raises
+        ExtractionFailedError once `REPROMPT_BUDGET` re-prompts are spent.
         """
         prompt = request.prompt
         for attempt in range(REPROMPT_BUDGET + 1):
@@ -581,18 +586,20 @@ class Gateway:
 
 _FENCE_RE = re.compile(r"```(?:json)?\s*(.*?)```", re.DOTALL)
 _TRAILING_COMMA_RE = re.compile(r",(\s*[\]}])")
+_DECODER = json.JSONDecoder()
 
 
 def _try_parse(fragment: str):
-    """Parse the first JSON value in `fragment`, tolerating trailing prose."""
-    decoder = json.JSONDecoder()
-    for text in (fragment, _TRAILING_COMMA_RE.sub(r"\1", fragment)):
-        try:
-            value, _ = decoder.raw_decode(text.strip())
-            return value
-        except (json.JSONDecodeError, ValueError):
-            continue
-    return None
+    """Parse the first JSON value in `fragment`, tolerating trailing prose;
+    trailing commas are removed only if the fragment does not parse as it is."""
+    try:
+        return _DECODER.raw_decode(fragment.strip())[0]
+    except ValueError:
+        repaired, commas = _TRAILING_COMMA_RE.subn(r"\1", fragment)
+    try:
+        return _DECODER.raw_decode(repaired.strip())[0] if commas else None
+    except ValueError:
+        return None
 
 
 def _candidates(raw: str):
@@ -607,16 +614,17 @@ def _candidates(raw: str):
 
 
 def extract_json(raw: str, schema_name: str):
-    """First JSON value in `raw` that validates against the named output schema."""
-    check = schemas.output_schema_check(schema_name)
+    """The decoded reply of the first JSON value in `raw` that `DECODERS[schema_name]` accepts."""
+    decode = DECODERS[schema_name]
     seen_invalid = 0
     for fragment in _candidates(raw):
         value = _try_parse(fragment)
         if value is None:
             continue
-        if check(value):
-            return value
-        seen_invalid += 1
+        try:
+            return decode(value)
+        except DomainParseError:
+            seen_invalid += 1
     if seen_invalid:
         raise NoValidJsonError(
             f"found {seen_invalid} JSON value(s) but none validate against {schema_name!r}"

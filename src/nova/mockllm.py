@@ -2,9 +2,9 @@
 
 Replies are a pure function of (script, seed, prompt): a script entry keyed by
 the sha256 digest of the prompt wins; otherwise the synthesizer recognizes
-which registry template produced the prompt and fabricates a schema-valid
-reply derived from the prompt digest. Identical request sequences therefore
-yield byte-identical responses.
+which registry template produced the prompt and fabricates a reply that its
+`nova.replies` decoder accepts, derived from the prompt digest. Identical
+request sequences therefore yield byte-identical responses.
 """
 
 from __future__ import annotations

@@ -11,7 +11,8 @@ One directory per run:
                     and journal.jsonl between stage commits
 
 Every file but `events.jsonl` and the cache journal is written whole through
-`gateway.atomic_write` (mode 0o600). `artifacts/` is made by the first
+`gateway.atomic_write`; those two are appended to by `gateway.append_bytes`.
+Every file has mode 0o600. `artifacts/` is made by the first
 artifact write and `cache/` by the first cached reply, so building a `Runner`
 creates no directory but the run's own and touches no file of a shared cache.
 Each stage commit first folds the cache journal into the entries file
@@ -28,8 +29,8 @@ proposed idea to its proposal_set.
 with list-of-numbers embeddings, say), or that breaks an invariant of its
 `Record` (an empty proposal section, say), into an `OrchestratorError` naming
 the kind, the artifact digest or the file, and the field. `put` checks
-nothing: a stored record is built from schema-checked replies or by code that
-holds its invariants.
+nothing: a stored record is built from decoded replies (`nova.replies`) or by
+code that holds its invariants.
 
 Stages commit atomically in order seeded -> iterated -> selected -> proposed
 -> evaluated -> done; a crash between stages leaves a resumable checkpoint.
@@ -60,6 +61,7 @@ pool at most once.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import io
@@ -77,7 +79,9 @@ from .domain import (
     DomainParseError, Idea, IdeaPool, IterationRecords, PipelineConfig, ProposalSet, Record,
     Representatives, RunMetrics, SeedPaper, TournamentResult, TrendReport,
 )
-from .gateway import Gateway, GatewayError, GatewayOptions, HttpChatBackend, atomic_write
+from .gateway import (
+    Gateway, GatewayError, GatewayOptions, HttpChatBackend, append_bytes, atomic_write,
+)
 from .ids import IdFactory
 from .literature import (
     HashEmbedder,
@@ -254,15 +258,33 @@ class ArtifactStore:
 
 
 class EventLog:
-    """Append-only JSONL event log with a logical sequence counter."""
+    """Append-only JSONL event log; each event carries its logical ``seq``.
+
+    A commit appends its event before its ``state.json`` write, so a crash
+    between the two leaves a line the resume would log again. The first
+    `append` of a log therefore rewrites the file (`atomic_write`) with only
+    the lines that parse and have a ``seq`` below the new event's: a resume
+    keeps the events ``state.json`` holds, a new seeding attempt (``seq`` 0)
+    none.
+    """
 
     def __init__(self, run_dir: Path):
         self._path = run_dir / "events.jsonl"
+        self._trimmed = False
 
     def append(self, event: dict) -> None:
-        line = json.dumps(event, ensure_ascii=False) + "\n"
-        with open(self._path, "a", encoding="utf-8") as fh:
-            fh.write(line)
+        line = (json.dumps(event, ensure_ascii=False) + "\n").encode("utf-8")
+        if self._trimmed:
+            append_bytes(self._path, line)
+            return
+        kept = []
+        with contextlib.suppress(FileNotFoundError):
+            for old in self._path.read_bytes().splitlines(keepends=True):
+                with contextlib.suppress(ValueError, KeyError, TypeError):
+                    if json.loads(old)["seq"] < event["seq"]:
+                        kept.append(old)
+        atomic_write(self._path, b"".join(kept) + line)
+        self._trimmed = True
 
 
 def load_paper_input(source: dict | str | Path, id_factory: IdFactory) -> tuple[SeedPaper, list[SeedPaper]]:

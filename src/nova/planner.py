@@ -20,6 +20,7 @@ from .domain import (
 from .gateway import Gateway
 from .ids import IdFactory
 from .literature import Embedder, SearchQuery, cosine
+from .replies import IdeaReply, SearchPlanReply
 from .seeding import format_idea, new_ideas, reflect
 
 logger = logging.getLogger(__name__)
@@ -31,7 +32,7 @@ class _ExpandOutcome:
 
     plan: SearchPlan
     retrieved: int
-    candidates: tuple[dict, ...] | None  # None = expansion failed, idea survives
+    candidates: tuple[IdeaReply, ...] | None  # None = expansion failed, idea survives
 
 
 def format_docs(docs: list[RetrievedDoc]) -> str:
@@ -63,15 +64,15 @@ class PlannerLoop:
     def make_plan(self, idea: Idea) -> SearchPlan:
         """Search plan for one idea; falls back to its own keywords on failure."""
         directions: list[Direction] = []
-        parsed = self._gateway.ask(
-            "search_plan", {"idea_info": format_idea(idea)}, fallback={"directions": []}
+        reply = self._gateway.ask(
+            "search_plan", {"idea_info": format_idea(idea)}, fallback=SearchPlanReply(())
         )
-        for raw in parsed["directions"]:
-            keywords = tuple(k for k in raw["keywords"] if k.strip())
+        for direction in reply.directions:
+            keywords = tuple(k for k in direction.keywords if k.strip())
             if not keywords:
                 logger.info("dropping keywordless direction for idea %s", idea.id)
                 continue
-            directions.append(Direction(thinking=raw["thinking"], keywords=keywords))
+            directions.append(replace(direction, keywords=keywords))
         if not directions:
             directions = [Direction(thinking="fallback: idea keywords", keywords=idea.keywords)]
         return SearchPlan(
@@ -111,8 +112,8 @@ class PlannerLoop:
 
     def _expand_candidates(
         self, paper: SeedPaper, old: Idea, docs: list[RetrievedDoc]
-    ) -> tuple[dict, ...] | None:
-        """Expand one idea into candidate dicts cut to keep_count; None on failure."""
+    ) -> tuple[IdeaReply, ...] | None:
+        """Expand one idea into candidates cut to keep_count; None on failure."""
         bindings = {
             "expand_count": str(self._config.expand_count),
             "paper_title": paper.title,
@@ -120,21 +121,21 @@ class PlannerLoop:
             "old_idea": format_idea(old),
             "new_knowledge": format_docs(docs),
         }
-        raw = self._gateway.ask("expand_ideas", bindings, fallback=None)
-        if raw is None:
+        candidates = self._gateway.ask("expand_ideas", bindings, fallback=None)
+        if candidates is None:
             return None
-        return tuple(self._reflect_cut(raw, self._config.keep_count))
+        return self._reflect_cut(candidates, self._config.keep_count)
 
-    def _reflect_cut(self, candidates: list[dict], keep: int) -> list[dict]:
+    def _reflect_cut(self, candidates: tuple[IdeaReply, ...], keep: int) -> tuple[IdeaReply, ...]:
         """Self-reflection cut: drop unsound candidates, keep the top-scored."""
         if len(candidates) <= keep:
-            return list(candidates)
-        evaluations = reflect(self._gateway, [c["idea"] for c in candidates])
-        sound = [n for n, ev in enumerate(evaluations) if ev["sound"]]
+            return candidates
+        evaluations = reflect(self._gateway, [c.idea for c in candidates])
+        sound = [n for n, ev in enumerate(evaluations) if ev.sound]
         if not sound:
             sound = list(range(len(candidates)))
-        ranked = sorted(sound, key=lambda n: (-evaluations[n]["score"], n))
-        return [candidates[n] for n in ranked[:keep]]
+        ranked = sorted(sound, key=lambda n: (-evaluations[n].score, n))
+        return tuple(candidates[n] for n in ranked[:keep])
 
     # -- the loop ---------------------------------------------------------------
 

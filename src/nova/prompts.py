@@ -2,11 +2,11 @@
 
 The shipped set is package data: ``manifest.json``, one body per template at
 ``<name>.txt``, ``default_bindings.json`` and ``discovery_theories.json``. A
-manifest entry is ``{"name", "schema_name", "model"}``: the output schema a
-reply must match (a file under ``nova/schemas/outputs``, or null for free
-text) and the model the template's requests name. A template's placeholders
-are the ones its body holds, ``{name}`` with no nesting; literal braces are
-escaped by doubling.
+manifest entry is ``{"name", "schema_name", "model"}``: the shape a reply
+must have (a key of `nova.replies.DECODERS`, or null for free text) and the
+model the template's requests name. A template's placeholders are the ones
+its body holds, ``{name}`` with no nesting; literal braces are escaped by
+doubling.
 
 Four placeholders are set constants, bound by `render` itself when the caller
 does not bind them: the three texts of ``default_bindings.json`` and
@@ -23,7 +23,7 @@ from importlib import resources
 from pathlib import Path
 from types import MappingProxyType
 
-from . import schemas
+from .replies import DECODERS
 
 _PACKAGE = "nova.templates"
 
@@ -154,13 +154,10 @@ class PromptLibrary:
             if "schema_name" not in entry:
                 raise PromptError(f"template {name!r}: manifest entry has no schema_name")
             schema_name = entry["schema_name"]
-            try:
-                if schema_name is not None:
-                    schemas.load_output_schema(schema_name)
-            except (KeyError, TypeError):
+            if schema_name not in (None, *DECODERS):
                 raise PromptError(
                     f"template {name!r}: schema_name {schema_name!r} names no output schema"
-                ) from None
+                )
             try:
                 body = self._read(f"{name}.txt")
             except FileNotFoundError:

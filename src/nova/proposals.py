@@ -14,11 +14,9 @@ from __future__ import annotations
 
 import json
 import logging
+from dataclasses import replace
 
 from .domain import (
-    FINAL_SECTIONS,
-    INITIAL_SECTIONS,
-    DecompositionModule,
     DecompositionPlan,
     Idea,
     Proposal,
@@ -34,7 +32,7 @@ logger = logging.getLogger(__name__)
 
 
 class ProposalFailure(Exception):
-    """A proposal stage could not produce schema-valid output after budget."""
+    """A proposal stage got no decodable reply within the re-prompt budget."""
 
 
 class ProposalBuilder:
@@ -42,7 +40,8 @@ class ProposalBuilder:
 
     Retrieval goes through `PlannerLoop.execute_plan`: the idea's keywords for
     the initial proposal, one keyword group per decomposition module for the
-    final one. Sections are stored in `INITIAL_SECTIONS`/`FINAL_SECTIONS` order.
+    final one. Sections are stored in `INITIAL_SECTIONS`/`FINAL_SECTIONS` order,
+    the order their replies decode to.
     """
 
     def __init__(self, gateway: Gateway, planner: PlannerLoop):
@@ -71,12 +70,11 @@ class ProposalBuilder:
             "relevant_papers_block": relevant_block,
             "self_reflection_block": "",
         }
-        parsed = self._gateway.ask("initial_proposal", bindings, fallback=None)
-        if parsed is None:
+        reply = self._gateway.ask("initial_proposal", bindings, fallback=None)
+        if reply is None:
             raise ProposalFailure(f"initial proposal failed for idea {idea.id}")
-        name, sections = next(iter(parsed.items()))
+        name, sections = reply
         logger.debug("initial proposal %r for idea %s", name, idea.id)
-        sections = {key: sections[key] for key in INITIAL_SECTIONS}
         return Proposal(idea_id=idea.id, stage="initial", sections=sections)
 
     # -- stage 2: method decomposition -----------------------------------------
@@ -86,28 +84,21 @@ class ProposalBuilder:
         bindings = {
             "initial_idea_json": json.dumps(proposal.sections, ensure_ascii=False, indent=2),
         }
-        parsed = self._gateway.ask("method_decompose", bindings, fallback=None)
-        if parsed is None:
+        reply = self._gateway.ask("method_decompose", bindings, fallback=None)
+        if reply is None:
             raise ProposalFailure(f"decomposition failed for idea {proposal.idea_id}")
         modules = []
-        for raw in parsed["modules"]:
-            keywords = tuple(k for k in raw["search_keywords"] if k.strip())
+        for module in reply.modules:
+            keywords = tuple(k for k in module.search_keywords if k.strip())
             if not keywords:
-                logger.info("dropping keywordless module %r", raw["name"])
+                logger.info("dropping keywordless module %r", module.name)
                 continue
-            modules.append(
-                DecompositionModule(
-                    name=raw["name"],
-                    purpose=raw["purpose"],
-                    implementation=raw["implementation"],
-                    search_keywords=keywords,
-                )
-            )
+            modules.append(replace(module, search_keywords=keywords))
         if not modules:
             raise ProposalFailure(
                 f"decomposition for idea {proposal.idea_id} had no usable modules"
             )
-        return DecompositionPlan(thinking=parsed.get("thinking", ""), modules=tuple(modules))
+        return DecompositionPlan(thinking=reply.thinking, modules=tuple(modules))
 
     def module_knowledge(self, idea: Idea, decomposition: DecompositionPlan) -> str | None:
         """Merged retrieval over the decomposition's per-module keywords."""
@@ -141,10 +132,9 @@ class ProposalBuilder:
             "method_decomposition_block": decomposition_block,
             "new_knowledge_block": knowledge_block,
         }
-        parsed = self._gateway.ask("final_proposal", bindings, fallback=None)
-        if parsed is None:
+        sections = self._gateway.ask("final_proposal", bindings, fallback=None)
+        if sections is None:
             raise ProposalFailure(f"final proposal failed for idea {idea.id}")
-        sections = {key: parsed[key] for key in FINAL_SECTIONS}
         return Proposal(idea_id=idea.id, stage="final", sections=sections)
 
     # -- whole pipeline for one idea ----------------------------------------------

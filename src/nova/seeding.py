@@ -18,6 +18,7 @@ import logging
 from .domain import Idea, PipelineConfig, SeedPaper
 from .gateway import Gateway
 from .ids import IdFactory
+from .replies import Evaluation, IdeaReply, ReflectReply
 
 logger = logging.getLogger(__name__)
 
@@ -37,15 +38,15 @@ def source_quotas(total: int) -> tuple[int, int, int]:
     return base + (1 if extra >= 1 else 0), base + (1 if extra >= 2 else 0), base
 
 
-def new_ideas(ids: IdFactory, entries, source: str, generation: int = 0,
-              parent_id: str | None = None) -> list[Idea]:
-    """`Idea`s from `idea_list` reply entries; IDs are drawn in reply order."""
+def new_ideas(ids: IdFactory, entries: tuple[IdeaReply, ...], source: str,
+              generation: int = 0, parent_id: str | None = None) -> list[Idea]:
+    """`Idea`s from the ideas of an `idea_list` reply; IDs are drawn in reply order."""
     return [
         Idea(
             id=ids.new_id(),
-            thinking=entry["thinking"],
-            idea=entry["idea"],
-            keywords=tuple(entry["keywords"]),
+            thinking=entry.thinking,
+            idea=entry.idea,
+            keywords=entry.keywords,
             source=source,
             generation=generation,
             parent_id=parent_id,
@@ -72,21 +73,16 @@ def format_idea(idea: Idea) -> str:
     )
 
 
-def reflect(gateway: Gateway, texts: list[str]) -> list[dict]:
-    """One self-reflection review of candidate idea texts: per text, its
-    ``{"sound", "score"}`` evaluation.
+def reflect(gateway: Gateway, texts: list[str]) -> list[Evaluation]:
+    """One self-reflection review of candidate idea texts: per text, its `Evaluation`.
 
     A candidate the reply leaves out, or every candidate when no valid reply
     arrives, counts as sound with the lowest score, 1.
     """
     listing = "\n".join(f"{n}. {text}" for n, text in enumerate(texts, 1))
-    parsed = gateway.ask(
-        "self_reflect_cut", {"candidate_list": listing}, fallback={"evaluations": []}
-    )
-    by_index = {
-        e["index"]: {"sound": e["sound"], "score": e["score"]} for e in parsed["evaluations"]
-    }
-    return [by_index.get(n, {"sound": True, "score": 1}) for n in range(1, len(texts) + 1)]
+    reply = gateway.ask("self_reflect_cut", {"candidate_list": listing}, fallback=ReflectReply(()))
+    by_index = {e.index: e for e in reply.evaluations}
+    return [by_index.get(n, Evaluation(n, True, 1)) for n in range(1, len(texts) + 1)]
 
 
 class SeedGenerator:
@@ -100,12 +96,12 @@ class SeedGenerator:
     def self_correct(self, candidates: list[Idea], keep: int) -> list[Idea]:
         """Soundness check, then reflection-ranked cut to at most `keep` ideas."""
         checked = reflect(self._gateway, [c.idea for c in candidates])
-        sound = [idea for idea, ev in zip(candidates, checked) if ev["sound"]]
+        sound = [idea for idea, ev in zip(candidates, checked) if ev.sound]
         if not sound:
             return []
         scored = reflect(self._gateway, [idea.idea for idea in sound])
         ranked = sorted(
-            range(len(sound)), key=lambda n: (-scored[n]["score"], n)
+            range(len(sound)), key=lambda n: (-scored[n].score, n)
         )
         return [sound[n] for n in ranked[:keep]]
 
@@ -154,8 +150,8 @@ class SeedGenerator:
     def _generate(self, source: str, template: str, bindings: dict, quota: int) -> list[Idea]:
         if quota == 0:
             return []
-        raw = self._gateway.ask(template, bindings, fallback=[])
-        candidates = new_ideas(self._ids, raw, source)
+        reply = self._gateway.ask(template, bindings, fallback=())
+        candidates = new_ideas(self._ids, reply, source)
         kept = self.self_correct(candidates, quota) if candidates else []
         refills = 0
         while len(kept) < quota and refills < MAX_REFILLS:
@@ -165,10 +161,10 @@ class SeedGenerator:
                 f"\n\n(Refill attempt {refills}: propose ideas different from these "
                 f"already-accepted ones.)\nAccepted so far:\n{have}"
             )
-            raw = self._gateway.ask(template, bindings, suffix, fallback=None)
-            if raw is None:
+            reply = self._gateway.ask(template, bindings, suffix, fallback=None)
+            if reply is None:
                 continue
-            candidates = kept + new_ideas(self._ids, raw, source)
+            candidates = kept + new_ideas(self._ids, reply, source)
             if candidates:
                 kept = self.self_correct(candidates, quota)
         if len(kept) < quota:

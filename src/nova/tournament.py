@@ -82,7 +82,7 @@ def make_llm_ranker(gateway: Gateway) -> RankerFn:
 
     def ranker(a: Proposal, b: Proposal) -> str | None:
         bindings = {"proposal_a": proposal_text(a), "proposal_b": proposal_text(b)}
-        return gateway.ask("pairwise_rank", bindings, fallback={"winner": None})["winner"]
+        return gateway.ask("pairwise_rank", bindings, fallback=None)
 
     return ranker
 
@@ -219,7 +219,7 @@ def novelty_judge(
             "idea_text": idea.idea, "paper_title": doc.title, "paper_abstract": doc.abstract
         }
         judge_calls += 1
-        verdict = gateway.ask("novelty_judge", bindings, fallback={"verdict": "similar"})["verdict"]
+        verdict = gateway.ask("novelty_judge", bindings, fallback="similar")
         evidence.append(NoveltyEvidence(doc=doc, similarity=sim, verdict=verdict))
     novel = not any(e.verdict == "similar" for e in evidence)
     return NoveltyResult(novel=novel, evidence=tuple(evidence), judge_calls=judge_calls)

@@ -7,6 +7,7 @@ import dataclasses
 import json
 import math
 import struct
+import typing
 
 import pytest
 from hypothesis import given, strategies as st
@@ -23,6 +24,7 @@ from nova.domain import (
     IdeaPool,
     IterationRecord,
     IterationRecords,
+    JsonInt,
     Match,
     PipelineConfig,
     Proposal,
@@ -36,7 +38,7 @@ from nova.domain import (
     TournamentResult,
     TrendReport,
 )
-from nova.orchestrator import RunState
+from nova.orchestrator import ARTIFACT_TYPES, RunState
 from tests.conftest import make_idea, validate_lineage
 
 
@@ -448,11 +450,33 @@ STATE_DICT = SAMPLES["run_state"].to_dict()
         (RunState, STATE_DICT, "proposals", {"i1": 1}, "proposals must map strings to strings"),
         (RunState, STATE_DICT, "config", 12345, "PipelineConfig: expected object, got int"),
         (RunState, STATE_DICT, "failed_proposals", [1], "failed_proposals must be a list of strings"),
+        (Idea, IDEA_DICT, "generation", 1.0, "generation must be an integer"),
+        (RunState, STATE_DICT, "id_counter", 1.0, "id_counter must be an integer"),
+        (RunState, STATE_DICT, "id_counter", True, "id_counter must be an integer"),
     ],
 )
 def test_wrong_typed_field_rejected(cls, data, field_name, bad, message):
     with pytest.raises(DomainParseError, match=message):
         cls.from_dict({**data, field_name: bad})
+
+
+def test_no_artifact_field_is_a_json_integer_or_a_bool():
+    """`JsonInt` and `bool` fields are for LLM replies: no stored record may take 1.0 or true."""
+    todo, seen = [*ARTIFACT_TYPES.values(), RunState], set()
+    while todo:
+        cls = todo.pop()
+        if cls in seen:
+            continue
+        seen.add(cls)
+        for name, hint in typing.get_type_hints(cls, include_extras=True).items():
+            parts = [hint]
+            while parts:
+                part = parts.pop()
+                assert part is not bool and part != JsonInt, f"{cls.__name__}.{name}"
+                if isinstance(part, type) and dataclasses.is_dataclass(part):
+                    todo.append(part)
+                parts += typing.get_args(part)
+    assert {Idea, DecompositionModule, Match, PipelineConfig} <= seen
 
 
 def test_scalar_coercions():

@@ -869,17 +869,17 @@ def test_fan_out_inside_a_concurrently_thunk_uses_a_pool(make_gateway):
 def test_fenced_json_extracted():
     raw = 'Thinking: blah blah\n```json\n[{"thinking": "t", "idea": "A", "keywords": ["k"]}]\n```'
     value = extract_json(raw, "idea_list")
-    assert value[0]["idea"] == "A"
+    assert value[0].idea == "A"
 
 
 def test_exact_json_identity_parse():
     payload = [{"thinking": "t", "idea": "A", "keywords": ["k"]}]
-    assert extract_json(json.dumps(payload), "idea_list") == payload
+    assert [idea.to_dict() for idea in extract_json(json.dumps(payload), "idea_list")] == payload
 
 
 def test_trailing_comma_repaired():
     raw = '[{"thinking": "t", "idea": "A", "keywords": ["k"],}]'
-    assert extract_json(raw, "idea_list")[0]["idea"] == "A"
+    assert extract_json(raw, "idea_list")[0].idea == "A"
 
 
 MALFORMED_CORPUS = [
@@ -913,13 +913,13 @@ def test_repair_corpus(raw, expected):
         with pytest.raises(NoValidJsonError):
             extract_json(raw, "idea_list")
     else:
-        assert extract_json(raw, "idea_list")[0]["idea"] == expected
+        assert extract_json(raw, "idea_list")[0].idea == expected
 
 
 def test_extract_never_returns_schema_invalid_value():
     # A schema-valid candidate later in the reply wins over an earlier invalid one.
     raw = '{"verdict": "maybe"} ... {"verdict": "similar"}'
-    assert extract_json(raw, "novelty_verdict") == {"verdict": "similar"}
+    assert extract_json(raw, "novelty_verdict") == "similar"
 
 
 def test_complete_json_reprompts_then_fails(make_gateway):
@@ -937,7 +937,7 @@ def test_complete_json_recovers_on_reprompt(make_gateway):
     backend = RuleBackend(rules=[("Retry 1", good), ("give me json", "garbage")])
     gateway = make_gateway(backend)
     value = gateway.complete_json(req("give me json"), "idea_list")
-    assert value[0]["idea"] == "ok"
+    assert value[0].idea == "ok"
     assert gateway.stats.snapshot() == {"requests": 2, "cache_hits": 0, "live_calls": 2}
 
 
@@ -974,7 +974,7 @@ def test_ask_names_the_model_of_the_template_manifest_entry(make_gateway, tmp_pa
 
     edited = edited_library(template_copy, "pairwise_rank", model="judge-v2")
     gateway = make_gateway(backend, cache_dir=tmp_path / "edited", library=edited)
-    assert gateway.ask("pairwise_rank", PAIR) == {"winner": "A"}
+    assert gateway.ask("pairwise_rank", PAIR) == "A"
     assert backend.models[-1] == "judge-v2"
 
 
@@ -985,7 +985,7 @@ def test_ask_sends_the_rendered_template_plus_suffix(make_gateway, tmp_path, tem
         backend, library=edited_library(template_copy, "pairwise_rank", model="judge-model")
     )
     suffix = "\n\n(Refill attempt 1)"
-    assert gateway.ask("pairwise_rank", PAIR, suffix) == {"winner": "B"}
+    assert gateway.ask("pairwise_rank", PAIR, suffix) == "B"
 
     request = ChatRequest("judge-model", LIBRARY.render("pairwise_rank", PAIR) + suffix)
     assert backend.prompts == [request.prompt]
@@ -993,7 +993,7 @@ def test_ask_sends_the_rendered_template_plus_suffix(make_gateway, tmp_path, tem
     assert request.cache_key == "abd95c9e2cda82b2c633a8ae528657717fd6eb1b885a8c29e1e32a17f1fc5fee"
     journal = tmp_path / "cache" / JOURNAL_FILE
     assert journal.read_bytes() == entry_line(request.cache_key, reply)
-    assert gateway.ask("pairwise_rank", PAIR, suffix) == {"winner": "B"}
+    assert gateway.ask("pairwise_rank", PAIR, suffix) == "B"
     assert gateway.stats.snapshot() == {"requests": 2, "cache_hits": 1, "live_calls": 1}
 
 
@@ -1002,7 +1002,7 @@ def test_ask_validates_against_the_manifest_schema(make_gateway, template_copy):
 
     backend = RuleBackend(rules=[("decide which one is better", '{"verdict": "similar"}')])
     gateway = make_gateway(backend, library=user_library)
-    assert gateway.ask("pairwise_rank", PAIR) == {"verdict": "similar"}
+    assert gateway.ask("pairwise_rank", PAIR) == "similar"
     with pytest.raises(ExtractionFailedError, match="pair_verdict"):
         make_gateway(backend).ask("pairwise_rank", PAIR)
 

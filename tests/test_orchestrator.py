@@ -398,9 +398,8 @@ def test_runner_construction_creates_only_the_run_directory(
     assert sorted(p.name for p in runner.out_dir.iterdir()) == [
         "artifacts", "cache", "events.jsonl", "proposals", "report", "state.json",
     ]
-    # Every file but the event log is written through `atomic_write`.
     for path in runner.out_dir.rglob("*"):
-        if path.is_file() and path.name != "events.jsonl":
+        if path.is_file():
             assert stat.S_IMODE(path.stat().st_mode) == 0o600, path
     assert len(list((runner.out_dir / "proposals").iterdir())) == small_config.cluster_count
     path = runner.out_dir / "artifacts" / f"{runner.state.representatives_ref}.json"
@@ -472,7 +471,7 @@ def test_prose_reflection_replies_do_not_abort_the_run(
     assert state.stage_cursor == "done"
     assert any(REFLECT_SIG in prompt for prompt in backend.prompts)
     assert "self_reflect_cut: no schema-valid reply" in caplog.text
-    assert "using fallback {'evaluations': []}" in caplog.text
+    assert "using fallback ReflectReply(evaluations=())" in caplog.text
     # every candidate counts as sound with score 1, so each source keeps its first ideas
     assert len(runner._load_pool(0)) == small_config.initial_seed_count
 
@@ -667,6 +666,40 @@ def test_aborted_seeding_attempts_log_no_run_start(
     types = [json.loads(line)["type"] for line in lines]
     assert types.count("run_started") == 1
     assert types[0] == "run_started"
+
+
+class _Crash(BaseException):
+    """A process death inside a write: nothing in the program catches it."""
+
+
+@pytest.mark.parametrize("stage", ["seeded", "iterated"])
+def test_a_crash_inside_a_commit_leaves_each_event_once_after_the_resume(
+    run_env, paper_input_file, monkeypatch, stage
+):
+    """The commit's event is appended before its `state.json` write fails; the
+    resume must not log it a second time."""
+    clean = run_env("clean")
+    clean.run(paper_input=str(paper_input_file))
+    write = orchestrator.atomic_write
+
+    def crash_at_the_commit(path, data):
+        if Path(path).name == "state.json" and f'"stage_cursor": "{stage}"'.encode() in data:
+            raise _Crash
+        write(path, data)
+
+    monkeypatch.setattr(orchestrator, "atomic_write", crash_at_the_commit)
+    runner = run_env("crash")
+    with pytest.raises(_Crash):
+        runner.run(paper_input=str(paper_input_file))
+    monkeypatch.undo()
+    log = runner.out_dir / "events.jsonl"
+    assert len(log.read_text(encoding="utf-8").splitlines()) == STAGES.index(stage) + 2
+
+    run_env("crash").run(paper_input=str(paper_input_file))
+    seqs = [json.loads(line)["seq"] for line in log.read_text(encoding="utf-8").splitlines()]
+    assert seqs == list(range(len(STAGES) + 1))
+    assert log.read_bytes() == (clean.out_dir / "events.jsonl").read_bytes()
+    assert stat.S_IMODE(log.stat().st_mode) == 0o600
 
 
 INITIAL_SIG = "brainstorm the detailed research project proposal"

@@ -1,84 +1,94 @@
-"""Compiled output-schema checkers, against jsonschema's Draft 2020-12 validator."""
+"""The reply decoders, against jsonschema's Draft 2020-12 validator on the output schemas.
+
+The JSON Schema files under ``tests/output_schemas`` are the reference for the
+set of replies each `nova.replies` decoder accepts; nothing in `nova` reads them.
+"""
 
 from __future__ import annotations
 
 import copy
+import json
 import math
-from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nova import schemas
+from nova.domain import FINAL_SECTIONS, INITIAL_SECTIONS, DomainParseError
+from nova.gateway import extract_json
 from nova.prompts import REGISTRY_NAMES, PromptLibrary
+from nova.replies import DECODERS
 
-# The shipped output schemas, by file name.
-OUTPUT_SCHEMAS = tuple(sorted(
-    entry.name.removesuffix(".json")
-    for entry in (resources.files("nova.schemas") / "outputs").iterdir()
-    if entry.name.endswith(".json")
-))
+SCHEMA_DIR = Path(__file__).parent / "output_schemas"
+
+# The reference output schemas, by file name.
+OUTPUT_SCHEMAS = tuple(sorted(path.stem for path in SCHEMA_DIR.glob("*.json")))
+
+
+def load_schema(name: str) -> dict:
+    return json.loads((SCHEMA_DIR / f"{name}.json").read_text(encoding="utf-8"))
 
 
 def reference_valid(schema, value) -> bool:
     return list(jsonschema.Draft202012Validator(schema).iter_errors(value)) == []
 
 
-def test_every_manifest_schema_name_compiles():
+def accepts(name: str, value) -> bool:
+    """Whether the `name` decoder accepts `value`; a refusal must be a DomainParseError."""
+    try:
+        DECODERS[name](value)
+    except DomainParseError:
+        return False
+    return True
+
+
+def test_every_manifest_schema_name_has_a_decoder():
     library = PromptLibrary()
     names = {library.get(t).schema_name for t in REGISTRY_NAMES} - {None}
-    assert names == set(OUTPUT_SCHEMAS)
-    for name in names:
-        assert callable(schemas.output_schema_check(name))
+    assert names == set(DECODERS) == set(OUTPUT_SCHEMAS)
+    assert len(names) == 8
 
 
 def test_unknown_output_schema_raises():
     with pytest.raises(KeyError, match="no_such_schema"):
-        schemas.output_schema_check("no_such_schema")
+        extract_json("{}", "no_such_schema")
 
 
-@pytest.mark.parametrize("schema,where", [
-    ({"type": "string", "pattern": "^a"}, "pattern"),
-    ({"type": "object", "properties": {"a": {"format": "email"}}}, "format"),
-    ({"type": "array", "items": [{"type": "string"}]}, "#/items"),
-    ({"type": "array", "items": {"uniqueItems": True}}, "uniqueItems"),
-    ({"additionalProperties": {"const": 1}}, "const"),
-    ({"type": ["string", "null"]}, "unsupported type"),
-    ({"$schema": "http://json-schema.org/draft-07/schema#"}, "2020-12"),
-])
-def test_unsupported_schema_raises(schema, where):
-    with pytest.raises(ValueError, match=where):
-        schemas.compile_check(schema)
+def _evaluations(**fields) -> dict:
+    return {"evaluations": [{"index": 1, "sound": True, "score": 5, **fields}]}
 
 
-# Schemas that use the supported keywords where the output schemas do not:
-# without `type`, with non-string `enum` members, and at type boundaries.
-EDGE_SCHEMAS = [
-    {"enum": [True, 1.0, [1], {"a": False}, "A", None]},
-    {"minimum": 1, "maximum": 3},
-    {"type": "integer"},
-    {"type": "number", "minimum": 0},
-    {"type": "null"},
-    {"type": "array", "items": {"type": "integer"}, "minItems": 1, "maxItems": 2},
-    {"properties": {"a": {"type": "string"}}, "minItems": 1, "minLength": 2},
-    {"required": ["a"], "additionalProperties": False, "maxProperties": 0},
-    True,
-    False,
-]
+def _renamed(sections: tuple[str, ...]) -> dict:
+    return dict.fromkeys([*sections[:-1], "Other"], "x")
+
+
+# Values on the edges the mutations below never draw: huge and non-finite
+# integers, integral floats, a number where a boolean belongs, empty roots,
+# 10 and 11 keywords, and a section set of the right size with a wrong name.
 EDGE_VALUES = [
-    None, True, False, 0, 1, 1.0, 1.5, 2, 3, 4, -1, 2**70, math.inf, math.nan,
-    "", "A", "ab", [], [1], [True], [1.0], [[1]], [1, 2], [1, 2, 3],
-    {}, {"a": 0}, {"a": False},
-    {"a": "x"}, {"b": 1},
+    [], {},
+    *(_evaluations(index=v) for v in
+      (10**400, 1e300, math.nan, math.inf, -math.inf, 1.0, 10.0, 0.0, 1.5, True, "1")),
+    *(_evaluations(score=v) for v in (1.0, 10.0, 10.5, 11.0, 0.0, 10**400, True, math.nan)),
+    *(_evaluations(sound=v) for v in (1, 0, True, False, None, 1.0)),
+    *([{"thinking": "t", "idea": "i", "keywords": ["k"] * n}] for n in (10, 11)),
+    _renamed(FINAL_SECTIONS), {"P": _renamed(INITIAL_SECTIONS)},
 ]
 
 
-@pytest.mark.parametrize("schema", EDGE_SCHEMAS, ids=str)
-def test_edge_schemas_match_reference(schema):
-    check = schemas.compile_check(schema)
+@pytest.mark.parametrize("name", OUTPUT_SCHEMAS)
+def test_decoders_match_jsonschema_on_edge_values(name):
+    schema = load_schema(name)
     for value in EDGE_VALUES:
-        assert check(value) == reference_valid(schema, value), value
+        assert accepts(name, value) == reference_valid(schema, value), value
+
+
+def test_integral_floats_decode_to_ints():
+    reply = DECODERS["reflect_evaluations"](_evaluations(index=1e300, score=10.0))
+    (evaluation,) = reply.evaluations
+    assert evaluation.index == 1e300 and type(evaluation.index) is int
+    assert evaluation.score == 10 and type(evaluation.score) is int
 
 
 # ---------------------------------------------------------------------------
@@ -186,10 +196,9 @@ def mutate(root, data):
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_checker_matches_jsonschema_on_mutated_replies(name, data):
-    schema = schemas.load_output_schema(name)
-    check = schemas.output_schema_check(name)
+    schema = load_schema(name)
     value = data.draw(valid_values(schema))
-    assert check(value) and reference_valid(schema, value)
+    assert accepts(name, value) and reference_valid(schema, value)
     for _ in range(data.draw(st.integers(1, 3))):
         value = mutate(value, data)
-        assert check(value) == reference_valid(schema, value)
+        assert accepts(name, value) == reference_valid(schema, value)

@@ -12,6 +12,7 @@ import pytest
 from nova.domain import PipelineConfig
 from nova.ids import IdFactory
 from nova.gateway import BackendUnavailableError, TransientBackendError
+from nova.replies import Evaluation
 from nova.seeding import SeedGenerator, reflect, source_quotas
 from tests.conftest import RuleBackend, make_idea
 
@@ -179,9 +180,9 @@ def test_reflect_defaults_unreviewed_candidates_to_sound_score_one(make_gateway)
     )
     evaluations = reflect(make_gateway(backend), ["a", "b", "c"])
     assert evaluations == [
-        {"sound": True, "score": 1},
-        {"sound": False, "score": 7},
-        {"sound": True, "score": 1},
+        Evaluation(index=1, sound=True, score=1),
+        Evaluation(index=2, sound=False, score=7),
+        Evaluation(index=3, sound=True, score=1),
     ]
     assert "1. a\n2. b\n3. c" in backend.prompts[0]
 
@@ -192,7 +193,7 @@ def test_self_correct_prose_reflection_keeps_the_first_ideas(make_gateway, caplo
     seeder = make_seeder(backend, make_gateway)
     assert seeder.self_correct(candidates, keep=2) == candidates[:2]
     assert "self_reflect_cut: no schema-valid reply" in caplog.text
-    assert "using fallback {'evaluations': []}" in caplog.text
+    assert "using fallback ReflectReply(evaluations=())" in caplog.text
 
 
 def test_self_correct_backend_outage_propagates(make_gateway):

@@ -175,7 +175,7 @@ def test_llm_ranker_content_failure_returns_none(make_gateway, caplog):
     with caplog.at_level("WARNING", logger="nova.gateway"):
         assert ranker(proposal("x"), proposal("y")) is None
     assert "pairwise_rank: no schema-valid reply" in caplog.text
-    assert "using fallback {'winner': None}" in caplog.text and "pair_verdict" in caplog.text
+    assert "using fallback None" in caplog.text and "pair_verdict" in caplog.text
 
 
 @pytest.mark.parametrize(

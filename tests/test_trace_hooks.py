@@ -31,9 +31,7 @@ def test_ask_with_a_suffix_is_attributed_to_its_template(monkeypatch, make_gatew
     bindings = {"proposal_a": "first", "proposal_b": "second"}
     suffix = "\n\n(Refill attempt 1: propose ideas different from these.)\nAccepted so far:\n- x"
     with Tracing() as tracing:
-        assert gateway.ask("pairwise_rank", bindings, suffix) == {
-            "winner": "A"
-        }
+        assert gateway.ask("pairwise_rank", bindings, suffix) == "A"
     calls = {k: n for k, n in tracing.recorder.counts.items() if k.startswith("gateway.calls.")}
     assert calls == {"gateway.calls.pairwise_rank": 1}
 
