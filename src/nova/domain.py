@@ -4,15 +4,16 @@ These types and their codec are the artifact format: every artifact a run
 stores, and its `state.json`, is one `Record` encoded by `to_dict`, and there
 is no second description of the shapes. `Record`'s `to_dict`/`from_dict` are
 derived from the dataclass fields and their annotations, so a type's shape is
-written down once, in its field list.
+written down once, in its field list. The one type here that is not a
+`Record` is `RetrievedDoc`, a search hit, which no artifact holds.
 
 Serialization is plain JSON with keys emitted in field-declaration order.
 Tuples become lists, nested records serialize through their own `to_dict`,
 a `dict` field maps strings to one scalar type (`str`, `int` or `float`),
 and a field whose default is None is omitted while it is None. A field
-annotated `Embedding` (`Idea.embedding`, `RetrievedDoc.embedding`) is one
-string: the base64 (RFC 4648, standard alphabet, padded) of its values as
-little-endian float64, so every value round-trips bit for bit.
+annotated `Embedding` (only `Idea.embedding`) is one string: the base64
+(RFC 4648, standard alphabet, padded) of its values as little-endian
+float64, so every value round-trips bit for bit.
 
 `from_dict` rejects non-objects, unknown fields and wrongly typed values with
 a `DomainParseError` naming the type and the field, so artifacts written by
@@ -360,12 +361,28 @@ class SearchPlan(Record):
 
 
 @dataclass(frozen=True)
-class RetrievedDoc(Record):
+class RetrievedDoc:
+    """One search hit. It is never stored, so it is not a `Record`.
+
+    `embedding` is the backend's unit vector as a read-only 1-D float64 array,
+    so a hit cannot change the corpus it came from; an `OfflineCorpus` hit
+    views its row of the corpus matrix. Any other vector is copied into a
+    read-only array. The embedding takes no part in equality or hashing.
+    """
+
     title: str
     abstract: str = ""
     source_query: str = ""
     score: float = 0.0
-    embedding: Embedding | None = None
+    embedding: np.ndarray | None = field(default=None, compare=False)
+
+    def __post_init__(self):
+        if self.embedding is not None:
+            vec = np.asarray(self.embedding, dtype=np.float64)
+            if vec.flags.writeable:
+                vec = vec.copy()
+                vec.flags.writeable = False
+            object.__setattr__(self, "embedding", vec)
 
 
 # ---------------------------------------------------------------------------

@@ -591,14 +591,17 @@ _DECODER = json.JSONDecoder()
 
 def _try_parse(fragment: str):
     """Parse the first JSON value in `fragment`, tolerating trailing prose;
-    trailing commas are removed only if the fragment does not parse as it is."""
+    trailing commas are removed only if the fragment does not parse as it is.
+    A fragment nested past the interpreter's recursion limit does not parse."""
     try:
         return _DECODER.raw_decode(fragment.strip())[0]
+    except RecursionError:
+        return None
     except ValueError:
         repaired, commas = _TRAILING_COMMA_RE.subn(r"\1", fragment)
     try:
         return _DECODER.raw_decode(repaired.strip())[0] if commas else None
-    except ValueError:
+    except (ValueError, RecursionError):
         return None
 
 

@@ -33,9 +33,13 @@ DEFAULT_EMBED_MODEL = "sentence-transformers/all-MiniLM-L6-v2"
 
 DEFAULT_TREND_PAPER_COUNT = 20
 
-# Largest gap allowed between a BLAS or einsum score and the `cosine` of the
-# same unit vectors; rounding stays far below it.
+# Largest gap allowed between a float64 BLAS or einsum score and the `cosine`
+# of the same unit vectors; float64 rounding stays far below it. The float32
+# scan of `OfflineCorpus` shortlists by `_shortlist_margin` instead.
 ROUNDING_MARGIN = 1e-9
+
+# The unit roundoff of float32, 2**-24.
+_F32_U = float(np.finfo(np.float32).eps) / 2
 
 # Embeddings per matrix product in `OfflineCorpus.max_similarity`; bounds the
 # score block to 64 x corpus size floats.
@@ -74,6 +78,20 @@ def cosine(a, b) -> float:
     if va.shape != vb.shape:
         raise LiteratureError(f"dimension mismatch: {va.shape} vs {vb.shape}")
     return float(va @ vb)
+
+
+def _shortlist_margin(qvec: np.ndarray) -> float:
+    """Twice the largest gap between a float32 scan score of `qvec` against a unit
+    row and their exact dot product, plus `ROUNDING_MARGIN` for the float64 `cosine`.
+
+    A float32 dot product of dimension d rounds both inputs and makes d
+    products and sums, so it is within ``gamma(d + 2) * |q|`` of the exact one
+    for a unit row, whatever the summation order (``gamma(n) = n*u / (1 - n*u)``,
+    Higham's bound; about ``(d + 2) * u``).
+    """
+    n = qvec.shape[0] + 2
+    gamma = n * _F32_U / (1 - n * _F32_U)
+    return 2 * gamma * math.sqrt(np.einsum("i,i->", qvec, qvec)) + ROUNDING_MARGIN
 
 
 @dataclass(frozen=True)
@@ -169,13 +187,22 @@ class OfflineCorpus:
     UTF-8) is parsed again by `json.loads` from its UTF-8 text, which loads it
     or refuses it with the stdlib's message.
 
-    The normalized embeddings are stored once, as the rows of one
-    ``(docs, embedder.dim)`` matrix allocated up front, and each doc's
-    "embedding" is a view of its row. A query scores every row in
-    one `np.einsum` pass, which calls no BLAS and so stays fast when many
-    threads search at once: `search` and `nearest` are BLAS-free.
+    The normalized embeddings are stored once, as the rows of one float64
+    ``(docs, embedder.dim)`` matrix, made read-only after load; a hit's
+    embedding is a view of its row, so no hit can change the corpus. A float32
+    copy of the matrix serves the scan of `search` and `nearest`: one
+    `np.einsum` pass over it scores every row, reading half the bytes of the
+    float64 matrix. Each float32 score is within ``gamma(d + 2) * |q|`` of the
+    exact dot product, where ``gamma(n) = n*u / (1 - n*u)`` and ``u = 2**-24``
+    (two input roundings and ``d`` products and sums, in any order). So every
+    doc of the true top k scores within twice that of the k-th float32 score,
+    and the scan only shortlists those docs; the shortlist is rescored with the
+    exact float64 `cosine` and sorted by (-cosine, title), as a full float64
+    ranking would be (`_ranked`). The scan calls no BLAS routine, and the
+    rescoring's dot products are over single vectors, so many threads can
+    search at once without BLAS's thread pool.
     `max_similarity`, the novelty prefilter, scores many embeddings at once on
-    the calling thread, with one BLAS matrix product per block of
+    the calling thread, with one float64 BLAS matrix product per block of
     `PREFILTER_BLOCK` embeddings.
     """
 
@@ -214,30 +241,30 @@ class OfflineCorpus:
                 )
             self._docs.append(raw)
             if "embedding" in raw:
-                self._fill(row, path.name)
+                self._fill(row, raw.pop("embedding"), path.name)
             else:
                 todo.append(row)
         if todo:
             docs = [self._docs[row] for row in todo]
             vectors = self._embedder.embed([f"{d['title']}\n{d.get('abstract', '')}" for d in docs])
             for row, vec in zip(todo, vectors):
-                self._docs[row]["embedding"] = vec
-                self._fill(row, paths[row].name)
+                self._fill(row, vec, paths[row].name)
+        self._matrix.flags.writeable = False
+        self._matrix32 = self._matrix.astype(np.float32)
 
-    def _fill(self, row: int, name: str) -> None:
-        """Normalize doc `row`'s embedding into its matrix row; the doc then views the row."""
-        doc = self._docs[row]
-        vec = np.asarray(doc["embedding"], dtype=np.float64)
+    def _fill(self, row: int, embedding, name: str) -> None:
+        """Normalize doc `row`'s embedding into its matrix row."""
+        title = self._docs[row]["title"]
+        vec = np.asarray(embedding, dtype=np.float64)
         if vec.shape != self._matrix.shape[1:]:
             raise LiteratureError(
-                f"corpus doc {name} ({doc['title']!r}) has embedding shape {vec.shape}, "
+                f"corpus doc {name} ({title!r}) has embedding shape {vec.shape}, "
                 f"but the embedder makes vectors of shape {self._matrix.shape[1:]}"
             )
         try:
             self._matrix[row] = normalize(vec)
         except LiteratureError as exc:
-            raise LiteratureError(f"corpus doc {name} ({doc['title']!r}): {exc}") from exc
-        doc["embedding"] = self._matrix[row]  # frees the doc's own array
+            raise LiteratureError(f"corpus doc {name} ({title!r}): {exc}") from exc
 
     def __len__(self) -> int:
         return len(self._docs)
@@ -245,31 +272,34 @@ class OfflineCorpus:
     def _ranked(self, qvec: np.ndarray, k: int, source_query: str) -> list[RetrievedDoc]:
         """The first k docs sorted by (-cosine, title), with exact `cosine` scores.
 
-        The einsum pass may differ from `cosine` in the last bits, so it only
-        shortlists: every doc within `ROUNDING_MARGIN` of the k-th approximate
-        score, which includes every doc tied with the k-th, is rescored with
-        `cosine` and sorted by the exact key.
+        When k is below the corpus size, the float32 scan shortlists every doc
+        whose score is within `_shortlist_margin` of the k-th float32 score,
+        which includes every doc tied with the k-th; only the shortlist is
+        rescored with `cosine` and sorted by the exact key.
         """
         if qvec.shape != self._matrix.shape[1:]:
             raise LiteratureError(
                 f"dimension mismatch: {qvec.shape} vs {self._matrix.shape[1:]}"
             )
-        approx = np.einsum("ij,j->i", self._matrix, qvec)
         rows = range(len(self._docs))
         if k < len(rows):
-            kth = -np.partition(-approx, k - 1)[k - 1]
-            rows = np.flatnonzero(approx >= kth - ROUNDING_MARGIN)
-        scored = [(cosine(qvec, self._docs[i]["embedding"]), self._docs[i]) for i in rows]
-        scored.sort(key=lambda pair: (-pair[0], pair[1]["title"]))
+            approx = np.einsum("ij,j->i", self._matrix32, qvec.astype(np.float32))
+            kth = np.partition(approx, len(rows) - k)[len(rows) - k]
+            # A float64 floor, so the comparison runs in float64 (NEP 50): a float32
+            # `kth - margin` would round the margin.
+            floor = np.float64(kth) - _shortlist_margin(qvec)
+            rows = np.flatnonzero(approx >= floor)
+        scored = [(cosine(qvec, self._matrix[i]), i) for i in rows]
+        scored.sort(key=lambda pair: (-pair[0], self._docs[pair[1]]["title"]))
         return [
             RetrievedDoc(
-                title=d["title"],
-                abstract=d.get("abstract", ""),
+                title=self._docs[i]["title"],
+                abstract=self._docs[i].get("abstract", ""),
                 source_query=source_query,
                 score=sim,
-                embedding=tuple(d["embedding"].tolist()),
+                embedding=self._matrix[i],
             )
-            for sim, d in scored[:k]
+            for sim, i in scored[:k]
         ]
 
     def search(self, query: SearchQuery) -> list[RetrievedDoc]:
@@ -353,7 +383,7 @@ class HttpSearchClient:
                 abstract=row.get("abstract", ""),
                 source_query=query.text,
                 score=float(row.get("score", 0.0)),
-                embedding=tuple(vec.tolist()),
+                embedding=vec,
             )
             for row, vec in zip(rows, vectors)
         ]

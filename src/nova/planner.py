@@ -14,6 +14,8 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .domain import (
     Direction, Idea, IterationRecord, PipelineConfig, RetrievedDoc, SearchPlan, SeedPaper,
 )
@@ -87,10 +89,12 @@ class PlannerLoop:
 
         The planner passes one group per search-plan direction; proposals pass
         the idea's own keywords, or one group per decomposition module. Every
-        doc a search returns carries its embedding: the search backend embeds
-        it (`OfflineCorpus` stores them, `HttpSearchClient` embeds each reply).
-        A failed search raises out of here, so the stage aborts at its last
-        checkpoint rather than go on without retrieval.
+        doc a search returns carries its embedding as a read-only float64 array:
+        the search backend embeds it (`OfflineCorpus` stores them,
+        `HttpSearchClient` embeds each reply). The idea's embedding becomes an
+        array once per call, and each doc is ranked by `cosine` of the two
+        arrays. A failed search raises out of here, so the stage aborts at its
+        last checkpoint rather than go on without retrieval.
         """
         if self._search is None:
             return []
@@ -102,8 +106,9 @@ class PlannerLoop:
         if not merged:
             logger.info("search for idea %s retrieved nothing", idea.id)
             return []
+        qvec = np.asarray(idea.embedding, dtype=np.float64)
         ranked = sorted(
-            ((cosine(idea.embedding, doc.embedding), doc) for doc in merged.values()),
+            ((cosine(qvec, doc.embedding), doc) for doc in merged.values()),
             key=lambda pair: (-pair[0], pair[1].title),
         )
         return [doc for _, doc in ranked[:K]]

@@ -33,6 +33,8 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
+import numpy as np
+
 from .domain import Bye, Idea, Match, PipelineConfig, Proposal, RetrievedDoc, TournamentResult
 from .gateway import Gateway
 from .literature import ROUNDING_MARGIN, cosine
@@ -202,16 +204,19 @@ def novelty_judge(
     """Two-stage novelty check: similarity prefilter, then per-candidate judge.
 
     Retrieves the novelty_topk most similar docs; docs with cosine strictly
-    above novelty_sim_threshold become candidates. Each candidate is judged
-    individually and the idea is novel iff none is judged similar. A judge
-    reply with no valid verdict counts the candidate as similar; any other
-    gateway error propagates.
+    above novelty_sim_threshold become candidates. The cosine is computed
+    here, on the idea's embedding as an array (converted once per call) and
+    the doc's read-only array. Each candidate is judged individually and the
+    idea is novel iff none is judged similar. A judge reply with no valid
+    verdict counts the candidate as similar; any other gateway error
+    propagates.
     """
     docs = _top_docs(idea, corpus, config.novelty_topk)
+    qvec = np.asarray(idea.embedding, dtype=np.float64)
     evidence: list[NoveltyEvidence] = []
     judge_calls = 0
     for doc in docs:
-        sim = cosine(idea.embedding, doc.embedding)
+        sim = cosine(qvec, doc.embedding)
         if sim <= config.novelty_sim_threshold:
             evidence.append(NoveltyEvidence(doc=doc, similarity=sim, verdict="not_candidate"))
             continue

@@ -9,6 +9,7 @@ import math
 import struct
 import typing
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -20,6 +21,7 @@ from nova.domain import (
     DecompositionPlan,
     Direction,
     DomainParseError,
+    Embedding,
     Idea,
     IdeaPool,
     IterationRecord,
@@ -29,6 +31,7 @@ from nova.domain import (
     PipelineConfig,
     Proposal,
     ProposalSet,
+    Record,
     Reference,
     Representatives,
     RetrievedDoc,
@@ -78,9 +81,6 @@ SAMPLES = {
         idea_id="i1",
         directions=(Direction("d1", ("k1",)), Direction("d2", ("k2", "k3"))),
         created_at_generation=1,
-    ),
-    "retrieved_doc": RetrievedDoc(
-        title="Doc", abstract="ab", source_query="q", score=0.42, embedding=unit(1.0, 0.0)
     ),
     "proposal": INITIAL_PROPOSAL,
     "proposal_set": ProposalSet(
@@ -318,7 +318,6 @@ def test_idea_round_trip_property(text, keywords, generation):
 CODEC_SAMPLES = {
     **SAMPLES,
     "idea_no_embedding": Idea(id="i2", thinking="th", idea="x", keywords=("k",), source="trend"),
-    "retrieved_doc_no_embedding": RetrievedDoc(title="Doc"),
     "iteration_record": IterationRecord(
         generation=1, input_pool_size=2, output_pool_size=3,
         plans=(SearchPlan(idea_id="i1", directions=(Direction("d", ("k",)),)),),
@@ -337,8 +336,6 @@ GOLDEN_JSON = {
     '"embedding": "MzMzMzMz4z+amZmZmZnpPw=="}',
     "search_plan": '{"idea_id": "i1", "directions": [{"thinking": "d1", "keywords": ["k1"]}, '
     '{"thinking": "d2", "keywords": ["k2", "k3"]}], "created_at_generation": 1}',
-    "retrieved_doc": '{"title": "Doc", "abstract": "ab", "source_query": "q", "score": 0.42, '
-    '"embedding": "AAAAAAAA8D8AAAAAAAAAAA=="}',
     "proposal": '{"idea_id": "i1", "stage": "initial", "sections": {"Problem": "body of Problem", '
     '"Existing Methods": "body of Existing Methods", "Motivation": "body of Motivation", '
     '"Proposed Method": "body of Proposed Method", "Experiment Plan": "body of Experiment '
@@ -360,8 +357,6 @@ GOLDEN_JSON = {
     '[{"round": 1, "idea_id": "c"}]}',
     "idea_no_embedding": '{"id": "i2", "thinking": "th", "idea": "x", "keywords": ["k"], '
     '"source": "trend", "generation": 0}',
-    "retrieved_doc_no_embedding": '{"title": "Doc", "abstract": "", "source_query": "", '
-    '"score": 0.0}',
     "iteration_record": '{"generation": 1, "input_pool_size": 2, "output_pool_size": 3, "plans": '
     '[{"idea_id": "i1", "directions": [{"thinking": "d", "keywords": ["k"]}], '
     '"created_at_generation": 0}], "retrieved_counts": {"i1": 2}}',
@@ -398,7 +393,6 @@ def test_golden_json_bytes(kind):
 
 
 IDEA_DICT = SAMPLES["idea"].to_dict()
-DOC_DICT = SAMPLES["retrieved_doc"].to_dict()
 PROPOSAL_DICT = SAMPLES["proposal"].to_dict()
 PROPOSAL_SET_DICT = SAMPLES["proposal_set"].to_dict()
 RESULT_DICT = SAMPLES["tournament_result"].to_dict()
@@ -412,13 +406,15 @@ STATE_DICT = SAMPLES["run_state"].to_dict()
         (Idea, IDEA_DICT, "generation", True, "generation must be an integer"),
         (Match, {"round": 1, "a": "a", "b": "b", "winner": "a"}, "round", 1.0,
          "round must be an integer"),
-        (RetrievedDoc, DOC_DICT, "score", "0.5", "score must be a number"),
-        (RetrievedDoc, DOC_DICT, "score", False, "score must be a number"),
+        (PipelineConfig, {}, "novelty_sim_threshold", "0.5",
+         "novelty_sim_threshold must be a number"),
+        (PipelineConfig, {}, "novelty_sim_threshold", False,
+         "novelty_sim_threshold must be a number"),
         (Idea, IDEA_DICT, "keywords", "k1", "keywords must be a list of strings"),
         (Idea, IDEA_DICT, "keywords", ["k1", 2], "keywords must be a list of strings"),
         (Idea, IDEA_DICT, "embedding", {"0": 1.0}, "embedding must be a base64 string"),
         (Idea, IDEA_DICT, "embedding", [0.6, 0.8], "embedding must be a base64 string"),
-        (RetrievedDoc, DOC_DICT, "embedding", ["1.0"], "embedding must be a base64 string"),
+        (Idea, IDEA_DICT, "embedding", ["1.0"], "embedding must be a base64 string"),
         (SeedPaper, SAMPLES["seed_paper"].to_dict(), "references", {"title": "R"},
          "references must be a list"),
         (SeedPaper, SAMPLES["seed_paper"].to_dict(), "references", ["R1"],
@@ -480,17 +476,32 @@ def test_no_artifact_field_is_a_json_integer_or_a_bool():
 
 
 def test_scalar_coercions():
-    doc = RetrievedDoc.from_dict({**DOC_DICT, "score": 1})
-    assert doc.score == 1.0 and isinstance(doc.score, float)
-    assert doc.embedding == (1.0, 0.0) and all(isinstance(v, float) for v in doc.embedding)
-    assert RetrievedDoc(title="Doc", embedding=(1, 0)).to_dict() == RetrievedDoc(
-        title="Doc", embedding=(1.0, 0.0)
-    ).to_dict()
-    config = PipelineConfig.from_dict({"novelty_sim_threshold": 0})
-    assert isinstance(config.novelty_sim_threshold, float)
+    config = PipelineConfig.from_dict({"novelty_sim_threshold": 1})
+    assert config.novelty_sim_threshold == 1.0 and isinstance(config.novelty_sim_threshold, float)
+    ints = dataclasses.replace(SAMPLES["idea"], embedding=(1, 0))
+    assert ints.to_dict() == dataclasses.replace(SAMPLES["idea"], embedding=(1.0, 0.0)).to_dict()
+    decoded = Idea.from_dict(ints.to_dict()).embedding
+    assert decoded == (1.0, 0.0) and all(type(v) is float for v in decoded)
     assert Idea.from_dict({**IDEA_DICT, "parent_id": None, "embedding": None}) == dataclasses.replace(
         SAMPLES["idea"], parent_id=None, embedding=None
     )
+
+
+def test_retrieved_doc_holds_a_read_only_array_outside_equality():
+    source = [0.6, 0.8]
+    doc = RetrievedDoc(title="Doc", embedding=source)
+    assert doc.embedding.dtype == np.float64 and doc.embedding.shape == (2,)
+    with pytest.raises(ValueError, match="read-only"):
+        doc.embedding[0] = 1.0
+    owned = np.array([0.6, 0.8])
+    copied = RetrievedDoc(title="Doc", embedding=owned)
+    assert copied.embedding is not owned and owned.flags.writeable  # the caller's array is left alone
+    frozen = owned.copy()
+    frozen.flags.writeable = False
+    assert RetrievedDoc(title="Doc", embedding=frozen).embedding is frozen  # no copy needed
+    assert doc == RetrievedDoc(title="Doc", embedding=[1.0, 0.0]) == RetrievedDoc(title="Doc")
+    assert hash(doc) == hash(RetrievedDoc(title="Doc"))
+    assert not hasattr(RetrievedDoc, "to_dict")  # never stored
 
 
 @pytest.mark.parametrize(
@@ -510,7 +521,7 @@ def test_non_object_rejected(cls):
          Idea(id="i", thinking="t", idea="x", keywords=("k",), source="trend", generation=0)),
         (SearchPlan, {"idea_id": "i", "directions": [{"thinking": "d", "keywords": ["k"]}]},
          SearchPlan("i", (Direction("d", ("k",)),), 0)),
-        (RetrievedDoc, {"title": "D"}, RetrievedDoc("D", "", "", 0.0, None)),
+        (Reference, {"title": "R"}, Reference("R", "")),
         (TournamentResult, {}, TournamentResult({}, (), ())),
         (PipelineConfig, {"rng_seed": 7}, dataclasses.replace(PipelineConfig(), rng_seed=7)),
     ],
@@ -549,13 +560,23 @@ def test_iteration_record_round_trip():
 # ---------------------------------------------------------------------------
 
 
+@dataclasses.dataclass(frozen=True)
+class Vector(Record):
+    """The `Embedding` wire format alone, without `Idea`'s unit-norm invariant."""
+
+    embedding: Embedding
+
+
 def test_embedding_golden_base64():
     """A dtype, byte-order or alphabet change fails here."""
     vector = (1.0, -0.0, 0.1, -2.5)
     wire = "AAAAAAAA8D8AAAAAAAAAgJqZmZmZmbk/AAAAAAAABMA="
-    assert RetrievedDoc(title="Doc", embedding=vector).to_dict()["embedding"] == wire
-    decoded = RetrievedDoc.from_dict({"title": "Doc", "embedding": wire}).embedding
+    assert Vector(vector).to_dict()["embedding"] == wire
+    decoded = Vector.from_dict({"embedding": wire}).embedding
     assert struct.pack("<4d", *decoded) == struct.pack("<4d", *vector)
+    unit_wire = Idea.from_dict(IDEA_DICT).to_dict()["embedding"]
+    assert unit_wire == IDEA_DICT["embedding"] == Vector(SAMPLES["idea"].embedding).to_dict()[
+        "embedding"]
 
 
 FLOAT64 = st.one_of(
@@ -566,8 +587,7 @@ FLOAT64 = st.one_of(
 
 @given(st.lists(FLOAT64, min_size=1, max_size=384))
 def test_embedding_round_trips_bit_exactly(values):
-    doc = RetrievedDoc(title="Doc", embedding=tuple(values))
-    decoded = RetrievedDoc.from_dict(json.loads(json.dumps(doc.to_dict()))).embedding
+    decoded = Vector.from_dict(json.loads(json.dumps(Vector(tuple(values)).to_dict()))).embedding
     assert isinstance(decoded, tuple) and all(type(v) is float for v in decoded)
     layout = f"<{len(values)}d"
     assert struct.pack(layout, *decoded) == struct.pack(layout, *values)
@@ -579,8 +599,8 @@ def test_embedding_round_trips_bit_exactly(values):
         (Idea, IDEA_DICT, 3.5, "embedding must be a base64 string"),
         (Idea, IDEA_DICT, "AAAA AAAA8D8=", "embedding is not valid base64"),
         (Idea, IDEA_DICT, "AAAAAAAA8D8", "embedding is not valid base64"),
-        (RetrievedDoc, DOC_DICT, "AAAAAAAA8D-=", "embedding is not valid base64"),
-        (RetrievedDoc, DOC_DICT, "", "embedding decodes to 0 bytes"),
+        (Idea, IDEA_DICT, "AAAAAAAA8D-=", "embedding is not valid base64"),
+        (Idea, IDEA_DICT, "", "embedding decodes to 0 bytes"),
         (Idea, IDEA_DICT, base64.b64encode(bytes(12)).decode(), "embedding decodes to 12 bytes"),
     ],
     ids=["non_string", "whitespace", "unpadded", "urlsafe_alphabet", "empty", "12_bytes"],

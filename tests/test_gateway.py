@@ -43,6 +43,7 @@ from nova.literature import (
 from nova.mockllm import MockBackend, prompt_digest
 from nova.orchestrator import ArtifactStore, Runner, RunnerOptions, RunState, _dump_bytes
 from nova.prompts import REGISTRY_NAMES, PromptLibrary
+from nova.replies import SearchPlanReply
 from tests.conftest import FAST_GATEWAY, FlakyBackend, RuleBackend
 from tests.test_prompts import edit_manifest
 
@@ -914,6 +915,27 @@ def test_repair_corpus(raw, expected):
             extract_json(raw, "idea_list")
     else:
         assert extract_json(raw, "idea_list")[0].idea == expected
+
+
+# Twice as deep as the default recursion limit, and shallow enough to stay quick:
+# every "[" is a candidate.
+NESTED = "Here: " + "[" * 2000
+
+
+def test_deep_nesting_does_not_parse():
+    with pytest.raises(NoValidJsonError, match="no parseable JSON value"):
+        extract_json(NESTED, "idea_list")
+    # A trailing comma ahead of the nesting fails the plain parse before it goes deep, and
+    # the repair pass, which removes the comma, then nests too deep.
+    with pytest.raises(NoValidJsonError):
+        extract_json("Here: [[1,], " + "[" * 2000, "idea_list")
+
+
+def test_deep_nesting_takes_the_fallback_after_the_reprompts(make_gateway):
+    backend = RuleBackend(rules=[("", NESTED)])
+    fallback = SearchPlanReply(())
+    assert make_gateway(backend).ask("search_plan", {"idea_info": "x"}, fallback=fallback) is fallback
+    assert len(backend.prompts) == REPROMPT_BUDGET + 1
 
 
 def test_extract_never_returns_schema_invalid_value():

@@ -247,7 +247,8 @@ def test_corpus_ranking_equals_brute_force(tmp_path, k):
         hits = corpus.nearest(tuple(qvec.tolist()), k)
         assert [(h.title, h.score) for h in hits] == reference_ranking(truth, qvec, k)
         for h in hits:
-            assert h.embedding == tuple(truth[h.title].tolist())
+            assert h.embedding.dtype == np.float64
+            assert h.embedding.tobytes() == truth[h.title].tobytes()
     for text in ("agents", "planning", "nothing"):
         query = SearchQuery(text=text, limit=k)
         qvec = embedder.embed([query.text])[0]
@@ -265,6 +266,61 @@ def test_corpus_ties_at_kth_score_break_by_title(tmp_path):
     assert len(tied) == 8
     for k in (1, 4, 8):
         assert [h.title for h in corpus.nearest(tuple(shared.tolist()), k)] == tied[:k]
+
+
+def near_tie_corpus(path: Path, embedder: HashEmbedder, query: str, seed: int):
+    """40 docs at cosines near 0.9 to the query's vector, 1e-7 apart, and 8 more repeating
+    some of their vectors under other titles. Returns the dir and, per title,
+    the normalized embedding."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    q = embedder.embed([query])[0]
+    vectors = []
+    for cos in 0.9 + 1e-7 * rng.permutation(40):
+        p = rng.standard_normal(embedder.dim)
+        p -= (p @ q) * q
+        vectors.append(cos * q + math.sqrt(1 - cos * cos) * p / np.linalg.norm(p))
+    vectors += [vectors[n] for n in rng.choice(40, size=8, replace=False)]
+    path.mkdir()
+    truth = {}
+    for n, title in enumerate(rng.permutation([f"doc {n:02d}" for n in range(48)])):
+        (path / f"{n:02d}.json").write_text(
+            json.dumps({"title": str(title), "embedding": vectors[n].tolist()}), encoding="utf-8"
+        )
+        truth[str(title)] = normalize(vectors[n])
+    return path, truth
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("dim", [384, 1536])
+def test_float32_shortlist_keeps_near_ties_exact(tmp_path, dim, seed):
+    """Float32 scores cannot order cosines 1e-7 apart; the shortlist must still
+    hold the exact top k, so titles and scores equal a float64 brute force."""
+    embedder = HashEmbedder(dim=dim, seed=seed)
+    cdir, truth = near_tie_corpus(tmp_path / "c", embedder, "near tie", seed)
+    corpus = OfflineCorpus(cdir, embedder)
+    qvec = embedder.embed(["near tie"])[0]
+    for k in (1, 3, 5, 10, len(truth)):
+        expected = reference_ranking(truth, qvec, k)
+        for hits in (corpus.nearest(qvec, k), corpus.search(SearchQuery("near tie", k))):
+            assert [(h.title, h.score) for h in hits] == expected
+
+
+def test_a_hit_cannot_change_the_corpus(corpus_dir, hash_embedder):
+    corpus = OfflineCorpus(corpus_dir, hash_embedder)
+    query = SearchQuery(text="agents", limit=3)
+    before = [(h.title, h.embedding.tobytes()) for h in corpus.search(query)]
+    hits = corpus.search(query) + corpus.nearest(hash_embedder.embed(["agents"])[0], 3)
+    for hit in hits:
+        with pytest.raises(ValueError, match="read-only"):
+            hit.embedding[0] = 0.0
+    assert [(h.title, h.embedding.tobytes()) for h in corpus.search(query)] == before
+
+    rows = [{"title": "t", "abstract": "a"}]
+    client = HttpSearchClient("https://s.test", embedder=hash_embedder,
+                              post=lambda url, **k: _FakeResponse(200, {"results": rows}))
+    [hit] = client.search(query)
+    with pytest.raises(ValueError, match="read-only"):
+        hit.embedding[0] = 0.0
 
 
 def test_corpus_rejects_zero_nonfinite_and_mismatched_embeddings(tmp_path, hash_embedder):
@@ -464,7 +520,8 @@ def test_http_search_client_embeds_rows_in_one_request(count):
     # The same vectors as one embed request per row.
     for row, doc in zip(rows, docs):
         alone = embedder.embed([f"{row['title']}\n{row['abstract']}"])[0]
-        assert doc.embedding == tuple(float(v) for v in alone)
+        assert doc.embedding.dtype == np.float64
+        assert doc.embedding.tobytes() == alone.tobytes()
     assert [d.title for d in docs] == [r["title"] for r in rows]
 
 
