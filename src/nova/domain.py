@@ -37,6 +37,7 @@ import binascii
 import dataclasses
 import functools
 import math
+import re
 import types
 import typing
 from dataclasses import dataclass, field
@@ -64,6 +65,19 @@ FINAL_SECTIONS = (
 )
 
 EMBEDDING_NORM_TOL = 1e-6
+
+_SURROGATE_RE = re.compile("[\ud800-\udfff]")
+
+
+def lone_surrogate(text: str) -> int | None:
+    """The offset of the first lone surrogate in `text`, or None if it has none.
+
+    A lone surrogate (a ``\\ud800`` escape, say, which the stdlib JSON parser
+    accepts) is not valid Unicode: no UTF-8 file, prompt or cache key can hold
+    it, so text is checked for one where it enters a run.
+    """
+    match = _SURROGATE_RE.search(text)
+    return None if match is None else match.start()
 
 
 class DomainParseError(ValueError):
@@ -285,6 +299,14 @@ class SeedPaper(Record):
             for k, v in self.source_meta.items():
                 if v < 0:
                     out.append(f"SeedPaper.source_meta[{k}]: must be nonnegative")
+        texts = {"id": self.id, "title": self.title, "abstract": self.abstract}
+        for n, r in enumerate(self.references):
+            texts |= {f"references[{n}].title": r.title, f"references[{n}].abstract": r.abstract}
+        texts |= {f"source_meta key {k!r}": k for k in self.source_meta or ()}
+        for name, text in texts.items():
+            if (at := lone_surrogate(text)) is not None:
+                out.append(f"SeedPaper.{name}: holds a lone surrogate at offset {at}, "
+                           "which is not valid Unicode")
         return out
 
 

@@ -54,6 +54,7 @@ status rule: a transport error (`OSError`) or HTTP 429/500/502/503/504 raises
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import functools
 import hashlib
@@ -70,7 +71,8 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterable, Protocol, TypeVar
 
-from .domain import DomainParseError
+from . import jsontext
+from .domain import DomainParseError, lone_surrogate
 from .prompts import PromptLibrary
 from .replies import DECODERS
 
@@ -111,19 +113,19 @@ class ChatRequest:
 
     @property
     def cache_key(self) -> str:
-        """256-bit digest; a pure function of the request fields."""
-        payload = json.dumps(
-            {
-                "model_id": self.model_id,
-                "prompt": self.prompt,
-                "temperature": self.temperature,
-                "max_tokens": self.max_tokens,
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-            ensure_ascii=False,
-        )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        """256-bit digest; a pure function of the request fields.
+
+        The SHA-256 of the fields as one compact JSON object with sorted keys,
+        as ``json.dumps(..., sort_keys=True, separators=(",", ":"),
+        ensure_ascii=False)`` writes it in UTF-8 (`jsontext.dumps`).
+        """
+        fields = {  # in sorted key order
+            "max_tokens": self.max_tokens,
+            "model_id": self.model_id,
+            "prompt": self.prompt,
+            "temperature": self.temperature,
+        }
+        return hashlib.sha256(jsontext.dumps(fields)).hexdigest()
 
 
 class ChatBackend(Protocol):
@@ -203,7 +205,8 @@ _LINE_START = b'{"key": '
 
 
 def _entry_line(key: str, text: str) -> bytes:
-    return json.dumps({"key": key, "text": text}, ensure_ascii=False).encode("utf-8") + b"\n"
+    """``json.dumps({"key": key, "text": text}, ensure_ascii=False)`` and a newline, as UTF-8."""
+    return b'{"key": ' + jsontext.dumps(key) + b', "text": ' + jsontext.dumps(text) + b"}\n"
 
 
 def _signature(file: Path | int) -> tuple | None:
@@ -253,16 +256,19 @@ def _read_entries(path: Path, into: dict[str, str]) -> tuple | None:
 class ResponseCache:
     """Reply texts by request key, kept in two files of one directory; no eviction.
 
-    ``journal.jsonl`` takes each `put` as one line ``{"key": ..., "text": ...}``,
-    appended by one write through an ``O_APPEND`` descriptor that the put
-    opens and closes, so a put creates no file once the journal exists and no
-    descriptor outlives it. `compact` folds the journal into
-    ``entries.jsonl``, one such line per entry sorted by key and written whole by
-    `atomic_write`, and then deletes the journal: after a compaction the
-    directory is a function of its set of entries. Building a cache touches no
-    file. The first `get` or `put` reads both files into an index that holds
-    every text; the first `put` makes the journal, and the directory if it is
-    missing. A key that was put more than once keeps its last text.
+    ``journal.jsonl`` takes each `put` as one line ``{"key": ..., "text": ...}``:
+    the UTF-8 of ``json.dumps(..., ensure_ascii=False)``, with its ``", "`` and
+    ``": "`` separators, and a newline (`_entry_line`, whose two strings
+    `jsontext.dumps` writes). The line is appended by one write through an
+    ``O_APPEND`` descriptor that the put opens and closes, so a put creates no
+    file once the journal exists and no descriptor outlives it. `compact` folds
+    the journal into ``entries.jsonl``, one such line per entry sorted by key
+    and written whole by `atomic_write`, and then deletes the journal: after a
+    compaction the directory is a function of its set of entries. Building a
+    cache touches no file. The first `get` or `put` reads both files into an
+    index that holds every text; the first `put` makes the journal, and the
+    directory if it is missing. A key that was put more than once keeps its
+    last text.
 
     **Torn tail.** A line that is not an object with a string ``"key"`` and
     ``"text"`` (a write cut off by a crash, say) is skipped with a warning
@@ -585,8 +591,16 @@ class Gateway:
 # ---------------------------------------------------------------------------
 
 _FENCE_RE = re.compile(r"```(?:json)?\s*(.*?)```", re.DOTALL)
+_OPENER_RE = re.compile(r"[\[{]")
 _TRAILING_COMMA_RE = re.compile(r",(\s*[\]}])")
 _DECODER = json.JSONDecoder()
+
+# Characters of a bracketed candidate decoded first (`_decode_from`).
+_WINDOW = 4096
+# How far past the offset a `JSONDecodeError` names the scanner may have read:
+# ``-Infinity``, the longest literal it matches, is 9 characters, and a
+# ``\uXXXX`` escape pair 12.
+_LOOKAHEAD = 16
 
 
 def _try_parse(fragment: str):
@@ -605,23 +619,76 @@ def _try_parse(fragment: str):
         return None
 
 
-def _candidates(raw: str):
-    """Candidate JSON fragments in text order, across the three repair passes:
-    fenced blocks first, then bracketed regions, then the raw reply."""
+def _decode_from(text: str, pos: int):
+    """`_DECODER.raw_decode(text[pos:])[0]` for a `[` or `{` at `pos`, mostly
+    from a copy of the next `_WINDOW` characters only.
+
+    Raises `ValueError` or `RecursionError` where that would. The scanner reads
+    left to right, so a value that parses from the window is the value of the
+    whole rest, and an error it meets well inside the window (`_LOOKAHEAD`) it
+    meets there too. Only an unterminated string, whose error names the
+    string's start, or an error near the window's end sends the decode to the
+    whole rest. The rest is copied rather than decoded in place: a
+    `JSONDecodeError` counts the lines of its text up to the error, so a
+    failed decode in place costs O(`pos`), and a reply with many brackets
+    would cost the square of its length.
+    """
+    window = text[pos : pos + _WINDOW]
+    try:
+        return _DECODER.raw_decode(window)[0]
+    except json.JSONDecodeError as exc:
+        if pos + _WINDOW >= len(text) or (
+            exc.pos + _LOOKAHEAD < len(window) and not exc.msg.startswith("Unterminated string")
+        ):
+            raise
+    return _DECODER.raw_decode(text[pos:])[0]
+
+
+def _bracket_values(raw: str):
+    """`_try_parse(raw[pos:])` for each `[` or `{` of `raw` in text order.
+
+    Such a remainder starts with its bracket, and a value ends at a bracket,
+    so the `strip` of `_try_parse` changes no outcome and is left out. The
+    trailing-comma repair is made once, of the whole reply. A repair match
+    is ``,`` then whitespace then ``]`` or ``}``, so none spans a `[`/`{`: the
+    repair of ``raw[pos:]`` is the repaired reply from `pos` less the commas
+    removed before it, and it removed a comma only if a match starts at or
+    after `pos`.
+    """
+    commas: list[int] | None = None  # where each repair match of `raw` starts
+    for match in _OPENER_RE.finditer(raw):
+        pos = match.start()
+        try:
+            value = _decode_from(raw, pos)
+        except RecursionError:
+            value = None
+        except ValueError:
+            if commas is None:
+                commas = [m.start() for m in _TRAILING_COMMA_RE.finditer(raw)]
+                repaired = _TRAILING_COMMA_RE.sub(r"\1", raw)
+            before = bisect.bisect_left(commas, pos)
+            value = None
+            if before < len(commas):
+                with contextlib.suppress(ValueError, RecursionError):
+                    value = _decode_from(repaired, pos - before)
+        yield value
+
+
+def _candidate_values(raw: str):
+    """The parsed value of each candidate fragment in text order, None where it
+    does not parse, across the three repair passes: fenced blocks first, then
+    bracketed regions, then the raw reply."""
     for match in _FENCE_RE.finditer(raw):
-        yield match.group(1)
-    for pos, char in enumerate(raw):
-        if char in "[{":
-            yield raw[pos:]
-    yield raw
+        yield _try_parse(match.group(1))
+    yield from _bracket_values(raw)
+    yield _try_parse(raw)
 
 
 def extract_json(raw: str, schema_name: str):
     """The decoded reply of the first JSON value in `raw` that `DECODERS[schema_name]` accepts."""
     decode = DECODERS[schema_name]
     seen_invalid = 0
-    for fragment in _candidates(raw):
-        value = _try_parse(fragment)
+    for value in _candidate_values(raw):
         if value is None:
             continue
         try:
@@ -672,7 +739,8 @@ class HttpChatBackend:
     """OpenAI-style chat-completion client over `post_json`.
 
     Without NOVA_LLM_API_KEY `send` raises `GatewayError` and sends nothing; so
-    does a reply without a string ``choices[0].message.content``.
+    does a reply without a string ``choices[0].message.content``, or whose
+    content holds a lone surrogate, which is not valid Unicode.
     """
 
     def __init__(self, endpoint: str, post=None, timeout: float = 120.0):
@@ -694,6 +762,8 @@ class HttpChatBackend:
             content = resp.json()["choices"][0]["message"]["content"]
             if not isinstance(content, str):
                 raise TypeError(f"content is {type(content).__name__}")
+            if (at := lone_surrogate(content)) is not None:
+                raise ValueError(f"content holds a lone surrogate at offset {at}")
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise GatewayError(f"malformed completion response: {exc}") from exc
         return content

@@ -23,7 +23,7 @@ from typing import Protocol
 import numpy as np
 import orjson
 
-from .domain import RetrievedDoc, SeedPaper
+from .domain import RetrievedDoc, SeedPaper, lone_surrogate
 from .gateway import Gateway, post_json
 
 SEARCH_API_KEY_ENV = "NOVA_SEARCH_API_KEY"
@@ -92,6 +92,16 @@ def _shortlist_margin(qvec: np.ndarray) -> float:
     n = qvec.shape[0] + 2
     gamma = n * _F32_U / (1 - n * _F32_U)
     return 2 * gamma * math.sqrt(np.einsum("i,i->", qvec, qvec)) + ROUNDING_MARGIN
+
+
+def _refuse_lone_surrogates(doc: dict, where: str) -> None:
+    """Raise `LiteratureError` if the title or abstract of `doc` is not valid Unicode."""
+    for key in ("title", "abstract"):
+        if (at := lone_surrogate(doc.get(key, ""))) is not None:
+            raise LiteratureError(
+                f'{where}: "{key}" holds a lone surrogate at offset {at}, '
+                "which is not valid Unicode"
+            )
 
 
 @dataclass(frozen=True)
@@ -185,7 +195,8 @@ class OfflineCorpus:
     Each doc is parsed by `orjson.loads` from its bytes. A doc orjson refuses
     (NaN or Infinity literals, a lone surrogate, a BOM, bytes that are not
     UTF-8) is parsed again by `json.loads` from its UTF-8 text, which loads it
-    or refuses it with the stdlib's message.
+    or refuses it with the stdlib's message; a title or abstract that it reads
+    with a lone surrogate, which is not valid Unicode, is refused too.
 
     The normalized embeddings are stored once, as the rows of one float64
     ``(docs, embedder.dim)`` matrix, made read-only after load; a hit's
@@ -216,6 +227,7 @@ class OfflineCorpus:
         self._docs: list[dict] = []
         todo: list[int] = []  # rows of the docs without a stored embedding
         for row, path in enumerate(paths):
+            by_stdlib = False
             try:
                 try:
                     raw = orjson.loads(path.read_bytes())
@@ -224,6 +236,7 @@ class OfflineCorpus:
                     # words its refusals otherwise, so the stdlib decides those. It reads
                     # text, not decoded bytes: its messages count a CRLF as one character.
                     raw = json.loads(path.read_text(encoding="utf-8"))
+                    by_stdlib = True
                 if not isinstance(raw, dict):
                     raise ValueError(f"must hold a JSON object, got {type(raw).__name__}")
                 if "embedding" in raw:
@@ -239,6 +252,8 @@ class OfflineCorpus:
                 raise LiteratureError(
                     f'corpus doc {path.name} ({raw["title"]!r}): "abstract" must be a string'
                 )
+            if by_stdlib:  # orjson refuses a lone surrogate
+                _refuse_lone_surrogates(raw, f"corpus doc {path.name}")
             self._docs.append(raw)
             if "embedding" in raw:
                 self._fill(row, raw.pop("embedding"), path.name)
@@ -340,8 +355,9 @@ class HttpSearchClient:
 
     The key comes from NOVA_SEARCH_API_KEY, empty if unset. A reply that is not
     an object with a list of results, each an object with a nonempty string
-    title, an abstract (if any) that is a string and a score (if any) that is a
-    finite number, raises `LiteratureError` naming the first bad result. Returned
+    title, an abstract (if any) that is a string, a title and abstract without
+    a lone surrogate (not valid Unicode) and a score (if any) that is a finite
+    number, raises `LiteratureError` naming the first bad result. Returned
     docs are embedded from "<title>\\n<abstract>" with `embedder`, in one call.
     """
 
@@ -372,6 +388,7 @@ class HttpSearchClient:
                 raise LiteratureError(
                     f"search result {n} has a score that is not a finite number: {row['score']!r}"
                 )
+            _refuse_lone_surrogates(row, f"search result {n}")
         if not rows:
             return []
         vectors = self._embedder.embed(

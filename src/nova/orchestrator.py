@@ -72,6 +72,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TypeVar
 
+from . import jsontext
 from . import planner as planner_mod
 from . import proposals as proposals_mod
 from . import selector, tournament
@@ -186,20 +187,13 @@ def load_state(out_dir: Path) -> RunState | None:
         raise OrchestratorError(f"run state {path}: {exc}") from exc
 
 
-_ENCODER = json.JSONEncoder(ensure_ascii=False, indent=2)
-
-
 def _dump_bytes(payload: dict) -> bytes:
     """`json.dumps(payload, ensure_ascii=False, indent=2)` and a newline, as UTF-8.
 
-    The chunks are streamed into one buffer: `json.dumps` with an indent first
-    collects every chunk in a list, several times the size of the output, and
-    that list for the largest idea pool was a run's peak memory.
+    Written by `jsontext.dumps`, so by orjson unless the payload holds a value
+    orjson writes otherwise (a float below 1e-4 or from 1e16 up, say).
     """
-    buf = io.StringIO()
-    buf.writelines(_ENCODER.iterencode(payload))
-    buf.write("\n")
-    return buf.getvalue().encode("utf-8")
+    return jsontext.dumps(payload, indent=True, newline=True)
 
 
 # The envelope kind of each stored type; built at import, read by every put and get.

@@ -6,7 +6,10 @@ manifest entry is ``{"name", "schema_name", "model"}``: the shape a reply
 must have (a key of `nova.replies.DECODERS`, or null for free text) and the
 model the template's requests name. A template's placeholders are the ones
 its body holds, ``{name}`` with no nesting; literal braces are escaped by
-doubling.
+doubling. Each body is compiled once, at load, into its text between
+placeholders (`_compile`, the one scanner of template text; a stray brace is
+refused there), and `PromptLibrary.render` joins those texts with the
+placeholders' values, which are inserted verbatim and never scanned.
 
 Four placeholders are set constants, bound by `render` itself when the caller
 does not bind them: the three texts of ``default_bindings.json`` and
@@ -18,7 +21,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 from types import MappingProxyType
@@ -67,6 +70,10 @@ class PromptTemplate:
     required_placeholders: frozenset[str]
     schema_name: str | None
     model: str
+    # The body compiled by `_compile`: its text before the first placeholder, then
+    # (placeholder, text up to the next one) pairs.
+    head: str = field(repr=False, compare=False)
+    slots: tuple[tuple[str, str], ...] = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -77,32 +84,38 @@ class DiscoveryTheory:
     method: str
 
 
-def _scan(body: str, template: str, value_of) -> str:
-    """One regex pass: substitute placeholders, honor doubled braces.
+def _compile(body: str, template: str) -> tuple[str, tuple[tuple[str, str], ...]]:
+    """Split a body into its text before the first placeholder and a (name,
+    text up to the next placeholder) pair per placeholder, doubled braces undone.
 
-    `value_of(name)` supplies each placeholder's text. Values are inserted
-    verbatim and never re-scanned, so braces in values cannot collide with
-    placeholders.
+    A stray brace raises `PromptError` naming the template and its offset.
     """
-
-    def token(m: re.Match) -> str:
+    texts: list[str] = []
+    names: list[str] = []
+    text: list[str] = []
+    pos = 0
+    for m in _TOKEN_RE.finditer(body):
+        text.append(body[pos : m.start()])
+        pos = m.end()
+        token = m.group(0)
         if m.group(1) is not None:
-            return value_of(m.group(1))
-        text = m.group(0)
-        if len(text) == 2:
-            return text[0]
-        if text == "{":
+            texts.append("".join(text))
+            names.append(m.group(1))
+            text = []
+        elif len(token) == 2:
+            text.append(token[0])
+        elif token == "{":
             raise PromptError(f"template {template!r}: malformed placeholder at offset {m.start()}")
-        raise PromptError(f"template {template!r}: unescaped '}}' at offset {m.start()}")
-
-    return _TOKEN_RE.sub(token, body)
+        else:
+            raise PromptError(f"template {template!r}: unescaped '}}' at offset {m.start()}")
+    text.append(body[pos:])
+    texts.append("".join(text))
+    return texts[0], tuple(zip(names, texts[1:]))
 
 
 def placeholders_in(body: str, template: str = "<inline>") -> set[str]:
     """Placeholder names occurring in a template body."""
-    names: set[str] = set()
-    _scan(body, template, lambda name: names.add(name) or "")
-    return names
+    return {name for name, _ in _compile(body, template)[1]}
 
 
 class PromptLibrary:
@@ -162,12 +175,15 @@ class PromptLibrary:
                 body = self._read(f"{name}.txt")
             except FileNotFoundError:
                 raise PromptError(f"template {name!r}: no body file {name}.txt") from None
+            head, slots = _compile(body, name)
             templates[name] = PromptTemplate(
                 name=name,
                 body=body,
-                required_placeholders=frozenset(placeholders_in(body, name) - constants),
+                required_placeholders=frozenset({p for p, _ in slots} - constants),
                 schema_name=schema_name,
                 model=model,
+                head=head,
+                slots=slots,
             )
         return templates
 
@@ -195,9 +211,11 @@ class PromptLibrary:
         if missing:
             raise MissingPlaceholderError(name, missing)
         constants = self._constants
-        return _scan(
-            template.body, name, lambda p: str(bindings[p] if p in bindings else constants[p])
-        )
+        out = [template.head]
+        for p, text in template.slots:
+            out.append(str(bindings[p] if p in bindings else constants[p]))
+            out.append(text)
+        return "".join(out)
 
     def theories(self) -> list[DiscoveryTheory]:
         """The 10 catalog entries in index order."""

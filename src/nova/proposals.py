@@ -12,7 +12,6 @@ renders empty.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import replace
 
@@ -24,11 +23,17 @@ from .domain import (
     RetrievedDoc,
     SeedPaper,
 )
+from . import jsontext
 from .gateway import Gateway
 from .planner import PlannerLoop, format_docs
 from .seeding import format_idea
 
 logger = logging.getLogger(__name__)
+
+
+def _indented(value) -> str:
+    """`json.dumps(value, ensure_ascii=False, indent=2)`."""
+    return jsontext.dumps(value, indent=True).decode("utf-8")
 
 
 class ProposalFailure(Exception):
@@ -82,7 +87,7 @@ class ProposalBuilder:
     def decompose(self, proposal: Proposal) -> DecompositionPlan:
         """Break the initial proposal's method into keyword-carrying submodules."""
         bindings = {
-            "initial_idea_json": json.dumps(proposal.sections, ensure_ascii=False, indent=2),
+            "initial_idea_json": _indented(proposal.sections),
         }
         reply = self._gateway.ask("method_decompose", bindings, fallback=None)
         if reply is None:
@@ -122,11 +127,11 @@ class ProposalBuilder:
             "design). You need to analyze whether the design of these modules is "
             "reasonable. Please learn from the good places to complete the detailed "
             "design of the final method.\nMethod decomposition info:\n"
-            + json.dumps(decomposition.to_dict(), ensure_ascii=False, indent=2)
+            + _indented(decomposition.to_dict())
         )
         knowledge_block = f"The new knowledge is:\n{new_knowledge}" if new_knowledge else ""
         bindings = {
-            "idea_json": json.dumps(initial.sections, ensure_ascii=False, indent=2),
+            "idea_json": _indented(initial.sections),
             "paper_title": paper.title,
             "paper_abstract": paper.abstract,
             "method_decomposition_block": decomposition_block,

@@ -234,9 +234,14 @@ def test_missing_paper_file_creates_no_run_directory(cli_env, tmp_path, capsys):
          """corpus doc doc1.json ('odd'): "abstract" must be a string"""),
         ([{"title": "ok", "abstract": "a"}, {"title": "big", "embedding": [10**400, 1]}],
          "corpus doc doc1.json: int too large to convert to float"),
+        # Embedded from its text at load, which a lone surrogate made crash.
+        ([{"title": "ok", "abstract": "a"}, {"title": "s\ud800", "abstract": "a"}],
+         'corpus doc doc1.json: "title" holds a lone surrogate at offset 1, '
+         "which is not valid Unicode"),
     ],
     ids=["untitled_doc", "mixed_embedding_shapes", "zero_embedding", "non_finite_embedding",
-         "non_string_title", "non_string_abstract", "overflowing_embedding"],
+         "non_string_title", "non_string_abstract", "overflowing_embedding",
+         "lone_surrogate_title"],
 )
 def test_malformed_corpus_exits_2_before_creating_the_run_dir(cli_env, tmp_path, capsys,
                                                               docs, message):
@@ -490,6 +495,27 @@ def test_a_non_string_paper_title_exits_2(cli_env, tmp_path, capsys):
     argv[argv.index("--paper") + 1] = str(path)
     assert main(argv) == 2
     assert "SeedPaper: title must be a string" in capsys.readouterr().err
+
+
+def test_a_paper_with_a_lone_surrogate_exits_2(cli_env, tmp_path, capsys):
+    """A lone surrogate is not valid Unicode; it crashed the first cache key of seeding."""
+    path = tmp_path / "surrogate.json"
+    trend = {"title": "T", "abstract": "\udc00", "source_meta": {"likes": 1}}
+    path.write_text(json.dumps({"paper": {"title": "P\ud800", "abstract": "A"},
+                                "trend_papers": [trend]}), encoding="utf-8")
+    violations = [
+        "SeedPaper.title: holds a lone surrogate at offset 1, which is not valid Unicode",
+        "trend_papers[0]: SeedPaper.abstract: holds a lone surrogate at offset 0, "
+        "which is not valid Unicode",
+    ]
+    assert main(["validate", "--paper", str(path)]) == 2
+    assert json.loads(capsys.readouterr().out)["violations"] == violations
+
+    argv = cli_env("run", "surrogate")
+    argv[argv.index("--paper") + 1] = str(path)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert violations[0] in err and "Traceback" not in err
 
 
 def test_a_mock_run_needs_no_jsonschema(cli_env, tmp_path):

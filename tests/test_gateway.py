@@ -12,8 +12,10 @@ import sys
 import threading
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nova import gateway as gateway_mod
 from nova.gateway import (
@@ -71,6 +73,51 @@ def test_cache_key_is_pure_function_of_fields():
     assert a.cache_key == b.cache_key
     assert a.cache_key != ChatRequest("m", "p", temperature=0.6, max_tokens=10).cache_key
     assert len(a.cache_key) == 64
+
+
+def old_cache_key(request: ChatRequest) -> str:
+    """`ChatRequest.cache_key` as the stdlib encoder wrote it before orjson did."""
+    payload = json.dumps(
+        {
+            "model_id": request.model_id,
+            "prompt": request.prompt,
+            "temperature": request.temperature,
+            "max_tokens": request.max_tokens,
+        },
+        sort_keys=True,
+        separators=(",", ":"),
+        ensure_ascii=False,
+    )
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def key_outcome(fn):
+    try:
+        return fn()
+    except UnicodeEncodeError:
+        return UnicodeEncodeError
+
+
+ANY_TEXT = st.text(st.characters(blacklist_categories=()))  # lone surrogates included
+
+
+@settings(max_examples=300)
+@given(
+    model=st.one_of(st.text(max_size=8), ANY_TEXT),
+    prompt=st.one_of(ANY_TEXT, st.text(st.characters(max_codepoint=0x7f))),
+    temperature=st.one_of(st.floats(), st.integers(), st.sampled_from([0.0, 1e-5, 1e16])),
+    max_tokens=st.integers(),
+)
+def test_cache_key_equals_the_stdlib_form(model, prompt, temperature, max_tokens):
+    request = ChatRequest(model, prompt, temperature=temperature, max_tokens=max_tokens)
+    assert key_outcome(lambda: request.cache_key) == key_outcome(lambda: old_cache_key(request))
+
+
+@settings(max_examples=300)
+@given(key=ANY_TEXT, text=ANY_TEXT)
+def test_cache_line_equals_the_stdlib_form(key, text):
+    assert key_outcome(lambda: gateway_mod._entry_line(key, text)) == key_outcome(
+        lambda: entry_line(key, text))
 
 
 def test_second_identical_request_hits_cache(make_gateway):
@@ -938,6 +985,121 @@ def test_deep_nesting_takes_the_fallback_after_the_reprompts(make_gateway):
     assert len(backend.prompts) == REPROMPT_BUDGET + 1
 
 
+def old_extract_json(raw: str, schema_name: str):
+    """`extract_json` as it was before the bracketed candidates were decoded in
+    windows: each candidate was a fresh copy of the rest of the reply."""
+
+    def try_parse(fragment):
+        try:
+            return gateway_mod._DECODER.raw_decode(fragment.strip())[0]
+        except RecursionError:
+            return None
+        except ValueError:
+            repaired, commas = gateway_mod._TRAILING_COMMA_RE.subn(r"\1", fragment)
+        try:
+            return gateway_mod._DECODER.raw_decode(repaired.strip())[0] if commas else None
+        except (ValueError, RecursionError):
+            return None
+
+    def candidates():
+        for match in gateway_mod._FENCE_RE.finditer(raw):
+            yield match.group(1)
+        for pos, char in enumerate(raw):
+            if char in "[{":
+                yield raw[pos:]
+        yield raw
+
+    decode = gateway_mod.DECODERS[schema_name]
+    seen_invalid = 0
+    for fragment in candidates():
+        value = try_parse(fragment)
+        if value is None:
+            continue
+        try:
+            return decode(value)
+        except gateway_mod.DomainParseError:
+            seen_invalid += 1
+    if seen_invalid:
+        raise NoValidJsonError(
+            f"found {seen_invalid} JSON value(s) but none validate against {schema_name!r}"
+        )
+    raise NoValidJsonError("no parseable JSON value in reply")
+
+
+def extraction(extract, raw, schema_name):
+    try:
+        return extract(raw, schema_name)
+    except NoValidJsonError as exc:
+        return str(exc)
+
+
+IDEA = '{"thinking": "t", "idea": "x", "keywords": ["k"]}'
+# Pieces of replies: JSON tokens, the idea_list and novelty_verdict shapes, fences,
+# trailing commas, whitespace (JSON's and Unicode's), literals and prose.
+REPLY_PIECES = st.sampled_from([
+    "[", "]", "{", "}", ",", ", ", ",\n", ":", '"', '"a"', '"b\\"', '"\\u00e9"', '"\\ud83d\\ude00"',
+    "1", "-2.5e3", "true", "null", "NaN", "-Infinity", " ", "\n", "\t", "\u00a0", "\x1c",
+    "```", "```json\n", "prose ", "x", IDEA, IDEA[:-1] + ",}", "[" + IDEA + "]",
+    "[" + IDEA + ",]", '{"verdict": "similar"}', '{"verdict": "maybe",}', '"verdict"',
+])
+# Whole JSON texts: nested values with long strings and every literal, so values
+# and strings run past a window's end and literals are cut by it.
+JSON_VALUES = st.recursive(
+    st.one_of(st.sampled_from([None, True, False, float("nan"), float("-inf"), 0, -12.5e-7]),
+              st.text(st.characters(max_codepoint=0x7ff), max_size=40)),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(st.text(max_size=6), inner, max_size=3)),
+    max_leaves=8,
+)
+JSON_TEXTS = st.builds(
+    lambda value, indent, comma: json.dumps(value, indent=indent)[:-1] + comma + json.dumps(value)[-1:],
+    JSON_VALUES, st.sampled_from([None, 1]), st.sampled_from(["", ",", ", "]),
+)
+REPLIES = st.lists(st.one_of(REPLY_PIECES, JSON_TEXTS), max_size=12).map("".join)
+
+
+@settings(max_examples=300)
+@given(raw=REPLIES, schema_name=st.sampled_from(["idea_list", "novelty_verdict"]))
+def test_extract_json_equals_the_copying_scan(raw, schema_name):
+    assert extraction(extract_json, raw, schema_name) == extraction(
+        old_extract_json, raw, schema_name)
+
+
+@settings(max_examples=300)
+@given(raw=REPLIES, window=st.integers(min_value=1, max_value=120),
+       schema_name=st.sampled_from(["idea_list", "novelty_verdict"]))
+def test_a_small_window_changes_no_extraction(raw, window, schema_name):
+    """Windows far shorter than the values put every decode on the edge of its window."""
+    with mock.patch.object(gateway_mod, "_WINDOW", window):
+        got = extraction(extract_json, raw, schema_name)
+    assert got == extraction(old_extract_json, raw, schema_name)
+
+
+@settings(max_examples=500)
+@given(raw=st.lists(st.sampled_from(["[", "{", "]", "}", ",", " ", "\n", "a", '"']),
+                    max_size=40).map("".join))
+def test_the_repair_of_a_remainder_is_the_repaired_reply_from_the_mapped_position(raw):
+    """The repair of `raw[pos:]` is `raw`'s repair from `pos` less the commas removed before it."""
+    regex = gateway_mod._TRAILING_COMMA_RE
+    starts = [m.start() for m in regex.finditer(raw)]
+    repaired = regex.sub(r"\1", raw)
+    for pos, char in enumerate(raw):
+        if char in "[{":
+            before = sum(start < pos for start in starts)
+            assert regex.subn(r"\1", raw[pos:]) == (repaired[pos - before:], len(starts) - before)
+
+
+def test_a_long_reply_without_json_is_refused_in_linear_time():
+    # 'Here: ' + '[a ' * 20_000 took 0.59 s when each candidate was a copy scanned
+    # again by the repair; the bound leaves room for a busy 2-vCPU box.
+    started = time.perf_counter()
+    with pytest.raises(NoValidJsonError):
+        extract_json("Here: " + "[a " * 20_000, "idea_list")
+    with pytest.raises(NoValidJsonError):
+        extract_json('{"a": [1,] ' * 5_000, "idea_list")  # a repair for each candidate
+    assert time.perf_counter() - started < 0.5
+
+
 def test_extract_never_returns_schema_invalid_value():
     # A schema-valid candidate later in the reply wins over an earlier invalid one.
     raw = '{"verdict": "maybe"} ... {"verdict": "similar"}'
@@ -1104,8 +1266,9 @@ class _HtmlResponse(_FakeResponse):
         _FakeResponse(200, {"choices": [{"message": {"content": None}}]}),
         _FakeResponse(200, {"choices": [{"message": {"content": ["a", "list"]}}]}),
         _FakeResponse(200, {"choices": []}),
+        _FakeResponse(200, {"choices": [{"message": {"content": "a\ud800"}}]}),
     ],
-    ids=["html_body", "null_content", "list_content", "no_choices"],
+    ids=["html_body", "null_content", "list_content", "no_choices", "lone_surrogate_content"],
 )
 def test_http_backend_rejects_a_malformed_200(monkeypatch, make_gateway, tmp_path, response):
     monkeypatch.setenv("NOVA_LLM_API_KEY", "k")

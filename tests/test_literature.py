@@ -410,14 +410,17 @@ _UNIT = b"[0.6, 0.8]"
 
 
 # Each outcome was pinned on the stdlib-only load that orjson replaced: the loaded
-# title and the bits of its row, or the exact refusal.
+# title and the bits of its row, or the exact refusal (but for the lone surrogate,
+# which that load accepted).
 @pytest.mark.parametrize("data, outcome", [
     (b'{"title": "n", "embedding": [1.0, NaN]}',
      "corpus doc doc.json ('n'): embedding entries must be finite"),
     (b'{"title": "i", "embedding": [-Infinity, 1.0]}',
      "corpus doc doc.json ('i'): embedding entries must be finite"),
+    # The stdlib loads a lone surrogate, which is not valid Unicode: refused.
     (b'{"title": "s\\ud800", "embedding": ' + _UNIT + b"}",
-     ("s\ud800", [4603579539098121011, 4605380978949069210])),
+     'corpus doc doc.json: "title" holds a lone surrogate at offset 1, '
+     "which is not valid Unicode"),
     (b'{"title": "big", "embedding": [1180591620717411303424, 0]}',
      ("big", [4607182418800017408, 0])),
     (b'\xef\xbb\xbf{"title": "b", "embedding": ' + _UNIT + b"}",
@@ -566,8 +569,12 @@ _BAD_SCORE = "search result 1 has a score that is not a finite number: "
     ({"title": "x", "score": 10**400}, _BAD_SCORE + repr(10**400)),
     ({"title": "x", "abstract": 7}, "search result 1 has an abstract that is not a string"),
     ({"title": "x", "abstract": None}, "search result 1 has an abstract that is not a string"),
+    ({"title": "x\ud800"},
+     'search result 1: "title" holds a lone surrogate at offset 1, which is not valid Unicode'),
+    ({"title": "x", "abstract": "ab\udfff"},
+     'search result 1: "abstract" holds a lone surrogate at offset 2, which is not valid Unicode'),
 ], ids=["text_score", "null_score", "nan_score", "inf_score", "bool_score", "huge_int_score",
-        "int_abstract", "null_abstract"])
+        "int_abstract", "null_abstract", "lone_surrogate_title", "lone_surrogate_abstract"])
 def test_http_search_client_refuses_a_malformed_field(hash_embedder, row, message):
     rows = {"results": [{"title": "ok", "abstract": "a", "score": 0.5}, row]}
     client = HttpSearchClient("https://s.test", embedder=hash_embedder,

@@ -18,6 +18,7 @@ from nova.prompts import (
     PromptError,
     PromptLibrary,
     UnknownTemplateError,
+    _compile,
     placeholders_in,
 )
 
@@ -290,3 +291,83 @@ def test_tripled_braces_render_a_braced_value(template_copy):
         "search_plan", {"idea_info": "value", "few_shot_example": "{x}", "plan_json_format": "}"}
     )
     assert rendered == "{value} {x}}"
+
+
+# ---------------------------------------------------------------------------
+# The compiled render against the regex pass it replaced
+# ---------------------------------------------------------------------------
+
+_OLD_TOKEN_RE = re.compile(r"\{\{|\}\}|\{([A-Za-z_][A-Za-z0-9_]*)\}|[{}]")
+
+
+def old_scan(body: str, template: str, value_of) -> str:
+    """The one-regex-pass substitution `render` made before templates were compiled."""
+
+    def token(m: re.Match) -> str:
+        if m.group(1) is not None:
+            return value_of(m.group(1))
+        text = m.group(0)
+        if len(text) == 2:
+            return text[0]
+        if text == "{":
+            raise PromptError(f"template {template!r}: malformed placeholder at offset {m.start()}")
+        raise PromptError(f"template {template!r}: unescaped '}}' at offset {m.start()}")
+
+    return _OLD_TOKEN_RE.sub(token, body)
+
+
+def old_render(library: PromptLibrary, name: str, bindings: dict) -> str:
+    constants = library._constants
+    return old_scan(library.get(name).body, name,
+                    lambda p: str(bindings[p] if p in bindings else constants[p]))
+
+
+BRACED_TEXT = st.text(st.sampled_from("{}ab \n\\{{}}$1"), max_size=12)
+
+
+@given(st.data())
+def test_render_equals_the_regex_pass_on_every_shipped_template(data):
+    for name in REGISTRY_NAMES:
+        template = LIBRARY.get(name)
+        names = sorted(placeholders_in(template.body, name))
+        # Every required placeholder, some set constants overridden, and a stray binding.
+        bindings = {p: data.draw(BRACED_TEXT) for p in names
+                    if p in template.required_placeholders or data.draw(st.booleans())}
+        bindings["not_a_placeholder"] = "{ignored}"
+        assert LIBRARY.render(name, bindings) == old_render(LIBRARY, name, bindings)
+
+
+CUSTOM_BODIES = st.lists(
+    st.sampled_from(["{idea_info}", "{few_shot_example}", "{plan_json_format}", "{{", "}}",
+                     "{{{idea_info}}}", "{", "}", "{1x}", "{a-b}", "{ idea_info}", "text", "\n",
+                     "{idea_info", "idea_info}", "{}", "{{}}"]),
+    max_size=10,
+).map("".join)
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except PromptError as exc:
+        return ("PromptError", str(exc))
+
+
+@given(body=CUSTOM_BODIES, value=BRACED_TEXT)
+def test_compile_equals_the_regex_pass_on_custom_bodies(body, value):
+    """Same text, same placeholders, and the same `PromptError` message for a stray brace."""
+    bindings = {"idea_info": value, "few_shot_example": "{x}", "plan_json_format": "}"}
+
+    def value_of(p: str) -> str:
+        return bindings.get(p, "")
+
+    def compiled() -> str:
+        head, slots = _compile(body, "inline")
+        return head + "".join(value_of(p) + text for p, text in slots)
+
+    def old_names() -> set[str]:
+        names: set[str] = set()
+        old_scan(body, "inline", lambda p: names.add(p) or "")
+        return names
+
+    assert _outcome(compiled) == _outcome(lambda: old_scan(body, "inline", value_of))
+    assert _outcome(lambda: placeholders_in(body, "inline")) == _outcome(old_names)

@@ -11,10 +11,14 @@
   `tournament`) catch no `GatewayError`, `LiteratureError` or
   `ExtractionFailedError`, nor anything broader, so an availability failure
   aborts the stage.
-- orjson parses corpus docs and nothing else: `orjson` is imported once, by
-  name, and `orjson.loads` is used only inside `OfflineCorpus.__init__`.
-  `orjson.dumps` is never used, since it writes some floats otherwise than
-  `json.dumps` (`1e-05` as `0.00001`), which would change artifact bytes.
+- orjson parses corpus docs and nothing else: outside `jsontext.py` it is
+  imported once, by name, and `orjson.loads` is used only inside
+  `OfflineCorpus.__init__`.
+- orjson writes JSON text only through the exact encoder `jsontext.dumps`:
+  `orjson.dumps` is used nowhere else. orjson writes some values otherwise
+  than `json.dumps` (`1e-05` as `0.00001`, NaN as `null`), which would change
+  cache keys and artifact bytes; that function checks a value for them and
+  leaves those to the stdlib.
 """
 
 from __future__ import annotations
@@ -125,8 +129,15 @@ def test_no_second_concurrency_entry_point():
 
 
 def test_orjson_parses_corpus_docs_only():
-    assert sorted(set(_find(_orjson_use))) == [
+    uses = sorted(set(_find(_orjson_use)))
+    assert [use for use in uses if use[0] != "jsontext.py"] == [
         ("literature.py", "", "import orjson"),
         ("literature.py", "OfflineCorpus.__init__", "JSONDecodeError"),
         ("literature.py", "OfflineCorpus.__init__", "loads"),
+    ]
+    assert [use for use in uses if use[0] == "jsontext.py"] == [
+        ("jsontext.py", "", "import orjson"),
+        ("jsontext.py", "dumps", "OPT_APPEND_NEWLINE"),
+        ("jsontext.py", "dumps", "OPT_INDENT_2"),
+        ("jsontext.py", "dumps", "dumps"),
     ]
